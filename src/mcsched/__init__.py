@@ -13,11 +13,9 @@ from .model import (
     ValidationError,
     dump_scenario,
     dump_taskset,
-    effective_wcet,
     id_key,
     load_scenario,
     load_taskset,
-    mode_membership,
     scenario_from_dict,
     scenario_to_dict,
     taskset_from_dict,
@@ -75,21 +73,3 @@ from .gen import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AnalysisResult", "Divergent", "FormatError", "GenParams",
-    "InconsistentInputs", "Infeasible", "InterferenceBound", "InvalidTarget",
-    "LevelOutOfRange", "MCTask", "ModelViolation", "PROTOCOLS",
-    "ParameterTooLarge", "Platform", "PriorityAssignment", "ProtocolConfig",
-    "REM_ORDERS", "Scenario", "SplitMix64", "TaskSet", "Trace",
-    "ValidationError", "brute_force_workload", "check_feasibility",
-    "check_periodicity", "check_response_bounds", "child_seed",
-    "compute_l_intervals", "dump_scenario", "dump_taskset", "effective_wcet",
-    "enumerate_basic_scenarios", "gen_scenario", "gen_taskset", "id_key",
-    "interfering_bounds", "level_at", "load_scenario", "load_taskset",
-    "metrics", "mode_membership", "opa_assign", "scenario_from_dict",
-    "scenario_to_dict", "simulate", "taskset_from_dict", "taskset_to_dict",
-    "total_interfering", "trace_from_jsonl", "uniprocessor_rta",
-    "uunifast", "uunifast_discard", "validate_scenario", "validate_taskset",
-    "wcrt", "workload_ci", "workload_nc",
-]

@@ -93,8 +93,7 @@ def cmd_simulate(args) -> int:
     except (FormatError, ValidationError, OSError) as exc:
         return _fail(str(exc))
     try:
-        cfg = ProtocolConfig(protocol=args.protocol, rem_order=args.rem_order,
-                             cap=not args.no_cap)
+        cfg = ProtocolConfig(protocol=args.protocol, rem_order=args.rem_order)
     except ValueError as exc:
         return _fail(str(exc))
     pa, wt, res = _prepare_run(ts, platform, not args.no_cap, args.force)
@@ -206,13 +205,18 @@ def run_experiment(spec: dict, out_fh) -> dict:
     "force". Rows are ordered by (protocol, scenario_id) under the single
     top-level seed, so reruns are byte-identical.
     """
+    if not isinstance(spec, dict):
+        raise FormatError("experiment spec must be a JSON object")
     seed = int(spec.get("seed", 0))
     if "taskset" in spec:
         ts, platform = load_taskset(spec["taskset"])
     elif "gen" in spec:
-        kwargs = dict(spec["gen"])
-        kwargs["period_range"] = tuple(kwargs.get("period_range", (8, 24)))
-        params = gen.GenParams(**kwargs)
+        try:
+            kwargs = dict(spec["gen"])
+            kwargs["period_range"] = tuple(kwargs.get("period_range", (8, 24)))
+            params = gen.GenParams(**kwargs)
+        except TypeError as exc:  # unknown, missing or mistyped gen keys
+            raise FormatError(f"experiment spec 'gen': {exc}") from None
         ts, platform = gen.gen_taskset(params, seed)
     else:
         raise FormatError("experiment spec needs a 'taskset' or 'gen' entry")
@@ -232,7 +236,7 @@ def run_experiment(spec: dict, out_fh) -> dict:
     totals = {p: {"misses_enabled": 0, "rem_completed": 0, "rem_dropped": 0,
                   "tardiness": 0.0, "chain_aborts": 0} for p in protocols}
     for protocol in protocols:
-        cfg = ProtocolConfig(protocol=protocol, rem_order=rem_order, cap=cap)
+        cfg = ProtocolConfig(protocol=protocol, rem_order=rem_order)
         for i in range(n_scen):
             sc = gen.gen_scenario(ts, horizon, gen.child_seed(seed, i),
                                   exec_model=exec_model, dmcr_plan=dmcr)

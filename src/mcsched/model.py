@@ -96,18 +96,6 @@ class MCTask:
         return self.C[0] / self.T
 
 
-def effective_wcet(task: MCTask, level: int) -> int:
-    """C(l) for l <= L, C(L) above; errors outside [1, levels]."""
-    return task.wcet(level)
-
-
-def mode_membership(task: MCTask, level: int) -> bool:
-    """True iff the task belongs to operating mode M_level (level <= L)."""
-    if not 1 <= level <= len(task.C):
-        raise LevelOutOfRange(f"level {level} not in [1, {len(task.C)}]")
-    return level <= task.L
-
-
 @dataclass(frozen=True)
 class TaskSet:
     """A set of tasks plus the system-wide maximum criticality level."""

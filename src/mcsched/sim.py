@@ -28,19 +28,11 @@ while the chain is active aborts it.
 
 All times are integers. One run is strictly deterministic in its inputs.
 
-Internal trace events are tuples; the common prefix is (kind, t, mode):
-    ("release", t, mode, task, k, d)
-    ("job_dropped", t, mode, task, k, why)   why "imcr" | "suspended_arrival"
-    ("complete", t, mode, task, k, c, r, d, rem)
-    ("budget_exceeded", t, new_mode, task, k)
-    ("dmcr_requested", t, mode, target)
-    ("chain_advance", t, mode, task, k)
-    ("chain_aborted", t, mode, cursor)
-    ("re_enabled", t, target_mode, tasks)
-    ("deadline_miss", t, mode, task, k, crit)
-    ("chain_stalled", t, mode, cursor)
+Internal trace events are tuples. A point event is (kind, t, mode, *fields)
+with the fields of EVENT_FIELDS[kind] other than "mode", in table order; the
+table also fixes each kind's JSONL field order. Dispatch spans are
     ("sched", t0, mode, t1, slots)
-sched slots, in priority order, one per busy processor:
+with one slot per busy processor, in priority order:
     ("J", task, k)                           enabled-task job
     ("R", task, k)                           rem-job on a free processor
     ("G", ghost_task, ghost_k, task, k)      rem-job hosted by a ghost slot
@@ -59,6 +51,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .model import Platform, Scenario, TaskSet, id_key
 from .analysis import PriorityAssignment
@@ -84,7 +77,6 @@ class InvalidTarget(ValueError):
 class ProtocolConfig:
     protocol: str = "drop"
     rem_order: str = "crit-edf"
-    cap: bool = True  # mirrors the analysis interference cap; recorded only
 
     def __post_init__(self):
         if self.protocol not in PROTOCOLS:
@@ -93,10 +85,52 @@ class ProtocolConfig:
             raise ValueError(f"unknown rem_order {self.rem_order!r}")
 
 
+# JSONL field order after "t" and "kind" for every point event kind.
+EVENT_FIELDS = {
+    "release": ("task", "k", "mode", "d"),
+    "job_dropped": ("task", "k", "mode", "why"),  # "imcr" | "suspended_arrival"
+    "complete": ("task", "k", "mode", "c", "r", "d", "rem"),
+    "budget_exceeded": ("task", "k", "mode"),  # mode is the new level
+    "dmcr_requested": ("mode", "target"),
+    "chain_advance": ("task", "k", "mode"),
+    "chain_aborted": ("mode", "cursor"),
+    "re_enabled": ("mode", "tasks"),  # mode is the target level
+    "deadline_miss": ("task", "k", "mode", "crit"),
+    "chain_stalled": ("mode", "cursor"),
+}
+META_FIELDS = ("horizon", "m", "levels", "protocol", "rem_order")
+_ARRAY_FIELDS = {"tasks"}  # JSON arrays, tuples in the event
+
+
+def _with_tuples(get):
+    return lambda rec: tuple(tuple(v) if type(v) is list else v
+                             for v in get(rec))
+
+
+def _layouts():
+    """Per kind: the record keys in line order with a getter of their values
+    from the event tuple, and a getter of the tuple's values from a record."""
+    to_record, from_record = {}, {}
+    for kind, fields in EVENT_FIELDS.items():
+        keys = ("t", "mode") + tuple(f for f in fields if f != "mode")
+        to_record[kind] = (("t", "kind") + fields, itemgetter(
+            1, 0, *(1 + keys.index(f) for f in fields)))
+        get = itemgetter(*keys)
+        if _ARRAY_FIELDS.intersection(fields):
+            get = _with_tuples(get)
+        from_record[kind] = get
+    return to_record, from_record
+
+
+_TO_RECORD, _FROM_RECORD = _layouts()
+_encode = json.JSONEncoder(separators=(",", ":")).encode
+_decode = json.JSONDecoder().raw_decode
+
+
 class Trace:
     """Ordered event log of one run plus the run's frame data."""
 
-    __slots__ = ("events", "horizon", "m", "levels", "protocol", "rem_order")
+    __slots__ = ("events",) + META_FIELDS
 
     def __init__(self, events, horizon, m, levels, protocol, rem_order):
         self.events = events
@@ -109,8 +143,6 @@ class Trace:
     def kind(self, kind: str) -> list:
         return [e for e in self.events if e[0] == kind]
 
-    # -- serialization ----------------------------------------------------
-
     def to_jsonl(self) -> str:
         """Line-delimited records with a stable field order.
 
@@ -118,149 +150,91 @@ class Trace:
         "until"), preempt lines for entities that stop while incomplete,
         and idle lines when processors are unoccupied.
         """
-        out = []
-        dump = json.dumps
-        meta = {"t": 0, "kind": "meta", "horizon": self.horizon, "m": self.m,
-                "levels": self.levels, "protocol": self.protocol,
-                "rem_order": self.rem_order}
-        out.append(dump(meta, separators=(",", ":")))
-        completed_at = {}
-        for ev in self.events:
-            if ev[0] == "complete":
-                completed_at[(ev[3], ev[4])] = ev[1]
-        prev_slots = ()
+        meta = {"t": 0, "kind": "meta"}
+        meta.update((f, getattr(self, f)) for f in META_FIELDS)
+        out = [_encode(meta)]
+        completed_at = {(ev[3], ev[4]): ev[1] for ev in self.events
+                        if ev[0] == "complete"}
+        prev = ()  # (task, k) per processor in the previous span
         for ev in self.events:
             kind = ev[0]
             if kind != "sched":
-                out.append(dump(self._event_record(ev), separators=(",", ":")))
+                keys, values = _TO_RECORD[kind]
+                out.append(_encode(dict(zip(keys, values(ev)))))
                 continue
             _, t0, mode, t1, slots = ev
-            for code, tid, k, proc in self._stopped(prev_slots, slots):
-                if completed_at.get((tid, k)) != t0:
-                    out.append(dump({"t": t0, "kind": "preempt", "task": tid,
-                                     "k": k, "proc": proc, "mode": mode},
-                                    separators=(",", ":")))
-            for proc, slot in enumerate(slots):
-                rec = {"t": t0, "kind": "dispatch"}
+            now = [(s[3], s[4]) if s[0] == "G" else (s[1], s[2]) for s in slots]
+            for proc, (tid, k) in enumerate(prev):
+                if (tid, k) not in now and completed_at.get((tid, k)) != t0:
+                    out.append(_encode({"t": t0, "kind": "preempt", "task": tid,
+                                        "k": k, "proc": proc, "mode": mode}))
+            for proc, (slot, (tid, k)) in enumerate(zip(slots, now)):
+                rec = {"t": t0, "kind": "dispatch", "task": tid, "k": k,
+                       "proc": proc, "mode": mode, "until": t1,
+                       "rem": 0 if slot[0] == "J" else 1}
                 if slot[0] == "G":
-                    rec.update(task=slot[3], k=slot[4], proc=proc, mode=mode,
-                               until=t1, rem=1, ghost_task=slot[1],
-                               ghost_k=slot[2])
-                else:
-                    rec.update(task=slot[1], k=slot[2], proc=proc, mode=mode,
-                               until=t1, rem=1 if slot[0] == "R" else 0)
-                out.append(dump(rec, separators=(",", ":")))
+                    rec["ghost_task"] = slot[1]
+                    rec["ghost_k"] = slot[2]
+                out.append(_encode(rec))
             if len(slots) < self.m:
-                out.append(dump({"t": t0, "kind": "idle", "mode": mode,
-                                 "until": t1, "procs": self.m - len(slots)},
-                                separators=(",", ":")))
-            prev_slots = slots
+                out.append(_encode({"t": t0, "kind": "idle", "mode": mode,
+                                    "until": t1, "procs": self.m - len(slots)}))
+            prev = now
         return "\n".join(out) + "\n"
-
-    @staticmethod
-    def _stopped(prev_slots, slots):
-        """Entities in prev_slots but not in slots, with their old processor."""
-        def entity(slot):
-            return (slot[3], slot[4]) if slot[0] == "G" else (slot[1], slot[2])
-        now = {entity(s) for s in slots}
-        gone = []
-        for proc, slot in enumerate(prev_slots):
-            ent = entity(slot)
-            if ent not in now:
-                gone.append((slot[0], ent[0], ent[1], proc))
-        return gone
-
-    @staticmethod
-    def _event_record(ev) -> dict:
-        kind, t, mode = ev[0], ev[1], ev[2]
-        rec = {"t": t, "kind": kind}
-        if kind == "release":
-            rec.update(task=ev[3], k=ev[4], mode=mode, d=ev[5])
-        elif kind == "job_dropped":
-            rec.update(task=ev[3], k=ev[4], mode=mode, why=ev[5])
-        elif kind == "complete":
-            rec.update(task=ev[3], k=ev[4], mode=mode, c=ev[5], r=ev[6],
-                       d=ev[7], rem=ev[8])
-        elif kind == "budget_exceeded":
-            rec.update(task=ev[3], k=ev[4], mode=mode)
-        elif kind == "dmcr_requested":
-            rec.update(mode=mode, target=ev[3])
-        elif kind == "chain_advance":
-            rec.update(task=ev[3], k=ev[4], mode=mode)
-        elif kind in ("chain_aborted", "chain_stalled"):
-            rec.update(mode=mode, cursor=ev[3])
-        elif kind == "re_enabled":
-            rec.update(mode=mode, tasks=list(ev[3]))
-        elif kind == "deadline_miss":
-            rec.update(task=ev[3], k=ev[4], mode=mode, crit=ev[5])
-        else:
-            raise ValueError(f"unknown event kind {kind!r}")
-        return rec
 
 
 def trace_from_jsonl(text: str) -> Trace:
     """Rebuild a Trace from its serialized form.
 
     Dispatch and idle lines sharing (t, until) are regrouped into sched
-    records; preempt lines are derived data and are dropped.
+    records; preempt lines are derived data and are dropped. Malformed
+    input raises ValueError naming the line.
     """
     events = []
     meta = None
     groups: dict[tuple[int, int], dict] = {}
     order: list[tuple[int, int]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
+        line = line.strip()
+        if not line:
             continue
         try:
-            rec = json.loads(line)
+            rec, end = _decode(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {lineno}: {exc.msg}") from exc
+        if end < len(line):
+            raise ValueError(f"trace line {lineno}: extra data after the record")
+        if not isinstance(rec, dict):
+            raise ValueError(f"trace line {lineno}: expected a JSON object")
         kind = rec.get("kind")
-        if kind == "meta":
-            meta = rec
-            continue
-        if kind == "preempt":
-            continue
-        if kind in ("dispatch", "idle"):
-            span = (rec["t"], rec["until"])
-            g = groups.get(span)
-            if g is None:
-                g = groups[span] = {"mode": rec["mode"], "slots": {}}
-                order.append(span)
-            if kind == "dispatch":
-                if rec.get("ghost_task") is not None:
-                    slot = ("G", rec["ghost_task"], rec["ghost_k"],
-                            rec["task"], rec["k"])
-                elif rec.get("rem"):
-                    slot = ("R", rec["task"], rec["k"])
-                else:
-                    slot = ("J", rec["task"], rec["k"])
-                g["slots"][rec["proc"]] = slot
-            continue
-        t, mode = rec["t"], rec["mode"]
-        if kind == "release":
-            events.append(("release", t, mode, rec["task"], rec["k"], rec["d"]))
-        elif kind == "job_dropped":
-            events.append(("job_dropped", t, mode, rec["task"], rec["k"], rec["why"]))
-        elif kind == "complete":
-            events.append(("complete", t, mode, rec["task"], rec["k"], rec["c"],
-                           rec["r"], rec["d"], rec["rem"]))
-        elif kind == "budget_exceeded":
-            events.append(("budget_exceeded", t, mode, rec["task"], rec["k"]))
-        elif kind == "dmcr_requested":
-            events.append(("dmcr_requested", t, mode, rec["target"]))
-        elif kind == "chain_advance":
-            events.append(("chain_advance", t, mode, rec["task"], rec["k"]))
-        elif kind == "chain_aborted":
-            events.append(("chain_aborted", t, mode, rec["cursor"]))
-        elif kind == "chain_stalled":
-            events.append(("chain_stalled", t, mode, rec["cursor"]))
-        elif kind == "re_enabled":
-            events.append(("re_enabled", t, mode, tuple(rec["tasks"])))
-        elif kind == "deadline_miss":
-            events.append(("deadline_miss", t, mode, rec["task"], rec["k"], rec["crit"]))
-        else:
-            raise ValueError(f"trace line {lineno}: unknown kind {kind!r}")
+        try:
+            get = _FROM_RECORD.get(kind)
+            if get is not None:
+                events.append((kind, *get(rec)))
+            elif kind in ("dispatch", "idle"):
+                span = (rec["t"], rec["until"])
+                g = groups.get(span)
+                if g is None:
+                    g = groups[span] = {"mode": rec["mode"], "slots": {}}
+                    order.append(span)
+                if kind == "dispatch":
+                    if rec.get("ghost_task") is not None:
+                        slot = ("G", rec["ghost_task"], rec["ghost_k"],
+                                rec["task"], rec["k"])
+                    elif rec.get("rem"):
+                        slot = ("R", rec["task"], rec["k"])
+                    else:
+                        slot = ("J", rec["task"], rec["k"])
+                    g["slots"][rec["proc"]] = slot
+            elif kind == "meta":
+                meta = [rec[f] for f in META_FIELDS]
+            elif kind != "preempt":
+                raise ValueError(f"trace line {lineno}: unknown kind {kind!r}")
+        except KeyError as exc:
+            raise ValueError(
+                f"trace line {lineno}: {kind} record has no field {exc}") from None
+        except TypeError as exc:  # an unhashable kind or span bound
+            raise ValueError(f"trace line {lineno}: {exc}") from None
     if meta is None:
         raise ValueError("trace has no meta line")
     for span in order:
@@ -268,8 +242,7 @@ def trace_from_jsonl(text: str) -> Trace:
         slots = tuple(g["slots"][p] for p in sorted(g["slots"]))
         events.append(("sched", span[0], g["mode"], span[1], slots))
     events.sort(key=lambda e: (e[1], 1 if e[0] == "sched" else 0))
-    return Trace(events, meta["horizon"], meta["m"], meta["levels"],
-                 meta["protocol"], meta["rem_order"])
+    return Trace(events, *meta)
 
 
 class _Job:

@@ -211,6 +211,32 @@ def test_check_missing_trace_is_input_error(sched_ts, capsys):
     assert rc == 2
 
 
+META_LINE = ('{"t":0,"kind":"meta","horizon":40,"m":1,"levels":2,'
+             '"protocol":"drop","rem_order":"crit-edf"}')
+
+
+@pytest.mark.parametrize("text", [
+    META_LINE + '\n{"t":0,"kind":"release","task":1,"k":1,"mode":1}\n',
+    META_LINE + '\n[1,2,3]\n',
+    '{"t":0,"kind":"meta","horizon":40,"levels":2,"protocol":"drop",'
+    '"rem_order":"crit-edf"}\n',
+    META_LINE + '\n{"t":0,"kind":"teleport","mode":1}\n',
+    META_LINE + '\n{"t":0,"kind":["release"],"mode":1}\n',
+    META_LINE + '\n{"t":0,"kind":"dispatch","task":1,"k":1,"mode":1,'
+                '"until":4,"rem":0}\n',
+    META_LINE + '\n{"t":0,"kind":"idle","mode":1,"until":4,"procs":1} {}\n',
+], ids=["release-without-d", "array-line", "meta-without-m", "unknown-kind",
+        "unhashable-kind", "dispatch-without-proc", "extra-data"])
+def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
+    _, path = sched_ts
+    trace_path = tmp_path / "trace.jsonl"
+    trace_path.write_text(text)
+    rc = main(["check", "--trace", str(trace_path), "--taskset", path])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: trace line ")
+
+
 def test_generate_taskset_roundtrip(tmp_path, capsys):
     out = tmp_path / "gen.json"
     rc = main(["generate", "taskset", "--n", "4", "--levels", "2",
@@ -292,6 +318,20 @@ def test_experiment_refuses_unschedulable_taskset(heavy_ts, tmp_path, capsys):
     rc = main(["experiment", "--spec", str(spec_path)])
     capsys.readouterr()
     assert rc == 3
+
+
+@pytest.mark.parametrize("spec", [
+    {"gen": {"n_tasks": 4, "levels": 2, "total_util": 0.7, "colour": "red"}},
+    {"gen": {"levels": 2, "total_util": 0.7}},
+    [{"gen": {"n_tasks": 4, "levels": 2, "total_util": 0.7}}],
+], ids=["unknown-gen-key", "missing-gen-key", "not-an-object"])
+def test_experiment_malformed_spec_is_input_error(tmp_path, capsys, spec):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    rc = main(["experiment", "--spec", str(spec_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: experiment spec")
 
 
 def test_console_script_is_wired(sched_ts):

@@ -5,10 +5,10 @@ import pytest
 
 from mcsched.model import (FormatError, LevelOutOfRange, MCTask, Platform,
                            Scenario, TaskSet, ValidationError, id_key,
-                           load_scenario, load_taskset, mode_membership,
-                           scenario_from_dict, scenario_to_dict,
-                           taskset_from_dict, taskset_to_dict,
-                           validate_scenario, validate_taskset)
+                           load_scenario, load_taskset, scenario_from_dict,
+                           scenario_to_dict, taskset_from_dict,
+                           taskset_to_dict, validate_scenario,
+                           validate_taskset)
 
 
 def mk_task(tid=1, T=10, D=10, L=1, C=(3,), levels=None):
@@ -38,13 +38,6 @@ def test_wcet_level_bounds():
         t.wcet(0)
     with pytest.raises(LevelOutOfRange):
         t.wcet(2)
-
-
-def test_mode_membership_is_level_vs_criticality():
-    t = MCTask(id=1, T=10, D=10, L=2, C=(2, 4, 4))
-    assert mode_membership(t, 1)
-    assert mode_membership(t, 2)
-    assert not mode_membership(t, 3)
 
 
 def test_id_key_orders_ints_before_strings():
