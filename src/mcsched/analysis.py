@@ -17,6 +17,12 @@ cannot be delayed by more than that while still pending. The bounds are
 sound upper bounds on any legal sporadic release pattern; the test suite
 checks them against an exhaustive oracle rather than trusting the algebra.
 
+workload_nc, workload_ci and interfering_bounds are the readable per-term
+definition. wcrt and total_interfering evaluate the same total through one
+integer kernel, _window_total, over plain (T_j, C_j(l)) pairs, with no
+object per term; tests/test_analysis.py checks the kernel against a
+reference fixed point built from interfering_bounds.
+
 Priority assignment uses Audsley's lowest-priority-first greedy search. A
 task can take the lowest remaining rank iff R_i(l) <= D_i for every level
 l <= L_i with all other remaining tasks as higher-priority interference.
@@ -87,20 +93,66 @@ def interfering_bounds(tj: MCTask, ti: MCTask, delta: int, level: int,
     return InterferenceBound(nc=nc, ci=ci)
 
 
+def _terms(ti: MCTask, hp: list[MCTask], level: int) -> list[tuple[int, int]]:
+    """(T_j, C_j(level)) for every interfering task; ti itself is rejected."""
+    terms = []
+    for tj in hp:
+        if tj.id == ti.id:
+            raise SameTask(f"task {ti.id!r} cannot interfere with itself")
+        terms.append((tj.T, tj.wcet(level)))
+    return terms
+
+
+def _window_total(terms: list[tuple[int, int]], limit: int, delta: int,
+                  k: int) -> int:
+    """Kernel of the interfering-workload total over a window of length
+    delta: the nc bound of every term plus the k largest ci - nc
+    surcharges, each bound clipped at limit (and ci also at delta).
+
+    Same values as interfering_bounds term by term, without building an
+    object per term.
+    """
+    ci_limit = delta if delta < limit else limit
+    total = 0
+    diffs = []
+    for t, c in terms:
+        q = delta // t
+        r = delta - q * t
+        nc = q * c + (c if c < r else r)
+        if nc > limit:
+            nc = limit
+        rest = delta - c
+        if rest > 0:
+            q = rest // t
+            r = rest - q * t
+            ci = c * (q + 1) + (c if c < r else r)
+            if ci > ci_limit:
+                ci = ci_limit
+        else:
+            ci = ci_limit if ci_limit < c else c
+        total += nc
+        diffs.append(ci - nc)
+    if k >= len(diffs):
+        return total + sum(diffs)
+    if k > 0:
+        diffs.sort(reverse=True)
+        total += sum(diffs[:k])
+    return total
+
+
 def total_interfering(ti: MCTask, hp: list[MCTask], delta: int, level: int,
                       m: int, cap: bool = True) -> int:
     """Total interfering workload on ti over a window of length delta.
 
-    Sum of non-carry-in bounds plus the m-1 largest carry-in surcharges
-    (ties broken toward the smallest task id).
+    Sum of non-carry-in bounds plus the m-1 largest carry-in surcharges.
+    The sum of the k largest values is the same whichever of several equal
+    values is taken, so the total does not depend on how ties are broken.
     """
-    bounds = [(tj, interfering_bounds(tj, ti, delta, level, cap)) for tj in hp]
-    total = sum(b.nc for _, b in bounds)
-    k = min(m - 1, len(bounds))
-    if k > 0:
-        by_diff = sorted(bounds, key=lambda tb: (-tb[1].diff, id_key(tb[0].id)))
-        total += sum(b.diff for _, b in by_diff[:k])
-    return total
+    if delta < 0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    terms = _terms(ti, hp, level)
+    limit = max(delta - ti.wcet(level) + 1, 0) if cap else delta
+    return _window_total(terms, limit, delta, m - 1)
 
 
 def wcrt(ti: MCTask, hp: list[MCTask], level: int, m: int,
@@ -113,11 +165,14 @@ def wcrt(ti: MCTask, hp: list[MCTask], level: int, m: int,
     if level > ti.L:
         raise ValueError(f"level {level} above task criticality {ti.L}")
     c = ti.wcet(level)
+    terms = _terms(ti, hp, level)
+    d = ti.D
     r = c
     while True:
-        if r > ti.D:
-            raise Divergent(f"task {ti.id!r} level {level}: iterate {r} > D={ti.D}")
-        nxt = c + total_interfering(ti, hp, r, level, m, cap) // m
+        if r > d:
+            raise Divergent(f"task {ti.id!r} level {level}: iterate {r} > D={d}")
+        limit = r - c + 1 if cap else r  # r >= c throughout
+        nxt = c + _window_total(terms, limit, r, m - 1) // m
         if nxt == r:
             return r
         r = nxt

@@ -197,6 +197,45 @@ def _csv_row(protocol, seed, scenario_id, m) -> str:
     ])
 
 
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_str(v) -> bool:
+    return type(v) is str
+
+
+def _is_str_list(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(map(_is_str, v))
+
+
+def _is_request_list(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(
+        isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_int, x))
+        for x in v)
+
+
+_SPEC_TYPES = {
+    "taskset": (_is_str, "a path string"),
+    "seed": (_is_int, "an integer"),
+    "scenarios": (_is_int, "an integer"),
+    "horizon": (_is_int, "an integer"),
+    "protocols": (_is_str_list, "a list of protocol names"),
+    "rem_order": (_is_str, "a string"),
+    "exec_model": (_is_str, "a string"),
+    "dmcr": (_is_request_list, "a list of [time, level] integer pairs"),
+}
+
+
+def _spec_get(spec: dict, key: str, default):
+    value = spec.get(key, default)
+    valid, want = _SPEC_TYPES[key]
+    if not valid(value):
+        raise FormatError(f"experiment spec {key!r} must be {want}, "
+                          f"got {value!r}")
+    return value
+
+
 def run_experiment(spec: dict, out_fh) -> dict:
     """Run the sweep described by an experiment spec and stream CSV rows.
 
@@ -207,9 +246,9 @@ def run_experiment(spec: dict, out_fh) -> dict:
     """
     if not isinstance(spec, dict):
         raise FormatError("experiment spec must be a JSON object")
-    seed = int(spec.get("seed", 0))
+    seed = _spec_get(spec, "seed", 0)
     if "taskset" in spec:
-        ts, platform = load_taskset(spec["taskset"])
+        ts, platform = load_taskset(_spec_get(spec, "taskset", None))
     elif "gen" in spec:
         try:
             kwargs = dict(spec["gen"])
@@ -220,12 +259,12 @@ def run_experiment(spec: dict, out_fh) -> dict:
         ts, platform = gen.gen_taskset(params, seed)
     else:
         raise FormatError("experiment spec needs a 'taskset' or 'gen' entry")
-    n_scen = int(spec.get("scenarios", 1))
-    horizon = int(spec.get("horizon", 20 * max(t.T for t in ts.tasks)))
-    protocols = spec.get("protocols", list(PROTOCOLS))
-    rem_order = spec.get("rem_order", "crit-edf")
-    exec_model = spec.get("exec_model", "uniform")
-    dmcr = [tuple(x) for x in spec.get("dmcr", [])]
+    n_scen = _spec_get(spec, "scenarios", 1)
+    horizon = _spec_get(spec, "horizon", 20 * max(t.T for t in ts.tasks))
+    protocols = _spec_get(spec, "protocols", list(PROTOCOLS))
+    rem_order = _spec_get(spec, "rem_order", "crit-edf")
+    exec_model = _spec_get(spec, "exec_model", "uniform")
+    dmcr = [tuple(x) for x in _spec_get(spec, "dmcr", [])]
     cap = not spec.get("no_cap", False)
 
     pa, wt, res = _prepare_run(ts, platform, cap, bool(spec.get("force")))

@@ -99,7 +99,36 @@ EVENT_FIELDS = {
     "chain_stalled": ("mode", "cursor"),
 }
 META_FIELDS = ("horizon", "m", "levels", "protocol", "rem_order")
-_ARRAY_FIELDS = {"tasks"}  # JSON arrays, tuples in the event
+# JSON types of the trace-line fields that are not integers. A task id is an
+# integer or a string; an array field is a tuple in the event.
+_FIELD_TYPES = {"kind": (str,), "task": (int, str), "ghost_task": (int, str),
+                "why": (str,), "tasks": (tuple,), "protocol": (str,),
+                "rem_order": (str,)}
+_ARRAY_FIELDS = {f for f, types in _FIELD_TYPES.items() if types == (tuple,)}
+_TYPE_NAMES = {int: "an integer", str: "a string", tuple: "an array"}
+
+
+def _type_check(names):
+    """A predicate over a tuple of values of fields `names`: true when each
+    value has its field's JSON type (bool is not an integer here).
+
+    The predicate is compiled from the table once, as straight-line
+    `type(v[i]) is ...` tests: on a trace read, a generic per-line
+    `tuple(map(type, values))` lookup costs ~3 times as much.
+    """
+    tests = []
+    for i, name in enumerate(names):
+        tests.append(" or ".join(f"type(v[{i}]) is {t.__name__}"
+                                 for t in _FIELD_TYPES.get(name, (int,))))
+    return eval("lambda v: (" + ") and (".join(tests) + ")")
+
+
+def _mistyped(names, values) -> str:
+    for name, value in zip(names, values):
+        types = _FIELD_TYPES.get(name, (int,))
+        if type(value) not in types:
+            want = " or ".join(_TYPE_NAMES[t] for t in types)
+            return f"field {name!r} must be {want}, got {value!r}"
 
 
 def _with_tuples(get):
@@ -109,20 +138,34 @@ def _with_tuples(get):
 
 def _layouts():
     """Per kind: the record keys in line order with a getter of their values
-    from the event tuple, and a getter of the tuple's values from a record."""
+    from the event tuple; and a getter of the event tuple from a record,
+    with the tuple's field names and their type check."""
     to_record, from_record = {}, {}
     for kind, fields in EVENT_FIELDS.items():
         keys = ("t", "mode") + tuple(f for f in fields if f != "mode")
         to_record[kind] = (("t", "kind") + fields, itemgetter(
             1, 0, *(1 + keys.index(f) for f in fields)))
-        get = itemgetter(*keys)
+        names = ("kind",) + keys
+        get = itemgetter(*names)
         if _ARRAY_FIELDS.intersection(fields):
             get = _with_tuples(get)
-        from_record[kind] = get
+        from_record[kind] = (get, names, _type_check(names))
     return to_record, from_record
 
 
+def _span_layouts():
+    """Per dispatch or idle line shape: a getter of the fields the reader
+    uses, their names and their type check."""
+    job = ("t", "until", "mode", "proc", "task", "k", "rem")
+    shapes = {"idle": ("t", "until", "mode"), "dispatch": job,
+              "ghost": job + ("ghost_task", "ghost_k")}
+    return {shape: (itemgetter(*names), names, _type_check(names))
+            for shape, names in shapes.items()}
+
+
 _TO_RECORD, _FROM_RECORD = _layouts()
+_SPAN_LINES = _span_layouts()
+_META_OK = _type_check(META_FIELDS)
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 _decode = json.JSONDecoder().raw_decode
 
@@ -187,8 +230,9 @@ def trace_from_jsonl(text: str) -> Trace:
     """Rebuild a Trace from its serialized form.
 
     Dispatch and idle lines sharing (t, until) are regrouped into sched
-    records; preempt lines are derived data and are dropped. Malformed
-    input raises ValueError naming the line.
+    records; preempt lines are derived data and are dropped, as is an idle
+    line's "procs". Malformed input, a field of the wrong JSON type
+    included, raises ValueError naming the line.
     """
     events = []
     meta = None
@@ -208,32 +252,43 @@ def trace_from_jsonl(text: str) -> Trace:
             raise ValueError(f"trace line {lineno}: expected a JSON object")
         kind = rec.get("kind")
         try:
-            get = _FROM_RECORD.get(kind)
-            if get is not None:
-                events.append((kind, *get(rec)))
+            layout = _FROM_RECORD.get(kind)
+            if layout is not None:
+                get, names, well_typed = layout
+                ev = get(rec)
+                if not well_typed(ev):
+                    raise ValueError(f"trace line {lineno}: {kind} record "
+                                     f"{_mistyped(names, ev)}")
+                events.append(ev)
             elif kind in ("dispatch", "idle"):
-                span = (rec["t"], rec["until"])
+                shape = kind
+                if kind == "dispatch" and rec.get("ghost_task") is not None:
+                    shape = "ghost"
+                get, names, well_typed = _SPAN_LINES[shape]
+                vals = get(rec)
+                if not well_typed(vals):
+                    raise ValueError(f"trace line {lineno}: {kind} record "
+                                     f"{_mistyped(names, vals)}")
+                span = vals[:2]
                 g = groups.get(span)
                 if g is None:
-                    g = groups[span] = {"mode": rec["mode"], "slots": {}}
+                    g = groups[span] = {"mode": vals[2], "slots": {}}
                     order.append(span)
-                if kind == "dispatch":
-                    if rec.get("ghost_task") is not None:
-                        slot = ("G", rec["ghost_task"], rec["ghost_k"],
-                                rec["task"], rec["k"])
-                    elif rec.get("rem"):
-                        slot = ("R", rec["task"], rec["k"])
-                    else:
-                        slot = ("J", rec["task"], rec["k"])
-                    g["slots"][rec["proc"]] = slot
+                if shape == "ghost":
+                    g["slots"][vals[3]] = ("G", vals[7], vals[8], vals[4], vals[5])
+                elif shape == "dispatch":
+                    g["slots"][vals[3]] = ("R" if vals[6] else "J", vals[4], vals[5])
             elif kind == "meta":
                 meta = [rec[f] for f in META_FIELDS]
+                if not _META_OK(meta):
+                    raise ValueError(f"trace line {lineno}: meta record "
+                                     f"{_mistyped(META_FIELDS, meta)}")
             elif kind != "preempt":
                 raise ValueError(f"trace line {lineno}: unknown kind {kind!r}")
         except KeyError as exc:
             raise ValueError(
                 f"trace line {lineno}: {kind} record has no field {exc}") from None
-        except TypeError as exc:  # an unhashable kind or span bound
+        except TypeError as exc:  # an unhashable kind
             raise ValueError(f"trace line {lineno}: {exc}") from None
     if meta is None:
         raise ValueError("trace has no meta line")
@@ -241,7 +296,9 @@ def trace_from_jsonl(text: str) -> Trace:
         g = groups[span]
         slots = tuple(g["slots"][p] for p in sorted(g["slots"]))
         events.append(("sched", span[0], g["mode"], span[1], slots))
-    events.sort(key=lambda e: (e[1], 1 if e[0] == "sched" else 0))
+    # stable: point events, all appended before the sched records, stay
+    # ahead of a sched record at the same instant
+    events.sort(key=itemgetter(1))
     return Trace(events, *meta)
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from mcsched.analysis import (Divergent, SameTask, interfering_bounds,
                               opa_assign, total_interfering, uniprocessor_rta,
                               wcrt, workload_ci, workload_nc)
-from mcsched.model import MCTask, TaskSet
+from mcsched.model import MCTask, TaskSet, id_key
 
 
 def lo(tid, T, D, C):
@@ -172,6 +172,75 @@ def test_wcrt_m1_never_exceeds_classical(data):
         return
     ours = wcrt(ti, hp, 1, m=1)
     assert ours <= classical
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the per-term definition
+
+
+def reference_total(ti, hp, delta, level, m, cap):
+    """Interfering total built from interfering_bounds, adding the m-1
+    largest surcharges in (-diff, task id) order."""
+    bounds = [(tj, interfering_bounds(tj, ti, delta, level, cap)) for tj in hp]
+    total = sum(b.nc for _, b in bounds)
+    by_diff = sorted(bounds, key=lambda tb: (-tb[1].diff, id_key(tb[0].id)))
+    return total + sum(b.diff for _, b in by_diff[:max(m - 1, 0)])
+
+
+def reference_wcrt(ti, hp, level, m, cap):
+    c = ti.wcet(level)
+    r = c
+    while True:
+        if r > ti.D:
+            raise Divergent(f"reference: {r} > D={ti.D}")
+        nxt = c + reference_total(ti, hp, r, level, m, cap) // m
+        if nxt == r:
+            return r
+        r = nxt
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except Divergent:
+        return Divergent
+
+
+@st.composite
+def analysis_case(draw):
+    """A task under analysis, its interferers (int and str ids mixed), a
+    level and m from 1 to n+1. Light enough that about half the fixed
+    points converge."""
+    levels = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.one_of(st.integers(0, 9),
+                                  st.sampled_from(["0", "1", "a", "b"])),
+                        min_size=2, max_size=10, unique=True))
+    tasks = []
+    for tid in ids:
+        T = draw(st.integers(2, 40))
+        D = draw(st.integers(max(1, T // 2), T))
+        L = draw(st.integers(1, levels))
+        c = sorted(draw(st.lists(st.integers(1, max(1, D // 3)),
+                                 min_size=L, max_size=L)))
+        tasks.append(MCTask(id=tid, T=T, D=D, L=L,
+                            C=tuple(c + [c[-1]] * (levels - L))))
+    ti, hp = tasks[0], tasks[1:]
+    level = draw(st.integers(1, ti.L))
+    m = draw(st.integers(1, len(hp) + 1))
+    return ti, hp, level, m
+
+
+@given(case=analysis_case(), delta=st.integers(0, 80))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_kernel_matches_reference(case, delta):
+    ti, hp, level, m = case
+    for cap in (True, False):
+        assert (_outcome(wcrt, ti, hp, level, m, cap)
+                == _outcome(reference_wcrt, ti, hp, level, m, cap))
+        assert (total_interfering(ti, hp, delta, level, m, cap)
+                == reference_total(ti, hp, delta, level, m, cap))
+        with pytest.raises(SameTask):
+            wcrt(ti, hp + [ti], level, m, cap)
 
 
 # ---------------------------------------------------------------------------

@@ -225,8 +225,11 @@ META_LINE = ('{"t":0,"kind":"meta","horizon":40,"m":1,"levels":2,'
     META_LINE + '\n{"t":0,"kind":"dispatch","task":1,"k":1,"mode":1,'
                 '"until":4,"rem":0}\n',
     META_LINE + '\n{"t":0,"kind":"idle","mode":1,"until":4,"procs":1} {}\n',
+    META_LINE + '\n{"t":"x","kind":"release","task":1,"k":1,"mode":1,"d":8}\n',
+    META_LINE + '\n{"t":0,"kind":"release","task":1,"k":1,"mode":1,"d":"8"}\n',
 ], ids=["release-without-d", "array-line", "meta-without-m", "unknown-kind",
-        "unhashable-kind", "dispatch-without-proc", "extra-data"])
+        "unhashable-kind", "dispatch-without-proc", "extra-data",
+        "string-time", "string-deadline"])
 def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
     _, path = sched_ts
     trace_path = tmp_path / "trace.jsonl"
@@ -320,11 +323,27 @@ def test_experiment_refuses_unschedulable_taskset(heavy_ts, tmp_path, capsys):
     assert rc == 3
 
 
+GEN = {"n_tasks": 4, "levels": 2, "total_util": 0.7}
+
+
 @pytest.mark.parametrize("spec", [
     {"gen": {"n_tasks": 4, "levels": 2, "total_util": 0.7, "colour": "red"}},
     {"gen": {"levels": 2, "total_util": 0.7}},
     [{"gen": {"n_tasks": 4, "levels": 2, "total_util": 0.7}}],
-], ids=["unknown-gen-key", "missing-gen-key", "not-an-object"])
+    {"gen": GEN, "seed": [1]},
+    {"gen": GEN, "scenarios": "3"},
+    {"gen": GEN, "horizon": 200.5},
+    {"gen": GEN, "dmcr": [5]},
+    {"gen": GEN, "dmcr": [[100, 1, 2]]},
+    {"gen": GEN, "protocols": "drop"},
+    {"gen": GEN, "protocols": [["drop"]]},
+    {"gen": GEN, "rem_order": ["edf"]},
+    {"gen": GEN, "exec_model": 1},
+    {"taskset": ["ts.json"]},
+], ids=["unknown-gen-key", "missing-gen-key", "not-an-object", "list-seed",
+        "string-scenarios", "float-horizon", "int-request", "long-request",
+        "string-protocols", "nested-protocols", "list-rem-order",
+        "int-exec-model", "list-taskset"])
 def test_experiment_malformed_spec_is_input_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
