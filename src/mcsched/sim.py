@@ -100,12 +100,17 @@ EVENT_FIELDS = {
 }
 META_FIELDS = ("horizon", "m", "levels", "protocol", "rem_order")
 # JSON types of the trace-line fields that are not integers. A task id is an
-# integer or a string; an array field is a tuple in the event.
+# integer or a string; an array field is a tuple in the event, and its
+# elements have the types in _ELEMENT_TYPES.
 _FIELD_TYPES = {"kind": (str,), "task": (int, str), "ghost_task": (int, str),
                 "why": (str,), "tasks": (tuple,), "protocol": (str,),
                 "rem_order": (str,)}
-_ARRAY_FIELDS = {f for f, types in _FIELD_TYPES.items() if types == (tuple,)}
+_ELEMENT_TYPES = {"tasks": (int, str)}
 _TYPE_NAMES = {int: "an integer", str: "a string", tuple: "an array"}
+
+
+def _is_one_of(types, v):
+    return " or ".join(f"type({v}) is {t.__name__}" for t in types)
 
 
 def _type_check(names):
@@ -118,8 +123,11 @@ def _type_check(names):
     """
     tests = []
     for i, name in enumerate(names):
-        tests.append(" or ".join(f"type(v[{i}]) is {t.__name__}"
-                                 for t in _FIELD_TYPES.get(name, (int,))))
+        test = _is_one_of(_FIELD_TYPES.get(name, (int,)), f"v[{i}]")
+        if name in _ELEMENT_TYPES:
+            test = (f"({test}) and all({_is_one_of(_ELEMENT_TYPES[name], 'x')}"
+                    f" for x in v[{i}])")
+        tests.append(test)
     return eval("lambda v: (" + ") and (".join(tests) + ")")
 
 
@@ -129,6 +137,11 @@ def _mistyped(names, values) -> str:
         if type(value) not in types:
             want = " or ".join(_TYPE_NAMES[t] for t in types)
             return f"field {name!r} must be {want}, got {value!r}"
+        elements = _ELEMENT_TYPES.get(name)
+        if elements and any(type(x) not in elements for x in value):
+            want = " or ".join(_TYPE_NAMES[t] for t in elements)
+            return (f"each element of field {name!r} must be {want}, "
+                    f"got {list(value)!r}")
 
 
 def _with_tuples(get):
@@ -136,21 +149,37 @@ def _with_tuples(get):
                              for v in get(rec))
 
 
+def _line_writer(kind, fields):
+    """A function (event, enc) -> the event's JSONL line, compiled once as
+    one %-template. Integers are formatted directly; a task id, "why" or
+    "tasks" value is looked up in `enc`, which maps a value to its JSON
+    text, because an id can be any string."""
+    keys = ("t", "mode") + tuple(f for f in fields if f != "mode")
+    parts, args = ['"t":%d', '"kind":' + json.dumps(kind)], ["ev[1]"]
+    for f in fields:
+        value = f"ev[{1 + keys.index(f)}]"
+        if _FIELD_TYPES.get(f, (int,)) == (int,):
+            parts.append(f'"{f}":%d')
+            args.append(value)
+        else:
+            parts.append(f'"{f}":%s')
+            args.append(f"enc[{value}]")
+    template = "{" + ",".join(parts) + "}"
+    return eval(f"lambda ev, enc: {template!r} % ({', '.join(args)},)")
+
+
 def _layouts():
-    """Per kind: the record keys in line order with a getter of their values
-    from the event tuple; and a getter of the event tuple from a record,
-    with the tuple's field names and their type check."""
-    to_record, from_record = {}, {}
+    """Per kind: the line writer; and a getter of the event tuple from a
+    record, with the tuple's field names and their type check."""
+    writers, from_record = {}, {}
     for kind, fields in EVENT_FIELDS.items():
-        keys = ("t", "mode") + tuple(f for f in fields if f != "mode")
-        to_record[kind] = (("t", "kind") + fields, itemgetter(
-            1, 0, *(1 + keys.index(f) for f in fields)))
-        names = ("kind",) + keys
+        writers[kind] = _line_writer(kind, fields)
+        names = ("kind", "t", "mode") + tuple(f for f in fields if f != "mode")
         get = itemgetter(*names)
-        if _ARRAY_FIELDS.intersection(fields):
+        if _ELEMENT_TYPES.keys() & set(fields):
             get = _with_tuples(get)
         from_record[kind] = (get, names, _type_check(names))
-    return to_record, from_record
+    return writers, from_record
 
 
 def _span_layouts():
@@ -163,11 +192,26 @@ def _span_layouts():
             for shape, names in shapes.items()}
 
 
-_TO_RECORD, _FROM_RECORD = _layouts()
+_WRITERS, _FROM_RECORD = _layouts()
 _SPAN_LINES = _span_layouts()
 _META_OK = _type_check(META_FIELDS)
+# span lines: %s fields are JSON-encoded task ids
+_DISPATCH = ('{"t":%d,"kind":"dispatch","task":%s,"k":%d,"proc":%d,'
+             '"mode":%d,"until":%d,"rem":%d}')
+_GHOST_DISPATCH = ('{"t":%d,"kind":"dispatch","task":%s,"k":%d,"proc":%d,'
+                   '"mode":%d,"until":%d,"rem":1,"ghost_task":%s,"ghost_k":%d}')
+_PREEMPT = '{"t":%d,"kind":"preempt","task":%s,"k":%d,"proc":%d,"mode":%d}'
+_IDLE = '{"t":%d,"kind":"idle","mode":%d,"until":%d,"procs":%d}'
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 _decode = json.JSONDecoder().raw_decode
+
+
+class _Encoded(dict):
+    """JSON text of each value looked up, encoded on first use."""
+
+    def __missing__(self, value):
+        text = self[value] = _encode(value)
+        return text
 
 
 class Trace:
@@ -196,32 +240,30 @@ class Trace:
         meta = {"t": 0, "kind": "meta"}
         meta.update((f, getattr(self, f)) for f in META_FIELDS)
         out = [_encode(meta)]
+        line = out.append
+        enc = _Encoded()
         completed_at = {(ev[3], ev[4]): ev[1] for ev in self.events
                         if ev[0] == "complete"}
         prev = ()  # (task, k) per processor in the previous span
         for ev in self.events:
             kind = ev[0]
             if kind != "sched":
-                keys, values = _TO_RECORD[kind]
-                out.append(_encode(dict(zip(keys, values(ev)))))
+                line(_WRITERS[kind](ev, enc))
                 continue
             _, t0, mode, t1, slots = ev
             now = [(s[3], s[4]) if s[0] == "G" else (s[1], s[2]) for s in slots]
             for proc, (tid, k) in enumerate(prev):
                 if (tid, k) not in now and completed_at.get((tid, k)) != t0:
-                    out.append(_encode({"t": t0, "kind": "preempt", "task": tid,
-                                        "k": k, "proc": proc, "mode": mode}))
-            for proc, (slot, (tid, k)) in enumerate(zip(slots, now)):
-                rec = {"t": t0, "kind": "dispatch", "task": tid, "k": k,
-                       "proc": proc, "mode": mode, "until": t1,
-                       "rem": 0 if slot[0] == "J" else 1}
+                    line(_PREEMPT % (t0, enc[tid], k, proc, mode))
+            for proc, slot in enumerate(slots):
                 if slot[0] == "G":
-                    rec["ghost_task"] = slot[1]
-                    rec["ghost_k"] = slot[2]
-                out.append(_encode(rec))
+                    line(_GHOST_DISPATCH % (t0, enc[slot[3]], slot[4], proc,
+                                            mode, t1, enc[slot[1]], slot[2]))
+                else:
+                    line(_DISPATCH % (t0, enc[slot[1]], slot[2], proc, mode,
+                                      t1, slot[0] != "J"))
             if len(slots) < self.m:
-                out.append(_encode({"t": t0, "kind": "idle", "mode": mode,
-                                    "until": t1, "procs": self.m - len(slots)}))
+                line(_IDLE % (t0, mode, t1, self.m - len(slots)))
             prev = now
         return "\n".join(out) + "\n"
 
@@ -630,5 +672,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
 
     if open_rec is not None and open_rec[0] < horizon:
         emit(("sched", open_rec[0], open_rec[1], horizon, open_rec[2]))
-    events.sort(key=lambda e: (e[1], 1 if e[0] == "sched" else 0))
+    # stable: each sched record is emitted after every point event at its
+    # start, so those stay ahead of it
+    events.sort(key=itemgetter(1))
     return Trace(events, horizon, m, ts.levels, cfg.protocol, cfg.rem_order)

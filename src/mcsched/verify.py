@@ -8,15 +8,19 @@ reconstructed level timeline, so a simulator bug that mislabels a job shows
 up as a violation rather than silently excusing a deadline miss.
 
 The timeline is the list of maximal half-open intervals [s, e) with constant
-system level. A task with criticality L is suspended exactly while the level
-exceeds L, which is how the checkers decide whether a job was ever eligible
-for relegation to the rem pool.
+system level. Trace events are in time order, so the intervals are
+contiguous with strictly increasing starts, and the checkers find the
+interval of an instant by binary search. A task with criticality L is
+suspended exactly while the level exceeds L, which is how the checkers
+decide whether a job was ever eligible for relegation to the rem pool.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
+from operator import itemgetter
 
 from .model import MCTask, Scenario, TaskSet
 from .sim import Trace
@@ -57,17 +61,19 @@ def compute_l_intervals(trace: Trace) -> list[tuple[int, int, int]]:
     return intervals
 
 
+_start = itemgetter(0)
+
+
 def level_at(intervals, t: int) -> int:
     """System level in force at instant t (the end instant maps to the last
     interval, matching completions being processed before transitions)."""
-    for s, e, lv in reversed(intervals):
-        if t >= s:
-            return lv
-    return intervals[0][2]
+    i = bisect_right(intervals, t, key=_start)
+    return intervals[i - 1 if i else 0][2]
 
 
 def _suspension_starts(intervals, crit: int) -> list[int]:
-    """Instants at which a task with criticality crit becomes suspended."""
+    """Instants, in increasing order, at which a task with criticality crit
+    becomes suspended."""
     starts = []
     prev = 1
     for s, e, lv in intervals:
@@ -108,6 +114,7 @@ def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
     releases: dict = {}
     completes: dict = {}
     dropped: dict = {}
+    starts_by_crit: dict = {}
     for ev in trace.events:
         if ev[0] == "release":
             releases[(ev[3], ev[4])] = ev
@@ -132,10 +139,15 @@ def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
             continue
         r, d = rel[1], rel[5]
         comp = completes.get((tid, k))
-        starts = _suspension_starts(intervals, task.L)
+        starts = starts_by_crit.get(task.L)
+        if starts is None:
+            starts = starts_by_crit[task.L] = _suspension_starts(intervals, task.L)
+        # the first suspension after the release, if any
+        i = bisect_right(starts, r)
+        u = starts[i] if i < len(starts) else None
         if comp is not None:
             f, rem = comp[1], comp[8]
-            suspended_within = any(r < u < f for u in starts)
+            suspended_within = u is not None and u < f
             if rem:
                 if not suspended_within:
                     rep.violations.append((
@@ -164,7 +176,7 @@ def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
             rep.spanning += 1
             continue
         rep.checked += 1
-        if any(r < u <= d for u in starts):
+        if u is not None and u <= d:
             rep.exempt_rem += 1  # relegated before the deadline, still queued
             continue
         rep.violations.append((
@@ -290,15 +302,11 @@ def check_response_bounds(trace: Trace, wt: dict, ts: TaskSet) -> ResponseReport
         task = by_id.get(tid)
         if task is None:
             continue
-        span = None
-        for s, e, lv in intervals:
-            if s <= r < e:
-                span = (s, e, lv)
-                break
-        if span is None or f > span[1]:
+        i = bisect_right(intervals, r, key=_start) - 1
+        if i < 0 or not r < intervals[i][1] or f > intervals[i][1]:
             rep.spanning += 1
             continue
-        lv = span[2]
+        lv = intervals[i][2]
         bound = wt.get((tid, lv))
         if bound is None or lv > task.L:
             rep.unscoped += 1

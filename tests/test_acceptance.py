@@ -3,8 +3,9 @@ simulator, the checkers, and the generators together.
 
 The heavy soundness sweep (500 schedulable task sets x 100 scenarios x 4
 protocols) runs once as a session fixture; the response-bound, ghost
-accounting, and protocol-benefit criteria read its aggregates. conftest.py
-prints one PASS/FAIL line per criterion at the end of the run.
+accounting, and protocol-benefit criteria read its aggregates. The tests
+that read it are marked `slow`, so `pytest -m "not slow"` skips the sweep.
+conftest.py prints one PASS/FAIL line per criterion at the end of the run.
 """
 
 import io
@@ -178,6 +179,7 @@ def test_criterion_02_uniprocessor_degeneration():
 # criteria 3, 5, 6, 10: the big sweep and its read-outs
 
 
+@pytest.mark.slow
 def test_criterion_03_soundness_sweep(sweep):
     assert sweep.sets >= N_SETS
     assert sweep.runs >= N_SETS * N_SCENARIOS * 4
@@ -186,15 +188,18 @@ def test_criterion_03_soundness_sweep(sweep):
     assert sweep.period_violations == []
 
 
+@pytest.mark.slow
 def test_criterion_05_response_bound_preservation(sweep):
     assert sweep.resp_violations_wcrt == []
     assert sweep.resp_violations_other == []
 
 
+@pytest.mark.slow
 def test_criterion_06_reclaim_budget_accounting(sweep):
     assert sweep.ghost_violations == []
 
 
+@pytest.mark.slow
 def test_criterion_10_protocol_benefit_report(sweep):
     means = {}
     for protocol in ("naive", "wcet-reclaim", "wcrt-simulate"):

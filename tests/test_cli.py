@@ -227,9 +227,10 @@ META_LINE = ('{"t":0,"kind":"meta","horizon":40,"m":1,"levels":2,'
     META_LINE + '\n{"t":0,"kind":"idle","mode":1,"until":4,"procs":1} {}\n',
     META_LINE + '\n{"t":"x","kind":"release","task":1,"k":1,"mode":1,"d":8}\n',
     META_LINE + '\n{"t":0,"kind":"release","task":1,"k":1,"mode":1,"d":"8"}\n',
+    META_LINE + '\n{"t":0,"kind":"re_enabled","mode":1,"tasks":[[1]]}\n',
 ], ids=["release-without-d", "array-line", "meta-without-m", "unknown-kind",
         "unhashable-kind", "dispatch-without-proc", "extra-data",
-        "string-time", "string-deadline"])
+        "string-time", "string-deadline", "tasks-nested"])
 def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
     _, path = sched_ts
     trace_path = tmp_path / "trace.jsonl"

@@ -1,9 +1,13 @@
+import json
+from dataclasses import replace
+
 import pytest
 
 from mcsched.analysis import PriorityAssignment
 from mcsched.gen import GenParams, Infeasible, child_seed, gen_scenario, gen_taskset
 from mcsched.model import MCTask, Platform, Scenario, TaskSet
-from mcsched.sim import (InconsistentInputs, InvalidTarget, ModelViolation,
+from mcsched.sim import (EVENT_FIELDS, META_FIELDS, PROTOCOLS,
+                         InconsistentInputs, InvalidTarget, ModelViolation,
                          ProtocolConfig, simulate, trace_from_jsonl)
 from mcsched.verify import (check_feasibility, check_periodicity,
                             check_response_bounds, compute_l_intervals)
@@ -462,3 +466,81 @@ def test_checkers_hold_on_generated_runs(protocol):
             assert per.ok, (seed, i, per.violations)
             resp = check_response_bounds(trace, res.wcrt_table, ts)
             assert resp.ok, (seed, i, resp.violations)
+
+
+AWKWARD_IDS = ['say "hi"', "back\\slash", "bell\x07", "naïve 任务", 7, 12, "0"]
+SLOT_CODES = {"drop": {"J"}, "naive": {"J", "R"},
+              "wcet-reclaim": {"J", "R", "G"}, "wcrt-simulate": {"J", "R", "G"}}
+
+
+def ref_jsonl(trace):
+    """The records of Trace.to_jsonl built as dicts and encoded one by one
+    with json.dumps: the writer's templates must reproduce these bytes."""
+    def dumps(rec):
+        return json.dumps(rec, separators=(",", ":"))
+
+    meta = {"t": 0, "kind": "meta"}
+    meta.update((f, getattr(trace, f)) for f in META_FIELDS)
+    out = [dumps(meta)]
+    completed_at = {(ev[3], ev[4]): ev[1] for ev in trace.events
+                    if ev[0] == "complete"}
+    prev = []
+    for ev in trace.events:
+        if ev[0] != "sched":
+            fields = EVENT_FIELDS[ev[0]]
+            names = ("t", "mode") + tuple(f for f in fields if f != "mode")
+            values = dict(zip(names, ev[1:]))
+            rec = {"t": ev[1], "kind": ev[0]}
+            rec.update((f, values[f]) for f in fields)
+            out.append(dumps(rec))
+            continue
+        _, t0, mode, t1, slots = ev
+        now = [(s[3], s[4]) if s[0] == "G" else (s[1], s[2]) for s in slots]
+        for proc, (tid, k) in enumerate(prev):
+            if (tid, k) not in now and completed_at.get((tid, k)) != t0:
+                out.append(dumps({"t": t0, "kind": "preempt", "task": tid,
+                                  "k": k, "proc": proc, "mode": mode}))
+        for proc, (slot, (tid, k)) in enumerate(zip(slots, now)):
+            rec = {"t": t0, "kind": "dispatch", "task": tid, "k": k,
+                   "proc": proc, "mode": mode, "until": t1,
+                   "rem": 0 if slot[0] == "J" else 1}
+            if slot[0] == "G":
+                rec["ghost_task"] = slot[1]
+                rec["ghost_k"] = slot[2]
+            out.append(dumps(rec))
+        if len(slots) < trace.m:
+            out.append(dumps({"t": t0, "kind": "idle", "mode": mode,
+                              "until": t1, "procs": trace.m - len(slots)}))
+        prev = now
+    return out
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_jsonl_lines_match_dict_encoding_with_awkward_ids(protocol):
+    params = GenParams(n_tasks=len(AWKWARD_IDS), levels=3, total_util=1.2,
+                       m=2, period_range=(8, 16), ensure_overrunnable=True)
+    seed = 0
+    while True:
+        seed += 1
+        try:
+            ts, platform = gen_taskset(params, seed)
+        except Infeasible:
+            continue
+        ts = TaskSet(tasks=tuple(replace(t, id=tid)
+                                 for t, tid in zip(ts.tasks, AWKWARD_IDS)),
+                     levels=ts.levels)
+        res = opa_assign(ts, platform.m)
+        if res.schedulable:
+            break
+    sc = gen_scenario(ts, 400, seed, exec_model="overrun",
+                      dmcr_plan=tuple((t, 1 + t % 2) for t in range(40, 400, 40)))
+    trace = simulate(ts, platform, res.assignment, res.wcrt_table, sc,
+                     ProtocolConfig(protocol))
+    kinds = {ev[0] for ev in trace.events}
+    assert {"re_enabled", "budget_exceeded", "release", "complete"} <= kinds
+    codes = {slot[0] for ev in trace.kind("sched") for slot in ev[4]}
+    assert codes == SLOT_CODES[protocol]
+    text = trace.to_jsonl()
+    assert text.splitlines() == ref_jsonl(trace)
+    assert text.endswith("\n")
+    assert trace_from_jsonl(text).events == trace.events

@@ -1,8 +1,16 @@
-import pytest
+from itertools import product
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcsched.analysis import opa_assign
+from mcsched.gen import GenParams, Infeasible, gen_scenario, gen_taskset
 from mcsched.model import MCTask, Scenario, TaskSet
-from mcsched.sim import Trace
-from mcsched.verify import (ParameterTooLarge, brute_force_workload,
+from mcsched.sim import PROTOCOLS, ProtocolConfig, Trace, simulate
+from mcsched.verify import (FeasibilityReport, ParameterTooLarge,
+                            PeriodicityReport, ResponseReport,
+                            _suspension_starts, brute_force_workload,
                             check_feasibility, check_periodicity,
                             check_response_bounds, compute_l_intervals,
                             count_basic_scenarios, enumerate_basic_scenarios,
@@ -448,3 +456,273 @@ def test_metrics_counts():
     assert m["susp_episodes"] == 1
     assert m["idle_time"] == 11
     assert m["busy_time"] == 9
+
+
+# ---------------------------------------------------------------------------
+# the bisecting checkers against linear-scan references
+#
+# The references below keep the original per-job scans over every level
+# interval; the checkers must produce the same reports, violation order and
+# counters included, on clean and on corrupted traces.
+
+
+def ref_level_at(intervals, t):
+    for s, e, lv in reversed(intervals):
+        if t >= s:
+            return lv
+    return intervals[0][2]
+
+
+def ref_feasibility(trace, ts):
+    rep = FeasibilityReport()
+    intervals = compute_l_intervals(trace)
+    by_id = {t.id: t for t in ts.tasks}
+    releases, completes, dropped = {}, {}, {}
+    for ev in trace.events:
+        if ev[0] == "release":
+            releases[(ev[3], ev[4])] = ev
+        elif ev[0] == "complete":
+            completes[(ev[3], ev[4])] = ev
+        elif ev[0] == "job_dropped":
+            dropped[(ev[3], ev[4])] = ev[5]
+    for key, ev in completes.items():
+        if key not in releases:
+            rep.violations.append(("CompletionWithoutRelease", key[0], key[1],
+                                   f"completed at {ev[1]} but never released"))
+    for key, why in dropped.items():
+        if why == "imcr" and key not in releases:
+            rep.violations.append(("DropWithoutRelease", key[0], key[1],
+                                   "imcr-dropped but never released"))
+    for (tid, k), rel in releases.items():
+        task = by_id.get(tid)
+        if task is None:
+            rep.violations.append(("UnknownTask", tid, k, "release of unknown task"))
+            continue
+        r, d = rel[1], rel[5]
+        comp = completes.get((tid, k))
+        starts = _suspension_starts(intervals, task.L)
+        if comp is not None:
+            f, rem = comp[1], comp[8]
+            suspended_within = any(r < u < f for u in starts)
+            rep.checked += 1
+            if rem:
+                if not suspended_within:
+                    rep.violations.append((
+                        "RemFlagInconsistent", tid, k,
+                        f"flagged rem but task never suspended in ({r}, {f})"))
+                else:
+                    rep.exempt_rem += 1
+            elif suspended_within:
+                rep.violations.append((
+                    "RemFlagInconsistent", tid, k,
+                    f"task suspended inside [{r}, {f}) but job not flagged rem"))
+            elif f > d:
+                rep.violations.append((
+                    "DeadlineMiss", tid, k, f"completed at {f}, deadline {d}"))
+            continue
+        if (tid, k) in dropped:
+            rep.exempt_dropped += 1
+        elif d > trace.horizon:
+            rep.spanning += 1
+        else:
+            rep.checked += 1
+            if any(r < u <= d for u in starts):
+                rep.exempt_rem += 1
+            else:
+                rep.violations.append((
+                    "DeadlineMiss", tid, k,
+                    f"released at {r}, deadline {d}, never completed"))
+    return rep
+
+
+def ref_periodicity(trace, ts, sc):
+    rep = PeriodicityReport()
+    intervals = compute_l_intervals(trace)
+    by_id = {t.id: t for t in ts.tasks}
+    releases, arrival_drops = {}, {}
+    for ev in trace.events:
+        if ev[0] == "release":
+            releases.setdefault((ev[3], ev[4]), []).append(ev)
+        elif ev[0] == "job_dropped" and ev[5] == "suspended_arrival":
+            arrival_drops.setdefault((ev[3], ev[4]), []).append(ev)
+    expected = set()
+    for tid, arrivals in sc.arrivals.items():
+        task = by_id.get(tid)
+        if task is None:
+            continue
+        for k, a in enumerate(arrivals, 1):
+            if a > sc.horizon:
+                continue
+            expected.add((tid, k))
+            rep.checked += 1
+            rels = releases.get((tid, k), [])
+            drops = arrival_drops.get((tid, k), [])
+            if len(rels) + len(drops) != 1:
+                rep.violations.append((
+                    "ArrivalMultiplicity", tid, k,
+                    f"{len(rels)} releases and {len(drops)} arrival drops"))
+                continue
+            lv = ref_level_at(intervals, a)
+            if rels:
+                ev = rels[0]
+                if ev[1] != a:
+                    rep.violations.append((
+                        "ShiftedRelease", tid, k,
+                        f"released at {ev[1]}, arrival at {a}"))
+                elif ev[5] != a + task.D:
+                    rep.violations.append((
+                        "WrongDeadline", tid, k,
+                        f"deadline {ev[5]}, expected {a + task.D}"))
+                elif task.L < lv:
+                    rep.violations.append((
+                        "ReleaseWhileSuspended", tid, k,
+                        f"released at {a} at level {lv} > L={task.L}"))
+            else:
+                ev = drops[0]
+                if ev[1] != a:
+                    rep.violations.append((
+                        "ShiftedDrop", tid, k,
+                        f"arrival drop at {ev[1]}, arrival at {a}"))
+                elif task.L >= lv:
+                    rep.violations.append((
+                        "DropWhileEnabled", tid, k,
+                        f"arrival dropped at {a} at level {lv} <= L={task.L}"))
+    for key in releases:
+        if key not in expected:
+            rep.violations.append((
+                "FabricatedRelease", key[0], key[1],
+                "release without a scenario arrival"))
+    for key in arrival_drops:
+        if key not in expected:
+            rep.violations.append((
+                "FabricatedDrop", key[0], key[1],
+                "arrival drop without a scenario arrival"))
+    return rep
+
+
+def ref_response_bounds(trace, wt, ts):
+    rep = ResponseReport()
+    intervals = compute_l_intervals(trace)
+    by_id = {t.id: t for t in ts.tasks}
+    for ev in trace.events:
+        if ev[0] != "complete" or ev[8]:
+            continue
+        tid, k, f, r = ev[3], ev[4], ev[1], ev[6]
+        task = by_id.get(tid)
+        if task is None:
+            continue
+        span = None
+        for s, e, lv in intervals:
+            if s <= r < e:
+                span = (s, e, lv)
+                break
+        if span is None or f > span[1]:
+            rep.spanning += 1
+            continue
+        bound = wt.get((tid, span[2]))
+        if bound is None or span[2] > task.L:
+            rep.unscoped += 1
+            continue
+        rep.checked += 1
+        if f - r > bound:
+            rep.violations.append((
+                "ResponseBoundExceeded", tid, k,
+                f"response {f - r} > bound {bound} at level {span[2]}"))
+    return rep
+
+
+EQUIV_PARAMS = GenParams(n_tasks=5, levels=3, total_util=1.0, m=2,
+                         period_range=(8, 16), ensure_overrunnable=True)
+EQUIV_HORIZON = 600
+_equiv_sets: dict = {}
+
+
+def equiv_set(seed):
+    """A schedulable generated set, its platform and its analysis, by seed."""
+    if seed not in _equiv_sets:
+        draw = seed
+        while True:
+            draw += 1000
+            try:
+                ts, platform = gen_taskset(EQUIV_PARAMS, draw)
+            except Infeasible:
+                continue
+            res = opa_assign(ts, platform.m)
+            if res.schedulable:
+                break
+        _equiv_sets[seed] = (ts, platform, res)
+    return _equiv_sets[seed]
+
+
+def corrupt(events, how, pick):
+    """A copy of events with one corruption of the job `pick` selects: its
+    release moved one tick (later for pick >= 0, earlier otherwise), its
+    completion's rem flag flipped, or its completion dropped."""
+    events = list(events)
+    if how == "none":
+        return events
+    kind = "release" if how == "shift" else "complete"
+    where = [i for i, ev in enumerate(events) if ev[0] == kind]
+    i = where[abs(pick) % len(where)]
+    ev = events[i]
+    if how == "shift":
+        events[i] = ev[:1] + (ev[1] + (1 if pick >= 0 else -1),) + ev[2:]
+    elif how == "flip":
+        events[i] = ev[:8] + (1 - ev[8],)
+    else:
+        del events[i]
+    return events
+
+
+@settings(derandomize=True, max_examples=160, deadline=None)
+@given(set_seed=st.integers(1, 12), sc_seed=st.integers(0, 10**6),
+       protocol=st.sampled_from(PROTOCOLS), gap=st.integers(8, 30),
+       how=st.sampled_from(["none", "shift", "flip", "drop"]),
+       pick=st.integers(-10**6, 10**6))
+def test_checkers_match_linear_scan_references(set_seed, sc_seed, protocol,
+                                               gap, how, pick):
+    ts, platform, res = equiv_set(set_seed)
+    plan = tuple((t, 1 + (t // gap) % (ts.levels - 1))
+                 for t in range(gap, EQUIV_HORIZON, gap))
+    sc = gen_scenario(ts, EQUIV_HORIZON, sc_seed, exec_model="overrun",
+                      overrun_prob=0.5, dmcr_plan=plan)
+    clean = simulate(ts, platform, res.assignment, res.wcrt_table, sc,
+                     ProtocolConfig(protocol))
+    trace = Trace(corrupt(clean.events, how, pick), clean.horizon, clean.m,
+                  clean.levels, clean.protocol, clean.rem_order)
+    intervals = compute_l_intervals(trace)
+    assert len(intervals) >= 12  # dozens, so that bisection has work to do
+    for x in [s + d for s, _, _ in intervals for d in (0, -1)] + [trace.horizon]:
+        assert level_at(intervals, x) == ref_level_at(intervals, x), x
+    assert check_feasibility(trace, ts) == ref_feasibility(trace, ts)
+    assert check_periodicity(trace, ts, sc) == ref_periodicity(trace, ts, sc)
+    assert (check_response_bounds(trace, res.wcrt_table, ts)
+            == ref_response_bounds(trace, res.wcrt_table, ts))
+
+
+@pytest.mark.parametrize("horizon", [0, 10, 20, 25])
+def test_checkers_match_references_at_interval_boundaries(horizon):
+    # task 2 (L=1) is suspended over [10, 20); task 1 never is
+    ts = two_crit_set()
+    wt = {(1, 1): 4, (1, 2): 6, (2, 1): 7}
+    level_changes = [("budget_exceeded", 10, 2, 1, 9),
+                     ("re_enabled", 20, 1, (2,))]
+    for tid, r, rel_d, f, rem in product(
+            (1, 2), range(8, 23), (1, 2, 3, 12), (None, 0, 1, 2, 10, 13),
+            (0, 1)):
+        d = r + rel_d
+        events = level_changes + [("release", r, 1, tid, 1, d)]
+        if f is not None:
+            events.append(("complete", r + f, 1, tid, 1, f, r, d, rem))
+        trace = mk_trace(events, horizon=horizon)
+        sc = Scenario(horizon=horizon, arrivals={tid: (r,)},
+                      exec_times={tid: (1,)}, dmcr_requests=())
+        case = (tid, r, d, f, rem)
+        assert check_feasibility(trace, ts) == ref_feasibility(trace, ts), case
+        assert (check_periodicity(trace, ts, sc)
+                == ref_periodicity(trace, ts, sc)), case
+        assert (check_response_bounds(trace, wt, ts)
+                == ref_response_bounds(trace, wt, ts)), case
+    intervals = compute_l_intervals(mk_trace(level_changes, horizon=horizon))
+    for t in range(-1, 27):
+        assert level_at(intervals, t) == ref_level_at(intervals, t), t
