@@ -5,8 +5,13 @@ Each case generates a task set and a scenario from fixed seeds, simulates
 it, and compares the sha256 of `Trace.to_jsonl()` with the stored digest.
 Together the cases exercise every protocol and rem order, level-decrease
 requests with chain aborts and stalls, rem-jobs and ghost slots, and forced
-runs of unschedulable sets that miss deadlines. A refactor must leave every
-digest unchanged; a change meant to alter the bytes regenerates them and
+runs of unschedulable sets that miss deadlines. The QUEUE_CASES aim at the
+simulator's arrival, deadline and dispatch queues: several tasks arriving
+at one instant, arrivals exactly at the horizon, more processors than
+tasks, forced constrained-deadline runs whose deadlines fall on suspension
+and re-enable instants, and runs of the bench roundtrip's size (n=12, m=4,
+~10k events); `test_queue_cases_hit_their_targets` checks that they still
+do. A refactor must leave every digest unchanged; a change meant to alter the bytes regenerates them and
 says why.
 """
 
@@ -16,6 +21,7 @@ import io
 import pytest
 
 from mcsched import cli, gen, sim
+from mcsched.model import Scenario, validate_scenario
 
 HORIZON = 400
 REQUESTS = {
@@ -126,6 +132,102 @@ CASES = [
      "74a5b1d4a2b6a75ca26d0da2664c3080721e64d083f1ff671192690a9b0b3804"),
 ]
 
+QUEUE_PARAMS = {
+    # periods 8-12: strictly periodic arrivals coincide often
+    "periodic": gen.GenParams(n_tasks=6, levels=3, total_util=1.0, m=2,
+                              period_range=(8, 12), ensure_overrunnable=True),
+    # unschedulable, deadlines down to half the period
+    "constrained": gen.GenParams(n_tasks=6, levels=3, total_util=1.9, m=2,
+                                 period_range=(8, 16), deadline_factor=0.5,
+                                 ensure_overrunnable=True),
+    # more processors than tasks
+    "idle": gen.GenParams(n_tasks=3, levels=3, total_util=1.2, m=4,
+                          period_range=(8, 16), ensure_overrunnable=True),
+    # the bench roundtrip's shape
+    "roundtrip": gen.GenParams(n_tasks=12, levels=3, total_util=1.6, m=4,
+                               ensure_overrunnable=True),
+}
+QUEUE_REQUESTS = {
+    "none": (),
+    "every20": REQUESTS["every20"],
+    "every13": tuple((t, 1 + (t // 13) % 2) for t in range(13, HORIZON, 13)),
+    "every30": tuple((t, 1) for t in range(30, 6000, 30)),
+}
+
+# (params, set seed, scenario seed, exec model, requests, arrivals,
+#  horizon, force, protocol, rem order, sha256 of to_jsonl); arrivals are
+# "sporadic" as generated, "sync" strictly periodic from 0, or "at-horizon"
+# strictly periodic with every task's last arrival exactly at the horizon
+QUEUE_CASES = [
+    ("periodic", 1, 3, "overrun", "every20", "sync", 400, False,
+     "wcet-reclaim", "crit-edf",
+     "c04c7acc748c99829f3f2dcc3673697b539187f0d5a3ed867bfed210ee14844a"),
+    ("periodic", 3, 4, "overrun", "every13", "at-horizon", 400, False,
+     "naive", "srpt",
+     "131caba67da17e2b28b7bc525d3bfd450f323d5495d8e8564905530942a0c117"),
+    ("periodic", 4, 5, "uniform", "every20", "at-horizon", 480, False,
+     "wcrt-simulate", "edf",
+     "9a5c5ca76a3bdb9055f38d5800c2030b6afd2321c415296450a710f62da35bb6"),
+    ("periodic", 1, 6, "basic", "none", "sync", 400, False,
+     "drop", "crit-edf",
+     "1ebde0aac9c5753c4ded5836639a843bd31e5d4433a4ae39c6189e05524f7664"),
+    ("constrained", 2, 1, "basic", "every13", "sporadic", 400, True,
+     "drop", "crit-edf",
+     "d509cb52e818c433ed6c3d229c31278dee11e41e75cf7387f0a0ccf44d935507"),
+    ("constrained", 2, 1, "basic", "every20", "sporadic", 400, True,
+     "naive", "edf",
+     "43e5fb2ee8129a06ecdd2bffdc03426de9b3ac781813408beb7cef9d83f95015"),
+    ("constrained", 2, 14, "basic", "every20", "sporadic", 400, True,
+     "drop", "srpt",
+     "34817621d439dee5b3c6e9b5af1cc0d923c19fe9bc9e4fa89d0638a5daf486c7"),
+    ("constrained", 7, 2, "basic", "every13", "sporadic", 400, True,
+     "wcet-reclaim", "crit-edf",
+     "9d7cdd2b32d2a30a4cd3428da5f4898d758dca424985619affcc7d1e8827f3e7"),
+    ("idle", 1, 1, "overrun", "every20", "sporadic", 400, False,
+     "wcet-reclaim", "crit-edf",
+     "b996f785f57ff2982873e53eaf7d5b5234671bdfc959df07354c2ebf42ca1f22"),
+    ("idle", 2, 2, "overrun", "every13", "sync", 400, False,
+     "drop", "edf",
+     "376e86b54ea189df15d56dd1bcb26272b7eed4cc02b27916775243f477e1ce77"),
+    ("roundtrip", 1, 1, "overrun", "every30", "sporadic", 6000, False,
+     "wcet-reclaim", "crit-edf",
+     "63f1f58bc784cd9ec9c5ba13c78ae7dfc69c668c52927ecf13a396019778b3c9"),
+    ("roundtrip", 2, 2, "overrun", "every30", "sporadic", 6000, False,
+     "wcrt-simulate", "srpt",
+     "86bd0ef13002da14b08ec1a4e5a9ef47abeb8a9974ce6eebcca8e67bb86246cb"),
+    ("roundtrip", 4, 3, "overrun", "every30", "sporadic", 6000, False,
+     "naive", "crit-edf",
+     "ce04b99cf90e9071b3697f52c4fc969a5757eb1964faadf89074268740cf2f60"),
+]
+
+
+def _periodic(ts, sc, at_horizon):
+    """sc with strictly periodic arrivals; execution times cycle through
+    sc's."""
+    arrivals, execs = {}, {}
+    for task in ts.tasks:
+        first = sc.horizon % task.T if at_horizon else 0
+        times = tuple(range(first, sc.horizon + 1, task.T))
+        cs = sc.exec_times[task.id]
+        arrivals[task.id] = times
+        execs[task.id] = tuple(cs[i % len(cs)] for i in range(len(times)))
+    return validate_scenario(
+        Scenario(sc.horizon, arrivals, execs, sc.dmcr_requests), ts)
+
+
+def _queue_trace(params, set_seed, sc_seed, exec_model, requests, arrivals,
+                 horizon, force, protocol, rem_order):
+    ts, platform = gen.gen_taskset(QUEUE_PARAMS[params], set_seed)
+    pa, wt, res = cli._prepare_run(ts, platform, True, force)
+    assert res.schedulable != force
+    sc = gen.gen_scenario(ts, horizon, sc_seed, exec_model=exec_model,
+                          dmcr_plan=QUEUE_REQUESTS[requests])
+    if arrivals != "sporadic":
+        sc = _periodic(ts, sc, arrivals == "at-horizon")
+    return sim.simulate(ts, platform, pa, wt, sc,
+                        sim.ProtocolConfig(protocol, rem_order))
+
+
 EXPERIMENT_SPEC = {
     "gen": {"n_tasks": 5, "levels": 3, "total_util": 1.0, "m": 2,
             "period_range": [8, 16], "ensure_overrunnable": True},
@@ -163,6 +265,51 @@ def test_trace_bytes_and_roundtrip(case):
     text = trace.to_jsonl()
     assert _digest(text) == case[7]
     assert sim.trace_from_jsonl(text).events == trace.events
+
+
+@pytest.mark.parametrize("case", QUEUE_CASES,
+                         ids=lambda c: "-".join(map(str, c[:10])))
+def test_queue_trace_bytes_and_roundtrip(case):
+    trace = _queue_trace(*case[:10])
+    text = trace.to_jsonl()
+    assert _digest(text) == case[10]
+    assert sim.trace_from_jsonl(text).events == trace.events
+
+
+def test_queue_cases_hit_their_targets():
+    hit = set()
+    for case in QUEUE_CASES:
+        trace = _queue_trace(*case[:10])
+        ts, _ = gen.gen_taskset(QUEUE_PARAMS[case[0]], case[1])
+        ev = trace.events
+        per_instant = {}
+        for e in ev:
+            if e[0] == "release":
+                per_instant[e[1]] = per_instant.get(e[1], 0) + 1
+        if max(per_instant.values()) >= 3:
+            hit.add("same-instant releases")
+        if any(e[0] in ("release", "job_dropped") and e[1] == trace.horizon
+               for e in ev):
+            hit.add("arrival at the horizon")
+        if trace.m >= len(ts.tasks) and any(
+                e[0] == "sched" and 0 < len(e[4]) < trace.m for e in ev):
+            hit.add("idle processors beside busy ones")
+        if len(ts.tasks) >= 12 and len(ev) >= 9000:
+            hit.add("roundtrip-sized")
+        if any(t.D < t.T for t in ts.tasks):
+            done = {(e[3], e[4]): e[1] for e in ev if e[0] == "complete"}
+            at = {kind: {e[1] for e in ev if e[0] == kind}
+                  for kind in ("budget_exceeded", "re_enabled")}
+            if any(e[0] == "deadline_miss" and e[1] in at["budget_exceeded"]
+                   for e in ev):
+                hit.add("miss at a suspension instant")
+            if any(e[0] == "release" and e[5] in at["re_enabled"]
+                   and done.get((e[3], e[4]), e[5] + 1) > e[5] for e in ev):
+                hit.add("unfinished deadline at a re-enable instant")
+    assert hit == {"same-instant releases", "arrival at the horizon",
+                   "idle processors beside busy ones", "roundtrip-sized",
+                   "miss at a suspension instant",
+                   "unfinished deadline at a re-enable instant"}
 
 
 def test_cases_cover_every_event_kind_and_slot_code():
