@@ -367,6 +367,53 @@ def test_request_targeting_current_or_higher_level_is_discarded():
 
 
 # ---------------------------------------------------------------------------
+# deadline misses
+
+
+def test_same_instant_misses_in_task_order_then_k():
+    # listed 3, 1, 2 but ranked 1, 2, 3: at t=4 the jobs of tasks 3 and 2
+    # miss together, and task 3's two jobs (a duplicated arrival) in k order
+    tasks = [MCTask(id=i, T=20, D=4, L=1, C=(3,)) for i in (3, 1, 2)]
+    trace = run(tasks, 1, 1, {1: 1, 2: 2, 3: 3},
+                {(1, 1): 3, (2, 1): 6, (3, 1): 12},
+                12, {1: (0,), 2: (0,), 3: (0, 0)},
+                {1: (3,), 2: (3,), 3: (3, 3)})
+    misses = [(e[1], e[3], e[4]) for e in trace.kind("deadline_miss")]
+    assert misses == [(4, 3, 1), (4, 3, 2), (4, 2, 1)]
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_suspended_job_never_misses(protocol):
+    # v's job is dropped or relegated at t=2 and still unfinished at its
+    # deadline 6; the high task's job, enabled throughout, misses at 3
+    a = MCTask(id=1, T=20, D=3, L=2, C=(2, 4))
+    v = MCTask(id=2, T=20, D=6, L=1, C=(5, 5))
+    trace = run([a, v], 2, 1, {1: 1, 2: 2}, {(1, 1): 2, (1, 2): 4, (2, 1): 7},
+                20, {1: (0,), 2: (0,)}, {1: (4,), 2: (5,)}, protocol=protocol)
+    assert [(e[1], e[3]) for e in trace.kind("deadline_miss")] == [(3, 1)]
+    fate = [(e[1], e[0]) for e in trace.events
+            if e[0] in ("job_dropped", "complete") and e[3] == 2]
+    assert fate == ([(2, "job_dropped")] if protocol == "drop"
+                    else [(9, "complete")])
+
+
+def test_re_enabled_task_misses_only_for_jobs_released_after():
+    # v's first job (deadline 15) is dropped at 2; the chain re-enables v
+    # at 12; its second job, released at 20, waits behind the high task
+    # and misses at 35
+    a = MCTask(id=1, T=10, D=10, L=2, C=(2, 4))
+    v = MCTask(id=2, T=15, D=15, L=1, C=(14, 14))
+    trace = run([a, v], 2, 1, {1: 1, 2: 2}, {(1, 1): 2, (1, 2): 4, (2, 1): 16},
+                40, {1: (0, 10, 20, 30), 2: (0, 20)},
+                {1: (3, 2, 2, 2), 2: (14, 14)}, reqs=((5, 1),))
+    assert [(e[1], e[3]) for e in trace.kind("re_enabled")] == [(12, (2,))]
+    assert [(e[1], e[3], e[4]) for e in trace.kind("job_dropped")] == [
+        (2, 2, 1)]
+    misses = [(e[1], e[3], e[4]) for e in trace.kind("deadline_miss")]
+    assert misses == [(35, 2, 2)]
+
+
+# ---------------------------------------------------------------------------
 # input validation
 
 
