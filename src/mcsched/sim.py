@@ -50,8 +50,11 @@ the cascade for the decrease instant has already run.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass
-from operator import itemgetter
+from heapq import heappop, heappush
+from itertools import count, repeat
+from operator import attrgetter, gt, itemgetter
 
 from .model import Platform, Scenario, TaskSet, id_key
 from .analysis import PriorityAssignment
@@ -346,7 +349,7 @@ def trace_from_jsonl(text: str) -> Trace:
 
 class _Job:
     __slots__ = ("st", "tid", "k", "r", "d", "c", "executed", "f", "rem",
-                 "L", "C", "rank", "idk")
+                 "pending", "L", "C", "rank", "idk")
 
     def __init__(self, st, k, r, c):
         task = st.task
@@ -359,6 +362,7 @@ class _Job:
         self.executed = 0
         self.f = None
         self.rem = False
+        self.pending = True  # in its task's pending list
         self.L = task.L
         self.C = task.C
         self.rank = st.rank
@@ -378,27 +382,55 @@ class _Ghost:
 
 
 class _TaskState:
-    __slots__ = ("task", "tid", "rank", "idk", "arrivals", "execs",
-                 "next_arr", "pending", "enabled")
+    __slots__ = ("task", "tid", "rank", "idk", "execs", "pending", "enabled")
 
-    def __init__(self, task, rank, arrivals, execs):
+    def __init__(self, task, rank, execs):
         self.task = task
         self.tid = task.id
         self.rank = rank
         self.idk = id_key(task.id)
-        self.arrivals = arrivals
         self.execs = execs
-        self.next_arr = 0
-        self.pending = []
+        self.pending = []  # released, unfinished, not suspended; by k
         self.enabled = True
 
 
-def _rem_key(job: _Job, order: str):
+_rank_of = attrgetter("rank")
+
+
+class _NeverDue:
+    """The job in the deadline heap's sentinel entry."""
+    pending = True
+
+
+def _rem_key(order: str):
+    """The rem-pool sort key of a rem order."""
     if order == "crit-edf":
-        return (-job.L, job.d, job.idk, job.k)
+        return lambda job: (-job.L, job.d, job.idk, job.k)
     if order == "edf":
-        return (job.d, job.idk, job.k)
-    return (job.c - job.executed, job.idk, job.k)  # srpt on actual remaining
+        return lambda job: (job.d, job.idk, job.k)
+    # srpt on actual remaining
+    return lambda job: (job.c - job.executed, job.idk, job.k)
+
+
+def _arrival_queue(states, sc: Scenario) -> list:
+    """(t, task index, k) of every arrival, in the order releases are
+    processed, and a sentinel past the horizon at the end."""
+    queue = []
+    for ti, st in enumerate(states):
+        arrivals = sc.arrivals.get(st.tid, ())
+        if len(st.execs) < len(arrivals):
+            raise InconsistentInputs(
+                f"task {st.tid!r}: {len(arrivals)} arrivals but "
+                f"{len(st.execs)} exec_times")
+        if any(map(gt, arrivals, arrivals[1:])) or (arrivals
+                                                    and arrivals[0] < 0):
+            raise InconsistentInputs(
+                f"task {st.tid!r}: arrivals must be non-negative and "
+                "non-decreasing")
+        queue += zip(arrivals, repeat(ti), count(1))
+    queue.sort(key=itemgetter(0))  # stable: task order, then k, at one t
+    queue.append((sc.horizon + 1, -1, 0))
+    return queue
 
 
 def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
@@ -419,11 +451,20 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             raise InvalidTarget(
                 f"target level {target} not in [1, {ts.levels - 1}]")
 
-    states = [_TaskState(t, pa.rank(t.id), sc.arrivals.get(t.id, ()),
-                         sc.exec_times.get(t.id, ())) for t in ts.tasks]
+    horizon = sc.horizon
+    states = [_TaskState(t, pa.rank(t.id), sc.exec_times.get(t.id, ()))
+              for t in ts.tasks]
+    by_rank = sorted(states, key=_rank_of)
+    # the arrival, deadline and request queues each end in a sentinel past
+    # the horizon, which time never reaches
+    arrivals = _arrival_queue(states, sc)
+    arr_i = 0
+    # heap of (d, task index, k, job), pending or not
+    deadlines = [(horizon + 1, -1, 0, _NeverDue)]
+    ready: list[_TaskState] = []  # tasks with pending jobs, by rank
+    rem_key = _rem_key(cfg.rem_order)
     reclaiming = cfg.protocol in ("wcet-reclaim", "wcrt-simulate")
     drop = cfg.protocol == "drop"
-    horizon = sc.horizon
     events: list[tuple] = []
     emit = events.append
 
@@ -432,7 +473,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
     ghosts: list[_Ghost] = []
     chain = None  # [task ids by rank, cursor, target]
     pending_req = None
-    reqs = sorted(sc.dmcr_requests, key=lambda r: r[0])
+    reqs = sorted(sc.dmcr_requests, key=itemgetter(0)) + [(horizon + 1, 0)]
     req_i = 0
     running: list[tuple] = []  # (code, job, ghost_or_None) in slot order
     open_rec = None  # [t0, mode, slots]
@@ -451,7 +492,11 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             if job.rem:
                 rem_pool.remove(job)
                 continue
-            job.st.pending.remove(job)
+            job.pending = False
+            pending = job.st.pending
+            pending.remove(job)
+            if not pending:
+                ready.remove(job.st)
             completions.setdefault(job.tid, []).append(job)
             if reclaiming and rem_pool:
                 budget = job.C[level - 1]
@@ -467,20 +512,23 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
 
         # ---- budget-overrun cascade ----
         while True:
-            tripped = None
+            tripped = broken = None
             for code, job, ghost in running:
-                if (job.f is None and not job.rem and job.L > level
+                if job.f is not None:
+                    continue
+                if (not job.rem and job.L > level
                         and job.executed >= job.C[level - 1]):
                     tripped = job
                     break
+                if broken is None and job.executed >= job.C[job.L - 1]:
+                    broken = job
             if tripped is None:
                 # no legal transition left; a job at its top budget without
                 # completing means the scenario broke the execution contract
-                for code, job, ghost in running:
-                    if job.f is None and job.executed >= job.C[job.L - 1]:
-                        raise ModelViolation(
-                            f"job ({job.tid!r},{job.k}) exhausted its "
-                            "top-level budget without completing")
+                if broken is not None:
+                    raise ModelViolation(
+                        f"job ({broken.tid!r},{broken.k}) exhausted its "
+                        "top-level budget without completing")
                 break
             level += 1
             emit(("budget_exceeded", t, level, tripped.tid, tripped.k))
@@ -488,7 +536,10 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 if st.enabled and st.task.L < level:
                     st.enabled = False
                     jobs, st.pending = st.pending, []
+                    if jobs:
+                        ready.remove(st)
                     for j in jobs:
+                        j.pending = False
                         if drop:
                             emit(("job_dropped", t, level, j.tid, j.k, "imcr"))
                         else:
@@ -509,7 +560,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                           or (g.kind == "ur" and g.budget > 0)]
 
         # ---- level-decrease intake ----
-        while req_i < len(reqs) and reqs[req_i][0] <= t:
+        while reqs[req_i][0] <= t:
             target = reqs[req_i][1]
             req_i += 1
             emit(("dmcr_requested", t, level, target))
@@ -517,9 +568,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         if pending_req is not None and chain is None and not rem_pool:
             target, pending_req = pending_req, None
             if target < level:
-                by_rank = sorted((st for st in states if st.enabled),
-                                 key=lambda s: s.rank)
-                chain = [[st.tid for st in by_rank], 0, target]
+                chain = [[st.tid for st in by_rank if st.enabled], 0, target]
 
         # ---- chain qualification ----
         if chain is not None:
@@ -547,26 +596,26 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 chain = None
 
         # ---- releases ----
-        for st in states:
-            while st.next_arr < len(st.arrivals) and st.arrivals[st.next_arr] == t:
-                k = st.next_arr + 1
-                c = st.execs[st.next_arr]
-                st.next_arr += 1
-                if st.enabled:
-                    job = _Job(st, k, t, c)
-                    st.pending.append(job)
-                    emit(("release", t, level, st.tid, k, job.d))
-                else:
-                    emit(("job_dropped", t, level, st.tid, k,
-                          "suspended_arrival"))
+        while arrivals[arr_i][0] == t:
+            _, ti, k = arrivals[arr_i]
+            arr_i += 1
+            st = states[ti]
+            if st.enabled:
+                job = _Job(st, k, t, st.execs[k - 1])
+                if not st.pending:
+                    insort(ready, st, key=_rank_of)
+                st.pending.append(job)
+                heappush(deadlines, (job.d, ti, k, job))
+                emit(("release", t, level, st.tid, k, job.d))
+            else:
+                emit(("job_dropped", t, level, st.tid, k,
+                      "suspended_arrival"))
 
         # ---- deadline misses (completing exactly at d is on time) ----
-        for st in states:
-            if st.enabled:
-                for job in st.pending:
-                    if job.d == t:
-                        emit(("deadline_miss", t, level, st.tid, job.k,
-                              st.task.L))
+        while deadlines[0][0] <= t:
+            d, _, k, job = heappop(deadlines)
+            if d == t and job.pending:
+                emit(("deadline_miss", t, level, job.tid, k, job.L))
 
         if t >= horizon:
             if chain is not None:
@@ -574,42 +623,34 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             break
 
         # ---- dispatch ----
-        cands = []
-        for st in states:
-            if st.enabled and st.pending:
-                job = st.pending[0]
-                cands.append(((0, st.rank, job.k, 0), "J", job, None))
-        rem_eligible = []
-        if rem_pool:
+        # the m highest enabled heads and ghosts, then rem-jobs by rem
+        # order; the rem-jobs not dispatched directly are the ghosts' hosts
+        if ghosts:
+            band = [((st.rank, st.pending[0].k, 0), "J", st.pending[0], None)
+                    for st in ready[:m]]
+            band += [((g.rank, g.k, 1), "G", None, g) for g in ghosts]
+            band.sort(key=itemgetter(0))
+            selected = [entry[1:] for entry in band[:m]]
+        else:
+            selected = [("J", st.pending[0], None) for st in ready[:m]]
+        free = m - len(selected)
+        rem_eligible = ()
+        if rem_pool and (free or ghosts):
             front: dict = {}
             for job in rem_pool:
                 cur = front.get(job.tid)
                 if cur is None or job.k < cur.k:
                     front[job.tid] = job
-            rem_eligible = sorted(front.values(),
-                                  key=lambda j: _rem_key(j, cfg.rem_order))
-            for job in rem_eligible:
-                cands.append(((1,) + _rem_key(job, cfg.rem_order), "R", job,
-                              None))
-        for g in ghosts:
-            cands.append(((0, g.rank, g.k, 1), "G", None, g))
-        cands.sort(key=lambda e: e[0])
-        selected = cands[:m]
-
-        direct = {id(job) for _, code, job, _ in selected if job is not None}
-        hosts = [j for j in rem_eligible if id(j) not in direct]
-        hi = 0
+            rem_eligible = sorted(front.values(), key=rem_key)
+        hi = free
         slots = []
         running = []
-        for _, code, job, g in selected:
+        for code, job, g in selected:
             if code == "J":
                 slots.append(("J", job.tid, job.k))
                 running.append(("J", job, None))
-            elif code == "R":
-                slots.append(("R", job.tid, job.k))
-                running.append(("R", job, None))
-            elif hi < len(hosts):
-                host = hosts[hi]
+            elif hi < len(rem_eligible):
+                host = rem_eligible[hi]
                 hi += 1
                 slots.append(("G", g.tid, g.k, host.tid, host.k))
                 running.append(("G", host, g))
@@ -617,9 +658,14 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 # pool ran dry: retire the ghost, its slot idles this tick
                 ghosts.remove(g)
                 force_tick = True
+        for job in rem_eligible[:free]:
+            slots.append(("R", job.tid, job.k))
+            running.append(("R", job, None))
 
         # ---- next event ----
-        nxt = horizon
+        nxt = arrivals[arr_i][0]
+        if nxt > horizon:
+            nxt = horizon
         if force_tick:
             nxt = t + 1
             force_tick = False
@@ -646,14 +692,11 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         for g in ghosts:
             if g.kind == "win" and g.expiry < nxt:
                 nxt = g.expiry
-        for st in states:
-            if st.next_arr < len(st.arrivals) and st.arrivals[st.next_arr] < nxt:
-                nxt = st.arrivals[st.next_arr]
-            if st.enabled:
-                for job in st.pending:
-                    if t < job.d < nxt:
-                        nxt = job.d
-        if req_i < len(reqs) and reqs[req_i][0] < nxt:
+        while not deadlines[0][3].pending:
+            heappop(deadlines)  # completed or suspended since its release
+        if deadlines[0][0] < nxt:
+            nxt = deadlines[0][0]
+        if reqs[req_i][0] < nxt:
             nxt = reqs[req_i][0]
         assert nxt > t, f"simulation time stalled at {t}"
 
