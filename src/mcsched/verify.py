@@ -206,35 +206,45 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
     rep = PeriodicityReport()
     intervals = compute_l_intervals(trace)
     by_id = {t.id: t for t in ts.tasks}
-    releases: dict = {}
-    arrival_drops: dict = {}
+    # (task, k) -> its first release or arrival drop; a job seen more than
+    # once also gets its [releases, arrival drops] counts
+    first: dict = {}
+    repeats: dict = {}
     for ev in trace.events:
-        if ev[0] == "release":
-            releases.setdefault((ev[3], ev[4]), []).append(ev)
-        elif ev[0] == "job_dropped" and ev[5] == "suspended_arrival":
-            arrival_drops.setdefault((ev[3], ev[4]), []).append(ev)
+        kind = ev[0]
+        if kind == "release" or (kind == "job_dropped"
+                                 and ev[5] == "suspended_arrival"):
+            key = (ev[3], ev[4])
+            ev0 = first.get(key)
+            if ev0 is None:
+                first[key] = ev
+            else:
+                n = repeats.get(key)
+                if n is None:
+                    n = repeats[key] = [0, 0]
+                    n[ev0[0] != "release"] += 1
+                n[kind != "release"] += 1
 
     expected = set()
     for tid, arrivals in sc.arrivals.items():
         task = by_id.get(tid)
         if task is None:
             continue
-        for idx, a in enumerate(arrivals):
-            k = idx + 1
+        for k, a in enumerate(arrivals, 1):
             if a > sc.horizon:
                 continue
-            expected.add((tid, k))
+            key = (tid, k)
+            expected.add(key)
             rep.checked += 1
-            rels = releases.get((tid, k), [])
-            drops = arrival_drops.get((tid, k), [])
-            if len(rels) + len(drops) != 1:
+            ev = first.get(key)
+            if ev is None or (repeats and key in repeats):
+                n = repeats.get(key, (0, 0))
                 rep.violations.append((
                     "ArrivalMultiplicity", tid, k,
-                    f"{len(rels)} releases and {len(drops)} arrival drops"))
+                    f"{n[0]} releases and {n[1]} arrival drops"))
                 continue
             lv = level_at(intervals, a)
-            if rels:
-                ev = rels[0]
+            if ev[0] == "release":
                 if ev[1] != a:
                     rep.violations.append((
                         "ShiftedRelease", tid, k,
@@ -248,7 +258,6 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
                         "ReleaseWhileSuspended", tid, k,
                         f"released at {a} at level {lv} > L={task.L}"))
             else:
-                ev = drops[0]
                 if ev[1] != a:
                     rep.violations.append((
                         "ShiftedDrop", tid, k,
@@ -258,16 +267,20 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
                         "DropWhileEnabled", tid, k,
                         f"arrival dropped at {a} at level {lv} <= L={task.L}"))
 
-    for key in releases:
-        if key not in expected:
-            rep.violations.append((
-                "FabricatedRelease", key[0], key[1],
-                "release without a scenario arrival"))
-    for key in arrival_drops:
-        if key not in expected:
-            rep.violations.append((
-                "FabricatedDrop", key[0], key[1],
-                "arrival drop without a scenario arrival"))
+    if first.keys() - expected:
+        # releases, then arrival drops, each in the order of first sight
+        released = dict.fromkeys((ev[3], ev[4]) for ev in trace.events
+                                 if ev[0] == "release")
+        dropped = dict.fromkeys((ev[3], ev[4]) for ev in trace.events
+                                if ev[0] == "job_dropped"
+                                and ev[5] == "suspended_arrival")
+        for keys, name, what in ((released, "FabricatedRelease", "release"),
+                                 (dropped, "FabricatedDrop", "arrival drop")):
+            for key in keys:
+                if key not in expected:
+                    rep.violations.append((
+                        name, key[0], key[1],
+                        f"{what} without a scenario arrival"))
     return rep
 
 

@@ -657,9 +657,18 @@ def equiv_set(seed):
 def corrupt(events, how, pick):
     """A copy of events with one corruption of the job `pick` selects: its
     release moved one tick (later for pick >= 0, earlier otherwise), its
-    completion's rem flag flipped, or its completion dropped."""
+    completion's rem flag flipped, its completion dropped, or its release
+    (pick >= 0) or arrival drop (otherwise, if there is one) duplicated."""
     events = list(events)
     if how == "none":
+        return events
+    if how == "dup":
+        where = [i for i, ev in enumerate(events)
+                 if ev[0] == "job_dropped" and ev[5] == "suspended_arrival"]
+        if pick >= 0 or not where:
+            where = [i for i, ev in enumerate(events) if ev[0] == "release"]
+        i = where[abs(pick) % len(where)]
+        events.insert(i + 1, events[i])
         return events
     kind = "release" if how == "shift" else "complete"
     where = [i for i, ev in enumerate(events) if ev[0] == kind]
@@ -677,7 +686,7 @@ def corrupt(events, how, pick):
 @settings(derandomize=True, max_examples=160, deadline=None)
 @given(set_seed=st.integers(1, 12), sc_seed=st.integers(0, 10**6),
        protocol=st.sampled_from(PROTOCOLS), gap=st.integers(8, 30),
-       how=st.sampled_from(["none", "shift", "flip", "drop"]),
+       how=st.sampled_from(["none", "shift", "flip", "drop", "dup"]),
        pick=st.integers(-10**6, 10**6))
 def test_checkers_match_linear_scan_references(set_seed, sc_seed, protocol,
                                                gap, how, pick):
@@ -698,6 +707,36 @@ def test_checkers_match_linear_scan_references(set_seed, sc_seed, protocol,
     assert check_periodicity(trace, ts, sc) == ref_periodicity(trace, ts, sc)
     assert (check_response_bounds(trace, res.wcrt_table, ts)
             == ref_response_bounds(trace, res.wcrt_table, ts))
+
+
+def test_periodicity_counts_repeats_like_reference():
+    # job (1, 1) is released twice, (2, 1) released and dropped, (2, 2)
+    # dropped twice; (1, 7) and (2, 9) have no arrival, (1, 7) is seen twice
+    ts = two_crit_set()
+    sc = periodic_scenario(ts)
+    trace = mk_trace([
+        ("release", 0, 1, 1, 1, 10),
+        ("job_dropped", 0, 1, 2, 1, "suspended_arrival"),
+        ("release", 0, 1, 2, 1, 10),
+        ("release", 0, 1, 1, 1, 10),
+        ("job_dropped", 3, 1, 2, 9, "suspended_arrival"),
+        ("release", 5, 1, 1, 7, 15),
+        ("job_dropped", 5, 1, 1, 7, "suspended_arrival"),
+        ("budget_exceeded", 5, 2, 1, 1),
+        ("release", 10, 2, 1, 2, 20),
+        ("job_dropped", 10, 2, 2, 2, "suspended_arrival"),
+        ("job_dropped", 10, 2, 2, 2, "suspended_arrival"),
+    ], horizon=20)
+    rep = check_periodicity(trace, ts, sc)
+    assert rep == ref_periodicity(trace, ts, sc)
+    assert rep.violations == [
+        ("ArrivalMultiplicity", 1, 1, "2 releases and 0 arrival drops"),
+        ("ArrivalMultiplicity", 2, 1, "1 releases and 1 arrival drops"),
+        ("ArrivalMultiplicity", 2, 2, "0 releases and 2 arrival drops"),
+        ("FabricatedRelease", 1, 7, "release without a scenario arrival"),
+        ("FabricatedDrop", 2, 9, "arrival drop without a scenario arrival"),
+        ("FabricatedDrop", 1, 7, "arrival drop without a scenario arrival"),
+    ]
 
 
 @pytest.mark.parametrize("horizon", [0, 10, 20, 25])
