@@ -27,6 +27,25 @@ L >= target synchronously when the last one qualifies. Any budget overrun
 while the chain is active aborts it.
 
 All times are integers. One run is strictly deterministic in its inputs.
+simulate expects a validated scenario (model.validate_scenario). Of its
+contract it checks only what the queues below rely on: the horizon and
+each task's arrivals are non-negative, the arrivals do not decrease, and
+there is an exec_time for every arrival; otherwise it raises
+InconsistentInputs.
+
+Queues. Time jumps from event to event; only a level change or the start
+of a decrease chain looks at every task. The arrivals of all tasks are
+merged once into one list ordered by time, task order and job index, and
+read through a cursor. Each release pushes (deadline, task index, job
+index, job) onto a heap. The deadline-miss phase pops the entries due by
+t and reports those still pending at their deadline t, in task order,
+then job index; a job that completed or was suspended is no longer
+pending, and its entry is discarded when it reaches the top. The tasks
+with pending jobs are kept in rank order, so dispatch reads the m highest
+enabled heads off the front, and it sorts only when ghost slots compete
+with them. The next event is the earliest of the next arrival, the
+earliest pending deadline, the next request, ghost expiries, forced ticks
+and the running entities' budget and completion boundaries.
 
 Internal trace events are tuples. A point event is (kind, t, mode, *fields)
 with the fields of EVENT_FIELDS[kind] other than "mode", in table order; the
@@ -446,6 +465,8 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             if (task.id, level) not in wt:
                 raise InconsistentInputs(
                     f"response-time table missing task {task.id!r} level {level}")
+    if sc.horizon < 0:
+        raise InconsistentInputs(f"negative horizon {sc.horizon}")
     for _, target in sc.dmcr_requests:
         if not 1 <= target < ts.levels:
             raise InvalidTarget(

@@ -430,15 +430,17 @@ def test_incomplete_response_table_rejected():
         run([a], 2, 1, {1: 1}, {(1, 1): 2}, 20, {1: (0,)}, {1: (2,)})
 
 
-@pytest.mark.parametrize("arrivals, execs, message", [
-    ((30, 10), (2, 2), "non-decreasing"),  # stalled time before
-    ((-1, 10), (2, 2), "non-negative"),
-    ((0, 10, 20), (2, 2), "3 arrivals but 2 exec_times"),  # IndexError before
+@pytest.mark.parametrize("horizon, arrivals, execs, message", [
+    (40, (30, 10), (2, 2), "non-decreasing"),  # stalled time before
+    (40, (-1, 10), (2, 2), "non-negative"),
+    (40, (0, 10, 20), (2, 2), "3 arrivals but 2 exec_times"),  # IndexError
+    (-1, (0,), (2,), "negative horizon"),
 ])
-def test_unvalidated_scenario_rejected(arrivals, execs, message):
+def test_unvalidated_scenario_rejected(horizon, arrivals, execs, message):
     a = MCTask(id=1, T=10, D=10, L=1, C=(2,))
     with pytest.raises(InconsistentInputs, match=message):
-        run([a], 1, 1, {1: 1}, {(1, 1): 2}, 40, {1: arrivals}, {1: execs})
+        run([a], 1, 1, {1: 1}, {(1, 1): 2}, horizon, {1: arrivals},
+            {1: execs})
 
 
 def test_assignment_must_cover_taskset():
