@@ -237,7 +237,7 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
             expected.add(key)
             rep.checked += 1
             ev = first.get(key)
-            if ev is None or (repeats and key in repeats):
+            if ev is None or key in repeats:
                 n = repeats.get(key, (0, 0))
                 rep.violations.append((
                     "ArrivalMultiplicity", tid, k,

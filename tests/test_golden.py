@@ -11,8 +11,8 @@ at one instant, arrivals exactly at the horizon, more processors than
 tasks, forced constrained-deadline runs whose deadlines fall on suspension
 and re-enable instants, and runs of the bench roundtrip's size (n=12, m=4,
 ~10k events); `test_queue_cases_hit_their_targets` checks that they still
-do. A refactor must leave every digest unchanged; a change meant to alter the bytes regenerates them and
-says why.
+do. A refactor must leave every digest unchanged; a change meant to alter
+the bytes regenerates them and says why.
 """
 
 import hashlib

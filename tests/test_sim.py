@@ -431,9 +431,9 @@ def test_incomplete_response_table_rejected():
 
 
 @pytest.mark.parametrize("horizon, arrivals, execs, message", [
-    (40, (30, 10), (2, 2), "non-decreasing"),  # stalled time before
+    (40, (30, 10), (2, 2), "non-decreasing"),
     (40, (-1, 10), (2, 2), "non-negative"),
-    (40, (0, 10, 20), (2, 2), "3 arrivals but 2 exec_times"),  # IndexError
+    (40, (0, 10, 20), (2, 2), "3 arrivals but 2 exec_times"),
     (-1, (0,), (2,), "negative horizon"),
 ])
 def test_unvalidated_scenario_rejected(horizon, arrivals, execs, message):
