@@ -225,7 +225,6 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
                     n[ev0[0] != "release"] += 1
                 n[kind != "release"] += 1
 
-    expected = set()
     for tid, arrivals in sc.arrivals.items():
         task = by_id.get(tid)
         if task is None:
@@ -234,9 +233,8 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
             if a > sc.horizon:
                 continue
             key = (tid, k)
-            expected.add(key)
             rep.checked += 1
-            ev = first.get(key)
+            ev = first.pop(key, None)  # what is left has no scenario arrival
             if ev is None or key in repeats:
                 n = repeats.get(key, (0, 0))
                 rep.violations.append((
@@ -267,7 +265,7 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
                         "DropWhileEnabled", tid, k,
                         f"arrival dropped at {a} at level {lv} <= L={task.L}"))
 
-    if first.keys() - expected:
+    if first:
         # releases, then arrival drops, each in the order of first sight
         released = dict.fromkeys((ev[3], ev[4]) for ev in trace.events
                                  if ev[0] == "release")
@@ -277,7 +275,7 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
         for keys, name, what in ((released, "FabricatedRelease", "release"),
                                  (dropped, "FabricatedDrop", "arrival drop")):
             for key in keys:
-                if key not in expected:
+                if key in first:
                     rep.violations.append((
                         name, key[0], key[1],
                         f"{what} without a scenario arrival"))
