@@ -51,11 +51,15 @@ from .verify import (
     FeasibilityReport,
     ParameterTooLarge,
     PeriodicityReport,
+    ReclaimReport,
+    Report,
     ResponseReport,
     brute_force_workload,
     check_feasibility,
     check_periodicity,
+    check_reclaim,
     check_response_bounds,
+    check_run,
     compute_l_intervals,
     enumerate_basic_scenarios,
     level_at,

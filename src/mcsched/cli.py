@@ -20,7 +20,8 @@ import sys
 
 from . import analysis, gen, verify
 from .model import (FormatError, ValidationError, dump_scenario, dump_taskset,
-                    id_key, load_scenario, load_taskset, taskset_to_dict)
+                    id_key, load_scenario, load_taskset, scenario_to_dict,
+                    taskset_to_dict)
 from .sim import (PROTOCOLS, REM_ORDERS, InconsistentInputs, InvalidTarget,
                   ModelViolation, ProtocolConfig, simulate, trace_from_jsonl)
 
@@ -92,10 +93,7 @@ def cmd_simulate(args) -> int:
         sc = load_scenario(args.scenario, ts)
     except (FormatError, ValidationError, OSError) as exc:
         return _fail(str(exc))
-    try:
-        cfg = ProtocolConfig(protocol=args.protocol, rem_order=args.rem_order)
-    except ValueError as exc:
-        return _fail(str(exc))
+    cfg = ProtocolConfig(protocol=args.protocol, rem_order=args.rem_order)
     pa, wt, res = _prepare_run(ts, platform, not args.no_cap, args.force)
     if pa is None:
         print("refusing to simulate: task set is not schedulable by the "
@@ -123,37 +121,23 @@ def cmd_check(args) -> int:
         ts, platform = load_taskset(args.taskset)
         with open(args.trace, encoding="utf-8") as fh:
             trace = trace_from_jsonl(fh.read())
+        sc = load_scenario(args.scenario, ts) if args.scenario else None
     except (FormatError, ValidationError, ValueError, OSError) as exc:
         return _fail(str(exc))
-    feas = verify.check_feasibility(trace, ts)
-    doc = {"feasibility": {"ok": feas.ok, "checked": feas.checked,
-                           "violations": feas.violations,
-                           "exempt_rem": feas.exempt_rem,
-                           "exempt_dropped": feas.exempt_dropped,
-                           "spanning": feas.spanning}}
-    bad = not feas.ok
-    if args.scenario:
-        try:
-            sc = load_scenario(args.scenario, ts)
-        except (FormatError, ValidationError, OSError) as exc:
-            return _fail(str(exc))
-        per = verify.check_periodicity(trace, ts, sc)
-        doc["periodicity"] = {"ok": per.ok, "checked": per.checked,
-                              "violations": per.violations}
-        bad = bad or not per.ok
-    json.dump(doc, sys.stdout, indent=2)
+    reports = verify.check_run(trace, ts, sc=sc)
+    # each report's fields after "ok" and "checked", in declaration order
+    json.dump({name: {"ok": rep.ok, "checked": rep.checked, **vars(rep)}
+               for name, rep in reports.items()}, sys.stdout, indent=2)
     print()
-    return 1 if bad else 0
+    return 0 if all(rep.ok for rep in reports.values()) else 1
 
 
 def cmd_generate_taskset(args) -> int:
-    params_kwargs = dict(n_tasks=args.n, levels=args.levels,
-                         total_util=args.util, m=args.m,
-                         period_range=(args.period_min, args.period_max))
-    if args.overrunnable:
-        params_kwargs["ensure_overrunnable"] = True
     try:
-        params = gen.GenParams(**params_kwargs)
+        params = gen.GenParams(
+            n_tasks=args.n, levels=args.levels, total_util=args.util, m=args.m,
+            period_range=(args.period_min, args.period_max),
+            ensure_overrunnable=args.overrunnable)
         ts, platform = gen.gen_taskset(params, args.seed)
     except (ValueError, gen.Infeasible) as exc:
         return _fail(str(exc))
@@ -174,14 +158,11 @@ def cmd_generate_scenario(args) -> int:
             dmcr.append((int(t), int(lv)))
         sc = gen.gen_scenario(ts, args.horizon, args.seed,
                               exec_model=args.exec_model, dmcr_plan=dmcr)
-    except (FormatError, ValidationError, ValueError) as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (FormatError, ValidationError, ValueError, OSError) as exc:
         return _fail(str(exc))
     if args.out:
         dump_scenario(sc, args.out)
     else:
-        from .model import scenario_to_dict
         json.dump(scenario_to_dict(sc), sys.stdout, indent=2)
         print()
     return 0
@@ -197,12 +178,13 @@ def _csv_row(protocol, seed, scenario_id, m) -> str:
     ])
 
 
-def _is_int(v) -> bool:
-    return type(v) is int
+def _is(kind):
+    """A test for values of exactly this JSON type (a bool is no int)."""
+    return lambda v: type(v) is kind
 
 
-def _is_str(v) -> bool:
-    return type(v) is str
+_is_int = _is(int)
+_is_str = _is(str)
 
 
 def _is_str_list(v) -> bool:
@@ -224,6 +206,7 @@ _SPEC_TYPES = {
     "rem_order": (_is_str, "a string"),
     "exec_model": (_is_str, "a string"),
     "dmcr": (_is_request_list, "a list of [time, level] integer pairs"),
+    "force": (_is(bool), "true or false"),
 }
 
 
@@ -241,11 +224,15 @@ def run_experiment(spec: dict, out_fh) -> dict:
 
     Spec keys: "taskset" (path) or "gen" (GenParams kwargs), "scenarios",
     "horizon", "seed", "protocols", "rem_order", "exec_model", "dmcr",
-    "force". Rows are ordered by (protocol, scenario_id) under the single
-    top-level seed, so reruns are byte-identical.
+    "force"; any other key is refused. Rows are ordered by (protocol,
+    scenario_id) under the single top-level seed, so reruns are
+    byte-identical.
     """
     if not isinstance(spec, dict):
         raise FormatError("experiment spec must be a JSON object")
+    unknown = spec.keys() - _SPEC_TYPES.keys() - {"gen"}
+    if unknown:
+        raise FormatError(f"experiment spec has unknown keys {sorted(unknown)}")
     seed = _spec_get(spec, "seed", 0)
     if "taskset" in spec:
         ts, platform = load_taskset(_spec_get(spec, "taskset", None))
@@ -265,9 +252,9 @@ def run_experiment(spec: dict, out_fh) -> dict:
     rem_order = _spec_get(spec, "rem_order", "crit-edf")
     exec_model = _spec_get(spec, "exec_model", "uniform")
     dmcr = [tuple(x) for x in _spec_get(spec, "dmcr", [])]
-    cap = not spec.get("no_cap", False)
+    force = _spec_get(spec, "force", False)
 
-    pa, wt, res = _prepare_run(ts, platform, cap, bool(spec.get("force")))
+    pa, wt, res = _prepare_run(ts, platform, cap=True, force=force)
     if pa is None:
         raise gen.Infeasible("task set not schedulable; set 'force' to run anyway")
 
@@ -283,11 +270,10 @@ def run_experiment(spec: dict, out_fh) -> dict:
             m = verify.metrics(trace, ts)
             out_fh.write(_csv_row(protocol, seed, i, m) + "\n")
             agg = totals[protocol]
-            agg["misses_enabled"] += m["misses_enabled"]
-            agg["rem_completed"] += m["rem_completed"]
-            agg["rem_dropped"] += m["rem_dropped"]
+            for key in ("misses_enabled", "rem_completed", "rem_dropped",
+                        "chain_aborts"):
+                agg[key] += m[key]
             agg["tardiness"] += m["mean_tardiness"]
-            agg["chain_aborts"] += m["chain_aborts"]
     return {"schedulable": res.schedulable, "scenarios": n_scen,
             "protocols": list(protocols), "totals": totals}
 
@@ -296,18 +282,14 @@ def cmd_experiment(args) -> int:
     try:
         with open(args.spec, encoding="utf-8") as fh:
             spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(str(exc))
-    try:
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 summary = run_experiment(spec, fh)
-        else:
-            summary = run_experiment(spec, sys.stdout)
-            sys.stdout.flush()
-        if args.out:
             json.dump(summary, sys.stdout, indent=2)
             print()
+        else:
+            run_experiment(spec, sys.stdout)
+            sys.stdout.flush()
     except (FormatError, ValidationError, ValueError, OSError) as exc:
         return _fail(str(exc))
     except gen.Infeasible as exc:

@@ -363,14 +363,18 @@ def load_taskset(source: str | IO[str]) -> tuple[TaskSet, Platform]:
     return taskset_from_dict(_load_json(source))
 
 
-def dump_taskset(ts: TaskSet, platform: Platform, target: str | IO[str]) -> None:
-    doc = taskset_to_dict(ts, platform)
+def _dump_json(doc: dict, target: str | IO[str]) -> None:
+    """Write doc as indented JSON to a path or an open text file."""
     text = json.dumps(doc, indent=2) + "\n"
     if hasattr(target, "write"):
         target.write(text)  # type: ignore[union-attr]
     else:
         with open(target, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def dump_taskset(ts: TaskSet, platform: Platform, target: str | IO[str]) -> None:
+    _dump_json(taskset_to_dict(ts, platform), target)
 
 
 def load_scenario(source: str | IO[str], ts: TaskSet) -> Scenario:
@@ -379,10 +383,4 @@ def load_scenario(source: str | IO[str], ts: TaskSet) -> Scenario:
 
 
 def dump_scenario(sc: Scenario, target: str | IO[str]) -> None:
-    doc = scenario_to_dict(sc)
-    text = json.dumps(doc, indent=2) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)  # type: ignore[union-attr]
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _dump_json(scenario_to_dict(sc), target)

@@ -2,10 +2,11 @@
 
 Everything in this module re-derives its verdicts from the raw event log and
 the declared inputs; nothing trusts the simulator's own bookkeeping beyond
-the events themselves. Flags that the simulator does emit (the rem marker on
-completions, the woken list on re-enables) are cross-validated against the
-reconstructed level timeline, so a simulator bug that mislabels a job shows
-up as a violation rather than silently excusing a deadline miss.
+the events themselves. The rem marker on completions is cross-validated
+against the reconstructed level timeline, so a simulator bug that mislabels
+a job shows up as a violation rather than silently excusing a deadline miss.
+The woken list on re-enables is not checked. `check_run` indexes a trace
+once and runs every checker that applies on that one index.
 
 The timeline is the list of maximal half-open intervals [s, e) with constant
 system level. Trace events are in time order, so the intervals are
@@ -20,6 +21,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
+from math import prod
 from operator import itemgetter
 
 from .model import MCTask, Scenario, TaskSet
@@ -35,7 +37,22 @@ class ParameterTooLarge(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# level timeline
+# level timeline, trace index and the whole-run check
+
+
+_LEVEL_CHANGES = ("budget_exceeded", "re_enabled")
+_start = itemgetter(0)
+
+
+def _intervals(transitions, horizon: int) -> list[tuple[int, int, int]]:
+    intervals = []
+    for i, (s, lv) in enumerate(transitions):
+        e = transitions[i + 1][0] if i + 1 < len(transitions) else horizon
+        if e > s:
+            intervals.append((s, e, lv))
+    if not intervals:  # zero-horizon run: keep lookups well defined
+        intervals.append((0, horizon, transitions[-1][1]))
+    return intervals
 
 
 def compute_l_intervals(trace: Trace) -> list[tuple[int, int, int]]:
@@ -45,23 +62,8 @@ def compute_l_intervals(trace: Trace) -> list[tuple[int, int, int]]:
     instant, completed decrease chains lower it; several transitions at one
     instant collapse (the last one wins an empty span).
     """
-    transitions = [(0, 1)]
-    for ev in trace.events:
-        if ev[0] == "budget_exceeded":
-            transitions.append((ev[1], ev[2]))
-        elif ev[0] == "re_enabled":
-            transitions.append((ev[1], ev[2]))
-    intervals = []
-    for i, (s, lv) in enumerate(transitions):
-        e = transitions[i + 1][0] if i + 1 < len(transitions) else trace.horizon
-        if e > s:
-            intervals.append((s, e, lv))
-    if not intervals:  # zero-horizon run: keep lookups well defined
-        intervals.append((0, trace.horizon, transitions[-1][1]))
-    return intervals
-
-
-_start = itemgetter(0)
+    return _intervals([(0, 1)] + [(ev[1], ev[2]) for ev in trace.events
+                                  if ev[0] in _LEVEL_CHANGES], trace.horizon)
 
 
 def level_at(intervals, t: int) -> int:
@@ -83,21 +85,89 @@ def _suspension_starts(intervals, crit: int) -> list[int]:
     return starts
 
 
+class _Index:
+    """What the checkers read of one trace, in one pass over its events.
+    Jobs are keyed by (task, k), in the order of their first sighting."""
+
+    def __init__(self, trace: Trace):
+        self.horizon = trace.horizon
+        transitions = [(0, 1)]
+        releases = self.releases = {}  # job -> its last release
+        drops = self.arrival_drops = {}  # job -> its last suspended-arrival drop
+        sightings = 0  # releases and arrival drops
+        dropped = self.dropped = {}  # job -> the reason of its last drop
+        completes = self.completes = {}  # job -> its last completion
+        completions = self.completions = []  # every completion, in order
+        scheds = self.scheds = []  # every sched record, in order
+        for ev in trace.events:
+            kind = ev[0]
+            if kind == "sched":
+                scheds.append(ev)
+            elif kind == "release":
+                releases[(ev[3], ev[4])] = ev
+                sightings += 1
+            elif kind == "complete":
+                completes[(ev[3], ev[4])] = ev
+                completions.append(ev)
+            elif kind == "job_dropped":
+                key = (ev[3], ev[4])
+                dropped[key] = ev[5]
+                if ev[5] == "suspended_arrival":
+                    drops[key] = ev
+                    sightings += 1
+            elif kind in _LEVEL_CHANGES:
+                transitions.append((ev[1], ev[2]))
+        self.intervals = _intervals(transitions, trace.horizon)
+        counts: dict = {}  # a second pass only if some job was seen twice
+        if (sightings > len(releases) + len(drops)
+                or not drops.keys().isdisjoint(releases)):
+            for ev in trace.events:
+                kind = ev[0]
+                if kind == "release" or (kind == "job_dropped"
+                                         and ev[5] == "suspended_arrival"):
+                    n = counts.setdefault((ev[3], ev[4]), [0, 0])
+                    n[kind != "release"] += 1
+        # job seen more than once -> [releases, arrival drops]
+        self.repeats = {key: n for key, n in counts.items() if sum(n) > 1}
+
+
+@dataclass
+class Report:
+    """Violations, as (name, task, k, text) tuples, and the items judged."""
+
+    violations: list = field(default_factory=list)
+    checked: int = 0
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def check_run(trace: Trace, ts: TaskSet, wt: dict | None = None,
+              sc: Scenario | None = None) -> dict[str, Report]:
+    """The reports that apply to one run, from one index of its trace, in
+    this order: "feasibility", "periodicity" given sc, "response" given the
+    analysis table wt, and "reclaim" for a wcet-reclaim trace."""
+    ix = _Index(trace)
+    reports = {"feasibility": _feasibility(ix, ts)}
+    if sc is not None:
+        reports["periodicity"] = _periodicity(ix, ts, sc)
+    if wt is not None:
+        reports["response"] = _response_bounds(ix, wt, ts)
+    if trace.protocol == "wcet-reclaim":
+        reports["reclaim"] = _reclaim(ix, ts)
+    return reports
+
+
 # ---------------------------------------------------------------------------
 # feasibility
 
 
 @dataclass
-class FeasibilityReport:
-    violations: list = field(default_factory=list)
-    checked: int = 0
+class FeasibilityReport(Report):
     exempt_rem: int = 0
     exempt_dropped: int = 0
     spanning: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
@@ -108,21 +178,15 @@ def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
     the task actually suspended at the right moment. Incomplete jobs whose
     deadline lies beyond the horizon are counted as spanning, not judged.
     """
-    rep = FeasibilityReport()
-    intervals = compute_l_intervals(trace)
-    by_id = {t.id: t for t in ts.tasks}
-    releases: dict = {}
-    completes: dict = {}
-    dropped: dict = {}
-    starts_by_crit: dict = {}
-    for ev in trace.events:
-        if ev[0] == "release":
-            releases[(ev[3], ev[4])] = ev
-        elif ev[0] == "complete":
-            completes[(ev[3], ev[4])] = ev
-        elif ev[0] == "job_dropped":
-            dropped[(ev[3], ev[4])] = ev[5]
+    return _feasibility(_Index(trace), ts)
 
+
+def _feasibility(ix: _Index, ts: TaskSet) -> FeasibilityReport:
+    rep = FeasibilityReport()
+    by_id = {t.id: t for t in ts.tasks}
+    releases, completes, dropped = ix.releases, ix.completes, ix.dropped
+    starts_by_crit = {lv: _suspension_starts(ix.intervals, lv)
+                      for lv in {t.L for t in ts.tasks}}
     for key, ev in completes.items():
         if key not in releases:
             rep.violations.append(("CompletionWithoutRelease", key[0], key[1],
@@ -139,15 +203,14 @@ def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
             continue
         r, d = rel[1], rel[5]
         comp = completes.get((tid, k))
-        starts = starts_by_crit.get(task.L)
-        if starts is None:
-            starts = starts_by_crit[task.L] = _suspension_starts(intervals, task.L)
+        starts = starts_by_crit[task.L]
         # the first suspension after the release, if any
         i = bisect_right(starts, r)
         u = starts[i] if i < len(starts) else None
         if comp is not None:
             f, rem = comp[1], comp[8]
             suspended_within = u is not None and u < f
+            rep.checked += 1
             if rem:
                 if not suspended_within:
                     rep.violations.append((
@@ -155,33 +218,26 @@ def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
                         f"flagged rem but task never suspended in ({r}, {f})"))
                 else:
                     rep.exempt_rem += 1
-                rep.checked += 1
-                continue
-            if suspended_within:
+            elif suspended_within:
                 rep.violations.append((
                     "RemFlagInconsistent", tid, k,
                     f"task suspended inside [{r}, {f}) but job not flagged rem"))
-                rep.checked += 1
-                continue
-            rep.checked += 1
-            if f > d:
+            elif f > d:
                 rep.violations.append((
                     "DeadlineMiss", tid, k, f"completed at {f}, deadline {d}"))
-            continue
         # incomplete at the horizon
-        if (tid, k) in dropped:
+        elif (tid, k) in dropped:
             rep.exempt_dropped += 1
-            continue
-        if d > trace.horizon:
+        elif d > ix.horizon:
             rep.spanning += 1
-            continue
-        rep.checked += 1
-        if u is not None and u <= d:
+        elif u is not None and u <= d:
+            rep.checked += 1
             rep.exempt_rem += 1  # relegated before the deadline, still queued
-            continue
-        rep.violations.append((
-            "DeadlineMiss", tid, k,
-            f"released at {r}, deadline {d}, never completed"))
+        else:
+            rep.checked += 1
+            rep.violations.append((
+                "DeadlineMiss", tid, k,
+                f"released at {r}, deadline {d}, never completed"))
     return rep
 
 
@@ -189,42 +245,22 @@ def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
 # periodicity
 
 
-@dataclass
-class PeriodicityReport:
-    violations: list = field(default_factory=list)
-    checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+class PeriodicityReport(Report):
+    """Judges each scenario arrival inside the horizon."""
 
 
 def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityReport:
     """Releases follow the scenario arrivals exactly while the task is
     enabled; arrivals during suspension surface as dropped arrivals and
     nothing else is ever released."""
-    rep = PeriodicityReport()
-    intervals = compute_l_intervals(trace)
-    by_id = {t.id: t for t in ts.tasks}
-    # (task, k) -> its first release or arrival drop; a job seen more than
-    # once also gets its [releases, arrival drops] counts
-    first: dict = {}
-    repeats: dict = {}
-    for ev in trace.events:
-        kind = ev[0]
-        if kind == "release" or (kind == "job_dropped"
-                                 and ev[5] == "suspended_arrival"):
-            key = (ev[3], ev[4])
-            ev0 = first.get(key)
-            if ev0 is None:
-                first[key] = ev
-            else:
-                n = repeats.get(key)
-                if n is None:
-                    n = repeats[key] = [0, 0]
-                    n[ev0[0] != "release"] += 1
-                n[kind != "release"] += 1
+    return _periodicity(_Index(trace), ts, sc)
 
+
+def _periodicity(ix: _Index, ts: TaskSet, sc: Scenario) -> PeriodicityReport:
+    rep = PeriodicityReport()
+    by_id = {t.id: t for t in ts.tasks}
+    releases, drops, repeats = ix.releases, ix.arrival_drops, ix.repeats
+    seen = 0  # scenario arrivals with a release or an arrival drop
     for tid, arrivals in sc.arrivals.items():
         task = by_id.get(tid)
         if task is None:
@@ -234,14 +270,15 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
                 continue
             key = (tid, k)
             rep.checked += 1
-            ev = first.pop(key, None)  # what is left has no scenario arrival
+            ev = releases.get(key) or drops.get(key)
+            seen += ev is not None
             if ev is None or key in repeats:
                 n = repeats.get(key, (0, 0))
                 rep.violations.append((
                     "ArrivalMultiplicity", tid, k,
                     f"{n[0]} releases and {n[1]} arrival drops"))
                 continue
-            lv = level_at(intervals, a)
+            lv = level_at(ix.intervals, a)
             if ev[0] == "release":
                 if ev[1] != a:
                     rep.violations.append((
@@ -265,17 +302,17 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
                         "DropWhileEnabled", tid, k,
                         f"arrival dropped at {a} at level {lv} <= L={task.L}"))
 
-    if first:
-        # releases, then arrival drops, each in the order of first sight
-        released = dict.fromkeys((ev[3], ev[4]) for ev in trace.events
-                                 if ev[0] == "release")
-        dropped = dict.fromkeys((ev[3], ev[4]) for ev in trace.events
-                                if ev[0] == "job_dropped"
-                                and ev[5] == "suspended_arrival")
-        for keys, name, what in ((released, "FabricatedRelease", "release"),
-                                 (dropped, "FabricatedDrop", "arrival drop")):
+    both = sum(1 for n in repeats.values() if n[0] and n[1])
+    if seen < len(releases) + len(drops) - both:
+        # some job has no scenario arrival: list releases, then arrival
+        # drops, each in the order of first sight
+        expected = {(tid, k) for tid, arrivals in sc.arrivals.items()
+                    if tid in by_id
+                    for k, a in enumerate(arrivals, 1) if a <= sc.horizon}
+        for keys, name, what in ((releases, "FabricatedRelease", "release"),
+                                 (drops, "FabricatedDrop", "arrival drop")):
             for key in keys:
-                if key in first:
+                if key not in expected:
                     rep.violations.append((
                         name, key[0], key[1],
                         f"{what} without a scenario arrival"))
@@ -287,15 +324,9 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
 
 
 @dataclass
-class ResponseReport:
-    violations: list = field(default_factory=list)
-    checked: int = 0
+class ResponseReport(Report):
     spanning: int = 0
     unscoped: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def check_response_bounds(trace: Trace, wt: dict, ts: TaskSet) -> ResponseReport:
@@ -303,11 +334,15 @@ def check_response_bounds(trace: Trace, wt: dict, ts: TaskSet) -> ResponseReport
     in force, judged only for jobs that start and finish inside one constant
     level interval (finishing exactly at a transition instant counts as
     inside, since completions are processed first)."""
+    return _response_bounds(_Index(trace), wt, ts)
+
+
+def _response_bounds(ix: _Index, wt: dict, ts: TaskSet) -> ResponseReport:
     rep = ResponseReport()
-    intervals = compute_l_intervals(trace)
+    intervals = ix.intervals
     by_id = {t.id: t for t in ts.tasks}
-    for ev in trace.events:
-        if ev[0] != "complete" or ev[8]:
+    for ev in ix.completions:
+        if ev[8]:
             continue
         tid, k, f, r = ev[3], ev[4], ev[1], ev[6]
         task = by_id.get(tid)
@@ -327,6 +362,50 @@ def check_response_bounds(trace: Trace, wt: dict, ts: TaskSet) -> ResponseReport
             rep.violations.append((
                 "ResponseBoundExceeded", tid, k,
                 f"response {f - r} > bound {bound} at level {lv}"))
+    return rep
+
+
+# ---------------------------------------------------------------------------
+# reclaim budget
+
+
+class ReclaimReport(Report):
+    """Judges each job whose ghost slot hosted rem-jobs."""
+
+
+def check_reclaim(trace: Trace, ts: TaskSet) -> ReclaimReport:
+    """A wcet-reclaim ghost slot spends only the budget its job left
+    unused: the job's execution time plus the time its ghost hosted
+    rem-jobs stays within its task's budget at the job's completion level.
+    A ghost of a job that never completed at a level of its task is a
+    violation. wcrt-simulate ghosts follow another rule: do not judge them
+    here."""
+    return _reclaim(_Index(trace), ts)
+
+
+def _reclaim(ix: _Index, ts: TaskSet) -> ReclaimReport:
+    rep = ReclaimReport()
+    by_id = {t.id: t for t in ts.tasks}
+    spans: dict = {}  # job -> ticks its ghost slot hosted rem-jobs
+    for ev in ix.scheds:
+        for slot in ev[4]:
+            if slot[0] == "G":
+                key = (slot[1], slot[2])
+                spans[key] = spans.get(key, 0) + ev[3] - ev[1]
+    for (tid, k), hosted in spans.items():
+        rep.checked += 1
+        comp = ix.completes.get((tid, k))
+        task = by_id.get(tid)
+        if comp is None or task is None or not 1 <= comp[2] <= len(task.C):
+            rep.violations.append(("UnfundedGhost", tid, k, f"ghost hosted "
+                                   f"{hosted} ticks but its job never completed"))
+            continue
+        c, level = comp[5], comp[2]
+        budget = task.wcet(level)
+        if c + hosted > budget:
+            rep.violations.append((
+                "ReclaimOverBudget", tid, k,
+                f"ran {c} + hosted {hosted} > budget {budget} at level {level}"))
     return rep
 
 
@@ -381,10 +460,7 @@ def brute_force_workload(task: MCTask, delta: int, level: int,
 
 
 def count_basic_scenarios(ts: TaskSet, n_jobs: dict) -> int:
-    total = 1
-    for task in ts.tasks:
-        total *= task.L ** n_jobs.get(task.id, 0)
-    return total
+    return prod(task.L ** n_jobs.get(task.id, 0) for task in ts.tasks)
 
 
 def enumerate_basic_scenarios(ts: TaskSet, horizon: int, arrivals=None):
@@ -404,20 +480,14 @@ def enumerate_basic_scenarios(ts: TaskSet, horizon: int, arrivals=None):
     if total > MAX_ENUM_SCENARIOS:
         raise ParameterTooLarge(
             f"{total} scenarios exceeds {MAX_ENUM_SCENARIOS}")
-    tasks = list(ts.tasks)
-    per_job_choices = []
-    for task in tasks:
-        for _ in range(n_jobs.get(task.id, 0)):
-            per_job_choices.append([task.wcet(lv) for lv in range(1, task.L + 1)])
-    for combo in product(*per_job_choices):
-        exec_times = {}
-        pos = 0
-        for task in tasks:
-            n = n_jobs.get(task.id, 0)
-            exec_times[task.id] = tuple(combo[pos:pos + n])
-            pos += n
+    # per task, every tuple of its jobs' budgets
+    per_task = [product(map(task.wcet, range(1, task.L + 1)),
+                        repeat=n_jobs.get(task.id, 0)) for task in ts.tasks]
+    for combo in product(*per_task):
         yield Scenario(horizon=horizon, arrivals=dict(arrivals),
-                       exec_times=exec_times, dmcr_requests=())
+                       exec_times={task.id: times for task, times
+                                   in zip(ts.tasks, combo)},
+                       dmcr_requests=())
 
 
 # ---------------------------------------------------------------------------
@@ -447,7 +517,6 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
     interference_star: list[int] = []
     susp_start: dict = {}
     susp_delays: list[int] = []
-    level = 1
     idle_time = 0
     busy_time = 0
 
@@ -476,14 +545,12 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
         elif kind == "release":
             releases += 1
         elif kind == "budget_exceeded":
-            level = ev[2]
             for tid, task in by_id.items():
-                if task.L < level and tid not in susp_start:
+                if task.L < ev[2] and tid not in susp_start:
                     susp_start[tid] = ev[1]
         elif kind == "re_enabled":
-            level = ev[2]
             for tid in list(susp_start):
-                if by_id[tid].L >= level:
+                if by_id[tid].L >= ev[2]:
                     susp_delays.append(ev[1] - susp_start.pop(tid))
         elif kind == "sched":
             span = ev[3] - ev[1]

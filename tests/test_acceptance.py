@@ -10,7 +10,9 @@ conftest.py prints one PASS/FAIL line per criterion at the end of the run.
 
 import io
 import random
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
+from itertools import islice
 
 import pytest
 
@@ -19,12 +21,11 @@ from mcsched.analysis import opa_assign, uniprocessor_rta, wcrt, workload_ci, \
 from mcsched.cli import CSV_HEADER, run_experiment
 from mcsched.gen import (GenParams, Infeasible, SplitMix64, child_seed,
                          gen_scenario, gen_taskset)
-from mcsched.model import MCTask, Scenario, TaskSet
+from mcsched.model import MCTask
 from mcsched.sim import PROTOCOLS, ProtocolConfig, simulate
 from mcsched.verify import (brute_force_workload, check_feasibility,
-                            check_periodicity, check_response_bounds,
-                            compute_l_intervals, count_basic_scenarios,
-                            enumerate_basic_scenarios)
+                            check_run, compute_l_intervals,
+                            count_basic_scenarios, enumerate_basic_scenarios)
 
 MAX_SAMPLES = 5  # violations kept for the failure message
 
@@ -41,13 +42,10 @@ class SweepStats:
     sets: int = 0
     runs: int = 0
     trips: int = 0
-    feas_violations: list = field(default_factory=list)
-    period_violations: list = field(default_factory=list)
-    resp_violations_wcrt: list = field(default_factory=list)
-    resp_violations_other: list = field(default_factory=list)
-    ghost_violations: list = field(default_factory=list)
-    rem_sum: dict = field(default_factory=dict)
-    rem_count: dict = field(default_factory=dict)
+    checked: Counter = field(default_factory=Counter)  # per report name
+    violations: dict = field(default_factory=dict)  # report name -> samples
+    rem_sum: Counter = field(default_factory=Counter)  # per protocol
+    rem_count: Counter = field(default_factory=Counter)
 
 
 def _sweep_params(idx):
@@ -59,39 +57,26 @@ def _sweep_params(idx):
                      period_range=(8, 12), ensure_overrunnable=True)
 
 
-def _ghost_account(trace, ts, tag, out):
-    spans = {}
-    for ev in trace.kind("sched"):
-        length = ev[3] - ev[1]
-        for slot in ev[4]:
-            if slot[0] == "G":
-                key = (slot[1], slot[2])
-                spans[key] = spans.get(key, 0) + length
-    if not spans:
-        return
-    done = {(e[3], e[4]): (e[5], e[2]) for e in trace.kind("complete")}
-    for (tid, k), hosted in spans.items():
-        c, level = done[(tid, k)]
-        budget = ts.by_id(tid).wcet(level)
-        if c + hosted > budget:
-            out.append((tag, tid, k, c, hosted, budget))
+def _schedulable_sets(params_of, stall):
+    """(seed, set, platform, analysis) for each seed below stall whose set,
+    generated from params_of(seed), the analysis accepts."""
+    for seed in range(1, stall):
+        try:
+            ts, platform = gen_taskset(params_of(seed), seed)
+        except Infeasible:
+            continue
+        res = opa_assign(ts, platform.m)
+        if res.schedulable:
+            yield seed, ts, platform, res
+    pytest.fail("task set generation stalled")
 
 
 @pytest.fixture(scope="session")
 def sweep():
     stats = SweepStats()
     cfgs = {p: ProtocolConfig(protocol=p) for p in PROTOCOLS}
-    draw = 0
-    while stats.sets < N_SETS:
-        draw += 1
-        assert draw < 20 * N_SETS, "task set generation stalled"
-        try:
-            ts, platform = gen_taskset(_sweep_params(draw), draw)
-        except Infeasible:
-            continue
-        res = opa_assign(ts, platform.m)
-        if not res.schedulable:
-            continue
+    for draw, ts, platform, res in islice(
+            _schedulable_sets(_sweep_params, 20 * N_SETS), N_SETS):
         stats.sets += 1
         horizon = 20 * max(t.T for t in ts.tasks)
         for i in range(N_SCENARIOS):
@@ -104,28 +89,16 @@ def sweep():
                                  res.wcrt_table, sc, cfgs[protocol])
                 stats.runs += 1
                 stats.trips += len(trace.kind("budget_exceeded"))
-                tag = (draw, i, protocol)
-                feas = check_feasibility(trace, ts)
-                if not feas.ok and len(stats.feas_violations) < MAX_SAMPLES:
-                    stats.feas_violations.append((tag, feas.violations[:3]))
-                per = check_periodicity(trace, ts, sc)
-                if not per.ok and len(stats.period_violations) < MAX_SAMPLES:
-                    stats.period_violations.append((tag, per.violations[:3]))
-                resp = check_response_bounds(trace, res.wcrt_table, ts)
-                if not resp.ok:
-                    bucket = (stats.resp_violations_wcrt
-                              if protocol == "wcrt-simulate"
-                              else stats.resp_violations_other)
-                    if len(bucket) < MAX_SAMPLES:
-                        bucket.append((tag, resp.violations[:3]))
-                if protocol == "wcet-reclaim":
-                    _ghost_account(trace, ts, tag, stats.ghost_violations)
+                reports = check_run(trace, ts, res.wcrt_table, sc)
+                for name, rep in reports.items():
+                    stats.checked[name] += rep.checked
+                    samples = stats.violations.setdefault(name, [])
+                    if not rep.ok and len(samples) < MAX_SAMPLES:
+                        samples.append(((draw, i, protocol), rep.violations[:3]))
                 for ev in trace.kind("complete"):
                     if ev[8]:
-                        stats.rem_sum[protocol] = (
-                            stats.rem_sum.get(protocol, 0) + ev[1] - ev[6])
-                        stats.rem_count[protocol] = (
-                            stats.rem_count.get(protocol, 0) + 1)
+                        stats.rem_sum[protocol] += ev[1] - ev[6]
+                        stats.rem_count[protocol] += 1
     return stats
 
 
@@ -184,26 +157,26 @@ def test_criterion_03_soundness_sweep(sweep):
     assert sweep.sets >= N_SETS
     assert sweep.runs >= N_SETS * N_SCENARIOS * 4
     assert sweep.trips > 1000, "sweep exercised almost no budget overruns"
-    assert sweep.feas_violations == []
-    assert sweep.period_violations == []
+    assert sweep.violations["feasibility"] == []
+    assert sweep.violations["periodicity"] == []
 
 
 @pytest.mark.slow
 def test_criterion_05_response_bound_preservation(sweep):
-    assert sweep.resp_violations_wcrt == []
-    assert sweep.resp_violations_other == []
+    assert sweep.violations["response"] == []
 
 
 @pytest.mark.slow
 def test_criterion_06_reclaim_budget_accounting(sweep):
-    assert sweep.ghost_violations == []
+    assert sweep.checked["reclaim"] > 250, "too few ghost slots hosted rem-jobs"
+    assert sweep.violations["reclaim"] == []
 
 
 @pytest.mark.slow
 def test_criterion_10_protocol_benefit_report(sweep):
     means = {}
     for protocol in ("naive", "wcet-reclaim", "wcrt-simulate"):
-        count = sweep.rem_count.get(protocol, 0)
+        count = sweep.rem_count[protocol]
         assert count > 1000, f"{protocol} completed too few rem-jobs"
         means[protocol] = sweep.rem_sum[protocol] / count
     assert means["wcet-reclaim"] <= means["naive"], means
@@ -215,21 +188,13 @@ def test_criterion_10_protocol_benefit_report(sweep):
 
 
 def test_criterion_04_exhaustive_basic_scenarios():
+    def tiny(seed):
+        return GenParams(n_tasks=2 + (seed % 2), levels=2 + (seed % 2),
+                         total_util=0.5 * (1 + seed % 2), m=1 + (seed % 2),
+                         period_range=(4, 8), ensure_overrunnable=True)
+
     sets = []
-    seed = 0
-    while len(sets) < 50:
-        seed += 1
-        assert seed < 2000, "tiny set generation stalled"
-        try:
-            ts, platform = gen_taskset(GenParams(
-                n_tasks=2 + (seed % 2), levels=2 + (seed % 2),
-                total_util=0.5 * (1 + seed % 2), m=1 + (seed % 2),
-                period_range=(4, 8), ensure_overrunnable=True), seed)
-        except Infeasible:
-            continue
-        res = opa_assign(ts, platform.m)
-        if not res.schedulable:
-            continue
+    for _, ts, platform, res in _schedulable_sets(tiny, 2000):
         horizon = 2 * max(t.T for t in ts.tasks)
         arrivals = {t.id: tuple(range(0, horizon, t.T)) for t in ts.tasks}
         counts = {tid: len(v) for tid, v in arrivals.items()}
@@ -238,6 +203,8 @@ def test_criterion_04_exhaustive_basic_scenarios():
         if count_basic_scenarios(ts, counts) > 729:
             continue
         sets.append((ts, platform, res, horizon))
+        if len(sets) == 50:
+            break
 
     checked = 0
     for ts, platform, res, horizon in sets:
@@ -246,10 +213,9 @@ def test_criterion_04_exhaustive_basic_scenarios():
                 trace = simulate(ts, platform, res.assignment,
                                  res.wcrt_table, sc,
                                  ProtocolConfig(protocol=protocol))
-                assert check_feasibility(trace, ts).ok, (ts, sc, protocol)
-                assert check_periodicity(trace, ts, sc).ok, (ts, sc, protocol)
-                assert check_response_bounds(trace, res.wcrt_table, ts).ok, \
-                    (ts, sc, protocol)
+                for name, rep in check_run(trace, ts, res.wcrt_table,
+                                           sc).items():
+                    assert rep.ok, (name, ts, sc, protocol)
                 checked += 1
     assert checked >= 4000
 
@@ -259,24 +225,13 @@ def test_criterion_04_exhaustive_basic_scenarios():
 
 
 def _dmcr_sets(want=20):
-    sets = []
-    seed = 0
-    while len(sets) < want:
-        seed += 1
-        assert seed < 2000, "DMCR set generation stalled"
-        try:
-            ts, platform = gen_taskset(GenParams(
-                n_tasks=5, levels=3, total_util=1.0, m=2,
-                period_range=(8, 14), ensure_overrunnable=True), seed)
-        except Infeasible:
-            continue
-        res = opa_assign(ts, platform.m)
-        if not res.schedulable:
-            continue
-        if not any(t.L == 3 and t.C[2] > t.C[1] for t in ts.tasks):
-            continue  # group B needs a task able to trip level 2 -> 3
-        sets.append((ts, platform, res, seed))
-    return sets
+    params = GenParams(n_tasks=5, levels=3, total_util=1.0, m=2,
+                       period_range=(8, 14), ensure_overrunnable=True)
+    # group B needs a task able to trip level 2 -> 3
+    sets = ((ts, platform, res, seed) for seed, ts, platform, res
+            in _schedulable_sets(lambda seed: params, 2000)
+            if any(t.L == 3 and t.C[2] > t.C[1] for t in ts.tasks))
+    return list(islice(sets, want))
 
 
 def _with_request(ts, platform, res, base):
@@ -285,9 +240,7 @@ def _with_request(ts, platform, res, base):
                    ProtocolConfig(protocol="drop"))
     trips = dry.kind("budget_exceeded")
     t_req = trips[0][1] + 1 if trips else base.horizon // 3
-    return t_req, Scenario(horizon=base.horizon, arrivals=base.arrivals,
-                           exec_times=base.exec_times,
-                           dmcr_requests=((t_req, 1),))
+    return t_req, replace(base, dmcr_requests=((t_req, 1),))
 
 
 def _check_dmcr_trace(trace, ts):
@@ -346,12 +299,9 @@ def test_criterion_07_dmcr_validity():
             if crosser is None:
                 continue
             task, k = crosser
-            exec_times = {tid: list(v) for tid, v in sc.exec_times.items()}
-            exec_times[task.id][k] = task.wcet(3)
-            sc = Scenario(horizon=sc.horizon, arrivals=sc.arrivals,
-                          exec_times={tid: tuple(v)
-                                      for tid, v in exec_times.items()},
-                          dmcr_requests=sc.dmcr_requests)
+            times = list(sc.exec_times[task.id])
+            times[k] = task.wcet(3)
+            sc = replace(sc, exec_times={**sc.exec_times, task.id: tuple(times)})
             trace = simulate(ts, platform, res.assignment, res.wcrt_table,
                              sc, ProtocolConfig(protocol="drop"))
             assert check_feasibility(trace, ts).ok

@@ -171,8 +171,13 @@ def test_check_clean_trace_passes(sched_ts, tmp_path, capsys):
                "--scenario", sc_path])
     report = json.loads(capsys.readouterr().out)
     assert rc == 0
+    assert list(report) == ["feasibility", "periodicity"]  # not wcet-reclaim
+    assert list(report["feasibility"]) == [
+        "ok", "checked", "violations", "exempt_rem", "exempt_dropped",
+        "spanning"]
     assert report["feasibility"]["ok"] is True
-    assert report["periodicity"]["ok"] is True
+    assert report["periodicity"] == {"ok": True, "checked": 4,
+                                     "violations": []}
 
 
 def test_check_flags_delayed_release(sched_ts, tmp_path, capsys):
@@ -201,6 +206,62 @@ def test_check_flags_delayed_release(sched_ts, tmp_path, capsys):
     assert report["periodicity"]["ok"] is False
     kinds = [v[0] for v in report["periodicity"]["violations"]]
     assert "ShiftedRelease" in kinds
+
+
+@pytest.fixture
+def reclaim_run(tmp_path, capsys):
+    """A wcet-reclaim trace file in which job (1, 1) completes at level 2
+    after 4 of its 6 budget ticks and its ghost slot hosts job (2, 1) over
+    [4, 6); the task set and scenario paths come along."""
+    ts = TaskSet(tasks=(
+        MCTask(id=1, T=30, D=8, L=2, C=(2, 6)),
+        MCTask(id=2, T=30, D=30, L=1, C=(3, 3)),
+    ), levels=2)
+    ts_path = str(tmp_path / "ts.json")
+    dump_taskset(ts, Platform(m=1), ts_path)
+    sc_path = scenario_file(tmp_path, ts, Scenario(
+        horizon=30, arrivals={1: (0,), 2: (0,)}, exec_times={1: (4,), 2: (3,)},
+        dmcr_requests=()))
+    trace_path = tmp_path / "trace.jsonl"
+    assert simulate_to_file(ts_path, sc_path, str(trace_path), capsys,
+                            ["--protocol", "wcet-reclaim"]) == 0
+    ghost = '"kind":"dispatch","task":2,"k":1,"proc":0,"mode":2,"until":6'
+    assert ghost in trace_path.read_text()
+    return ts_path, sc_path, trace_path, ghost
+
+
+def check_out(reclaim_run, capsys, old="", new=""):
+    ts_path, sc_path, trace_path, _ = reclaim_run
+    trace_path.write_text(trace_path.read_text().replace(old, new))
+    rc = main(["check", "--trace", str(trace_path), "--taskset", ts_path,
+               "--scenario", sc_path])
+    out, err = capsys.readouterr()
+    assert err == ""
+    return rc, json.loads(out)
+
+
+def test_check_reports_reclaim_on_wcet_reclaim_trace(reclaim_run, capsys):
+    rc, report = check_out(reclaim_run, capsys)
+    assert rc == 0
+    assert list(report) == ["feasibility", "periodicity", "reclaim"]
+    assert report["reclaim"] == {"ok": True, "checked": 1, "violations": []}
+
+
+def test_check_flags_stretched_ghost(reclaim_run, capsys):
+    ghost = reclaim_run[3]
+    rc, report = check_out(reclaim_run, capsys, ghost,
+                           ghost.replace('"until":6', '"until":9'))
+    assert rc == 1
+    assert report["feasibility"]["ok"] and report["periodicity"]["ok"]
+    assert report["reclaim"]["violations"] == [
+        ["ReclaimOverBudget", 1, 1, "ran 4 + hosted 5 > budget 6 at level 2"]]
+
+
+def test_check_flags_ghost_of_job_never_completed(reclaim_run, capsys):
+    rc, report = check_out(reclaim_run, capsys, '"ghost_k":1', '"ghost_k":7')
+    assert rc == 1
+    assert [v[:3] for v in report["reclaim"]["violations"]] == [
+        ["UnfundedGhost", 1, 7]]
 
 
 def test_check_missing_trace_is_input_error(sched_ts, capsys):
@@ -341,10 +402,14 @@ GEN = {"n_tasks": 4, "levels": 2, "total_util": 0.7}
     {"gen": GEN, "rem_order": ["edf"]},
     {"gen": GEN, "exec_model": 1},
     {"taskset": ["ts.json"]},
+    {"gen": GEN, "force": "no"},
+    {"gen": GEN, "no_cap": True},
+    {"gen": GEN, "senarios": 3},
 ], ids=["unknown-gen-key", "missing-gen-key", "not-an-object", "list-seed",
         "string-scenarios", "float-horizon", "int-request", "long-request",
         "string-protocols", "nested-protocols", "list-rem-order",
-        "int-exec-model", "list-taskset"])
+        "int-exec-model", "list-taskset", "force-string", "no-cap",
+        "unknown-key"])
 def test_experiment_malformed_spec_is_input_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))

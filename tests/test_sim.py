@@ -9,8 +9,7 @@ from mcsched.model import MCTask, Platform, Scenario, TaskSet
 from mcsched.sim import (EVENT_FIELDS, META_FIELDS, PROTOCOLS,
                          InconsistentInputs, InvalidTarget, ModelViolation,
                          ProtocolConfig, simulate, trace_from_jsonl)
-from mcsched.verify import (check_feasibility, check_periodicity,
-                            check_response_bounds, compute_l_intervals)
+from mcsched.verify import check_run, compute_l_intervals
 from mcsched.analysis import opa_assign
 
 
@@ -520,12 +519,10 @@ def test_checkers_hold_on_generated_runs(protocol):
             cfg = ProtocolConfig(protocol=protocol)
             trace = simulate(ts, platform, res.assignment, res.wcrt_table,
                              sc, cfg)
-            feas = check_feasibility(trace, ts)
-            assert feas.ok, (seed, i, feas.violations)
-            per = check_periodicity(trace, ts, sc)
-            assert per.ok, (seed, i, per.violations)
-            resp = check_response_bounds(trace, res.wcrt_table, ts)
-            assert resp.ok, (seed, i, resp.violations)
+            reports = check_run(trace, ts, res.wcrt_table, sc)
+            assert len(reports) == (4 if protocol == "wcet-reclaim" else 3)
+            for name, rep in reports.items():
+                assert rep.ok, (seed, i, name, rep.violations)
 
 
 AWKWARD_IDS = ['say "hi"', "back\\slash", "bell\x07", "naïve 任务", 7, 12, "0"]

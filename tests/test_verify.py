@@ -9,12 +9,12 @@ from mcsched.gen import GenParams, Infeasible, gen_scenario, gen_taskset
 from mcsched.model import MCTask, Scenario, TaskSet
 from mcsched.sim import PROTOCOLS, ProtocolConfig, Trace, simulate
 from mcsched.verify import (FeasibilityReport, ParameterTooLarge,
-                            PeriodicityReport, ResponseReport,
+                            PeriodicityReport, ReclaimReport, ResponseReport,
                             _suspension_starts, brute_force_workload,
                             check_feasibility, check_periodicity,
-                            check_response_bounds, compute_l_intervals,
-                            count_basic_scenarios, enumerate_basic_scenarios,
-                            level_at, metrics)
+                            check_reclaim, check_response_bounds, check_run,
+                            compute_l_intervals, count_basic_scenarios,
+                            enumerate_basic_scenarios, level_at, metrics)
 
 
 def lo(tid, T, D, C, L=1, levels=1):
@@ -352,6 +352,82 @@ def test_response_bounds_completion_at_transition_counts_inside():
 
 
 # ---------------------------------------------------------------------------
+# reclaim budget
+#
+# task 1 completes job 1 at level 2 after running c=4 of its budget C(2)=6,
+# so its ghost slot may host rem-jobs for two ticks
+
+
+def reclaim_trace(ghost_until=6, ghost_k=1, protocol="wcet-reclaim"):
+    return Trace([
+        ("release", 0, 1, 1, 1, 30),
+        ("release", 0, 1, 2, 1, 30),
+        ("sched", 0, 1, 4, (("J", 1, 1),)),
+        ("budget_exceeded", 2, 2, 1, 1),
+        ("complete", 4, 2, 1, 1, 4, 0, 30, 0),
+        ("sched", 4, 2, ghost_until, (("G", 1, ghost_k, 2, 1),)),
+        ("complete", 7, 2, 2, 1, 3, 0, 30, 1),
+    ], 30, 1, 2, protocol, "crit-edf")
+
+
+def reclaim_set():
+    return TaskSet(tasks=(MCTask(id=1, T=30, D=30, L=2, C=(2, 6)),
+                          MCTask(id=2, T=30, D=30, L=1, C=(3, 3))), levels=2)
+
+
+def test_reclaim_ghost_within_unused_budget():
+    rep = check_reclaim(reclaim_trace(), reclaim_set())
+    assert rep == ReclaimReport(violations=[], checked=1)
+
+
+def test_reclaim_flags_stretched_ghost():
+    rep = check_reclaim(reclaim_trace(ghost_until=7), reclaim_set())
+    assert rep.violations == [("ReclaimOverBudget", 1, 1,
+                               "ran 4 + hosted 3 > budget 6 at level 2")]
+
+
+def test_reclaim_flags_ghost_of_job_never_completed():
+    ts = reclaim_set()
+    rep = check_reclaim(reclaim_trace(ghost_k=9), ts)
+    assert rep.violations == [("UnfundedGhost", 1, 9, "ghost hosted 2 ticks "
+                               "but its job never completed")]
+    unknown = TaskSet(tasks=(ts.tasks[1],), levels=2)
+    assert [v[0] for v in check_reclaim(reclaim_trace(), unknown).violations] \
+        == ["UnfundedGhost"]
+
+
+def test_reclaim_budget_is_that_of_the_completion_level():
+    # task 1 (L=3) completes at level 2: its ghost may spend C(2) - c = 1
+    ts = TaskSet(tasks=(MCTask(id=1, T=30, D=30, L=3, C=(2, 5, 8)),
+                        MCTask(id=2, T=30, D=30, L=1, C=(3, 3, 3))), levels=3)
+    trace = reclaim_trace(ghost_until=5)
+    assert check_reclaim(trace, ts).ok
+    trace.events[5] = ("sched", 4, 2, 6, (("G", 1, 1, 2, 1),))
+    assert check_reclaim(trace, ts).violations == [
+        ("ReclaimOverBudget", 1, 1, "ran 4 + hosted 2 > budget 5 at level 2")]
+
+
+def test_check_run_picks_the_reports_that_apply():
+    ts = reclaim_set()
+    sc = Scenario(horizon=30, arrivals={1: (0,), 2: (0,)},
+                  exec_times={1: (4,), 2: (3,)}, dmcr_requests=())
+    wt = {(1, 1): 2, (1, 2): 6, (2, 1): 5}
+    trace = reclaim_trace()
+    assert list(check_run(trace, ts)) == ["feasibility", "reclaim"]
+    assert list(check_run(trace, ts, wt, sc)) == [
+        "feasibility", "periodicity", "response", "reclaim"]
+    naive = reclaim_trace(protocol="naive")
+    assert list(check_run(naive, ts, wt, sc)) == [
+        "feasibility", "periodicity", "response"]
+    assert check_run(trace, ts, wt, sc) == {
+        "feasibility": check_feasibility(trace, ts),
+        "periodicity": check_periodicity(trace, ts, sc),
+        "response": check_response_bounds(trace, wt, ts),
+        "reclaim": check_reclaim(trace, ts)}
+    assert all(rep.ok for rep in check_run(trace, ts, wt, sc).values())
+
+
+# ---------------------------------------------------------------------------
 # brute-force workload oracle
 
 
@@ -654,13 +730,24 @@ def equiv_set(seed):
     return _equiv_sets[seed]
 
 
+GHOST_STRETCH = 16  # ticks: no budget exceeds it when periods are at most 16
+
+
 def corrupt(events, how, pick):
     """A copy of events with one corruption of the job `pick` selects: its
     release moved one tick (later for pick >= 0, earlier otherwise), its
-    completion's rem flag flipped, its completion dropped, or its release
-    (pick >= 0) or arrival drop (otherwise, if there is one) duplicated."""
+    completion's rem flag flipped, its completion dropped, its release
+    (pick >= 0) or arrival drop (otherwise, if there is one) duplicated, or
+    a sched record holding its ghost slot stretched by GHOST_STRETCH."""
     events = list(events)
     if how == "none":
+        return events
+    if how == "stretch":
+        where = [i for i, ev in enumerate(events) if ev[0] == "sched"
+                 and any(slot[0] == "G" for slot in ev[4])]
+        i = where[abs(pick) % len(where)]
+        ev = events[i]
+        events[i] = ev[:3] + (ev[3] + GHOST_STRETCH,) + ev[4:]
         return events
     if how == "dup":
         where = [i for i, ev in enumerate(events)
@@ -703,10 +790,64 @@ def test_checkers_match_linear_scan_references(set_seed, sc_seed, protocol,
     assert len(intervals) >= 12  # dozens, so that bisection has work to do
     for x in [s + d for s, _, _ in intervals for d in (0, -1)] + [trace.horizon]:
         assert level_at(intervals, x) == ref_level_at(intervals, x), x
-    assert check_feasibility(trace, ts) == ref_feasibility(trace, ts)
-    assert check_periodicity(trace, ts, sc) == ref_periodicity(trace, ts, sc)
-    assert (check_response_bounds(trace, res.wcrt_table, ts)
-            == ref_response_bounds(trace, res.wcrt_table, ts))
+    feas = check_feasibility(trace, ts)
+    per = check_periodicity(trace, ts, sc)
+    resp = check_response_bounds(trace, res.wcrt_table, ts)
+    assert feas == ref_feasibility(trace, ts)
+    assert per == ref_periodicity(trace, ts, sc)
+    assert resp == ref_response_bounds(trace, res.wcrt_table, ts)
+    # every shift and dup fails periodicity, every flip feasibility; a drop
+    # can go unseen (a spanning or relegated job), a clean run passes
+    if how in ("shift", "dup"):
+        assert not per.ok
+    elif how == "flip":
+        assert not feas.ok
+    elif how == "none":
+        assert feas.ok and per.ok and resp.ok
+    # one shared index gives the same reports
+    reports = {"feasibility": feas, "periodicity": per, "response": resp}
+    if protocol == "wcet-reclaim":
+        reports["reclaim"] = check_reclaim(trace, ts)
+    got = check_run(trace, ts, res.wcrt_table, sc)
+    assert got == reports and list(got) == list(reports)
+
+
+# single-processor sets, where ghost slots host rem-jobs most often
+GHOST_PARAMS = GenParams(n_tasks=4, levels=2, total_util=0.6, m=1,
+                         period_range=(8, 16), ensure_overrunnable=True)
+
+
+def test_stretched_ghost_fails_reclaim():
+    with_ghosts = 0
+    for seed in range(1, 200):
+        try:
+            ts, platform = gen_taskset(GHOST_PARAMS, seed)
+        except Infeasible:
+            continue
+        res = opa_assign(ts, platform.m)
+        if not res.schedulable:
+            continue
+        horizon = 20 * max(t.T for t in ts.tasks)
+        for sc_seed in range(10):
+            sc = gen_scenario(ts, horizon, sc_seed, exec_model="basic")
+            clean = simulate(ts, platform, res.assignment, res.wcrt_table, sc,
+                             ProtocolConfig("wcet-reclaim"))
+            rep = check_reclaim(clean, ts)
+            assert rep.ok, (seed, sc_seed, rep.violations)
+            if not rep.checked:
+                continue  # no ghost slot hosted a rem-job
+            with_ghosts += 1
+            for pick in (0, 5, -2):
+                trace = Trace(corrupt(clean.events, "stretch", pick),
+                              clean.horizon, clean.m, clean.levels,
+                              clean.protocol, clean.rem_order)
+                rep = check_reclaim(trace, ts)
+                assert rep.violations, (seed, sc_seed, pick)
+                assert {v[0] for v in rep.violations} == {"ReclaimOverBudget"}
+                assert check_run(trace, ts)["reclaim"] == rep
+        if with_ghosts >= 8:
+            break
+    assert with_ghosts >= 8
 
 
 def test_periodicity_counts_repeats_like_reference():
@@ -737,6 +878,23 @@ def test_periodicity_counts_repeats_like_reference():
         ("FabricatedDrop", 2, 9, "arrival drop without a scenario arrival"),
         ("FabricatedDrop", 1, 7, "arrival drop without a scenario arrival"),
     ]
+
+
+def test_periodicity_counts_release_then_arrival_drop():
+    # job (2, 1) is released, then its arrival is dropped as well
+    ts = two_crit_set()
+    trace = mk_trace([
+        ("release", 0, 1, 1, 1, 10),
+        ("release", 0, 1, 2, 1, 10),
+        ("job_dropped", 0, 1, 2, 1, "suspended_arrival"),
+        ("release", 10, 1, 1, 2, 20),
+        ("release", 10, 1, 2, 2, 20),
+    ], horizon=20)
+    sc = periodic_scenario(ts)
+    rep = check_periodicity(trace, ts, sc)
+    assert rep == ref_periodicity(trace, ts, sc)
+    assert rep.violations == [("ArrivalMultiplicity", 2, 1,
+                               "1 releases and 1 arrival drops")]
 
 
 @pytest.mark.parametrize("horizon", [0, 10, 20, 25])
