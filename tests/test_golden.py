@@ -20,7 +20,7 @@ import io
 
 import pytest
 
-from mcsched import cli, gen, sim
+from mcsched import analysis, cli, gen, sim
 from mcsched.model import Scenario, validate_scenario
 
 HORIZON = 400
@@ -327,3 +327,35 @@ def test_experiment_csv_bytes():
     out = io.StringIO()
     cli.run_experiment(EXPERIMENT_SPEC, out)
     assert _digest(out.getvalue()) == EXPERIMENT_DIGEST
+
+
+# (levels, utilization per processor): the bench's two opa-large regimes,
+# all schedulable and all unschedulable, and one near the boundary
+ANALYSIS_REGIMES = ((2, 0.30), (3, 0.80), (3, 0.55))
+ANALYSIS_SIZES = (4, 8, 16, 32, 64)  # m = max(1, n / 4)
+ANALYSIS_DIGEST = "22cc88827b1b586018b30cad63bd3e4bc1cbdecf89bcf8559fe598278a30afdc"
+
+
+def _analysis_doc(res):
+    ranks = sorted(res.assignment.ranks.items()) if res.schedulable else []
+    return [res.schedulable, ranks, sorted(res.wcrt_table.items()),
+            list(res.witness)]
+
+
+def test_analysis_bytes():
+    docs = []
+    for n in ANALYSIS_SIZES:
+        m = max(1, n // 4)
+        for levels, per_proc in ANALYSIS_REGIMES:
+            params = gen.GenParams(n_tasks=n, levels=levels,
+                                   total_util=per_proc * m, m=m)
+            for seed in range(3):
+                ts, _ = gen.gen_taskset(params, seed)
+                for cap in (True, False):
+                    docs.append(_analysis_doc(analysis.opa_assign(ts, m, cap)))
+    ts, _ = gen.gen_taskset(gen.GenParams(n_tasks=16, levels=3,
+                                          total_util=2.2, m=4), 1)
+    order = sorted((t.id for t in ts.tasks), key=lambda tid: -tid)
+    docs.append(_analysis_doc(analysis.opa_assign(ts, 4, order=order)))
+    assert sum(doc[0] for doc in docs) not in (0, len(docs))
+    assert _digest(repr(docs)) == ANALYSIS_DIGEST
