@@ -28,6 +28,7 @@ from .analysis import (
     Divergent,
     InterferenceBound,
     PriorityAssignment,
+    dm_fallback,
     interfering_bounds,
     opa_assign,
     total_interfering,

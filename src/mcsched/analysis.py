@@ -18,16 +18,27 @@ sound upper bounds on any legal sporadic release pattern; the test suite
 checks them against an exhaustive oracle rather than trusting the algebra.
 
 workload_nc, workload_ci and interfering_bounds are the readable per-term
-definition. wcrt and total_interfering evaluate the same total through one
+definition. Every fixed point (wcrt, opa_assign, dm_fallback) runs through
+one routine, _response, and each iterate evaluates the total through one
 integer kernel, _window_total, over plain (T_j, C_j(l)) pairs, with no
-object per term; tests/test_analysis.py checks the kernel against a
-reference fixed point built from interfering_bounds.
+object per term; tests/test_analysis.py checks both against a reference
+fixed point built from interfering_bounds.
+
+Closed-form first iterate. With the cap and C_i(l) >= 1 the first iterate
+is R1 = C_i(l) + floor(#{j : C_j(l) >= 1} / m). Proof: on the window
+D = C_i(l) the cap D - C_i(l) + 1 is 1, and a window of length C_i(l) >= 1
+holds at least one tick of every task with C_j(l) >= 1, so each such term
+is exactly 1 with no carry-in surcharge and each zero-budget term is 0.
+Without the cap, or with C_i(l) = 0, the first iterate goes through the
+kernel like the rest.
 
 Priority assignment uses Audsley's lowest-priority-first greedy search. A
 task can take the lowest remaining rank iff R_i(l) <= D_i for every level
 l <= L_i with all other remaining tasks as higher-priority interference.
 The test depends only on that set, never on its internal order, so the
-verdict is independent of candidate examination order.
+verdict is independent of candidate examination order. The search keeps
+one term table per level over the remaining tasks; a candidate's terms are
+that row without its own entry, and a placed task leaves every row.
 """
 
 from __future__ import annotations
@@ -155,27 +166,47 @@ def total_interfering(ti: MCTask, hp: list[MCTask], delta: int, level: int,
     return _window_total(terms, limit, delta, m - 1)
 
 
-def wcrt(ti: MCTask, hp: list[MCTask], level: int, m: int,
-         cap: bool = True) -> int:
-    """Least fixed point of the response-time recurrence, or Divergent.
-
-    Iterates from C_i(level); each step is monotone, so the first repeat is
-    the least fixed point. Any iterate past D_i aborts.
-    """
-    if level > ti.L:
-        raise ValueError(f"level {level} above task criticality {ti.L}")
-    c = ti.wcet(level)
-    terms = _terms(ti, hp, level)
-    d = ti.D
+def _response(terms: list[tuple[int, int]], c: int, d: int, m: int,
+              cap: bool, busy: int | None = None) -> int:
+    """Least fixed point of R = c + floor(total / m) over the terms, or the
+    first iterate past d. Iterates from c; each step is monotone, so the
+    first repeat is the least fixed point. With the cap and c >= 1 the first
+    iterate is c + busy // m, busy counting the terms with C_j >= 1
+    (counted here when None)."""
     r = c
-    while True:
-        if r > d:
-            raise Divergent(f"task {ti.id!r} level {level}: iterate {r} > D={d}")
-        limit = r - c + 1 if cap else r  # r >= c throughout
-        nxt = c + _window_total(terms, limit, r, m - 1) // m
+    if cap and 0 < c <= d:
+        if busy is None:
+            busy = sum(1 for _, cj in terms if cj > 0)
+        r = c + busy // m
+        if r == c:
+            return r
+    while r <= d:
+        nxt = c + _window_total(terms, r - c + 1 if cap else r, r, m - 1) // m
         if nxt == r:
             return r
         r = nxt
+    return r
+
+
+def _rows(tasks: list[MCTask]) -> list[list[tuple[int, int]]]:
+    """Term table: for each level l, (T_j, C_j(l)) of every task in order;
+    a budget vector shorter than the table stays constant past its end."""
+    levels = max((t.L for t in tasks), default=0)
+    return [[(t.T, t.C[lv] if lv < len(t.C) else t.C[-1]) for t in tasks]
+            for lv in range(levels)]
+
+
+def wcrt(ti: MCTask, hp: list[MCTask], level: int, m: int,
+         cap: bool = True) -> int:
+    """Least fixed point of the response-time recurrence, or Divergent
+    when an iterate passes D_i."""
+    if level > ti.L:
+        raise ValueError(f"level {level} above task criticality {ti.L}")
+    c = ti.wcet(level)
+    r = _response(_terms(ti, hp, level), c, ti.D, m, cap)
+    if r > ti.D:
+        raise Divergent(f"task {ti.id!r} level {level}: iterate {r} > D={ti.D}")
+    return r
 
 
 @dataclass(frozen=True)
@@ -205,22 +236,6 @@ class AnalysisResult:
     witness: tuple = field(default_factory=tuple)
 
 
-def _passes_at_lowest(task: MCTask, others: list[MCTask], m: int,
-                      cap: bool) -> dict | None:
-    """R values for every level of `task` at the lowest priority among
-    `others`, or None if any level fails."""
-    rs: dict = {}
-    for level in range(1, task.L + 1):
-        try:
-            r = wcrt(task, others, level, m, cap)
-        except Divergent:
-            return None
-        if r > task.D:
-            return None
-        rs[(task.id, level)] = r
-    return rs
-
-
 def opa_assign(ts: TaskSet, m: int, cap: bool = True,
                order: list | None = None) -> AnalysisResult:
     """Audsley's optimal priority assignment.
@@ -234,28 +249,47 @@ def opa_assign(ts: TaskSet, m: int, cap: bool = True,
     if order is None:
         order = sorted((t.id for t in ts.tasks), key=id_key)
     by_id = {t.id: t for t in ts.tasks}
-    remaining = list(order)
-    ranks: dict = {}
-    table: dict = {}
+    remaining = [by_id[tid] for tid in order]
+    rows = _rows(remaining)
+    busy = [sum(1 for _, c in row if c > 0) for row in rows]  # C_j >= 1
+    ranks, table = {}, {}
     for rank in range(len(remaining), 0, -1):
-        placed = None
-        for tid in remaining:
-            task = by_id[tid]
-            others = [by_id[o] for o in remaining if o != tid]
-            rs = _passes_at_lowest(task, others, m, cap)
-            if rs is not None:
-                placed = tid
-                ranks[tid] = rank
-                table.update(rs)
+        for i, task in enumerate(remaining):
+            rs = {}
+            for lv in range(task.L):  # the row without task's own entry
+                row = rows[lv]
+                c = row[i][1]
+                r = _response(row[:i] + row[i + 1:], c, task.D, m, cap,
+                              busy[lv] - (c > 0))
+                if r > task.D:
+                    break
+                rs[(task.id, lv + 1)] = r
+            else:  # every level fits at the lowest remaining rank
                 break
-        if placed is None:
-            witness = tuple(sorted(remaining, key=id_key))
+        else:
+            witness = tuple(sorted((t.id for t in remaining), key=id_key))
             return AnalysisResult(schedulable=False, assignment=None,
                                   wcrt_table={}, witness=witness)
-        remaining.remove(placed)
+        ranks[task.id] = rank
+        table.update(rs)
+        del remaining[i]
+        for lv, row in enumerate(rows):
+            busy[lv] -= row.pop(i)[1] > 0
     return AnalysisResult(schedulable=True,
                           assignment=PriorityAssignment(ranks=ranks),
                           wcrt_table=table)
+
+
+def dm_fallback(ts: TaskSet, m: int,
+                cap: bool = True) -> tuple[PriorityAssignment, dict]:
+    """Deadline-monotonic ranks with per-level bounds clamped to deadlines,
+    for forced simulation of sets the analysis rejects."""
+    order = sorted(ts.tasks, key=lambda t: (t.D, id_key(t.id)))
+    rows = _rows(order)
+    wt = {(task.id, lv + 1): min(_response(rows[lv][:i], rows[lv][i][1],
+                                           task.D, m, cap), task.D)
+          for i, task in enumerate(order) for lv in range(task.L)}
+    return PriorityAssignment({t.id: i + 1 for i, t in enumerate(order)}), wt
 
 
 def uniprocessor_rta(task: MCTask, hp: list[MCTask], level: int) -> int:

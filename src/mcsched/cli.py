@@ -60,30 +60,12 @@ def cmd_analyze(args) -> int:
     return 0 if res.schedulable else 1
 
 
-def _dm_fallback(ts, m, cap):
-    """Deadline-monotonic ranks with per-level bounds clamped to deadlines,
-    for forced simulation of sets the analysis rejects."""
-    order = sorted(ts.tasks, key=lambda t: (t.D, id_key(t.id)))
-    pa = analysis.PriorityAssignment(
-        {t.id: i + 1 for i, t in enumerate(order)})
-    wt = {}
-    for i, task in enumerate(order):
-        hp = order[:i]
-        for lv in range(1, task.L + 1):
-            try:
-                wt[(task.id, lv)] = analysis.wcrt(task, hp, lv, m, cap=cap)
-            except analysis.Divergent:
-                wt[(task.id, lv)] = task.D
-    return pa, wt
-
-
 def _prepare_run(ts, platform, cap, force):
     res = analysis.opa_assign(ts, platform.m, cap=cap)
     if res.schedulable:
         return res.assignment, res.wcrt_table, res
     if force:
-        pa, wt = _dm_fallback(ts, platform.m, cap)
-        return pa, wt, res
+        return (*analysis.dm_fallback(ts, platform.m, cap), res)
     return None, None, res
 
 
@@ -281,7 +263,10 @@ def run_experiment(spec: dict, out_fh) -> dict:
 def cmd_experiment(args) -> int:
     try:
         with open(args.spec, encoding="utf-8") as fh:
-            spec = json.load(fh)
+            try:
+                spec = json.load(fh)
+            except RecursionError:
+                raise FormatError("experiment spec is nested too deep") from None
         if args.out:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
                 summary = run_experiment(spec, fh)

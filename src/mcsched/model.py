@@ -356,6 +356,8 @@ def _load_json(source: str | IO[str]) -> dict:
             return json.load(fh)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise FormatError("bad JSON: nested too deep") from None
 
 
 def load_taskset(source: str | IO[str]) -> tuple[TaskSet, Platform]:

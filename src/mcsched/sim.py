@@ -310,6 +310,8 @@ def trace_from_jsonl(text: str) -> Trace:
             rec, end = _decode(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"trace line {lineno}: {exc.msg}") from exc
+        except RecursionError:
+            raise ValueError(f"trace line {lineno}: nested too deep") from None
         if end < len(line):
             raise ValueError(f"trace line {lineno}: extra data after the record")
         if not isinstance(rec, dict):

@@ -2,9 +2,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsched.analysis import (Divergent, SameTask, interfering_bounds,
-                              opa_assign, total_interfering, uniprocessor_rta,
-                              wcrt, workload_ci, workload_nc)
+from mcsched.analysis import (AnalysisResult, Divergent, PriorityAssignment,
+                              SameTask, _response, _terms, dm_fallback,
+                              interfering_bounds, opa_assign,
+                              total_interfering, uniprocessor_rta, wcrt,
+                              workload_ci, workload_nc)
 from mcsched.model import MCTask, TaskSet, id_key
 
 
@@ -299,3 +301,123 @@ def test_opa_single_task():
     res = opa_assign(ts, m=1)
     assert res.schedulable
     assert res.wcrt_table[(1, 1)] == 5
+
+
+def reference_opa(ts, m, cap, order=None, rt=wcrt):
+    """The plain Audsley search: rt for every candidate and level against
+    a fresh list of the other remaining tasks."""
+    if order is None:
+        order = sorted((t.id for t in ts.tasks), key=id_key)
+    by_id = {t.id: t for t in ts.tasks}
+    remaining = list(order)
+    ranks, table = {}, {}
+    for rank in range(len(remaining), 0, -1):
+        for tid in remaining:
+            task = by_id[tid]
+            others = [by_id[o] for o in remaining if o != tid]
+            rs = {}
+            for level in range(1, task.L + 1):
+                try:
+                    rs[(tid, level)] = rt(task, others, level, m, cap)
+                except Divergent:
+                    break
+            else:
+                ranks[tid] = rank
+                table.update(rs)
+                remaining.remove(tid)
+                break
+        else:
+            return AnalysisResult(schedulable=False, assignment=None,
+                                  wcrt_table={},
+                                  witness=tuple(sorted(remaining, key=id_key)))
+    return AnalysisResult(schedulable=True,
+                          assignment=PriorityAssignment(ranks=ranks),
+                          wcrt_table=table)
+
+
+def reference_dm(ts, m, cap):
+    order = sorted(ts.tasks, key=lambda t: (t.D, id_key(t.id)))
+    wt = {}
+    for i, task in enumerate(order):
+        for lv in range(1, task.L + 1):
+            try:
+                wt[(task.id, lv)] = wcrt(task, order[:i], lv, m, cap)
+            except Divergent:
+                wt[(task.id, lv)] = task.D
+    return PriorityAssignment({t.id: i + 1 for i, t in enumerate(order)}), wt
+
+
+@st.composite
+def opa_case(draw):
+    """A task set of 1 to 7 tasks with int and str ids, 1 to 4 levels and
+    budgets from 0 (which MCTask accepts and validate_taskset does not), m
+    from 1 to n+1 and either the default or a drawn candidate order."""
+    levels = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.one_of(st.integers(0, 9),
+                                  st.sampled_from(["0", "1", "a", "b"])),
+                        min_size=1, max_size=7, unique=True))
+    tasks = []
+    for tid in ids:
+        T = draw(st.integers(2, 30))
+        D = draw(st.integers(max(1, T // 2), T))
+        L = draw(st.integers(1, levels))
+        c = sorted(draw(st.lists(st.integers(0, max(1, D // 2)),
+                                 min_size=L, max_size=L)))
+        tasks.append(MCTask(id=tid, T=T, D=D, L=L,
+                            C=tuple(c + [c[-1]] * (levels - L))))
+    ts = TaskSet(tasks=tuple(tasks), levels=levels)
+    m = draw(st.integers(1, len(ids) + 1))
+    order = draw(st.one_of(st.none(), st.permutations(ids)))
+    return ts, m, order
+
+
+@given(case=opa_case())
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_opa_matches_candidate_by_candidate_search(case):
+    ts, m, order = case
+    for cap in (True, False):
+        got = opa_assign(ts, m, cap, order)
+        assert got == reference_opa(ts, m, cap, order)
+        assert got == reference_opa(ts, m, cap, order, rt=reference_wcrt)
+        assert dm_fallback(ts, m, cap) == reference_dm(ts, m, cap)
+
+
+def test_zero_budget_interferer_adds_nothing():
+    # C = D: one extra tick in the first iterate would miss the deadline
+    ti = lo(1, T=10, D=5, C=5)
+    idle = lo(2, T=4, D=4, C=0)
+    for cap in (True, False):
+        assert wcrt(ti, [idle], 1, m=1, cap=cap) == 5
+        res = opa_assign(TaskSet(tasks=(ti, idle), levels=1), 1, cap)
+        assert res.schedulable
+        assert res.wcrt_table == {(1, 1): 5, (2, 1): 0}
+
+
+def test_opa_accepts_unpadded_budget_vectors():
+    # hand-built: task 1's C stops at its own level although the set has 2
+    ts = TaskSet(tasks=(lo(1, T=10, D=10, C=2),
+                        MCTask(id=2, T=10, D=10, L=2, C=(2, 3))), levels=2)
+    res = opa_assign(ts, m=1)
+    assert res == reference_opa(ts, 1, True)
+    assert res.wcrt_table == {(1, 1): 4, (2, 1): 2, (2, 2): 3}
+
+
+@pytest.mark.parametrize("cap", [True, False])
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_response_routine_over_deadline_budget(cap, m):
+    """C_i > D_i: wcrt raises Divergent and the shared routine returns the
+    first iterate, C_i itself, past the deadline; opa_assign and the DM
+    fallback agree."""
+    ti = MCTask(id="x", T=10, D=4, L=2, C=(3, 5))
+    hp = [MCTask(id=1, T=6, D=6, L=1, C=(1, 1)),
+          MCTask(id=2, T=9, D=9, L=1, C=(0, 0))]
+    assert wcrt(ti, hp, 1, m, cap) == _response(
+        _terms(ti, hp, 1), 3, 4, m, cap)
+    with pytest.raises(Divergent, match="iterate 5 > D=4"):
+        wcrt(ti, hp, 2, m, cap)
+    assert _response(_terms(ti, hp, 2), 5, 4, m, cap) == 5
+    ts = TaskSet(tasks=(ti, *hp), levels=2)
+    res = opa_assign(ts, m, cap)
+    assert res == reference_opa(ts, m, cap)
+    assert "x" in res.witness
+    assert dm_fallback(ts, m, cap)[1][("x", 2)] == 4

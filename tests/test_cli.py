@@ -1,12 +1,18 @@
+import functools
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mcsched.cli import CSV_HEADER, main
+from mcsched import gen
+from mcsched.cli import CSV_HEADER, _prepare_run, main
 from mcsched.model import (MCTask, Platform, Scenario, TaskSet,
                            dump_scenario, dump_taskset, load_taskset)
+from mcsched.sim import (PROTOCOLS, ProtocolConfig, Trace, simulate,
+                         trace_from_jsonl)
 
 
 @pytest.fixture
@@ -62,12 +68,19 @@ def test_analyze_unschedulable_prints_witness(heavy_ts, capsys):
     assert out["witness"] == [1, 2]
 
 
+DEEP = "[" * 100_000  # past the JSON decoder's recursion limit
+MALFORMED_TASKSETS = ("{not json", DEEP)
+
+
 def test_analyze_malformed_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    rc = main(["analyze", "--taskset", str(bad)])
-    capsys.readouterr()
-    assert rc == 2
+    for text in MALFORMED_TASKSETS:
+        bad.write_text(text)
+        for argv in (["analyze"], ["check", "--trace", str(bad)]):
+            rc = main([*argv, "--taskset", str(bad)])
+            err = capsys.readouterr().err
+            assert rc == 2
+            assert err.startswith("error: bad JSON")
 
 
 def test_simulate_refuses_unschedulable_without_force(heavy_ts, tmp_path, capsys):
@@ -276,7 +289,7 @@ META_LINE = ('{"t":0,"kind":"meta","horizon":40,"m":1,"levels":2,'
              '"protocol":"drop","rem_order":"crit-edf"}')
 
 
-@pytest.mark.parametrize("text", [
+MALFORMED_TRACES = [
     META_LINE + '\n{"t":0,"kind":"release","task":1,"k":1,"mode":1}\n',
     META_LINE + '\n[1,2,3]\n',
     '{"t":0,"kind":"meta","horizon":40,"levels":2,"protocol":"drop",'
@@ -289,9 +302,14 @@ META_LINE = ('{"t":0,"kind":"meta","horizon":40,"m":1,"levels":2,'
     META_LINE + '\n{"t":"x","kind":"release","task":1,"k":1,"mode":1,"d":8}\n',
     META_LINE + '\n{"t":0,"kind":"release","task":1,"k":1,"mode":1,"d":"8"}\n',
     META_LINE + '\n{"t":0,"kind":"re_enabled","mode":1,"tasks":[[1]]}\n',
-], ids=["release-without-d", "array-line", "meta-without-m", "unknown-kind",
-        "unhashable-kind", "dispatch-without-proc", "extra-data",
-        "string-time", "string-deadline", "tasks-nested"])
+    META_LINE + '\n' + DEEP + '\n',
+]
+
+
+@pytest.mark.parametrize("text", MALFORMED_TRACES, ids=[
+    "release-without-d", "array-line", "meta-without-m", "unknown-kind",
+    "unhashable-kind", "dispatch-without-proc", "extra-data", "string-time",
+    "string-deadline", "tasks-nested", "deep-nesting"])
 def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
     _, path = sched_ts
     trace_path = tmp_path / "trace.jsonl"
@@ -300,6 +318,77 @@ def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: trace line ")
+
+
+@functools.lru_cache(maxsize=None)
+def valid_traces() -> tuple:
+    """One short generated trace per protocol, with an overrun and a level
+    decrease request, so every line kind appears."""
+    params = gen.GenParams(n_tasks=4, levels=2, total_util=1.2, m=2,
+                           period_range=(8, 12), ensure_overrunnable=True)
+    ts, platform = gen.gen_taskset(params, 3)
+    pa, wt, _ = _prepare_run(ts, platform, True, True)
+    return tuple(
+        simulate(ts, platform, pa, wt,
+                 gen.gen_scenario(ts, 40, i, exec_model="overrun",
+                                  dmcr_plan=((20, 1),)),
+                 ProtocolConfig(protocol)).to_jsonl()
+        for i, protocol in enumerate(PROTOCOLS))
+
+
+FUZZ_CHARS = '{}[]":,-.0123456789eEtrufalsn \n\\'
+FUZZ_VALUES = [None, True, -1, 1.5, 10**20, "x", "", [], [[1]], {}, {"t": 0}]
+
+
+@st.composite
+def fuzzed_trace(draw):
+    """A valid or malformed trace with one to three edits: characters
+    deleted or inserted, two lines swapped, a field given another JSON type,
+    or brackets nested into a line."""
+    text = draw(st.sampled_from(valid_traces() + tuple(MALFORMED_TRACES)))
+    for _ in range(draw(st.integers(1, 3))):
+        edit = draw(st.sampled_from(["delete", "insert", "swap", "retype",
+                                     "nest"]))
+        lines = text.split("\n")
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "delete":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + text[at + draw(st.integers(1, 8)):]
+        elif edit == "insert":
+            at = draw(st.integers(0, len(text)))
+            text = text[:at] + draw(st.text(FUZZ_CHARS, min_size=1,
+                                             max_size=8)) + text[at:]
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+        elif edit == "retype":
+            try:
+                rec = json.loads(lines[i])
+            except (ValueError, RecursionError):
+                continue
+            if isinstance(rec, dict) and rec:
+                rec[draw(st.sampled_from(sorted(rec)))] = draw(
+                    st.sampled_from(FUZZ_VALUES))
+                lines[i] = json.dumps(rec, separators=(",", ":"))
+                text = "\n".join(lines)
+        else:
+            at = draw(st.integers(0, len(lines[i])))
+            depth = draw(st.sampled_from([1, 2, 100_000]))
+            closing = "]" * depth if draw(st.booleans()) else ""
+            lines[i] = lines[i][:at] + "[" * depth + lines[i][at:] + closing
+            text = "\n".join(lines)
+    return text
+
+
+@given(text=fuzzed_trace())
+@settings(max_examples=600, deadline=None, derandomize=True)
+def test_trace_reader_fuzz_raises_only_value_error(text):
+    try:
+        trace = trace_from_jsonl(text)
+    except ValueError:
+        return
+    assert isinstance(trace, Trace)
 
 
 def test_generate_taskset_roundtrip(tmp_path, capsys):
@@ -405,14 +494,15 @@ GEN = {"n_tasks": 4, "levels": 2, "total_util": 0.7}
     {"gen": GEN, "force": "no"},
     {"gen": GEN, "no_cap": True},
     {"gen": GEN, "senarios": 3},
+    DEEP,
 ], ids=["unknown-gen-key", "missing-gen-key", "not-an-object", "list-seed",
         "string-scenarios", "float-horizon", "int-request", "long-request",
         "string-protocols", "nested-protocols", "list-rem-order",
         "int-exec-model", "list-taskset", "force-string", "no-cap",
-        "unknown-key"])
+        "unknown-key", "deep-nesting"])
 def test_experiment_malformed_spec_is_input_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     rc = main(["experiment", "--spec", str(spec_path)])
     err = capsys.readouterr().err
     assert rc == 2
