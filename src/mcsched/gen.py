@@ -11,7 +11,7 @@ local moves until the realized utilization sits within 0.01 of the target.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .model import (MCTask, Platform, Scenario, TaskSet, ValidationError,
                     validate_scenario, validate_taskset)
@@ -105,7 +105,17 @@ class GenParams:
     max_attempts: int = 64
     ensure_overrunnable: bool = False  # require some task able to trip level 1
 
+    # the JSON types a field of each annotation takes (a bool is no number)
+    _TYPES = {"int": (int,), "float": (int, float), "bool": (bool,),
+              "tuple[int, int]": (tuple, list)}
+
     def __post_init__(self):
+        for f in fields(self):
+            value, types = getattr(self, f.name), self._TYPES[f.type]
+            if type(value) not in types or (types[0] is tuple and (
+                    len(value) != 2 or {type(x) for x in value} != {int})):
+                raise TypeError(f"{f.name} must be of type {f.type}, "
+                                f"got {value!r}")
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be positive")
         if self.levels < 1:

@@ -505,7 +505,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
 
     while True:
         # ---- completions (execution was credited before the jump here) ----
-        completions: dict = {}
+        completions = None  # task id -> jobs completed at t, if any
         for code, job, ghost in running:
             if job.f is not None or job.executed < job.c:
                 continue
@@ -520,6 +520,8 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             pending.remove(job)
             if not pending:
                 ready.remove(job.st)
+            if completions is None:
+                completions = {}
             completions.setdefault(job.tid, []).append(job)
             if reclaiming and rem_pool:
                 budget = job.C[level - 1]
@@ -596,7 +598,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         # ---- chain qualification ----
         if chain is not None:
             tasks_, cursor, target = chain
-            while cursor < len(tasks_):
+            while completions is not None and cursor < len(tasks_):
                 adv = None
                 for job in completions.get(tasks_[cursor], ()):
                     if t <= job.r + wt[(tasks_[cursor], target)]:
@@ -648,6 +650,8 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         # ---- dispatch ----
         # the m highest enabled heads and ghosts, then rem-jobs by rem
         # order; the rem-jobs not dispatched directly are the ghosts' hosts
+        slots = []
+        running = []
         if ghosts:
             band = [((st.rank, st.pending[0].k, 0), "J", st.pending[0], None)
                     for st in ready[:m]]
@@ -655,8 +659,13 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             band.sort(key=itemgetter(0))
             selected = [entry[1:] for entry in band[:m]]
         else:
-            selected = [("J", st.pending[0], None) for st in ready[:m]]
-        free = m - len(selected)
+            # a plain loop: no per-step comprehension call or list to copy
+            selected = ()
+            for st in ready[:m]:
+                job = st.pending[0]
+                slots.append(("J", job.tid, job.k))
+                running.append(("J", job, None))
+        free = m - len(selected) - len(running)
         rem_eligible = ()
         if rem_pool and (free or ghosts):
             front: dict = {}
@@ -666,8 +675,6 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                     front[job.tid] = job
             rem_eligible = sorted(front.values(), key=rem_key)
         hi = free
-        slots = []
-        running = []
         for code, job, g in selected:
             if code == "J":
                 slots.append(("J", job.tid, job.k))

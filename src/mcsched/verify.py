@@ -5,8 +5,12 @@ the declared inputs; nothing trusts the simulator's own bookkeeping beyond
 the events themselves. The rem marker on completions is cross-validated
 against the reconstructed level timeline, so a simulator bug that mislabels
 a job shows up as a violation rather than silently excusing a deadline miss.
-The woken list on re-enables is not checked. `check_run` indexes a trace
-once and runs every checker that applies on that one index.
+The woken list on re-enables is not checked. Each checker indexes the
+trace in one scan that builds the level intervals and only the per-job maps
+it reads: feasibility each job's last release, completion and drop reason;
+periodicity its last release and arrival drop, and the jobs seen twice;
+response the completions; reclaim the sched records and last completions.
+`check_run` builds one full index and runs every checker that applies on it.
 
 The timeline is the list of maximal half-open intervals [s, e) with constant
 system level. Trace events are in time order, so the intervals are
@@ -85,49 +89,63 @@ def _suspension_starts(intervals, crit: int) -> list[int]:
     return starts
 
 
-class _Index:
-    """What the checkers read of one trace, in one pass over its events.
-    Jobs are keyed by (task, k), in the order of their first sighting."""
+# the maps of an _Index that each checker reads
+_FEASIBILITY = frozenset({"releases", "completes", "dropped"})
+_PERIODICITY = frozenset({"releases", "arrival_drops", "repeats"})
+_RESPONSE = frozenset({"completions"})
+_RECLAIM = frozenset({"completes", "scheds"})
+_ALL = _FEASIBILITY | _PERIODICITY | _RESPONSE | _RECLAIM
 
-    def __init__(self, trace: Trace):
+
+class _Index:
+    """The level intervals, their starts and the maps named in `reads` of
+    one trace, from one scan (any other map is None, repeats empty). Jobs
+    are keyed by (task, k); repeats holds [releases, arrival drops]."""
+
+    def __init__(self, trace: Trace, reads: frozenset):
         self.horizon = trace.horizon
         transitions = [(0, 1)]
-        releases = self.releases = {}  # job -> its last release
-        drops = self.arrival_drops = {}  # job -> its last suspended-arrival drop
+        want = reads.__contains__
+        releases = self.releases = {} if want("releases") else None
+        drops = self.arrival_drops = {} if want("arrival_drops") else None
+        dropped = self.dropped = {} if want("dropped") else None
+        completes = self.completes = {} if want("completes") else None
+        completions = self.completions = [] if want("completions") else None
+        scheds = self.scheds = [] if want("scheds") else None
         sightings = 0  # releases and arrival drops
-        dropped = self.dropped = {}  # job -> the reason of its last drop
-        completes = self.completes = {}  # job -> its last completion
-        completions = self.completions = []  # every completion, in order
-        scheds = self.scheds = []  # every sched record, in order
         for ev in trace.events:
             kind = ev[0]
             if kind == "sched":
-                scheds.append(ev)
+                if scheds is not None:
+                    scheds.append(ev)
             elif kind == "release":
-                releases[(ev[3], ev[4])] = ev
-                sightings += 1
+                if releases is not None:
+                    releases[(ev[3], ev[4])] = ev
+                    sightings += 1
             elif kind == "complete":
-                completes[(ev[3], ev[4])] = ev
-                completions.append(ev)
+                if completes is not None:
+                    completes[(ev[3], ev[4])] = ev
+                if completions is not None:
+                    completions.append(ev)
             elif kind == "job_dropped":
-                key = (ev[3], ev[4])
-                dropped[key] = ev[5]
-                if ev[5] == "suspended_arrival":
-                    drops[key] = ev
+                if dropped is not None:
+                    dropped[(ev[3], ev[4])] = ev[5]
+                if drops is not None and ev[5] == "suspended_arrival":
+                    drops[(ev[3], ev[4])] = ev
                     sightings += 1
             elif kind in _LEVEL_CHANGES:
                 transitions.append((ev[1], ev[2]))
         self.intervals = _intervals(transitions, trace.horizon)
+        self.starts = [iv[0] for iv in self.intervals]
         counts: dict = {}  # a second pass only if some job was seen twice
-        if (sightings > len(releases) + len(drops)
-                or not drops.keys().isdisjoint(releases)):
+        if want("repeats") and (sightings > len(releases) + len(drops) or
+                                not drops.keys().isdisjoint(releases)):
             for ev in trace.events:
                 kind = ev[0]
                 if kind == "release" or (kind == "job_dropped"
                                          and ev[5] == "suspended_arrival"):
                     n = counts.setdefault((ev[3], ev[4]), [0, 0])
                     n[kind != "release"] += 1
-        # job seen more than once -> [releases, arrival drops]
         self.repeats = {key: n for key, n in counts.items() if sum(n) > 1}
 
 
@@ -148,7 +166,7 @@ def check_run(trace: Trace, ts: TaskSet, wt: dict | None = None,
     """The reports that apply to one run, from one index of its trace, in
     this order: "feasibility", "periodicity" given sc, "response" given the
     analysis table wt, and "reclaim" for a wcet-reclaim trace."""
-    ix = _Index(trace)
+    ix = _Index(trace, _ALL)
     reports = {"feasibility": _feasibility(ix, ts)}
     if sc is not None:
         reports["periodicity"] = _periodicity(ix, ts, sc)
@@ -178,7 +196,7 @@ def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
     the task actually suspended at the right moment. Incomplete jobs whose
     deadline lies beyond the horizon are counted as spanning, not judged.
     """
-    return _feasibility(_Index(trace), ts)
+    return _feasibility(_Index(trace, _FEASIBILITY), ts)
 
 
 def _feasibility(ix: _Index, ts: TaskSet) -> FeasibilityReport:
@@ -253,23 +271,25 @@ def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityRep
     """Releases follow the scenario arrivals exactly while the task is
     enabled; arrivals during suspension surface as dropped arrivals and
     nothing else is ever released."""
-    return _periodicity(_Index(trace), ts, sc)
+    return _periodicity(_Index(trace, _PERIODICITY), ts, sc)
 
 
 def _periodicity(ix: _Index, ts: TaskSet, sc: Scenario) -> PeriodicityReport:
     rep = PeriodicityReport()
     by_id = {t.id: t for t in ts.tasks}
     releases, drops, repeats = ix.releases, ix.arrival_drops, ix.repeats
-    seen = 0  # scenario arrivals with a release or an arrival drop
+    starts, intervals, horizon = ix.starts, ix.intervals, sc.horizon
+    checked = seen = 0  # arrivals judged; those with a release or a drop
     for tid, arrivals in sc.arrivals.items():
         task = by_id.get(tid)
         if task is None:
             continue
+        D, L = task.D, task.L
         for k, a in enumerate(arrivals, 1):
-            if a > sc.horizon:
+            if a > horizon:
                 continue
             key = (tid, k)
-            rep.checked += 1
+            checked += 1
             ev = releases.get(key) or drops.get(key)
             seen += ev is not None
             if ev is None or key in repeats:
@@ -278,29 +298,31 @@ def _periodicity(ix: _Index, ts: TaskSet, sc: Scenario) -> PeriodicityReport:
                     "ArrivalMultiplicity", tid, k,
                     f"{n[0]} releases and {n[1]} arrival drops"))
                 continue
-            lv = level_at(ix.intervals, a)
+            i = bisect_right(starts, a)  # as level_at
+            lv = intervals[i - 1 if i else 0][2]
             if ev[0] == "release":
                 if ev[1] != a:
                     rep.violations.append((
                         "ShiftedRelease", tid, k,
                         f"released at {ev[1]}, arrival at {a}"))
-                elif ev[5] != a + task.D:
+                elif ev[5] != a + D:
                     rep.violations.append((
                         "WrongDeadline", tid, k,
-                        f"deadline {ev[5]}, expected {a + task.D}"))
-                elif task.L < lv:
+                        f"deadline {ev[5]}, expected {a + D}"))
+                elif L < lv:
                     rep.violations.append((
                         "ReleaseWhileSuspended", tid, k,
-                        f"released at {a} at level {lv} > L={task.L}"))
+                        f"released at {a} at level {lv} > L={L}"))
             else:
                 if ev[1] != a:
                     rep.violations.append((
                         "ShiftedDrop", tid, k,
                         f"arrival drop at {ev[1]}, arrival at {a}"))
-                elif task.L >= lv:
+                elif L >= lv:
                     rep.violations.append((
                         "DropWhileEnabled", tid, k,
-                        f"arrival dropped at {a} at level {lv} <= L={task.L}"))
+                        f"arrival dropped at {a} at level {lv} <= L={L}"))
+    rep.checked = checked
 
     both = sum(1 for n in repeats.values() if n[0] and n[1])
     if seen < len(releases) + len(drops) - both:
@@ -334,12 +356,12 @@ def check_response_bounds(trace: Trace, wt: dict, ts: TaskSet) -> ResponseReport
     in force, judged only for jobs that start and finish inside one constant
     level interval (finishing exactly at a transition instant counts as
     inside, since completions are processed first)."""
-    return _response_bounds(_Index(trace), wt, ts)
+    return _response_bounds(_Index(trace, _RESPONSE), wt, ts)
 
 
 def _response_bounds(ix: _Index, wt: dict, ts: TaskSet) -> ResponseReport:
     rep = ResponseReport()
-    intervals = ix.intervals
+    intervals, starts = ix.intervals, ix.starts
     by_id = {t.id: t for t in ts.tasks}
     for ev in ix.completions:
         if ev[8]:
@@ -348,7 +370,7 @@ def _response_bounds(ix: _Index, wt: dict, ts: TaskSet) -> ResponseReport:
         task = by_id.get(tid)
         if task is None:
             continue
-        i = bisect_right(intervals, r, key=_start) - 1
+        i = bisect_right(starts, r) - 1
         if i < 0 or not r < intervals[i][1] or f > intervals[i][1]:
             rep.spanning += 1
             continue
@@ -380,7 +402,7 @@ def check_reclaim(trace: Trace, ts: TaskSet) -> ReclaimReport:
     A ghost of a job that never completed at a level of its task is a
     violation. wcrt-simulate ghosts follow another rule: do not judge them
     here."""
-    return _reclaim(_Index(trace), ts)
+    return _reclaim(_Index(trace, _RECLAIM), ts)
 
 
 def _reclaim(ix: _Index, ts: TaskSet) -> ReclaimReport:
@@ -517,15 +539,17 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
     interference_star: list[int] = []
     susp_start: dict = {}
     susp_delays: list[int] = []
-    idle_time = 0
+    sched_time = 0  # summed span of the sched records
     busy_time = 0
 
-    for ev in trace.events:
+    for ev in trace.events:  # the commonest kinds first
         kind = ev[0]
-        if kind == "deadline_miss":
-            misses_enabled += 1
-            if ev[5] >= 2:
-                misses_hi += 1
+        if kind == "sched":
+            span = ev[3] - ev[1]
+            sched_time += span
+            busy_time += span * len(ev[4])
+        elif kind == "release":
+            releases += 1
         elif kind == "complete":
             if ev[8]:
                 rem_completed += 1
@@ -535,6 +559,10 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
                 interference_star.append(f - r - c)
             else:
                 enabled_completed += 1
+        elif kind == "deadline_miss":
+            misses_enabled += 1
+            if ev[5] >= 2:
+                misses_hi += 1
         elif kind == "job_dropped":
             if ev[5] == "imcr":
                 rem_dropped += 1
@@ -542,8 +570,6 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
                 dropped_arrivals += 1
         elif kind == "chain_aborted":
             chain_aborts += 1
-        elif kind == "release":
-            releases += 1
         elif kind == "budget_exceeded":
             for tid, task in by_id.items():
                 if task.L < ev[2] and tid not in susp_start:
@@ -552,10 +578,7 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
             for tid in list(susp_start):
                 if by_id[tid].L >= ev[2]:
                     susp_delays.append(ev[1] - susp_start.pop(tid))
-        elif kind == "sched":
-            span = ev[3] - ev[1]
-            idle_time += span * (trace.m - len(ev[4]))
-            busy_time += span * len(ev[4])
+    idle_time = trace.m * sched_time - busy_time
 
     late = [max(0, x) for x in tardiness_signed]
     return {

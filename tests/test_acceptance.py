@@ -88,15 +88,17 @@ def sweep():
                 trace = simulate(ts, platform, res.assignment,
                                  res.wcrt_table, sc, cfgs[protocol])
                 stats.runs += 1
-                stats.trips += len(trace.kind("budget_exceeded"))
                 reports = check_run(trace, ts, res.wcrt_table, sc)
                 for name, rep in reports.items():
                     stats.checked[name] += rep.checked
                     samples = stats.violations.setdefault(name, [])
                     if not rep.ok and len(samples) < MAX_SAMPLES:
                         samples.append(((draw, i, protocol), rep.violations[:3]))
-                for ev in trace.kind("complete"):
-                    if ev[8]:
+                for ev in trace.events:  # one scan for trips and rem-jobs
+                    kind = ev[0]
+                    if kind == "budget_exceeded":
+                        stats.trips += 1
+                    elif kind == "complete" and ev[8]:
                         stats.rem_sum[protocol] += ev[1] - ev[6]
                         stats.rem_count[protocol] += 1
     return stats

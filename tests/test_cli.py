@@ -1,4 +1,6 @@
+import copy
 import functools
+import io
 import json
 import subprocess
 import sys
@@ -7,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsched import gen
-from mcsched.cli import CSV_HEADER, _prepare_run, main
-from mcsched.model import (MCTask, Platform, Scenario, TaskSet,
+from mcsched import gen, verify
+from mcsched.cli import CSV_HEADER, _prepare_run, main, run_experiment
+from mcsched.model import (FormatError, MCTask, Platform, Scenario, TaskSet,
                            dump_scenario, dump_taskset, load_taskset)
 from mcsched.sim import (PROTOCOLS, ProtocolConfig, Trace, simulate,
                          trace_from_jsonl)
@@ -321,19 +323,21 @@ def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
 
 
 @functools.lru_cache(maxsize=None)
-def valid_traces() -> tuple:
-    """One short generated trace per protocol, with an overrun and a level
-    decrease request, so every line kind appears."""
+def fuzz_inputs() -> tuple:
+    """A generated set, its analysis table, and one short scenario and
+    trace per protocol, with an overrun and a level decrease request, so
+    every line kind appears."""
     params = gen.GenParams(n_tasks=4, levels=2, total_util=1.2, m=2,
                            period_range=(8, 12), ensure_overrunnable=True)
     ts, platform = gen.gen_taskset(params, 3)
     pa, wt, _ = _prepare_run(ts, platform, True, True)
-    return tuple(
-        simulate(ts, platform, pa, wt,
-                 gen.gen_scenario(ts, 40, i, exec_model="overrun",
-                                  dmcr_plan=((20, 1),)),
-                 ProtocolConfig(protocol)).to_jsonl()
-        for i, protocol in enumerate(PROTOCOLS))
+    scenarios = tuple(gen.gen_scenario(ts, 40, i, exec_model="overrun",
+                                       dmcr_plan=((20, 1),))
+                      for i in range(len(PROTOCOLS)))
+    traces = tuple(simulate(ts, platform, pa, wt, sc,
+                            ProtocolConfig(protocol)).to_jsonl()
+                   for sc, protocol in zip(scenarios, PROTOCOLS))
+    return ts, wt, scenarios, traces
 
 
 FUZZ_CHARS = '{}[]":,-.0123456789eEtrufalsn \n\\'
@@ -345,7 +349,7 @@ def fuzzed_trace(draw):
     """A valid or malformed trace with one to three edits: characters
     deleted or inserted, two lines swapped, a field given another JSON type,
     or brackets nested into a line."""
-    text = draw(st.sampled_from(valid_traces() + tuple(MALFORMED_TRACES)))
+    text = draw(st.sampled_from(fuzz_inputs()[3] + tuple(MALFORMED_TRACES)))
     for _ in range(draw(st.integers(1, 3))):
         edit = draw(st.sampled_from(["delete", "insert", "swap", "retype",
                                      "nest"]))
@@ -389,6 +393,19 @@ def test_trace_reader_fuzz_raises_only_value_error(text):
     except ValueError:
         return
     assert isinstance(trace, Trace)
+    # whatever parses goes through every checker without raising, and each
+    # checker alone reports what the whole-run check reports
+    ts, wt, scenarios, _ = fuzz_inputs()
+    sc = scenarios[0]
+    alone = {"feasibility": verify.check_feasibility(trace, ts),
+             "periodicity": verify.check_periodicity(trace, ts, sc),
+             "response": verify.check_response_bounds(trace, wt, ts),
+             "reclaim": verify.check_reclaim(trace, ts)}
+    reports = verify.check_run(trace, ts, wt, sc)
+    assert list(reports) == list(alone)[:len(reports)]
+    for name, rep in reports.items():
+        assert rep == alone[name], name
+    verify.metrics(trace, ts)
 
 
 def test_generate_taskset_roundtrip(tmp_path, capsys):
@@ -477,7 +494,7 @@ def test_experiment_refuses_unschedulable_taskset(heavy_ts, tmp_path, capsys):
 GEN = {"n_tasks": 4, "levels": 2, "total_util": 0.7}
 
 
-@pytest.mark.parametrize("spec", [
+MALFORMED_SPECS = [
     {"gen": {"n_tasks": 4, "levels": 2, "total_util": 0.7, "colour": "red"}},
     {"gen": {"levels": 2, "total_util": 0.7}},
     [{"gen": {"n_tasks": 4, "levels": 2, "total_util": 0.7}}],
@@ -495,11 +512,22 @@ GEN = {"n_tasks": 4, "levels": 2, "total_util": 0.7}
     {"gen": GEN, "no_cap": True},
     {"gen": GEN, "senarios": 3},
     DEEP,
-], ids=["unknown-gen-key", "missing-gen-key", "not-an-object", "list-seed",
-        "string-scenarios", "float-horizon", "int-request", "long-request",
-        "string-protocols", "nested-protocols", "list-rem-order",
-        "int-exec-model", "list-taskset", "force-string", "no-cap",
-        "unknown-key", "deep-nesting"])
+    {"gen": {**GEN, "n_tasks": 3.5}},
+    {"gen": {**GEN, "levels": 2.0}},
+    {"gen": {**GEN, "m": 2.0}},
+    {"gen": {**GEN, "period_range": [8.5, 12]}, "horizon": 40,
+     "force": True},
+    {"gen": {**GEN, "n_tasks": True}},
+]
+
+
+@pytest.mark.parametrize("spec", MALFORMED_SPECS, ids=[
+    "unknown-gen-key", "missing-gen-key", "not-an-object", "list-seed",
+    "string-scenarios", "float-horizon", "int-request", "long-request",
+    "string-protocols", "nested-protocols", "list-rem-order",
+    "int-exec-model", "list-taskset", "force-string", "no-cap",
+    "unknown-key", "deep-nesting", "float-n-tasks", "float-levels",
+    "float-m", "float-period", "bool-n-tasks"])
 def test_experiment_malformed_spec_is_input_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
@@ -507,6 +535,60 @@ def test_experiment_malformed_spec_is_input_error(tmp_path, capsys, spec):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: experiment spec")
+
+
+TINY_SPEC = {"gen": {"levels": 2, "n_tasks": 3, "total_util": 0.6, "m": 1,
+                     "period_range": [8, 12], "ensure_overrunnable": True},
+             "scenarios": 2, "horizon": 40, "seed": 1,
+             "protocols": ["drop", "wcet-reclaim"], "rem_order": "edf",
+             "exec_model": "overrun", "dmcr": [[20, 1]], "force": True}
+SPEC_VALUES = [None, True, False, -1, 0, 2, 1.5, 2.0, "", "x", "drop", [],
+               [1], [8.5, 12], [[20, 1]], {}, {"n_tasks": 1}]
+SPEC_CHARS = '{}[]":,-.eEtrufalsn \\'  # no digits: numbers only shrink
+
+
+@st.composite
+def fuzzed_spec(draw):
+    """A malformed or tiny valid spec as JSON text, with one key's value
+    (top-level or in "gen") replaced by a value of another JSON type, or
+    with characters deleted or inserted."""
+    spec = copy.deepcopy(draw(st.sampled_from(MALFORMED_SPECS + [TINY_SPEC])))
+    if isinstance(spec, dict) and draw(st.booleans()):
+        holder = spec
+        if isinstance(spec.get("gen"), dict) and draw(st.booleans()):
+            holder = spec["gen"]
+        if holder:
+            key = draw(st.sampled_from(sorted(holder)))
+            holder[key] = draw(st.sampled_from(
+                [v for v in SPEC_VALUES if type(v) is not type(holder[key])]))
+    text = spec if isinstance(spec, str) else json.dumps(spec)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        if draw(st.booleans()):
+            text = text[:at] + text[at + draw(st.integers(1, 12)):]
+        else:
+            text = text[:at] + draw(st.text(SPEC_CHARS, min_size=1,
+                                             max_size=6)) + text[at:]
+    return text
+
+
+@given(text=fuzzed_spec())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_spec_loader_fuzz_raises_only_input_errors(text):
+    try:
+        spec = json.loads(text)
+    except (ValueError, RecursionError):
+        return
+    if isinstance(spec, dict):  # deletions can join digits: keep runs short
+        for key, most in (("scenarios", 2), ("horizon", 60)):
+            if type(spec.get(key)) is int:
+                spec[key] = min(spec[key], most)
+    try:
+        run_experiment(spec, io.StringIO())
+    except (FormatError, ValueError, gen.Infeasible):
+        pass
+    except OSError:  # a taskset path that names no file; exit 2 in the CLI
+        assert "taskset" in spec
 
 
 def test_console_script_is_wired(sched_ts):

@@ -137,6 +137,31 @@ def test_params_validation():
         GenParams(n_tasks=2, levels=2, total_util=0.5, period_range=(2, 24))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("n_tasks", 3.5), ("n_tasks", True), ("levels", 2.0), ("m", 2.0),
+    ("m", None), ("max_attempts", "64"), ("period_range", (8.5, 12)),
+    ("period_range", (8, True)), ("period_range", (8, 12, 16)),
+    ("period_range", 12), ("total_util", True), ("total_util", "0.5"),
+    ("deadline_factor", None), ("inflation", [2]), ("util_tolerance", False),
+    ("ensure_overrunnable", 1),
+])
+def test_params_require_json_types(field, value):
+    # JSON-style types: a bool is no number and a whole float no integer
+    with pytest.raises(TypeError, match=f"^{field} must be of type "):
+        GenParams(**{"n_tasks": 2, "levels": 2, "total_util": 0.5,
+                     field: value})
+
+
+def test_params_accept_json_numbers_and_lists():
+    params = GenParams(n_tasks=2, levels=2, total_util=1, m=2,
+                       period_range=[8, 12], deadline_factor=1,
+                       inflation=2, util_tolerance=0.02,
+                       ensure_overrunnable=True)
+    ts, platform = gen_taskset(params, seed=3)
+    assert len(ts.tasks) == 2 and platform.m == 2
+    assert all(8 <= t.T <= 12 for t in ts.tasks)
+
+
 def small_set(seed=13, overrunnable=True):
     params = GenParams(n_tasks=4, levels=2, total_util=0.7,
                        period_range=(8, 16),

@@ -812,6 +812,43 @@ def test_checkers_match_linear_scan_references(set_seed, sc_seed, protocol,
     assert got == reports and list(got) == list(reports)
 
 
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(set_seed=st.integers(1, 12), sc_seed=st.integers(0, 10**6),
+       protocol=st.sampled_from(PROTOCOLS),
+       kind=st.sampled_from(["release", "complete"]),
+       pick=st.integers(0, 10**6), later=st.integers(17, 40))
+def test_checkers_judge_a_job_by_its_last_repeated_event(
+        set_seed, sc_seed, protocol, kind, pick, later):
+    # a job released or completed twice, the second time `later` ticks on
+    # (a re-release with its deadline at the first release, a completion
+    # past any deadline): each checker, alone or in check_run, judges the
+    # job by that second event, as the references do
+    ts, platform, res = equiv_set(set_seed)
+    sc = gen_scenario(ts, EQUIV_HORIZON, sc_seed, exec_model="overrun",
+                      overrun_prob=0.5, dmcr_plan=((EQUIV_HORIZON // 2, 1),))
+    clean = simulate(ts, platform, res.assignment, res.wcrt_table, sc,
+                     ProtocolConfig(protocol))
+    events = list(clean.events)
+    where = [i for i, ev in enumerate(events) if ev[0] == kind]
+    i = where[pick % len(where)]
+    ev = events[i]
+    again = ev[:1] + (ev[1] + later,) + ev[2:]
+    if kind == "release":
+        again = again[:5] + (ev[1],)
+    events.insert(i + 1, again)
+    trace = Trace(events, clean.horizon, clean.m, clean.levels,
+                  clean.protocol, clean.rem_order)
+    feas = check_feasibility(trace, ts)
+    per = check_periodicity(trace, ts, sc)
+    assert feas == ref_feasibility(trace, ts)
+    assert per == ref_periodicity(trace, ts, sc)
+    got = check_run(trace, ts, res.wcrt_table, sc)
+    assert got["feasibility"] == feas and got["periodicity"] == per
+    assert got["response"] == check_response_bounds(trace, res.wcrt_table, ts)
+    if protocol == "wcet-reclaim":
+        assert got["reclaim"] == check_reclaim(trace, ts)
+
+
 # single-processor sets, where ghost slots host rem-jobs most often
 GHOST_PARAMS = GenParams(n_tasks=4, levels=2, total_util=0.6, m=1,
                          period_range=(8, 16), ensure_overrunnable=True)
