@@ -19,15 +19,11 @@ import json
 import sys
 
 from . import analysis, gen, verify
+from .experiment import prepare_run, run_experiment
 from .model import (FormatError, ValidationError, dump_scenario, dump_taskset,
-                    id_key, load_scenario, load_taskset, scenario_to_dict,
-                    taskset_to_dict)
+                    id_key, load_scenario, load_taskset)
 from .sim import (PROTOCOLS, REM_ORDERS, InconsistentInputs, InvalidTarget,
                   ModelViolation, ProtocolConfig, simulate, trace_from_jsonl)
-
-CSV_HEADER = ("protocol,seed,scenario_id,misses_hi,misses_enabled,"
-              "rem_completed,rem_dropped,mean_tardiness,max_tardiness,"
-              "mean_susp_delay,chain_aborts")
 
 
 def _fail(msg: str, code: int = 2) -> int:
@@ -60,15 +56,6 @@ def cmd_analyze(args) -> int:
     return 0 if res.schedulable else 1
 
 
-def _prepare_run(ts, platform, cap, force):
-    res = analysis.opa_assign(ts, platform.m, cap=cap)
-    if res.schedulable:
-        return res.assignment, res.wcrt_table, res
-    if force:
-        return (*analysis.dm_fallback(ts, platform.m, cap), res)
-    return None, None, res
-
-
 def cmd_simulate(args) -> int:
     try:
         ts, platform = load_taskset(args.taskset)
@@ -76,7 +63,7 @@ def cmd_simulate(args) -> int:
     except (FormatError, ValidationError, OSError) as exc:
         return _fail(str(exc))
     cfg = ProtocolConfig(protocol=args.protocol, rem_order=args.rem_order)
-    pa, wt, res = _prepare_run(ts, platform, not args.no_cap, args.force)
+    pa, wt, _ = prepare_run(ts, platform, not args.no_cap, args.force)
     if pa is None:
         print("refusing to simulate: task set is not schedulable by the "
               "analysis (use --force to override)", file=sys.stderr)
@@ -123,11 +110,7 @@ def cmd_generate_taskset(args) -> int:
         ts, platform = gen.gen_taskset(params, args.seed)
     except (ValueError, gen.Infeasible) as exc:
         return _fail(str(exc))
-    if args.out:
-        dump_taskset(ts, platform, args.out)
-    else:
-        json.dump(taskset_to_dict(ts, platform), sys.stdout, indent=2)
-        print()
+    dump_taskset(ts, platform, args.out or sys.stdout)
     return 0
 
 
@@ -142,122 +125,8 @@ def cmd_generate_scenario(args) -> int:
                               exec_model=args.exec_model, dmcr_plan=dmcr)
     except (FormatError, ValidationError, ValueError, OSError) as exc:
         return _fail(str(exc))
-    if args.out:
-        dump_scenario(sc, args.out)
-    else:
-        json.dump(scenario_to_dict(sc), sys.stdout, indent=2)
-        print()
+    dump_scenario(sc, args.out or sys.stdout)
     return 0
-
-
-def _csv_row(protocol, seed, scenario_id, m) -> str:
-    return ",".join([
-        protocol, str(seed), str(scenario_id),
-        str(m["misses_hi"]), str(m["misses_enabled"]),
-        str(m["rem_completed"]), str(m["rem_dropped"]),
-        f"{m['mean_tardiness']:.6f}", f"{m['max_tardiness']:.6f}",
-        f"{m['mean_susp_delay']:.6f}", str(m["chain_aborts"]),
-    ])
-
-
-def _is(kind):
-    """A test for values of exactly this JSON type (a bool is no int)."""
-    return lambda v: type(v) is kind
-
-
-_is_int = _is(int)
-_is_str = _is(str)
-
-
-def _is_str_list(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(map(_is_str, v))
-
-
-def _is_request_list(v) -> bool:
-    return isinstance(v, (list, tuple)) and all(
-        isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_int, x))
-        for x in v)
-
-
-_SPEC_TYPES = {
-    "taskset": (_is_str, "a path string"),
-    "seed": (_is_int, "an integer"),
-    "scenarios": (_is_int, "an integer"),
-    "horizon": (_is_int, "an integer"),
-    "protocols": (_is_str_list, "a list of protocol names"),
-    "rem_order": (_is_str, "a string"),
-    "exec_model": (_is_str, "a string"),
-    "dmcr": (_is_request_list, "a list of [time, level] integer pairs"),
-    "force": (_is(bool), "true or false"),
-}
-
-
-def _spec_get(spec: dict, key: str, default):
-    value = spec.get(key, default)
-    valid, want = _SPEC_TYPES[key]
-    if not valid(value):
-        raise FormatError(f"experiment spec {key!r} must be {want}, "
-                          f"got {value!r}")
-    return value
-
-
-def run_experiment(spec: dict, out_fh) -> dict:
-    """Run the sweep described by an experiment spec and stream CSV rows.
-
-    Spec keys: "taskset" (path) or "gen" (GenParams kwargs), "scenarios",
-    "horizon", "seed", "protocols", "rem_order", "exec_model", "dmcr",
-    "force"; any other key is refused. Rows are ordered by (protocol,
-    scenario_id) under the single top-level seed, so reruns are
-    byte-identical.
-    """
-    if not isinstance(spec, dict):
-        raise FormatError("experiment spec must be a JSON object")
-    unknown = spec.keys() - _SPEC_TYPES.keys() - {"gen"}
-    if unknown:
-        raise FormatError(f"experiment spec has unknown keys {sorted(unknown)}")
-    seed = _spec_get(spec, "seed", 0)
-    if "taskset" in spec:
-        ts, platform = load_taskset(_spec_get(spec, "taskset", None))
-    elif "gen" in spec:
-        try:
-            kwargs = dict(spec["gen"])
-            kwargs["period_range"] = tuple(kwargs.get("period_range", (8, 24)))
-            params = gen.GenParams(**kwargs)
-        except TypeError as exc:  # unknown, missing or mistyped gen keys
-            raise FormatError(f"experiment spec 'gen': {exc}") from None
-        ts, platform = gen.gen_taskset(params, seed)
-    else:
-        raise FormatError("experiment spec needs a 'taskset' or 'gen' entry")
-    n_scen = _spec_get(spec, "scenarios", 1)
-    horizon = _spec_get(spec, "horizon", 20 * max(t.T for t in ts.tasks))
-    protocols = _spec_get(spec, "protocols", list(PROTOCOLS))
-    rem_order = _spec_get(spec, "rem_order", "crit-edf")
-    exec_model = _spec_get(spec, "exec_model", "uniform")
-    dmcr = [tuple(x) for x in _spec_get(spec, "dmcr", [])]
-    force = _spec_get(spec, "force", False)
-
-    pa, wt, res = _prepare_run(ts, platform, cap=True, force=force)
-    if pa is None:
-        raise gen.Infeasible("task set not schedulable; set 'force' to run anyway")
-
-    out_fh.write(CSV_HEADER + "\n")
-    totals = {p: {"misses_enabled": 0, "rem_completed": 0, "rem_dropped": 0,
-                  "tardiness": 0.0, "chain_aborts": 0} for p in protocols}
-    for protocol in protocols:
-        cfg = ProtocolConfig(protocol=protocol, rem_order=rem_order)
-        for i in range(n_scen):
-            sc = gen.gen_scenario(ts, horizon, gen.child_seed(seed, i),
-                                  exec_model=exec_model, dmcr_plan=dmcr)
-            trace = simulate(ts, platform, pa, wt, sc, cfg)
-            m = verify.metrics(trace, ts)
-            out_fh.write(_csv_row(protocol, seed, i, m) + "\n")
-            agg = totals[protocol]
-            for key in ("misses_enabled", "rem_completed", "rem_dropped",
-                        "chain_aborts"):
-                agg[key] += m[key]
-            agg["tardiness"] += m["mean_tardiness"]
-    return {"schedulable": res.schedulable, "scenarios": n_scen,
-            "protocols": list(protocols), "totals": totals}
 
 
 def cmd_experiment(args) -> int:
@@ -265,20 +134,18 @@ def cmd_experiment(args) -> int:
         with open(args.spec, encoding="utf-8") as fh:
             try:
                 spec = json.load(fh)
-            except RecursionError:
-                raise FormatError("experiment spec is nested too deep") from None
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                summary = run_experiment(spec, fh)
-            json.dump(summary, sys.stdout, indent=2)
-            print()
-        else:
-            run_experiment(spec, sys.stdout)
-            sys.stdout.flush()
-    except (FormatError, ValidationError, ValueError, OSError) as exc:
+            except (ValueError, RecursionError) as exc:  # or nested too deep
+                raise FormatError(f"experiment spec is not JSON: {exc}") from None
+        summary = run_experiment(spec, args.out or sys.stdout)
+    except (ValueError, OSError) as exc:
         return _fail(str(exc))
     except gen.Infeasible as exc:
         return _fail(str(exc), 3)
+    if args.out:
+        json.dump(summary, sys.stdout, indent=2)
+        print()
+    else:
+        sys.stdout.flush()
     return 0
 
 

@@ -1,0 +1,161 @@
+"""Protocol sweeps over generated scenarios, and the run preparation that
+every simulation shares.
+
+An experiment spec is the JSON object behind `mcsched experiment --spec`.
+`run_experiment` checks all of it before it writes anything, then runs
+every protocol on every scenario and writes one CSV row per run.
+"""
+
+from __future__ import annotations
+
+from contextlib import nullcontext
+from typing import IO
+
+from . import analysis, gen, verify
+from .model import FormatError, load_taskset
+from .sim import PROTOCOLS, REM_ORDERS, ProtocolConfig, simulate
+
+CSV_HEADER = ("protocol,seed,scenario_id,misses_hi,misses_enabled,"
+              "rem_completed,rem_dropped,mean_tardiness,max_tardiness,"
+              "mean_susp_delay,chain_aborts")
+
+
+def prepare_run(ts, platform, cap, force):
+    """(priority assignment, response-time table, analysis result) for a
+    run: the analysis's own when the set is schedulable, the
+    deadline-monotonic fallback's when it is not and `force` is set, and
+    no assignment or table otherwise."""
+    res = analysis.opa_assign(ts, platform.m, cap=cap)
+    if res.schedulable:
+        return res.assignment, res.wcrt_table, res
+    if force:
+        return (*analysis.dm_fallback(ts, platform.m, cap), res)
+    return None, None, res
+
+
+def _csv_row(protocol, seed, scenario_id, m) -> str:
+    return ",".join([
+        protocol, str(seed), str(scenario_id),
+        str(m["misses_hi"]), str(m["misses_enabled"]),
+        str(m["rem_completed"]), str(m["rem_dropped"]),
+        f"{m['mean_tardiness']:.6f}", f"{m['max_tardiness']:.6f}",
+        f"{m['mean_susp_delay']:.6f}", str(m["chain_aborts"]),
+    ])
+
+
+def _is(kind):
+    """A test for values of exactly this JSON type (a bool is no int)."""
+    return lambda v: type(v) is kind
+
+
+_is_int = _is(int)
+
+
+def _is_name(names):
+    return lambda v: type(v) is str and v in names
+
+
+def _is_protocol_list(v) -> bool:
+    return (isinstance(v, (list, tuple)) and len(v) > 0
+            and all(map(_is_name(PROTOCOLS), v)) and len(set(v)) == len(v))
+
+
+def _is_request_list(v) -> bool:
+    return isinstance(v, (list, tuple)) and all(
+        isinstance(x, (list, tuple)) and len(x) == 2 and all(map(_is_int, x))
+        and x[0] >= 0 for x in v)
+
+
+def _names(names) -> str:
+    return "one of " + ", ".join(names)
+
+
+_SPEC_TYPES = {
+    "taskset": (_is(str), "a path string"),
+    "seed": (_is_int, "an integer"),
+    "scenarios": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+    "horizon": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
+    "protocols": (_is_protocol_list,
+                  "a non-empty list of distinct protocols, each "
+                  + _names(PROTOCOLS)),
+    "rem_order": (_is_name(REM_ORDERS), _names(REM_ORDERS)),
+    "exec_model": (_is_name(gen.EXEC_MODELS), _names(gen.EXEC_MODELS)),
+    "dmcr": (_is_request_list,
+             "a list of [time, level] integer pairs with time >= 0"),
+    "force": (_is(bool), "true or false"),
+}
+
+
+def _spec_get(spec: dict, key: str, default):
+    value = spec.get(key, default)
+    valid, want = _SPEC_TYPES[key]
+    if not valid(value):
+        raise FormatError(f"experiment spec {key!r} must be {want}, "
+                          f"got {value!r}")
+    return value
+
+
+def run_experiment(spec: dict, out: str | IO[str]) -> dict:
+    """Run the sweep described by an experiment spec and write CSV rows to
+    a path or an open text file.
+
+    Spec keys: "taskset" (path) or "gen" (GenParams fields), "scenarios",
+    "horizon", "seed", "protocols", "rem_order", "exec_model", "dmcr",
+    "force"; any other key is refused. Every value, and each request's
+    target against the set's levels, is checked before a path is opened or
+    a row written. Rows are ordered by (protocol, scenario_id) under the
+    single top-level seed, so reruns are byte-identical.
+    """
+    if not isinstance(spec, dict):
+        raise FormatError("experiment spec must be a JSON object")
+    unknown = spec.keys() - _SPEC_TYPES.keys() - {"gen"}
+    if unknown:
+        raise FormatError(f"experiment spec has unknown keys {sorted(unknown)}")
+    seed = _spec_get(spec, "seed", 0)
+    n_scen = _spec_get(spec, "scenarios", 1)
+    protocols = _spec_get(spec, "protocols", list(PROTOCOLS))
+    rem_order = _spec_get(spec, "rem_order", "crit-edf")
+    exec_model = _spec_get(spec, "exec_model", "uniform")
+    dmcr = [tuple(x) for x in _spec_get(spec, "dmcr", [])]
+    force = _spec_get(spec, "force", False)
+    if ("taskset" in spec) == ("gen" in spec):
+        raise FormatError("experiment spec needs one 'taskset' or 'gen' entry")
+    if "taskset" in spec:
+        ts, platform = load_taskset(_spec_get(spec, "taskset", None))
+    else:
+        try:
+            params = gen.GenParams(**spec["gen"])
+        except (TypeError, ValueError) as exc:  # not an object; bad keys
+            raise FormatError(f"experiment spec 'gen': {exc}") from None
+        ts, platform = gen.gen_taskset(params, seed)
+    horizon = _spec_get(spec, "horizon", 20 * max(t.T for t in ts.tasks))
+    for when, target in dmcr:
+        if not 1 <= target < ts.levels:
+            raise FormatError(
+                f"experiment spec 'dmcr' target {target} at t={when} is not "
+                f"in [1, {ts.levels - 1}] for a {ts.levels}-level set")
+
+    pa, wt, res = prepare_run(ts, platform, cap=True, force=force)
+    if pa is None:
+        raise gen.Infeasible("task set not schedulable; set 'force' to run anyway")
+    opened = (nullcontext(out) if hasattr(out, "write")
+              else open(out, "w", encoding="utf-8", newline=""))
+    totals = {p: {"misses_enabled": 0, "rem_completed": 0, "rem_dropped": 0,
+                  "tardiness": 0.0, "chain_aborts": 0} for p in protocols}
+    with opened as fh:
+        fh.write(CSV_HEADER + "\n")
+        for protocol in protocols:
+            cfg = ProtocolConfig(protocol=protocol, rem_order=rem_order)
+            for i in range(n_scen):
+                sc = gen.gen_scenario(ts, horizon, gen.child_seed(seed, i),
+                                      exec_model=exec_model, dmcr_plan=dmcr)
+                trace = simulate(ts, platform, pa, wt, sc, cfg)
+                m = verify.metrics(trace, ts)
+                fh.write(_csv_row(protocol, seed, i, m) + "\n")
+                agg = totals[protocol]
+                for key in ("misses_enabled", "rem_completed", "rem_dropped",
+                            "chain_aborts"):
+                    agg[key] += m[key]
+                agg["tardiness"] += m["mean_tardiness"]
+    return {"schedulable": res.schedulable, "scenarios": n_scen,
+            "protocols": list(protocols), "totals": totals}

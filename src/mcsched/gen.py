@@ -54,11 +54,6 @@ class SplitMix64:
             raise ValueError(f"empty range [{a}, {b}]")
         return a + self.next_u64() % (b - a + 1)
 
-    def choice(self, seq):
-        if not seq:
-            raise ValueError("empty sequence")
-        return seq[self.randint(0, len(seq) - 1)]
-
 
 def child_seed(seed: int, index: int) -> int:
     """Derive an independent stream seed; one finalization round keeps
@@ -129,6 +124,10 @@ class GenParams:
             raise ValueError("deadline_factor must be in (0, 1]")
         if self.inflation < 1:
             raise ValueError("inflation must be >= 1")
+        if self.util_tolerance < 0:
+            raise ValueError("util_tolerance must be >= 0")
+        if self.max_attempts < 1:
+            raise ValueError("max_attempts must be positive")
 
 
 def gen_taskset(params: GenParams, seed: int) -> tuple[TaskSet, Platform]:

@@ -91,10 +91,6 @@ class MCTask:
             raise LevelOutOfRange(f"level {level} not in [1, {len(self.C)}]")
         return self.C[level - 1]
 
-    @property
-    def utilization(self) -> float:
-        return self.C[0] / self.T
-
 
 @dataclass(frozen=True)
 class TaskSet:

@@ -300,7 +300,8 @@ def trace_from_jsonl(text: str) -> Trace:
     """
     events = []
     meta = None
-    groups: dict[tuple[int, int], dict] = {}
+    m = None  # the meta line's; a span line before it is refused
+    groups: dict[tuple[int, int], tuple] = {}  # span -> (mode, slots)
     order: list[tuple[int, int]] = []
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
@@ -338,17 +339,37 @@ def trace_from_jsonl(text: str) -> Trace:
                 span = vals[:2]
                 g = groups.get(span)
                 if g is None:
-                    g = groups[span] = {"mode": vals[2], "slots": {}}
+                    if m is None:
+                        raise ValueError(f"trace line {lineno}: {kind} line "
+                                         "before the meta line")
+                    if span[1] < span[0]:
+                        raise ValueError(f"trace line {lineno}: span ends at "
+                                         f"{span[1]}, before its start")
+                    g = groups[span] = (vals[2], {})
                     order.append(span)
-                if shape == "ghost":
-                    g["slots"][vals[3]] = ("G", vals[7], vals[8], vals[4], vals[5])
-                elif shape == "dispatch":
-                    g["slots"][vals[3]] = ("R" if vals[6] else "J", vals[4], vals[5])
+                elif g[0] != vals[2]:
+                    raise ValueError(f"trace line {lineno}: mode {vals[2]} "
+                                     f"differs from its span's mode {g[0]}")
+                if shape != "idle":
+                    slots, proc = g[1], vals[3]
+                    if proc in slots:
+                        raise ValueError(f"trace line {lineno}: a second "
+                                         f"dispatch line for proc {proc} in "
+                                         "one span")
+                    if not 0 <= proc < m:
+                        raise ValueError(f"trace line {lineno}: proc {proc} "
+                                         f"is not below the meta line's m={m}")
+                    slots[proc] = (("G", vals[7], vals[8], vals[4], vals[5])
+                                   if shape == "ghost" else
+                                   ("R" if vals[6] else "J", vals[4], vals[5]))
             elif kind == "meta":
+                if meta is not None:
+                    raise ValueError(f"trace line {lineno}: a second meta line")
                 meta = [rec[f] for f in META_FIELDS]
                 if not _META_OK(meta):
                     raise ValueError(f"trace line {lineno}: meta record "
                                      f"{_mistyped(META_FIELDS, meta)}")
+                m = meta[1]
             elif kind != "preempt":
                 raise ValueError(f"trace line {lineno}: unknown kind {kind!r}")
         except KeyError as exc:
@@ -359,9 +380,9 @@ def trace_from_jsonl(text: str) -> Trace:
     if meta is None:
         raise ValueError("trace has no meta line")
     for span in order:
-        g = groups[span]
-        slots = tuple(g["slots"][p] for p in sorted(g["slots"]))
-        events.append(("sched", span[0], g["mode"], span[1], slots))
+        mode, slots = groups[span]
+        events.append(("sched", span[0], mode, span[1],
+                       tuple(slots[p] for p in sorted(slots))))
     # stable: point events, all appended before the sched records, stay
     # ahead of a sched record at the same instant
     events.sort(key=itemgetter(1))

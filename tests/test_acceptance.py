@@ -18,7 +18,7 @@ import pytest
 
 from mcsched.analysis import opa_assign, uniprocessor_rta, wcrt, workload_ci, \
     workload_nc
-from mcsched.cli import CSV_HEADER, run_experiment
+from mcsched.experiment import CSV_HEADER, run_experiment
 from mcsched.gen import (GenParams, Infeasible, SplitMix64, child_seed,
                          gen_scenario, gen_taskset)
 from mcsched.model import MCTask

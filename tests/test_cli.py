@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsched import gen, verify
-from mcsched.cli import CSV_HEADER, _prepare_run, main, run_experiment
+from mcsched.cli import main
+from mcsched.experiment import CSV_HEADER, prepare_run, run_experiment
 from mcsched.model import (FormatError, MCTask, Platform, Scenario, TaskSet,
                            dump_scenario, dump_taskset, load_taskset)
 from mcsched.sim import (PROTOCOLS, ProtocolConfig, Trace, simulate,
@@ -305,13 +306,27 @@ MALFORMED_TRACES = [
     META_LINE + '\n{"t":0,"kind":"release","task":1,"k":1,"mode":1,"d":"8"}\n',
     META_LINE + '\n{"t":0,"kind":"re_enabled","mode":1,"tasks":[[1]]}\n',
     META_LINE + '\n' + DEEP + '\n',
+    META_LINE + '\n{"t":0,"kind":"dispatch","task":1,"k":1,"proc":0,"mode":1,'
+                '"until":4,"rem":0}\n{"t":0,"kind":"dispatch","task":2,"k":1,'
+                '"proc":0,"mode":1,"until":4,"rem":1,"ghost_task":1,'
+                '"ghost_k":1}\n',
+    META_LINE + '\n{"t":4,"kind":"idle","mode":1,"until":3,"procs":1}\n',
+    META_LINE + '\n{"t":0,"kind":"idle","mode":1,"until":4,"procs":1}\n'
+                '{"t":0,"kind":"dispatch","task":1,"k":1,"proc":0,"mode":2,'
+                '"until":4,"rem":0}\n',
+    META_LINE + '\n{"t":0,"kind":"dispatch","task":1,"k":1,"proc":1,"mode":1,'
+                '"until":4,"rem":0}\n',
+    '{"t":0,"kind":"idle","mode":1,"until":4,"procs":1}\n' + META_LINE + '\n',
+    META_LINE + '\n' + META_LINE + '\n',
 ]
 
 
 @pytest.mark.parametrize("text", MALFORMED_TRACES, ids=[
     "release-without-d", "array-line", "meta-without-m", "unknown-kind",
     "unhashable-kind", "dispatch-without-proc", "extra-data", "string-time",
-    "string-deadline", "tasks-nested", "deep-nesting"])
+    "string-deadline", "tasks-nested", "deep-nesting", "proc-taken-twice",
+    "span-ends-before-start", "span-modes-differ", "proc-past-m",
+    "span-before-meta", "second-meta"])
 def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
     _, path = sched_ts
     trace_path = tmp_path / "trace.jsonl"
@@ -330,7 +345,7 @@ def fuzz_inputs() -> tuple:
     params = gen.GenParams(n_tasks=4, levels=2, total_util=1.2, m=2,
                            period_range=(8, 12), ensure_overrunnable=True)
     ts, platform = gen.gen_taskset(params, 3)
-    pa, wt, _ = _prepare_run(ts, platform, True, True)
+    pa, wt, _ = prepare_run(ts, platform, True, True)
     scenarios = tuple(gen.gen_scenario(ts, 40, i, exec_model="overrun",
                                        dmcr_plan=((20, 1),))
                       for i in range(len(PROTOCOLS)))
@@ -486,12 +501,15 @@ def test_experiment_refuses_unschedulable_taskset(heavy_ts, tmp_path, capsys):
             "protocols": ["drop"]}
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(spec))
-    rc = main(["experiment", "--spec", str(spec_path)])
-    capsys.readouterr()
+    out = tmp_path / "out.csv"
+    rc = main(["experiment", "--spec", str(spec_path), "--out", str(out)])
+    assert capsys.readouterr().out == ""
     assert rc == 3
+    assert not out.exists()
 
 
 GEN = {"n_tasks": 4, "levels": 2, "total_util": 0.7}
+FORCED = {"gen": GEN, "force": True}  # runs past the analysis
 
 
 MALFORMED_SPECS = [
@@ -518,6 +536,22 @@ MALFORMED_SPECS = [
     {"gen": {**GEN, "period_range": [8.5, 12]}, "horizon": 40,
      "force": True},
     {"gen": {**GEN, "n_tasks": True}},
+    {"gen": [["n_tasks", 4], ["levels", 2], ["total_util", 0.7]],
+     "force": True},
+    {"gen": {**GEN, "n_tasks": 0}},
+    {"gen": {**GEN, "max_attempts": 0}},
+    {**FORCED, "protocols": ["bogus"]},
+    {**FORCED, "protocols": []},
+    {**FORCED, "protocols": ["drop", "drop"]},
+    {**FORCED, "rem_order": "bogus"},
+    {**FORCED, "exec_model": "bogus"},
+    {**FORCED, "horizon": -5},
+    {**FORCED, "scenarios": -3},
+    {**FORCED, "scenarios": 0},
+    {**FORCED, "dmcr": [[5, 7]]},
+    {**FORCED, "dmcr": [[-1, 1]]},
+    "{not json",
+    {"gen": GEN, "taskset": "ts.json"},
 ]
 
 
@@ -527,14 +561,22 @@ MALFORMED_SPECS = [
     "string-protocols", "nested-protocols", "list-rem-order",
     "int-exec-model", "list-taskset", "force-string", "no-cap",
     "unknown-key", "deep-nesting", "float-n-tasks", "float-levels",
-    "float-m", "float-period", "bool-n-tasks"])
+    "float-m", "float-period", "bool-n-tasks", "gen-pairs", "zero-n-tasks",
+    "zero-max-attempts", "unknown-protocol", "no-protocols",
+    "repeated-protocol", "unknown-rem-order", "unknown-exec-model",
+    "negative-horizon", "negative-scenarios", "zero-scenarios",
+    "request-above-levels", "negative-request-time", "not-json",
+    "taskset-and-gen"])
 def test_experiment_malformed_spec_is_input_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
-    rc = main(["experiment", "--spec", str(spec_path)])
-    err = capsys.readouterr().err
+    out = tmp_path / "out.csv"
+    rc = main(["experiment", "--spec", str(spec_path), "--out", str(out)])
+    stdout, err = capsys.readouterr()
     assert rc == 2
     assert err.startswith("error: experiment spec")
+    assert stdout == ""
+    assert not out.exists()
 
 
 TINY_SPEC = {"gen": {"levels": 2, "n_tasks": 3, "total_util": 0.6, "m": 1,

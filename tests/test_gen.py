@@ -135,6 +135,10 @@ def test_params_validation():
         GenParams(n_tasks=2, levels=2, total_util=1.5, m=1)
     with pytest.raises(ValueError):
         GenParams(n_tasks=2, levels=2, total_util=0.5, period_range=(2, 24))
+    with pytest.raises(ValueError):
+        GenParams(n_tasks=2, levels=2, total_util=0.5, util_tolerance=-0.01)
+    with pytest.raises(ValueError):
+        GenParams(n_tasks=2, levels=2, total_util=0.5, max_attempts=0)
 
 
 @pytest.mark.parametrize("field, value", [

@@ -20,7 +20,7 @@ import io
 
 import pytest
 
-from mcsched import analysis, cli, gen, sim
+from mcsched import analysis, experiment, gen, sim
 from mcsched.model import Scenario, validate_scenario
 
 HORIZON = 400
@@ -218,7 +218,7 @@ def _periodic(ts, sc, at_horizon):
 def _queue_trace(params, set_seed, sc_seed, exec_model, requests, arrivals,
                  horizon, force, protocol, rem_order):
     ts, platform = gen.gen_taskset(QUEUE_PARAMS[params], set_seed)
-    pa, wt, res = cli._prepare_run(ts, platform, True, force)
+    pa, wt, res = experiment.prepare_run(ts, platform, True, force)
     assert res.schedulable != force
     sc = gen.gen_scenario(ts, horizon, sc_seed, exec_model=exec_model,
                           dmcr_plan=QUEUE_REQUESTS[requests])
@@ -247,7 +247,7 @@ POINT_KINDS = {"release", "job_dropped", "complete", "budget_exceeded",
 def _trace(set_seed, sc_seed, protocol, rem_order, requests, exec_model,
            force):
     ts, platform = gen.gen_taskset(FORCED if force else SCHEDULABLE, set_seed)
-    pa, wt, res = cli._prepare_run(ts, platform, True, force)
+    pa, wt, res = experiment.prepare_run(ts, platform, True, force)
     assert res.schedulable != force
     sc = gen.gen_scenario(ts, HORIZON, sc_seed, exec_model=exec_model,
                           dmcr_plan=REQUESTS[requests])
@@ -325,7 +325,7 @@ def test_cases_cover_every_event_kind_and_slot_code():
 
 def test_experiment_csv_bytes():
     out = io.StringIO()
-    cli.run_experiment(EXPERIMENT_SPEC, out)
+    experiment.run_experiment(EXPERIMENT_SPEC, out)
     assert _digest(out.getvalue()) == EXPERIMENT_DIGEST
 
 

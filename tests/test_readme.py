@@ -1,27 +1,28 @@
-"""The README's file-format examples must be what the package reads and
-writes."""
+"""The README's examples must be what the package reads, writes and runs."""
 
 import io
+import json
 import re
 from pathlib import Path
 
 from mcsched import analysis, sim
+from mcsched.experiment import CSV_HEADER, run_experiment
 from mcsched.model import load_scenario, load_taskset
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
-def _example(label):
-    """The first code block after the paragraph that starts with **label**."""
+def _example(marker, lang="json"):
+    """The first `lang` code block after the text `marker`."""
     text = README.read_text(encoding="utf-8")
-    block = re.compile(r"```json\n(.*?)```", re.S)
-    return block.search(text, text.index(f"**{label}**")).group(1)
+    block = re.compile(rf"```{lang}\n(.*?)```", re.S)
+    return block.search(text, text.index(marker)).group(1)
 
 
 def test_readme_file_format_examples_load_and_match_a_run():
-    ts, platform = load_taskset(io.StringIO(_example("Task set")))
-    sc = load_scenario(io.StringIO(_example("Scenario")), ts)
-    trace_text = _example("Trace")
+    ts, platform = load_taskset(io.StringIO(_example("**Task set**")))
+    sc = load_scenario(io.StringIO(_example("**Scenario**")), ts)
+    trace_text = _example("**Trace**")
     trace = sim.trace_from_jsonl(trace_text)
     assert (trace.horizon, trace.m, trace.levels) == \
         (sc.horizon, platform.m, ts.levels)
@@ -30,3 +31,15 @@ def test_readme_file_format_examples_load_and_match_a_run():
     run = sim.simulate(ts, platform, res.assignment, res.wcrt_table, sc,
                        sim.ProtocolConfig(trace.protocol, trace.rem_order))
     assert run.to_jsonl().startswith(trace_text)
+
+
+def test_readme_library_example_runs():
+    exec(_example("## Library use", "python"), {})
+
+
+def test_readme_experiment_example_runs():
+    out = io.StringIO()
+    run_experiment(json.loads(_example("### `mcsched experiment")), out)
+    lines = out.getvalue().splitlines()
+    assert lines[0] == CSV_HEADER
+    assert len(lines) == 1 + 3 * 3  # three protocols, three scenarios
