@@ -93,6 +93,9 @@ def cmd_check(args) -> int:
         sc = load_scenario(args.scenario, ts) if args.scenario else None
     except (FormatError, ValidationError, ValueError, OSError) as exc:
         return _fail(str(exc))
+    if (trace.m, trace.levels) != (platform.m, ts.levels):
+        return _fail(f"trace meta line has m={trace.m}, levels={trace.levels}"
+                     f"; the task set has m={platform.m}, levels={ts.levels}")
     reports = verify.check_run(trace, ts, sc=sc)
     # each report's fields after "ok" and "checked", in declaration order
     json.dump({name: {"ok": rep.ok, "checked": rep.checked, **vars(rep)}

@@ -121,7 +121,11 @@ def run_experiment(spec: dict, out: str | IO[str]) -> dict:
     if ("taskset" in spec) == ("gen" in spec):
         raise FormatError("experiment spec needs one 'taskset' or 'gen' entry")
     if "taskset" in spec:
-        ts, platform = load_taskset(_spec_get(spec, "taskset", None))
+        path = _spec_get(spec, "taskset", None)
+        try:
+            ts, platform = load_taskset(path)
+        except (ValueError, OSError) as exc:  # format, validity, reading
+            raise FormatError(f"experiment spec 'taskset' {path}: {exc}") from None
     else:
         try:
             params = gen.GenParams(**spec["gen"])

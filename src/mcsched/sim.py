@@ -191,32 +191,27 @@ def _line_writer(kind, fields):
 
 
 def _layouts():
-    """Per kind: the line writer; and a getter of the event tuple from a
-    record, with the tuple's field names and their type check."""
+    """Per point-event kind, the line writer; per line kind, a getter of its
+    values (a point event's tuple), their field names and type check. A
+    dispatch line with "ghost_task" is read as a "ghost" line."""
+    job = ("t", "until", "mode", "proc", "task", "k", "rem")
+    lines = {"meta": META_FIELDS, "dispatch": job,
+             "ghost": job + ("ghost_task", "ghost_k"),
+             "idle": ("t", "until", "mode", "procs")}
     writers, from_record = {}, {}
     for kind, fields in EVENT_FIELDS.items():
         writers[kind] = _line_writer(kind, fields)
-        names = ("kind", "t", "mode") + tuple(f for f in fields if f != "mode")
+        lines[kind] = ("kind", "t", "mode") + tuple(f for f in fields
+                                                    if f != "mode")
+    for kind, names in lines.items():
         get = itemgetter(*names)
-        if _ELEMENT_TYPES.keys() & set(fields):
+        if _ELEMENT_TYPES.keys() & set(names):
             get = _with_tuples(get)
         from_record[kind] = (get, names, _type_check(names))
     return writers, from_record
 
 
-def _span_layouts():
-    """Per dispatch or idle line shape: a getter of the fields the reader
-    uses, their names and their type check."""
-    job = ("t", "until", "mode", "proc", "task", "k", "rem")
-    shapes = {"idle": ("t", "until", "mode"), "dispatch": job,
-              "ghost": job + ("ghost_task", "ghost_k")}
-    return {shape: (itemgetter(*names), names, _type_check(names))
-            for shape, names in shapes.items()}
-
-
 _WRITERS, _FROM_RECORD = _layouts()
-_SPAN_LINES = _span_layouts()
-_META_OK = _type_check(META_FIELDS)
 # span lines: %s fields are JSON-encoded task ids
 _DISPATCH = ('{"t":%d,"kind":"dispatch","task":%s,"k":%d,"proc":%d,'
              '"mode":%d,"until":%d,"rem":%d}')
@@ -290,19 +285,25 @@ class Trace:
         return "\n".join(out) + "\n"
 
 
-def trace_from_jsonl(text: str) -> Trace:
-    """Rebuild a Trace from its serialized form.
+def _sched_record(span) -> tuple:
+    t, until, mode, slots, free, lineno = span
+    if free:
+        raise ValueError(f"trace line {lineno}: span [{t}, {until}) ends "
+                         "short of m with no idle line")
+    return ("sched", t, mode, until, tuple(slots))
 
-    Dispatch and idle lines sharing (t, until) are regrouped into sched
-    records; preempt lines are derived data and are dropped, as is an idle
-    line's "procs". Malformed input, a field of the wrong JSON type
-    included, raises ValueError naming the line.
-    """
+
+def trace_from_jsonl(text: str) -> Trace:
+    """Rebuild a Trace from its serialized form in one pass, reading the
+    lines in the order `Trace.to_jsonl` writes them: the meta line first,
+    every instant within [0, horizon], and the lines of each span [t, until)
+    together, in one mode, as dispatch lines for procs 0, 1, ... and an idle
+    line for the procs left over, if any. A span becomes one sched record;
+    an idle line's "procs" and the preempt lines (derived data) are dropped.
+    Malformed input, a field of the wrong JSON type included, raises
+    ValueError naming the line."""
     events = []
-    meta = None
-    m = None  # the meta line's; a span line before it is refused
-    groups: dict[tuple[int, int], tuple] = {}  # span -> (mode, slots)
-    order: list[tuple[int, int]] = []
+    meta = span = None  # the open span: [t, until, mode, slots, free, line]
     for lineno, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
@@ -319,72 +320,68 @@ def trace_from_jsonl(text: str) -> Trace:
             raise ValueError(f"trace line {lineno}: expected a JSON object")
         kind = rec.get("kind")
         try:
-            layout = _FROM_RECORD.get(kind)
-            if layout is not None:
-                get, names, well_typed = layout
-                ev = get(rec)
-                if not well_typed(ev):
-                    raise ValueError(f"trace line {lineno}: {kind} record "
-                                     f"{_mistyped(names, ev)}")
-                events.append(ev)
-            elif kind in ("dispatch", "idle"):
-                shape = kind
-                if kind == "dispatch" and rec.get("ghost_task") is not None:
-                    shape = "ghost"
-                get, names, well_typed = _SPAN_LINES[shape]
-                vals = get(rec)
-                if not well_typed(vals):
-                    raise ValueError(f"trace line {lineno}: {kind} record "
-                                     f"{_mistyped(names, vals)}")
-                span = vals[:2]
-                g = groups.get(span)
-                if g is None:
-                    if m is None:
-                        raise ValueError(f"trace line {lineno}: {kind} line "
-                                         "before the meta line")
-                    if span[1] < span[0]:
-                        raise ValueError(f"trace line {lineno}: span ends at "
-                                         f"{span[1]}, before its start")
-                    g = groups[span] = (vals[2], {})
-                    order.append(span)
-                elif g[0] != vals[2]:
-                    raise ValueError(f"trace line {lineno}: mode {vals[2]} "
-                                     f"differs from its span's mode {g[0]}")
-                if shape != "idle":
-                    slots, proc = g[1], vals[3]
-                    if proc in slots:
-                        raise ValueError(f"trace line {lineno}: a second "
-                                         f"dispatch line for proc {proc} in "
-                                         "one span")
-                    if not 0 <= proc < m:
-                        raise ValueError(f"trace line {lineno}: proc {proc} "
-                                         f"is not below the meta line's m={m}")
-                    slots[proc] = (("G", vals[7], vals[8], vals[4], vals[5])
-                                   if shape == "ghost" else
-                                   ("R" if vals[6] else "J", vals[4], vals[5]))
-            elif kind == "meta":
-                if meta is not None:
-                    raise ValueError(f"trace line {lineno}: a second meta line")
-                meta = [rec[f] for f in META_FIELDS]
-                if not _META_OK(meta):
-                    raise ValueError(f"trace line {lineno}: meta record "
-                                     f"{_mistyped(META_FIELDS, meta)}")
-                m = meta[1]
-            elif kind != "preempt":
-                raise ValueError(f"trace line {lineno}: unknown kind {kind!r}")
+            # "ghost" is the layout of a dispatch line, not a line kind
+            layout = _FROM_RECORD.get(kind if kind != "ghost" else None)
+            if kind == "dispatch" and "ghost_task" in rec:
+                layout = _FROM_RECORD["ghost"]
+            vals = layout and layout[0](rec)
         except KeyError as exc:
             raise ValueError(
                 f"trace line {lineno}: {kind} record has no field {exc}") from None
         except TypeError as exc:  # an unhashable kind
             raise ValueError(f"trace line {lineno}: {exc}") from None
+        if layout is None:
+            if kind != "preempt":
+                raise ValueError(f"trace line {lineno}: unknown kind {kind!r}")
+        elif not layout[2](vals):
+            raise ValueError(f"trace line {lineno}: {kind} record "
+                             f"{_mistyped(layout[1], vals)}")
+        if meta is None or kind == "meta":
+            if meta is not None or kind != "meta":
+                raise ValueError(f"trace line {lineno}: the meta line must "
+                                 "come first, and only once")
+            meta, horizon, m = vals, vals[0], vals[1]
+            continue
+        on_span = kind == "dispatch" or kind == "idle"
+        if span is not None and not (on_span and vals[0] == span[0]
+                                     and vals[1] == span[1]):
+            events.append(_sched_record(span))
+            span = None
+        if not on_span:
+            if vals is not None:
+                if not 0 <= vals[1] <= horizon:
+                    raise ValueError(f"trace line {lineno}: t={vals[1]} is "
+                                     f"outside [0, horizon={horizon}]")
+                events.append(vals)
+            continue
+        if span is None:
+            if not 0 <= vals[0] < vals[1] <= horizon:
+                raise ValueError(f"trace line {lineno}: span [{vals[0]}, "
+                                 f"{vals[1]}) is empty or leaves [0, {horizon}]")
+            span = [vals[0], vals[1], vals[2], [], m, lineno]
+        elif vals[2] != span[2]:
+            raise ValueError(f"trace line {lineno}: mode {vals[2]} "
+                             f"differs from its span's mode {span[2]}")
+        slots, free = span[3], span[4]
+        if kind == "idle":
+            if not 0 < vals[3] == free:
+                raise ValueError(f"trace line {lineno}: idle line for "
+                                 f"{vals[3]} procs where {free} are free")
+            span[4] = 0
+        elif free and vals[3] == len(slots):
+            slots.append(("G", vals[7], vals[8], vals[4], vals[5])
+                         if len(vals) == 9 else
+                         ("R" if vals[6] else "J", vals[4], vals[5]))
+            span[4] = free - 1
+        else:
+            raise ValueError(f"trace line {lineno}: proc {vals[3]} is not "
+                             "the next free proc of its span")
     if meta is None:
         raise ValueError("trace has no meta line")
-    for span in order:
-        mode, slots = groups[span]
-        events.append(("sched", span[0], mode, span[1],
-                       tuple(slots[p] for p in sorted(slots))))
-    # stable: point events, all appended before the sched records, stay
-    # ahead of a sched record at the same instant
+    if span is not None:
+        events.append(_sched_record(span))
+    # stable: the point events at a span's start, all read before the span
+    # closed, stay ahead of its sched record
     events.sort(key=itemgetter(1))
     return Trace(events, *meta)
 

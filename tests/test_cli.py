@@ -288,8 +288,35 @@ def test_check_missing_trace_is_input_error(sched_ts, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("key, value", [("processors", 2),
+                                        ("criticality_levels", 3)])
+def test_check_refuses_trace_of_another_platform(sched_ts, tmp_path, capsys,
+                                                 key, value):
+    ts, path = sched_ts
+    sc_path = scenario_file(tmp_path, ts, Scenario(
+        horizon=40, arrivals={1: (0, 8), 2: (0,), 3: (0,)},
+        exec_times={1: (1, 2), 2: (2,), 3: (4,)}, dmcr_requests=()))
+    trace_path = str(tmp_path / "trace.jsonl")
+    assert simulate_to_file(path, sc_path, trace_path, capsys) == 0
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc[key] = value
+    for task in doc["tasks"]:  # the shape C keeps under any level count
+        task["C"] = task["C"][:task["L"]]
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps(doc))
+    rc = main(["check", "--trace", trace_path, "--taskset", str(other)])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: trace meta line has m=1, levels=2; ")
+
+
 META_LINE = ('{"t":0,"kind":"meta","horizon":40,"m":1,"levels":2,'
              '"protocol":"drop","rem_order":"crit-edf"}')
+META_M2 = META_LINE.replace('"m":1', '"m":2')
+DISPATCH_0 = ('{"t":0,"kind":"dispatch","task":1,"k":1,"proc":0,"mode":1,'
+              '"until":4,"rem":0}')
 
 
 MALFORMED_TRACES = [
@@ -318,6 +345,32 @@ MALFORMED_TRACES = [
                 '"until":4,"rem":0}\n',
     '{"t":0,"kind":"idle","mode":1,"until":4,"procs":1}\n' + META_LINE + '\n',
     META_LINE + '\n' + META_LINE + '\n',
+    META_M2 + '\n' + DISPATCH_0.replace('"proc":0', '"proc":1') + '\n'
+              '{"t":0,"kind":"idle","mode":1,"until":4,"procs":1}\n',
+    META_M2 + '\n' + DISPATCH_0 + '\n',
+    META_M2 + '\n' + DISPATCH_0 + '\n'
+              '{"t":0,"kind":"idle","mode":1,"until":4,"procs":2}\n',
+    META_M2 + '\n' + DISPATCH_0 + '\n'
+              '{"t":0,"kind":"idle","mode":1,"until":4,"procs":1}\n'
+              + DISPATCH_0.replace('"proc":0', '"proc":1') + '\n',
+    '{"t":0,"kind":"release","task":1,"k":1,"mode":1,"d":8}\n'
+    + META_LINE + '\n',
+    META_LINE + '\n{"t":41,"kind":"release","task":1,"k":1,"mode":1,"d":49}\n',
+    META_LINE + '\n{"t":-1,"kind":"release","task":1,"k":1,"mode":1,"d":7}\n',
+    META_LINE + '\n' + DISPATCH_0.replace('"until":4', '"until":41') + '\n',
+    META_LINE + '\n' + DISPATCH_0.replace('"until":4', '"until":0') + '\n',
+    META_M2 + '\n' + DISPATCH_0 + '\n'
+              '{"t":0,"kind":"release","task":2,"k":1,"mode":1,"d":8}\n'
+              + DISPATCH_0.replace('"proc":0', '"proc":1') + '\n',
+    META_LINE + '\n' + DISPATCH_0.replace('"t":0', '"t":-1') + '\n',
+    META_M2 + '\n' + DISPATCH_0 + '\n'
+              + DISPATCH_0.replace('"proc":0', '"proc":1').replace(
+                  '"until":4', '"until":5') + '\n',
+    META_M2 + '\n' + DISPATCH_0 + '\n'
+              + DISPATCH_0.replace('"proc":0', '"proc":1').replace(
+                  '"mode":1', '"mode":2') + '\n',
+    META_LINE + '\n{"t":0,"kind":"ghost","task":2,"k":1,"proc":0,"mode":1,'
+                '"until":4,"rem":1,"ghost_task":1,"ghost_k":1}\n',
 ]
 
 
@@ -326,7 +379,11 @@ MALFORMED_TRACES = [
     "unhashable-kind", "dispatch-without-proc", "extra-data", "string-time",
     "string-deadline", "tasks-nested", "deep-nesting", "proc-taken-twice",
     "span-ends-before-start", "span-modes-differ", "proc-past-m",
-    "span-before-meta", "second-meta"])
+    "span-before-meta", "second-meta", "proc-skipped", "span-without-idle",
+    "idle-procs-wrong", "dispatch-after-idle", "event-before-meta",
+    "event-past-horizon", "negative-time", "until-past-horizon",
+    "empty-span", "span-split", "negative-span-start", "span-until-differs",
+    "dispatch-modes-differ", "ghost-kind"])
 def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
     _, path = sched_ts
     trace_path = tmp_path / "trace.jsonl"
@@ -335,6 +392,15 @@ def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: trace line ")
+
+
+def test_trace_reader_names_a_line_past_a_full_span():
+    idle = '{"t":0,"kind":"idle","mode":1,"until":4,"procs":1}\n'
+    for text in (META_LINE + "\n" + idle + DISPATCH_0 + "\n",
+                 META_LINE + "\n" + DISPATCH_0 + "\n" + DISPATCH_0 + "\n"):
+        with pytest.raises(ValueError, match="^trace line 3: proc 0 is not "
+                                             "the next free proc"):
+            trace_from_jsonl(text)
 
 
 @functools.lru_cache(maxsize=None)
@@ -363,11 +429,13 @@ FUZZ_VALUES = [None, True, -1, 1.5, 10**20, "x", "", [], [[1]], {}, {"t": 0}]
 def fuzzed_trace(draw):
     """A valid or malformed trace with one to three edits: characters
     deleted or inserted, two lines swapped, a field given another JSON type,
-    or brackets nested into a line."""
-    text = draw(st.sampled_from(fuzz_inputs()[3] + tuple(MALFORMED_TRACES)))
+    an integer field moved by up to 3, or brackets nested into a line."""
+    # half the seeds are generated traces, so that edited ones often parse
+    text = draw(st.sampled_from(fuzz_inputs()[3])
+                | st.sampled_from(MALFORMED_TRACES))
     for _ in range(draw(st.integers(1, 3))):
         edit = draw(st.sampled_from(["delete", "insert", "swap", "retype",
-                                     "nest"]))
+                                     "nudge", "nest"]))
         lines = text.split("\n")
         i = draw(st.integers(0, len(lines) - 1))
         if edit == "delete":
@@ -381,16 +449,21 @@ def fuzzed_trace(draw):
             j = draw(st.integers(0, len(lines) - 1))
             lines[i], lines[j] = lines[j], lines[i]
             text = "\n".join(lines)
-        elif edit == "retype":
+        elif edit in ("retype", "nudge"):
             try:
                 rec = json.loads(lines[i])
             except (ValueError, RecursionError):
                 continue
-            if isinstance(rec, dict) and rec:
+            if not isinstance(rec, dict):
+                continue
+            ints = sorted(k for k, v in rec.items() if type(v) is int)
+            if edit == "retype" and rec:
                 rec[draw(st.sampled_from(sorted(rec)))] = draw(
                     st.sampled_from(FUZZ_VALUES))
-                lines[i] = json.dumps(rec, separators=(",", ":"))
-                text = "\n".join(lines)
+            elif edit == "nudge" and ints:
+                rec[draw(st.sampled_from(ints))] += draw(st.integers(-3, 3))
+            lines[i] = json.dumps(rec, separators=(",", ":"))
+            text = "\n".join(lines)
         else:
             at = draw(st.integers(0, len(lines[i])))
             depth = draw(st.sampled_from([1, 2, 100_000]))
@@ -408,6 +481,15 @@ def test_trace_reader_fuzz_raises_only_value_error(text):
     except ValueError:
         return
     assert isinstance(trace, Trace)
+    # the reader's contract on what it accepts
+    times = [ev[1] for ev in trace.events]
+    assert times == sorted(times)
+    for ev in trace.events:
+        if ev[0] == "sched":
+            assert ev[1] < ev[3] <= trace.horizon
+            assert len(ev[4]) <= trace.m
+        else:
+            assert 0 <= ev[1] <= trace.horizon
     # whatever parses goes through every checker without raising, and each
     # checker alone reports what the whole-run check reports
     ts, wt, scenarios, _ = fuzz_inputs()
@@ -552,6 +634,7 @@ MALFORMED_SPECS = [
     {**FORCED, "dmcr": [[-1, 1]]},
     "{not json",
     {"gen": GEN, "taskset": "ts.json"},
+    {"taskset": "/nonexistent/ts.json"},
 ]
 
 
@@ -566,7 +649,7 @@ MALFORMED_SPECS = [
     "repeated-protocol", "unknown-rem-order", "unknown-exec-model",
     "negative-horizon", "negative-scenarios", "zero-scenarios",
     "request-above-levels", "negative-request-time", "not-json",
-    "taskset-and-gen"])
+    "taskset-and-gen", "missing-taskset"])
 def test_experiment_malformed_spec_is_input_error(tmp_path, capsys, spec):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
@@ -575,6 +658,26 @@ def test_experiment_malformed_spec_is_input_error(tmp_path, capsys, spec):
     stdout, err = capsys.readouterr()
     assert rc == 2
     assert err.startswith("error: experiment spec")
+    assert stdout == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("doc, why", [
+    ({"criticality_levels": 2, "processors": 1,
+      "tasks": [{"id": 1, "T": 0, "D": 8, "L": 1, "C": [1]}]},
+     "InvalidPeriod"),
+    ({"criticality_levels": 2, "processors": 1, "tasks": {}},
+     "tasks: expected a list")], ids=["invalid-set", "malformed-set"])
+def test_experiment_bad_taskset_file_is_spec_error(tmp_path, capsys, doc, why):
+    ts_path = tmp_path / "ts.json"
+    ts_path.write_text(json.dumps(doc))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"taskset": str(ts_path)}))
+    out = tmp_path / "out.csv"
+    rc = main(["experiment", "--spec", str(spec_path), "--out", str(out)])
+    stdout, err = capsys.readouterr()
+    assert rc == 2
+    assert err.startswith(f"error: experiment spec 'taskset' {ts_path}: {why}")
     assert stdout == ""
     assert not out.exists()
 
@@ -629,8 +732,6 @@ def test_spec_loader_fuzz_raises_only_input_errors(text):
         run_experiment(spec, io.StringIO())
     except (FormatError, ValueError, gen.Infeasible):
         pass
-    except OSError:  # a taskset path that names no file; exit 2 in the CLI
-        assert "taskset" in spec
 
 
 def test_console_script_is_wired(sched_ts):
