@@ -121,6 +121,16 @@ EVENT_FIELDS = {
     "chain_stalled": ("mode", "cursor"),
 }
 META_FIELDS = ("horizon", "m", "levels", "protocol", "rem_order")
+_JOB_LINE = ("task", "k", "proc", "mode", "until", "rem")
+# Every JSONL line kind with its fields after "t" and "kind", in line order.
+# "ghost" is the layout of a dispatch line whose rem-job a ghost slot hosts.
+# A line's values come as one tuple: kind, t, then mode and until where the
+# line has them, then its other fields in line order; for a point event this
+# is its event tuple.
+_LINE_FIELDS = {"meta": META_FIELDS, **EVENT_FIELDS, "dispatch": _JOB_LINE,
+                "ghost": _JOB_LINE + ("ghost_task", "ghost_k"),
+                "idle": ("mode", "until", "procs"),
+                "preempt": ("task", "k", "proc", "mode")}
 # JSON types of the trace-line fields that are not integers. A task id is an
 # integer or a string; an array field is a tuple in the event, and its
 # elements have the types in _ELEMENT_TYPES.
@@ -171,15 +181,14 @@ def _with_tuples(get):
                              for v in get(rec))
 
 
-def _line_writer(kind, fields):
-    """A function (event, enc) -> the event's JSONL line, compiled once as
-    one %-template. Integers are formatted directly; a task id, "why" or
-    "tasks" value is looked up in `enc`, which maps a value to its JSON
-    text, because an id can be any string."""
-    keys = ("t", "mode") + tuple(f for f in fields if f != "mode")
-    parts, args = ['"t":%d', '"kind":' + json.dumps(kind)], ["ev[1]"]
+def _line_writer(kind, fields, names):
+    """A function (values, enc) -> the line, compiled once as one
+    %-template over the values `names`. Integers are formatted directly;
+    any other value is looked up in `enc`, which maps a value to its JSON
+    text, because a task id can be any string."""
+    parts, args = ['"t":%d', '"kind":' + json.dumps(kind)], ["v[1]"]
     for f in fields:
-        value = f"ev[{1 + keys.index(f)}]"
+        value = f"v[{names.index(f)}]"
         if _FIELD_TYPES.get(f, (int,)) == (int,):
             parts.append(f'"{f}":%d')
             args.append(value)
@@ -187,38 +196,26 @@ def _line_writer(kind, fields):
             parts.append(f'"{f}":%s')
             args.append(f"enc[{value}]")
     template = "{" + ",".join(parts) + "}"
-    return eval(f"lambda ev, enc: {template!r} % ({', '.join(args)},)")
+    return eval(f"lambda v, enc: {template!r} % ({', '.join(args)},)")
 
 
 def _layouts():
-    """Per point-event kind, the line writer; per line kind, a getter of its
-    values (a point event's tuple), their field names and type check. A
-    dispatch line with "ghost_task" is read as a "ghost" line."""
-    job = ("t", "until", "mode", "proc", "task", "k", "rem")
-    lines = {"meta": META_FIELDS, "dispatch": job,
-             "ghost": job + ("ghost_task", "ghost_k"),
-             "idle": ("t", "until", "mode", "procs")}
-    writers, from_record = {}, {}
-    for kind, fields in EVENT_FIELDS.items():
-        writers[kind] = _line_writer(kind, fields)
-        lines[kind] = ("kind", "t", "mode") + tuple(f for f in fields
-                                                    if f != "mode")
-    for kind, names in lines.items():
+    """Per line kind of _LINE_FIELDS, its writer, and the getter of its
+    values from a decoded record with their names and type check."""
+    writers, readers = {}, {}
+    for kind, fields in _LINE_FIELDS.items():
+        lead = tuple(f for f in ("mode", "until") if f in fields)
+        names = ("kind", "t") + lead + tuple(f for f in fields if f not in lead)
+        writers[kind] = _line_writer("dispatch" if kind == "ghost" else kind,
+                                     fields, names)
         get = itemgetter(*names)
         if _ELEMENT_TYPES.keys() & set(names):
             get = _with_tuples(get)
-        from_record[kind] = (get, names, _type_check(names))
-    return writers, from_record
+        readers[kind] = (get, names, _type_check(names))
+    return writers, readers
 
 
 _WRITERS, _FROM_RECORD = _layouts()
-# span lines: %s fields are JSON-encoded task ids
-_DISPATCH = ('{"t":%d,"kind":"dispatch","task":%s,"k":%d,"proc":%d,'
-             '"mode":%d,"until":%d,"rem":%d}')
-_GHOST_DISPATCH = ('{"t":%d,"kind":"dispatch","task":%s,"k":%d,"proc":%d,'
-                   '"mode":%d,"until":%d,"rem":1,"ghost_task":%s,"ghost_k":%d}')
-_PREEMPT = '{"t":%d,"kind":"preempt","task":%s,"k":%d,"proc":%d,"mode":%d}'
-_IDLE = '{"t":%d,"kind":"idle","mode":%d,"until":%d,"procs":%d}'
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 _decode = json.JSONDecoder().raw_decode
 
@@ -254,11 +251,12 @@ class Trace:
         "until"), preempt lines for entities that stop while incomplete,
         and idle lines when processors are unoccupied.
         """
-        meta = {"t": 0, "kind": "meta"}
-        meta.update((f, getattr(self, f)) for f in META_FIELDS)
-        out = [_encode(meta)]
-        line = out.append
         enc = _Encoded()
+        out = [_WRITERS["meta"](("meta", 0) + tuple(
+            getattr(self, f) for f in META_FIELDS), enc)]
+        line = out.append
+        dispatch, ghost, idle, preempt = itemgetter(
+            "dispatch", "ghost", "idle", "preempt")(_WRITERS)
         completed_at = {(ev[3], ev[4]): ev[1] for ev in self.events
                         if ev[0] == "complete"}
         prev = ()  # (task, k) per processor in the previous span
@@ -271,16 +269,16 @@ class Trace:
             now = [(s[3], s[4]) if s[0] == "G" else (s[1], s[2]) for s in slots]
             for proc, (tid, k) in enumerate(prev):
                 if (tid, k) not in now and completed_at.get((tid, k)) != t0:
-                    line(_PREEMPT % (t0, enc[tid], k, proc, mode))
-            for proc, slot in enumerate(slots):
-                if slot[0] == "G":
-                    line(_GHOST_DISPATCH % (t0, enc[slot[3]], slot[4], proc,
-                                            mode, t1, enc[slot[1]], slot[2]))
+                    line(preempt(("preempt", t0, mode, tid, k, proc), enc))
+            for proc, s in enumerate(slots):
+                if s[0] == "G":
+                    line(ghost(("dispatch", t0, mode, t1, s[3], s[4], proc, 1,
+                                s[1], s[2]), enc))
                 else:
-                    line(_DISPATCH % (t0, enc[slot[1]], slot[2], proc, mode,
-                                      t1, slot[0] != "J"))
+                    line(dispatch(("dispatch", t0, mode, t1, s[1], s[2], proc,
+                                   s[0] != "J"), enc))
             if len(slots) < self.m:
-                line(_IDLE % (t0, mode, t1, self.m - len(slots)))
+                line(idle(("idle", t0, mode, t1, self.m - len(slots)), enc))
             prev = now
         return "\n".join(out) + "\n"
 
@@ -299,9 +297,9 @@ def trace_from_jsonl(text: str) -> Trace:
     every instant within [0, horizon], and the lines of each span [t, until)
     together, in one mode, as dispatch lines for procs 0, 1, ... and an idle
     line for the procs left over, if any. A span becomes one sched record;
-    an idle line's "procs" and the preempt lines (derived data) are dropped.
-    Malformed input, a field of the wrong JSON type included, raises
-    ValueError naming the line."""
+    an idle line's "procs" and the preempt lines (derived data) are
+    checked, then dropped. Malformed input, a field of the wrong JSON type
+    included, raises ValueError naming the line."""
     events = []
     meta = span = None  # the open span: [t, until, mode, slots, free, line]
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -331,50 +329,49 @@ def trace_from_jsonl(text: str) -> Trace:
         except TypeError as exc:  # an unhashable kind
             raise ValueError(f"trace line {lineno}: {exc}") from None
         if layout is None:
-            if kind != "preempt":
-                raise ValueError(f"trace line {lineno}: unknown kind {kind!r}")
-        elif not layout[2](vals):
+            raise ValueError(f"trace line {lineno}: unknown kind {kind!r}")
+        if not layout[2](vals):
             raise ValueError(f"trace line {lineno}: {kind} record "
                              f"{_mistyped(layout[1], vals)}")
         if meta is None or kind == "meta":
             if meta is not None or kind != "meta":
                 raise ValueError(f"trace line {lineno}: the meta line must "
                                  "come first, and only once")
-            meta, horizon, m = vals, vals[0], vals[1]
+            meta, horizon, m = vals[2:], vals[2], vals[3]
             continue
         on_span = kind == "dispatch" or kind == "idle"
-        if span is not None and not (on_span and vals[0] == span[0]
-                                     and vals[1] == span[1]):
+        if span is not None and not (on_span and vals[1] == span[0]
+                                     and vals[3] == span[1]):
             events.append(_sched_record(span))
             span = None
         if not on_span:
-            if vals is not None:
-                if not 0 <= vals[1] <= horizon:
-                    raise ValueError(f"trace line {lineno}: t={vals[1]} is "
-                                     f"outside [0, horizon={horizon}]")
+            if not 0 <= vals[1] <= horizon:
+                raise ValueError(f"trace line {lineno}: t={vals[1]} is "
+                                 f"outside [0, horizon={horizon}]")
+            if kind != "preempt":
                 events.append(vals)
             continue
         if span is None:
-            if not 0 <= vals[0] < vals[1] <= horizon:
-                raise ValueError(f"trace line {lineno}: span [{vals[0]}, "
-                                 f"{vals[1]}) is empty or leaves [0, {horizon}]")
-            span = [vals[0], vals[1], vals[2], [], m, lineno]
+            if not 0 <= vals[1] < vals[3] <= horizon:
+                raise ValueError(f"trace line {lineno}: span [{vals[1]}, "
+                                 f"{vals[3]}) is empty or leaves [0, {horizon}]")
+            span = [vals[1], vals[3], vals[2], [], m, lineno]
         elif vals[2] != span[2]:
             raise ValueError(f"trace line {lineno}: mode {vals[2]} "
                              f"differs from its span's mode {span[2]}")
         slots, free = span[3], span[4]
         if kind == "idle":
-            if not 0 < vals[3] == free:
+            if not 0 < vals[4] == free:
                 raise ValueError(f"trace line {lineno}: idle line for "
-                                 f"{vals[3]} procs where {free} are free")
+                                 f"{vals[4]} procs where {free} are free")
             span[4] = 0
-        elif free and vals[3] == len(slots):
-            slots.append(("G", vals[7], vals[8], vals[4], vals[5])
-                         if len(vals) == 9 else
-                         ("R" if vals[6] else "J", vals[4], vals[5]))
+        elif free and vals[6] == len(slots):
+            slots.append(("G", vals[8], vals[9], vals[4], vals[5])
+                         if len(vals) == 10 else
+                         ("R" if vals[7] else "J", vals[4], vals[5]))
             span[4] = free - 1
         else:
-            raise ValueError(f"trace line {lineno}: proc {vals[3]} is not "
+            raise ValueError(f"trace line {lineno}: proc {vals[6]} is not "
                              "the next free proc of its span")
     if meta is None:
         raise ValueError("trace has no meta line")
