@@ -49,12 +49,18 @@ and the running entities' budget and completion boundaries.
 
 Internal trace events are tuples. A point event is (kind, t, mode, *fields)
 with the fields of EVENT_FIELDS[kind] other than "mode", in table order; the
-table also fixes each kind's JSONL field order. Dispatch spans are
+table also fixes each kind's JSONL field order. _LINE_FIELDS declares every
+JSONL line kind once, and Trace.to_jsonl and trace_from_jsonl are both
+compiled from it. Dispatch spans are
     ("sched", t0, mode, t1, slots)
 with one slot per busy processor, in priority order:
     ("J", task, k)                           enabled-task job
     ("R", task, k)                           rem-job on a free processor
     ("G", ghost_task, ghost_k, task, k)      rem-job hosted by a ghost slot
+In JSONL a span is one dispatch line per slot ("rem" 0 for "J", 1 for "R"
+and "G", which also names its ghost), an idle line for the free procs, and
+before them preempt lines for the jobs that stopped unfinished; the reader
+checks the preempt lines and drops them as derived data.
 
 Same-instant processing order: credit execution, completions (spawning
 ghosts), budget-overrun cascade, ghost cleanup, level-decrease intake,
@@ -296,10 +302,11 @@ def trace_from_jsonl(text: str) -> Trace:
     lines in the order `Trace.to_jsonl` writes them: the meta line first,
     every instant within [0, horizon], and the lines of each span [t, until)
     together, in one mode, as dispatch lines for procs 0, 1, ... and an idle
-    line for the procs left over, if any. A span becomes one sched record;
-    an idle line's "procs" and the preempt lines (derived data) are
-    checked, then dropped. Malformed input, a field of the wrong JSON type
-    included, raises ValueError naming the line."""
+    line for the procs left over, if any; each span starts after the one
+    before it. A span becomes one sched record; an idle line's "procs" and
+    the preempt lines (derived data) are checked, then dropped. Malformed
+    input, a field of the wrong JSON type included, raises ValueError
+    naming the line."""
     events = []
     meta = span = None  # the open span: [t, until, mode, slots, free, line]
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -338,6 +345,16 @@ def trace_from_jsonl(text: str) -> Trace:
                 raise ValueError(f"trace line {lineno}: the meta line must "
                                  "come first, and only once")
             meta, horizon, m = vals[2:], vals[2], vals[3]
+            if vals[1] != 0 or horizon < 0 or m < 1 or vals[4] < 1:
+                raise ValueError(f"trace line {lineno}: meta line has t "
+                                 f"{vals[1]}, horizon {horizon}, m {m}, levels "
+                                 f"{vals[4]}; t must be 0, the horizon >= 0, "
+                                 "m and levels >= 1")
+            try:
+                ProtocolConfig(*vals[5:])
+            except ValueError as exc:
+                raise ValueError(f"trace line {lineno}: {exc}") from None
+            start = -1  # the start of the last span read
             continue
         on_span = kind == "dispatch" or kind == "idle"
         if span is not None and not (on_span and vals[1] == span[0]
@@ -350,12 +367,19 @@ def trace_from_jsonl(text: str) -> Trace:
                                  f"outside [0, horizon={horizon}]")
             if kind != "preempt":
                 events.append(vals)
+            elif not 0 <= vals[5] < m:
+                raise ValueError(f"trace line {lineno}: preempt proc "
+                                 f"{vals[5]} is outside [0, m={m})")
             continue
         if span is None:
-            if not 0 <= vals[1] < vals[3] <= horizon:
+            # spans start in increasing time, so sorting the events by time
+            # never brings two spans of one [t, until) together
+            if not start < vals[1] < vals[3] <= horizon:
                 raise ValueError(f"trace line {lineno}: span [{vals[1]}, "
-                                 f"{vals[3]}) is empty or leaves [0, {horizon}]")
-            span = [vals[1], vals[3], vals[2], [], m, lineno]
+                                 f"{vals[3]}) is empty, leaves [0, {horizon}] "
+                                 "or does not start after the span before it")
+            start = vals[1]
+            span = [start, vals[3], vals[2], [], m, lineno]
         elif vals[2] != span[2]:
             raise ValueError(f"trace line {lineno}: mode {vals[2]} "
                              f"differs from its span's mode {span[2]}")
@@ -365,6 +389,10 @@ def trace_from_jsonl(text: str) -> Trace:
                 raise ValueError(f"trace line {lineno}: idle line for "
                                  f"{vals[4]} procs where {free} are free")
             span[4] = 0
+        elif vals[7] != 1 and (vals[7] != 0 or len(vals) == 10):
+            raise ValueError(f"trace line {lineno}: rem {vals[7]} is not "
+                             + ("1 on a ghost-hosting dispatch line"
+                                if len(vals) == 10 else "0 or 1"))
         elif free and vals[6] == len(slots):
             slots.append(("G", vals[8], vals[9], vals[4], vals[5])
                          if len(vals) == 10 else

@@ -14,8 +14,8 @@ from mcsched.cli import main
 from mcsched.experiment import CSV_HEADER, prepare_run, run_experiment
 from mcsched.model import (FormatError, MCTask, Platform, Scenario, TaskSet,
                            dump_scenario, dump_taskset, load_taskset)
-from mcsched.sim import (PROTOCOLS, ProtocolConfig, Trace, simulate,
-                         trace_from_jsonl)
+from mcsched.sim import (META_FIELDS, PROTOCOLS, ProtocolConfig, Trace,
+                         simulate, trace_from_jsonl)
 
 
 @pytest.fixture
@@ -317,6 +317,9 @@ META_LINE = ('{"t":0,"kind":"meta","horizon":40,"m":1,"levels":2,'
 META_M2 = META_LINE.replace('"m":1', '"m":2')
 DISPATCH_0 = ('{"t":0,"kind":"dispatch","task":1,"k":1,"proc":0,"mode":1,'
               '"until":4,"rem":0}')
+GHOST_0 = ('{"t":0,"kind":"dispatch","task":2,"k":1,"proc":0,"mode":1,'
+           '"until":4,"rem":1,"ghost_task":1,"ghost_k":1}')
+PREEMPT_0 = '{"t":0,"kind":"preempt","task":1,"k":1,"proc":0,"mode":1}'
 
 
 MALFORMED_TRACES = [
@@ -371,6 +374,23 @@ MALFORMED_TRACES = [
                   '"mode":1', '"mode":2') + '\n',
     META_LINE + '\n{"t":0,"kind":"ghost","task":2,"k":1,"proc":0,"mode":1,'
                 '"until":4,"rem":1,"ghost_task":1,"ghost_k":1}\n',
+    META_LINE + '\n{"t":0,"kind":"preempt"}\n',
+    META_LINE + '\n' + PREEMPT_0.replace('"t":0', '"t":"0"') + '\n',
+    META_LINE + '\n' + PREEMPT_0.replace('"t":0', '"t":41') + '\n',
+    META_LINE + '\n' + PREEMPT_0.replace('"proc":0', '"proc":1') + '\n',
+    META_LINE + '\n' + DISPATCH_0.replace('"rem":0', '"rem":7') + '\n',
+    META_LINE + '\n' + GHOST_0.replace('"rem":1', '"rem":0') + '\n',
+    META_LINE.replace('"horizon":40', '"horizon":-5') + '\n',
+    META_LINE.replace('"m":1', '"m":0') + '\n',
+    META_LINE.replace('"levels":2', '"levels":0') + '\n',
+    META_LINE.replace('"drop"', '"bogus"') + '\n',
+    META_LINE.replace('"crit-edf"', '"y"') + '\n',
+    META_LINE.replace('"t":0', '"t":7') + '\n',
+    META_LINE + '\n' + DISPATCH_0 + '\n' + PREEMPT_0 + '\n'
+                + DISPATCH_0 + '\n',
+    META_LINE + '\n' + DISPATCH_0 + '\n'
+                '{"t":2,"kind":"release","task":2,"k":1,"mode":1,"d":14}\n'
+                + DISPATCH_0 + '\n',
 ]
 
 
@@ -383,7 +403,12 @@ MALFORMED_TRACES = [
     "idle-procs-wrong", "dispatch-after-idle", "event-before-meta",
     "event-past-horizon", "negative-time", "until-past-horizon",
     "empty-span", "span-split", "negative-span-start", "span-until-differs",
-    "dispatch-modes-differ", "ghost-kind"])
+    "dispatch-modes-differ", "ghost-kind", "preempt-without-fields",
+    "preempt-string-time", "preempt-past-horizon", "preempt-proc-past-m",
+    "dispatch-rem-7", "ghost-rem-0", "meta-negative-horizon", "meta-m-0",
+    "meta-levels-0", "meta-unknown-protocol", "meta-unknown-rem-order",
+    "meta-t-not-0",
+    "span-repeated-after-preempt", "span-repeated-after-later-event"])
 def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
     _, path = sched_ts
     trace_path = tmp_path / "trace.jsonl"
@@ -481,6 +506,11 @@ def test_trace_reader_fuzz_raises_only_value_error(text):
     except ValueError:
         return
     assert isinstance(trace, Trace)
+    # what the reader accepts, the writer writes back readably and unchanged
+    back = trace_from_jsonl(trace.to_jsonl())
+    assert back.events == trace.events
+    assert [getattr(back, f) for f in META_FIELDS] == [
+        getattr(trace, f) for f in META_FIELDS]
     # the reader's contract on what it accepts
     times = [ev[1] for ev in trace.events]
     assert times == sorted(times)

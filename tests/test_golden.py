@@ -17,6 +17,7 @@ the bytes regenerates them and says why.
 
 import hashlib
 import io
+import json
 
 import pytest
 
@@ -312,15 +313,27 @@ def test_queue_cases_hit_their_targets():
                    "unfinished deadline at a re-enable instant"}
 
 
+def _line_kind(line):
+    rec = json.loads(line)
+    if rec["kind"] != "dispatch":
+        return rec["kind"]
+    return "ghost" if "ghost_task" in rec else f"dispatch rem {rec['rem']}"
+
+
 def test_cases_cover_every_event_kind_and_slot_code():
-    kinds, codes = set(), set()
+    kinds, codes, lines = set(), set(), set()
     for case in CASES:
-        for ev in _trace(*case[:7]).events:
+        trace = _trace(*case[:7])
+        lines.update(map(_line_kind, trace.to_jsonl().splitlines()))
+        for ev in trace.events:
             kinds.add(ev[0])
             if ev[0] == "sched":
                 codes.update(slot[0] for slot in ev[4])
     assert kinds == POINT_KINDS | {"sched"}
     assert codes == {"J", "R", "G"}
+    # every compiled line writer is pinned by a digest
+    assert lines == POINT_KINDS | {"meta", "dispatch rem 0", "dispatch rem 1",
+                                   "ghost", "idle", "preempt"}
 
 
 def test_experiment_csv_bytes():
