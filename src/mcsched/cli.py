@@ -9,7 +9,7 @@ Subcommands:
 
 Exit codes: 0 success, 1 violation found (missed deadline, failed check),
 2 invalid input, 3 refused precondition (simulating an unschedulable set
-without --force).
+without force). `main` alone maps exceptions to codes 2 and 3.
 """
 
 from __future__ import annotations
@@ -19,16 +19,10 @@ import json
 import sys
 
 from . import analysis, gen, verify
-from .experiment import prepare_run, run_experiment
-from .model import (FormatError, ValidationError, dump_scenario, dump_taskset,
-                    id_key, load_scenario, load_taskset)
-from .sim import (PROTOCOLS, REM_ORDERS, InconsistentInputs, InvalidTarget,
-                  ModelViolation, ProtocolConfig, simulate, trace_from_jsonl)
-
-
-def _fail(msg: str, code: int = 2) -> int:
-    print(f"error: {msg}", file=sys.stderr)
-    return code
+from .experiment import Unschedulable, load_spec, prepare_run, run_experiment
+from .model import (dump_scenario, dump_taskset, id_key, load_scenario,
+                    load_taskset)
+from .sim import PROTOCOLS, REM_ORDERS, ProtocolConfig, simulate, trace_from_jsonl
 
 
 def _analysis_doc(res: analysis.AnalysisResult, m: int) -> dict:
@@ -46,10 +40,7 @@ def _analysis_doc(res: analysis.AnalysisResult, m: int) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        ts, platform = load_taskset(args.taskset)
-    except (FormatError, ValidationError, OSError) as exc:
-        return _fail(str(exc))
+    ts, platform = load_taskset(args.taskset)
     res = analysis.opa_assign(ts, platform.m, cap=not args.no_cap)
     json.dump(_analysis_doc(res, platform.m), sys.stdout, indent=2)
     print()
@@ -57,21 +48,11 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
-        ts, platform = load_taskset(args.taskset)
-        sc = load_scenario(args.scenario, ts)
-    except (FormatError, ValidationError, OSError) as exc:
-        return _fail(str(exc))
+    ts, platform = load_taskset(args.taskset)
+    sc = load_scenario(args.scenario, ts)
     cfg = ProtocolConfig(protocol=args.protocol, rem_order=args.rem_order)
     pa, wt, _ = prepare_run(ts, platform, not args.no_cap, args.force)
-    if pa is None:
-        print("refusing to simulate: task set is not schedulable by the "
-              "analysis (use --force to override)", file=sys.stderr)
-        return 3
-    try:
-        trace = simulate(ts, platform, pa, wt, sc, cfg)
-    except (InconsistentInputs, InvalidTarget, ModelViolation) as exc:
-        return _fail(str(exc))
+    trace = simulate(ts, platform, pa, wt, sc, cfg)
     text = trace.to_jsonl()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -86,16 +67,14 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    try:
-        ts, platform = load_taskset(args.taskset)
-        with open(args.trace, encoding="utf-8") as fh:
-            trace = trace_from_jsonl(fh.read())
-        sc = load_scenario(args.scenario, ts) if args.scenario else None
-    except (FormatError, ValidationError, ValueError, OSError) as exc:
-        return _fail(str(exc))
+    ts, platform = load_taskset(args.taskset)
+    with open(args.trace, encoding="utf-8") as fh:
+        trace = trace_from_jsonl(fh.read())
+    sc = load_scenario(args.scenario, ts) if args.scenario else None
     if (trace.m, trace.levels) != (platform.m, ts.levels):
-        return _fail(f"trace meta line has m={trace.m}, levels={trace.levels}"
-                     f"; the task set has m={platform.m}, levels={ts.levels}")
+        raise ValueError(f"trace meta line has m={trace.m}, levels="
+                         f"{trace.levels}; the task set has m={platform.m}, "
+                         f"levels={ts.levels}")
     reports = verify.check_run(trace, ts, sc=sc)
     # each report's fields after "ok" and "checked", in declaration order
     json.dump({name: {"ok": rep.ok, "checked": rep.checked, **vars(rep)}
@@ -105,45 +84,29 @@ def cmd_check(args) -> int:
 
 
 def cmd_generate_taskset(args) -> int:
-    try:
-        params = gen.GenParams(
-            n_tasks=args.n, levels=args.levels, total_util=args.util, m=args.m,
-            period_range=(args.period_min, args.period_max),
-            ensure_overrunnable=args.overrunnable)
-        ts, platform = gen.gen_taskset(params, args.seed)
-    except (ValueError, gen.Infeasible) as exc:
-        return _fail(str(exc))
+    params = gen.GenParams(
+        n_tasks=args.n, levels=args.levels, total_util=args.util, m=args.m,
+        period_range=(args.period_min, args.period_max),
+        ensure_overrunnable=args.overrunnable)
+    ts, platform = gen.gen_taskset(params, args.seed)
     dump_taskset(ts, platform, args.out or sys.stdout)
     return 0
 
 
 def cmd_generate_scenario(args) -> int:
-    try:
-        ts, _ = load_taskset(args.taskset)
-        dmcr = []
-        for spec in args.dmcr or []:
-            t, _, lv = spec.partition(":")
-            dmcr.append((int(t), int(lv)))
-        sc = gen.gen_scenario(ts, args.horizon, args.seed,
-                              exec_model=args.exec_model, dmcr_plan=dmcr)
-    except (FormatError, ValidationError, ValueError, OSError) as exc:
-        return _fail(str(exc))
+    ts, _ = load_taskset(args.taskset)
+    dmcr = []
+    for spec in args.dmcr or []:
+        t, _, lv = spec.partition(":")
+        dmcr.append((int(t), int(lv)))
+    sc = gen.gen_scenario(ts, args.horizon, args.seed,
+                          exec_model=args.exec_model, dmcr_plan=dmcr)
     dump_scenario(sc, args.out or sys.stdout)
     return 0
 
 
 def cmd_experiment(args) -> int:
-    try:
-        with open(args.spec, encoding="utf-8") as fh:
-            try:
-                spec = json.load(fh)
-            except (ValueError, RecursionError) as exc:  # or nested too deep
-                raise FormatError(f"experiment spec is not JSON: {exc}") from None
-        summary = run_experiment(spec, args.out or sys.stdout)
-    except (ValueError, OSError) as exc:
-        return _fail(str(exc))
-    except gen.Infeasible as exc:
-        return _fail(str(exc), 3)
+    summary = run_experiment(load_spec(args.spec), args.out or sys.stdout)
     if args.out:
         json.dump(summary, sys.stdout, indent=2)
         print()
@@ -214,8 +177,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand. An input error exits 2 and a refusal 3, each
+    with one `error:` line on stderr; any other exception is a bug and
+    keeps its traceback."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3 if isinstance(exc, Unschedulable) else 2
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ every protocol on every scenario and writes one CSV row per run.
 
 from __future__ import annotations
 
+import json
 from contextlib import nullcontext
 from typing import IO
 
@@ -20,17 +21,32 @@ CSV_HEADER = ("protocol,seed,scenario_id,misses_hi,misses_enabled,"
               "mean_susp_delay,chain_aborts")
 
 
+class Unschedulable(ValueError):
+    """The analysis rejects the task set and the run is not forced."""
+
+
 def prepare_run(ts, platform, cap, force):
     """(priority assignment, response-time table, analysis result) for a
-    run: the analysis's own when the set is schedulable, the
-    deadline-monotonic fallback's when it is not and `force` is set, and
-    no assignment or table otherwise."""
+    run: the analysis's own when the set is schedulable, and the
+    deadline-monotonic fallback's when it is not and `force` is set.
+    Raises Unschedulable otherwise."""
     res = analysis.opa_assign(ts, platform.m, cap=cap)
     if res.schedulable:
         return res.assignment, res.wcrt_table, res
-    if force:
-        return (*analysis.dm_fallback(ts, platform.m, cap), res)
-    return None, None, res
+    if not force:
+        raise Unschedulable("task set is not schedulable by the analysis; "
+                            "refusing to simulate it without force")
+    return (*analysis.dm_fallback(ts, platform.m, cap), res)
+
+
+def load_spec(path: str):
+    """The JSON value in an experiment spec file; text that is not JSON,
+    or JSON nested too deep to decode, is a FormatError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise FormatError(f"experiment spec is not JSON: {exc}") from None
 
 
 def _csv_row(protocol, seed, scenario_id, m) -> str:
@@ -132,7 +148,13 @@ def run_experiment(spec: dict, out: str | IO[str]) -> dict:
         except (TypeError, ValueError) as exc:  # not an object; bad keys
             raise FormatError(f"experiment spec 'gen': {exc}") from None
         ts, platform = gen.gen_taskset(params, seed)
-    horizon = _spec_get(spec, "horizon", 20 * max(t.T for t in ts.tasks))
+    if "horizon" in spec:
+        horizon = _spec_get(spec, "horizon", None)
+    elif ts.tasks:
+        horizon = 20 * max(t.T for t in ts.tasks)
+    else:
+        raise FormatError("experiment spec 'horizon' must be given for a "
+                          "task set with no tasks")
     for when, target in dmcr:
         if not 1 <= target < ts.levels:
             raise FormatError(
@@ -140,8 +162,6 @@ def run_experiment(spec: dict, out: str | IO[str]) -> dict:
                 f"in [1, {ts.levels - 1}] for a {ts.levels}-level set")
 
     pa, wt, res = prepare_run(ts, platform, cap=True, force=force)
-    if pa is None:
-        raise gen.Infeasible("task set not schedulable; set 'force' to run anyway")
     opened = (nullcontext(out) if hasattr(out, "write")
               else open(out, "w", encoding="utf-8", newline=""))
     totals = {p: {"misses_enabled": 0, "rem_completed": 0, "rem_dropped": 0,

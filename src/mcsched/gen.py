@@ -19,13 +19,10 @@ from .model import (MCTask, Platform, Scenario, TaskSet, ValidationError,
 MASK64 = (1 << 64) - 1
 
 
-class Infeasible(RuntimeError):
+class Infeasible(ValueError):
     """No valid task set found for the requested parameters within the
-    attempt budget."""
-
-
-class _Retry(Exception):
-    pass
+    attempt budget. Within gen_taskset, one failed attempt raises it too,
+    and the next attempt follows."""
 
 
 class SplitMix64:
@@ -140,7 +137,7 @@ def gen_taskset(params: GenParams, seed: int) -> tuple[TaskSet, Platform]:
         rng = SplitMix64(child_seed(seed, attempt))
         try:
             return _attempt_taskset(params, rng)
-        except (_Retry, Infeasible):
+        except Infeasible:
             continue
     raise Infeasible(
         f"no valid task set for {params} in {params.max_attempts} attempts")
@@ -171,13 +168,13 @@ def _attempt_taskset(params: GenParams, rng: SplitMix64) -> tuple[TaskSet, Platf
 
     if params.ensure_overrunnable:
         if not any(t.L >= 2 and t.C[1] > t.C[0] for t in tasks):
-            raise _Retry
+            raise Infeasible
     ts = TaskSet(tasks=tuple(tasks), levels=params.levels)
     platform = Platform(m=params.m)
     try:
         validate_taskset(ts, platform)
     except ValidationError:
-        raise _Retry
+        raise Infeasible
     return ts, platform
 
 
@@ -214,11 +211,11 @@ def _repair_utilization(budgets, periods, deadlines, target, tol,
                 if nd < best[0]:
                     best = (nd, [(i, si), (j, sj)])
         if best is None or best[0] >= abs(d):
-            raise _Retry
+            raise Infeasible
         for i, s in best[1]:
             budgets[i] += s
     if abs(dev()) > tol:
-        raise _Retry
+        raise Infeasible
 
 
 EXEC_MODELS = ("uniform", "basic", "overrun", "overrun-then-calm")

@@ -99,9 +99,6 @@ class TaskSet:
     tasks: tuple[MCTask, ...]
     levels: int
 
-    def __iter__(self):
-        return iter(self.tasks)
-
     def __len__(self):
         return len(self.tasks)
 

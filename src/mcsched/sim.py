@@ -59,8 +59,10 @@ with one slot per busy processor, in priority order:
     ("G", ghost_task, ghost_k, task, k)      rem-job hosted by a ghost slot
 In JSONL a span is one dispatch line per slot ("rem" 0 for "J", 1 for "R"
 and "G", which also names its ghost), an idle line for the free procs, and
-before them preempt lines for the jobs that stopped unfinished; the reader
-checks the preempt lines and drops them as derived data.
+before them preempt lines for the jobs that stopped unfinished. The reader
+drops preempt lines as derived data once it has checked their fields, JSON
+types, t within [0, horizon] and proc within [0, m); it does not check them
+against the spans.
 
 Same-instant processing order: credit execution, completions (spawning
 ghosts), budget-overrun cascade, ghost cleanup, level-decrease intake,
@@ -92,7 +94,7 @@ class InconsistentInputs(ValueError):
     """Priority assignment or response-time table does not cover the task set."""
 
 
-class ModelViolation(RuntimeError):
+class ModelViolation(ValueError):
     """A job reached its top-level budget without completing; the scenario
     breached the execution-time contract."""
 
@@ -304,7 +306,8 @@ def trace_from_jsonl(text: str) -> Trace:
     together, in one mode, as dispatch lines for procs 0, 1, ... and an idle
     line for the procs left over, if any; each span starts after the one
     before it. A span becomes one sched record; an idle line's "procs" and
-    the preempt lines (derived data) are checked, then dropped. Malformed
+    the preempt lines (derived data) are checked, then dropped. Of a preempt
+    line only the fields, their types, t and proc are checked. Malformed
     input, a field of the wrong JSON type included, raises ValueError
     naming the line."""
     events = []

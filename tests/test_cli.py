@@ -99,6 +99,59 @@ def test_simulate_refuses_unschedulable_without_force(heavy_ts, tmp_path, capsys
     assert rc == 1  # the overload misses deadlines
 
 
+REFUSAL = ("error: task set is not schedulable by the analysis; refusing "
+           "to simulate it without force\n")
+
+
+@pytest.mark.parametrize("argv, code", [
+    ("generate taskset --n 3 --levels 2 --util 0.5 --out {missing}", 2),
+    ("generate taskset --n 3 --levels 2 --util 0.5 --out {dir}", 2),
+    ("generate scenario --taskset {ts} --horizon 40 --out {missing}", 2),
+    ("simulate --taskset {ts} --scenario {sc} --out {missing}", 2),
+    ("simulate --taskset {ts} --scenario {sc} --out {dir}", 2),
+    ("analyze --taskset {latin1}", 2),
+    ("simulate --taskset {latin1} --scenario {sc}", 2),
+    ("simulate --taskset {ts} --scenario {latin1}", 2),
+    ("experiment --spec {unbuildable}", 2),
+    ("simulate --taskset {heavy} --scenario {heavy_sc}", 3),
+    ("experiment --spec {unschedulable}", 3),
+], ids=["taskset-out-missing-dir", "taskset-out-dir", "scenario-out-missing-dir",
+        "trace-out-missing-dir", "trace-out-dir", "analyze-not-utf8",
+        "simulate-taskset-not-utf8", "simulate-scenario-not-utf8",
+        "experiment-unbuildable-gen", "simulate-unschedulable",
+        "experiment-unschedulable"])
+def test_input_error_exits_2_and_refusal_exits_3(sched_ts, heavy_ts, tmp_path,
+                                                 capsys, argv, code):
+    """Every command reports an input error (exit 2) or a refusal (exit 3)
+    as one `error:` line, and a refusal in the same words everywhere."""
+    ts, ts_path = sched_ts
+    heavy, heavy_path = heavy_ts
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b"\xff\xfe{}")
+    specs = {"unbuildable": {"gen": {"n_tasks": 300, "levels": 2,
+                                     "total_util": 0.5, "max_attempts": 1}},
+             "unschedulable": {"taskset": heavy_path}}
+    for name, spec in specs.items():
+        (tmp_path / name).write_text(json.dumps(spec))
+    paths = {name: str(tmp_path / name) for name in specs}
+    paths.update(
+        ts=ts_path, heavy=heavy_path, latin1=str(latin1), dir=str(tmp_path),
+        missing=str(tmp_path / "missing" / "out"),
+        sc=scenario_file(tmp_path, ts, Scenario(
+            horizon=20, arrivals={1: (0,), 2: (0,), 3: (0,)},
+            exec_times={1: (1,), 2: (2,), 3: (3,)}, dmcr_requests=())),
+        heavy_sc=scenario_file(tmp_path, heavy, Scenario(
+            horizon=20, arrivals={1: (0, 10), 2: (0, 10)},
+            exec_times={1: (6, 6), 2: (6, 6)}, dmcr_requests=()), "heavy_sc"))
+    rc = main(argv.format(**paths).split())
+    stdout, err = capsys.readouterr()
+    assert rc == code
+    assert stdout == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    if code == 3:
+        assert err == REFUSAL
+
+
 def test_simulate_trace_to_stdout_and_determinism(sched_ts, tmp_path, capsys):
     ts, path = sched_ts
     sc = Scenario(horizon=40,
@@ -618,6 +671,27 @@ def test_experiment_refuses_unschedulable_taskset(heavy_ts, tmp_path, capsys):
     assert capsys.readouterr().out == ""
     assert rc == 3
     assert not out.exists()
+
+
+@pytest.mark.parametrize("horizon", [30, None])
+def test_experiment_on_a_set_with_no_tasks(tmp_path, capsys, horizon):
+    ts_path = tmp_path / "empty.json"
+    ts_path.write_text(json.dumps({"criticality_levels": 2, "processors": 1,
+                                   "tasks": []}))
+    spec = {"taskset": str(ts_path), "protocols": ["drop"]}
+    if horizon is not None:
+        spec["horizon"] = horizon
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    rc = main(["experiment", "--spec", str(spec_path)])
+    stdout, err = capsys.readouterr()
+    if horizon is None:
+        assert rc == 2
+        assert err.startswith("error: experiment spec 'horizon'")
+    else:
+        assert rc == 0
+        assert stdout.splitlines()[1:] == [
+            "drop,0,0,0,0,0,0,0.000000,0.000000,0.000000,0"]
 
 
 GEN = {"n_tasks": 4, "levels": 2, "total_util": 0.7}

@@ -1,15 +1,18 @@
 """The README's examples must be what the package reads, writes and runs."""
 
+import ast
 import io
 import json
 import re
+import sys
 from pathlib import Path
 
 from mcsched import analysis, sim
 from mcsched.experiment import CSV_HEADER, run_experiment
 from mcsched.model import load_scenario, load_taskset
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def _example(marker, lang="json"):
@@ -43,3 +46,20 @@ def test_readme_experiment_example_runs():
     lines = out.getvalue().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 3 * 3  # three protocols, three scenarios
+
+
+def test_package_imports_only_the_standard_library():
+    """The README's "no dependencies outside the standard library"."""
+    sources = sorted((ROOT / "src" / "mcsched").glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name}: {name}"
