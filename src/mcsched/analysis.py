@@ -17,12 +17,12 @@ cannot be delayed by more than that while still pending. The bounds are
 sound upper bounds on any legal sporadic release pattern; the test suite
 checks them against an exhaustive oracle rather than trusting the algebra.
 
-workload_nc, workload_ci and interfering_bounds are the readable per-term
-definition. Every fixed point (wcrt, opa_assign, dm_fallback) runs through
-one routine, _response, and each iterate evaluates the total through one
+Every fixed point (wcrt, opa_assign, dm_fallback) runs through one
+routine, _response, and each iterate evaluates the total through one
 integer kernel, _window_total, over plain (T_j, C_j(l)) pairs, with no
-object per term; tests/test_analysis.py checks both against a reference
-fixed point built from interfering_bounds.
+object per term. The readable per-term definition of the bounds above and a
+reference fixed point built from it live in tests/oracles.py and
+tests/test_analysis.py, which check the kernel against them.
 
 Closed-form first iterate. With the cap and C_i(l) >= 1 the first iterate
 is R1 = C_i(l) + floor(#{j : C_j(l) >= 1} / m). Proof: on the window
@@ -56,54 +56,6 @@ class SameTask(ValueError):
     """Interference of a task with itself was requested."""
 
 
-def workload_nc(task: MCTask, delta: int, level: int) -> int:
-    """Max execution of task's jobs inside a window of length delta,
-    no carry-in (first release at or after the window start)."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if delta == 0:
-        return 0
-    c = task.wcet(level)
-    return (delta // task.T) * c + min(c, delta % task.T)
-
-
-def workload_ci(task: MCTask, delta: int, level: int) -> int:
-    """Max execution inside a window of length delta when one job may have
-    been released before the window (carry-in)."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if delta == 0:
-        return 0
-    c = task.wcet(level)
-    rest = max(delta - c, 0)
-    return min(delta, c * (1 + rest // task.T) + min(c, rest % task.T))
-
-
-@dataclass(frozen=True)
-class InterferenceBound:
-    nc: int
-    ci: int
-
-    @property
-    def diff(self) -> int:
-        return self.ci - self.nc
-
-
-def interfering_bounds(tj: MCTask, ti: MCTask, delta: int, level: int,
-                       cap: bool = True) -> InterferenceBound:
-    """Workload of tj that can actually delay a pending job of ti.
-
-    With the cap, each bound is clipped at delta - C_i(level) + 1: once ti
-    has been held off that long it has already missed the window.
-    """
-    if tj.id == ti.id:
-        raise SameTask(f"task {ti.id!r} cannot interfere with itself")
-    limit = max(delta - ti.wcet(level) + 1, 0) if cap else delta
-    nc = min(workload_nc(tj, delta, level), limit)
-    ci = min(workload_ci(tj, delta, level), limit)
-    return InterferenceBound(nc=nc, ci=ci)
-
-
 def _terms(ti: MCTask, hp: list[MCTask], level: int) -> list[tuple[int, int]]:
     """(T_j, C_j(level)) for every interfering task; ti itself is rejected."""
     terms = []
@@ -120,8 +72,8 @@ def _window_total(terms: list[tuple[int, int]], limit: int, delta: int,
     delta: the nc bound of every term plus the k largest ci - nc
     surcharges, each bound clipped at limit (and ci also at delta).
 
-    Same values as interfering_bounds term by term, without building an
-    object per term.
+    Same values as the per-term definition, without building an object per
+    term.
     """
     ci_limit = delta if delta < limit else limit
     total = 0
@@ -149,21 +101,6 @@ def _window_total(terms: list[tuple[int, int]], limit: int, delta: int,
         diffs.sort(reverse=True)
         total += sum(diffs[:k])
     return total
-
-
-def total_interfering(ti: MCTask, hp: list[MCTask], delta: int, level: int,
-                      m: int, cap: bool = True) -> int:
-    """Total interfering workload on ti over a window of length delta.
-
-    Sum of non-carry-in bounds plus the m-1 largest carry-in surcharges.
-    The sum of the k largest values is the same whichever of several equal
-    values is taken, so the total does not depend on how ties are broken.
-    """
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    terms = _terms(ti, hp, level)
-    limit = max(delta - ti.wcet(level) + 1, 0) if cap else delta
-    return _window_total(terms, limit, delta, m - 1)
 
 
 def _response(terms: list[tuple[int, int]], c: int, d: int, m: int,
@@ -290,19 +227,3 @@ def dm_fallback(ts: TaskSet, m: int,
                                            task.D, m, cap), task.D)
           for i, task in enumerate(order) for lv in range(task.L)}
     return PriorityAssignment({t.id: i + 1 for i, t in enumerate(order)}), wt
-
-
-def uniprocessor_rta(task: MCTask, hp: list[MCTask], level: int) -> int:
-    """Classical m=1 response-time recurrence R = C + sum ceil(R/T_j) C_j.
-
-    Kept as an independent reference for the m=1 degeneration check.
-    """
-    c = task.wcet(level)
-    r = c
-    while True:
-        if r > task.D:
-            raise Divergent(f"uniproc: {r} > D={task.D}")
-        nxt = c + sum(-(-r // tj.T) * tj.wcet(level) for tj in hp)
-        if nxt == r:
-            return r
-        r = nxt

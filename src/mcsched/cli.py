@@ -75,6 +75,9 @@ def cmd_check(args) -> int:
         raise ValueError(f"trace meta line has m={trace.m}, levels="
                          f"{trace.levels}; the task set has m={platform.m}, "
                          f"levels={ts.levels}")
+    if sc is not None and trace.horizon != sc.horizon:
+        raise ValueError(f"trace meta line has horizon={trace.horizon}; the "
+                         f"scenario has horizon={sc.horizon}")
     reports = verify.check_run(trace, ts, sc=sc)
     # each report's fields after "ok" and "checked", in declaration order
     json.dump({name: {"ok": rep.ok, "checked": rep.checked, **vars(rep)}

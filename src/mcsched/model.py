@@ -127,6 +127,19 @@ def _normalize_c(raw_c: list[int], L: int, levels: int) -> tuple[int, ...] | str
     return tuple(padded)
 
 
+def _file_key(tid: TaskId) -> TaskId:
+    """Files key tasks by str(id). A string id that is the str() of an int
+    is keyed as that int, so 1 and "1" meet without a string per int id."""
+    if isinstance(tid, str):
+        try:
+            as_int = int(tid)
+        except ValueError:
+            return tid
+        if str(as_int) == tid:
+            return as_int
+    return tid
+
+
 def validate_taskset(ts: TaskSet, platform: Platform) -> TaskSet:
     """Check every model invariant; return ts unchanged or raise.
 
@@ -136,12 +149,14 @@ def validate_taskset(ts: TaskSet, platform: Platform) -> TaskSet:
     errors: list[tuple[str, str]] = []
     if ts.levels < 1:
         errors.append(("InvalidLevels", f"levels must be >= 1, got {ts.levels}"))
-    seen: set[TaskId] = set()
+    seen: dict[TaskId, TaskId] = {}  # by _file_key
     for t in ts.tasks:
         name = f"task {t.id!r}"
-        if t.id in seen:
-            errors.append(("DuplicateId", name))
-        seen.add(t.id)
+        key = _file_key(t.id)
+        if key in seen:
+            errors.append(("DuplicateId", f"tasks {seen[key]!r} and {t.id!r} "
+                                          f"are both {str(t.id)!r} in a file"))
+        seen.setdefault(key, t.id)
         if t.T < 1:
             errors.append(("InvalidPeriod", f"{name}: T={t.T}"))
         if not 1 <= t.D <= t.T:

@@ -302,14 +302,14 @@ def _sched_record(span) -> tuple:
 def trace_from_jsonl(text: str) -> Trace:
     """Rebuild a Trace from its serialized form in one pass, reading the
     lines in the order `Trace.to_jsonl` writes them: the meta line first,
-    every instant within [0, horizon], and the lines of each span [t, until)
-    together, in one mode, as dispatch lines for procs 0, 1, ... and an idle
-    line for the procs left over, if any; each span starts after the one
-    before it. A span becomes one sched record; an idle line's "procs" and
-    the preempt lines (derived data) are checked, then dropped. Of a preempt
-    line only the fields, their types, t and proc are checked. Malformed
-    input, a field of the wrong JSON type included, raises ValueError
-    naming the line."""
+    every instant within [0, horizon] and every mode within [1, levels],
+    and the lines of each span [t, until) together, in one mode, as dispatch
+    lines for procs 0, 1, ... and an idle line for the procs left over, if
+    any; each span starts after the one before it. A span becomes one sched
+    record; an idle line's "procs" and the preempt lines (derived data) are
+    checked, then dropped. Of a preempt line only the fields, their types,
+    t and proc are checked. Malformed input, a field of the wrong JSON type
+    included, raises ValueError naming the line."""
     events = []
     meta = span = None  # the open span: [t, until, mode, slots, free, line]
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -347,11 +347,11 @@ def trace_from_jsonl(text: str) -> Trace:
             if meta is not None or kind != "meta":
                 raise ValueError(f"trace line {lineno}: the meta line must "
                                  "come first, and only once")
-            meta, horizon, m = vals[2:], vals[2], vals[3]
-            if vals[1] != 0 or horizon < 0 or m < 1 or vals[4] < 1:
+            meta, horizon, m, levels = vals[2:], vals[2], vals[3], vals[4]
+            if vals[1] != 0 or horizon < 0 or m < 1 or levels < 1:
                 raise ValueError(f"trace line {lineno}: meta line has t "
                                  f"{vals[1]}, horizon {horizon}, m {m}, levels "
-                                 f"{vals[4]}; t must be 0, the horizon >= 0, "
+                                 f"{levels}; t must be 0, the horizon >= 0, "
                                  "m and levels >= 1")
             try:
                 ProtocolConfig(*vals[5:])
@@ -359,6 +359,9 @@ def trace_from_jsonl(text: str) -> Trace:
                 raise ValueError(f"trace line {lineno}: {exc}") from None
             start = -1  # the start of the last span read
             continue
+        if not 1 <= vals[2] <= levels:
+            raise ValueError(f"trace line {lineno}: mode {vals[2]} is outside "
+                             f"[1, levels={levels}]")
         on_span = kind == "dispatch" or kind == "idle"
         if span is not None and not (on_span and vals[1] == span[0]
                                      and vals[3] == span[1]):

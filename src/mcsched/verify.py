@@ -1,4 +1,4 @@
-"""Independent trace checkers, a brute-force workload oracle, and run metrics.
+"""Independent trace checkers and run metrics.
 
 Everything in this module re-derives its verdicts from the raw event log and
 the declared inputs; nothing trusts the simulator's own bookkeeping beyond
@@ -24,20 +24,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
-from math import prod
-from operator import itemgetter
 
-from .model import MCTask, Scenario, TaskSet
+from .model import Scenario, TaskSet
 from .sim import Trace
-
-MAX_ORACLE_DELTA = 64
-MAX_ENUM_JOBS = 12
-MAX_ENUM_SCENARIOS = 65536
-
-
-class ParameterTooLarge(ValueError):
-    """Exhaustive oracle invoked outside its tractable parameter range."""
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +34,6 @@ class ParameterTooLarge(ValueError):
 
 
 _LEVEL_CHANGES = ("budget_exceeded", "re_enabled")
-_start = itemgetter(0)
 
 
 def _intervals(transitions, horizon: int) -> list[tuple[int, int, int]]:
@@ -68,13 +56,6 @@ def compute_l_intervals(trace: Trace) -> list[tuple[int, int, int]]:
     """
     return _intervals([(0, 1)] + [(ev[1], ev[2]) for ev in trace.events
                                   if ev[0] in _LEVEL_CHANGES], trace.horizon)
-
-
-def level_at(intervals, t: int) -> int:
-    """System level in force at instant t (the end instant maps to the last
-    interval, matching completions being processed before transitions)."""
-    i = bisect_right(intervals, t, key=_start)
-    return intervals[i - 1 if i else 0][2]
 
 
 def _suspension_starts(intervals, crit: int) -> list[int]:
@@ -298,7 +279,7 @@ def _periodicity(ix: _Index, ts: TaskSet, sc: Scenario) -> PeriodicityReport:
                     "ArrivalMultiplicity", tid, k,
                     f"{n[0]} releases and {n[1]} arrival drops"))
                 continue
-            i = bisect_right(starts, a)  # as level_at
+            i = bisect_right(starts, a)  # the level in force at a
             lv = intervals[i - 1 if i else 0][2]
             if ev[0] == "release":
                 if ev[1] != a:
@@ -429,87 +410,6 @@ def _reclaim(ix: _Index, ts: TaskSet) -> ReclaimReport:
                 "ReclaimOverBudget", tid, k,
                 f"ran {c} + hosted {hosted} > budget {budget} at level {level}"))
     return rep
-
-
-# ---------------------------------------------------------------------------
-# brute-force workload oracle
-
-
-def brute_force_workload(task: MCTask, delta: int, level: int,
-                         carry_in: bool = False) -> int:
-    """Exact worst-case execution a single task can place inside a window of
-    length delta, maximized over all legal release patterns.
-
-    A job released at time r can contribute at most its budget and at most
-    the overlap of its scheduling window [r, r+D) with [0, delta); with
-    constrained deadlines those windows never overlap between jobs, so each
-    job's cap is achievable jointly and a release-pattern search over integer
-    offsets is exact. Without carry-in the first release is at or after the
-    window start; with carry-in one earlier release within T of the start is
-    allowed.
-    """
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
-    if delta > MAX_ORACLE_DELTA:
-        raise ParameterTooLarge(
-            f"delta {delta} exceeds oracle limit {MAX_ORACLE_DELTA}")
-    c = task.wcet(level)
-    if delta == 0 or c == 0:
-        return 0
-    T, D = task.T, task.D
-
-    def w(r: int) -> int:
-        return min(c, max(0, min(r + D, delta) - max(r, 0)))
-
-    # best[r] = max workload from releases at times >= r, r in [0, delta]
-    best = [0] * (delta + 1)
-    for r in range(delta - 1, -1, -1):
-        nxt = r + T if r + T < delta else delta
-        best[r] = max(best[r + 1], w(r) + best[nxt])
-    if not carry_in:
-        return best[0]
-    out = best[0]
-    for r0 in range(-T, 0):
-        nxt = r0 + T if r0 + T < delta else delta
-        cand = w(r0) + best[max(nxt, 0)]
-        if cand > out:
-            out = cand
-    return out
-
-
-# ---------------------------------------------------------------------------
-# exhaustive scenario enumeration
-
-
-def count_basic_scenarios(ts: TaskSet, n_jobs: dict) -> int:
-    return prod(task.L ** n_jobs.get(task.id, 0) for task in ts.tasks)
-
-
-def enumerate_basic_scenarios(ts: TaskSet, horizon: int, arrivals=None):
-    """Yield every scenario in which each job runs for exactly one of its
-    per-level budgets. Arrivals default to strictly periodic from zero.
-
-    The count is the product over tasks of L**jobs; callers hitting the
-    guard should shrink the horizon or the task set.
-    """
-    if arrivals is None:
-        arrivals = {t.id: tuple(range(0, horizon, t.T)) for t in ts.tasks}
-    n_jobs = {tid: len(a) for tid, a in arrivals.items()}
-    total_jobs = sum(n_jobs.values())
-    if total_jobs > MAX_ENUM_JOBS:
-        raise ParameterTooLarge(f"{total_jobs} jobs exceeds {MAX_ENUM_JOBS}")
-    total = count_basic_scenarios(ts, n_jobs)
-    if total > MAX_ENUM_SCENARIOS:
-        raise ParameterTooLarge(
-            f"{total} scenarios exceeds {MAX_ENUM_SCENARIOS}")
-    # per task, every tuple of its jobs' budgets
-    per_task = [product(map(task.wcet, range(1, task.L + 1)),
-                        repeat=n_jobs.get(task.id, 0)) for task in ts.tasks]
-    for combo in product(*per_task):
-        yield Scenario(horizon=horizon, arrivals=dict(arrivals),
-                       exec_times={task.id: times for task, times
-                                   in zip(ts.tasks, combo)},
-                       dmcr_requests=())
 
 
 # ---------------------------------------------------------------------------

@@ -16,16 +16,16 @@ from itertools import islice
 
 import pytest
 
-from mcsched.analysis import opa_assign, uniprocessor_rta, wcrt, workload_ci, \
-    workload_nc
+from mcsched.analysis import opa_assign, wcrt
 from mcsched.experiment import CSV_HEADER, run_experiment
 from mcsched.gen import (GenParams, Infeasible, SplitMix64, child_seed,
                          gen_scenario, gen_taskset)
 from mcsched.model import MCTask
 from mcsched.sim import PROTOCOLS, ProtocolConfig, simulate
-from mcsched.verify import (brute_force_workload, check_feasibility,
-                            check_run, compute_l_intervals,
-                            count_basic_scenarios, enumerate_basic_scenarios)
+from mcsched.verify import check_feasibility, check_run, compute_l_intervals
+from oracles import (brute_force_workload, count_basic_scenarios,
+                     enumerate_basic_scenarios, uniprocessor_rta, workload_ci,
+                     workload_nc)
 
 MAX_SAMPLES = 5  # violations kept for the failure message
 

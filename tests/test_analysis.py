@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from mcsched.analysis import (AnalysisResult, Divergent, PriorityAssignment,
                               SameTask, _response, _terms, dm_fallback,
-                              interfering_bounds, opa_assign,
-                              total_interfering, uniprocessor_rta, wcrt,
-                              workload_ci, workload_nc)
+                              opa_assign, wcrt)
 from mcsched.model import MCTask, TaskSet, id_key
+from oracles import (interfering_bounds, total_interfering, uniprocessor_rta,
+                     workload_ci, workload_nc)
 
 
 def lo(tid, T, D, C):

@@ -113,13 +113,14 @@ REFUSAL = ("error: task set is not schedulable by the analysis; refusing "
     ("simulate --taskset {latin1} --scenario {sc}", 2),
     ("simulate --taskset {ts} --scenario {latin1}", 2),
     ("experiment --spec {unbuildable}", 2),
+    ("generate scenario --taskset {same_key} --horizon 40", 2),
     ("simulate --taskset {heavy} --scenario {heavy_sc}", 3),
     ("experiment --spec {unschedulable}", 3),
 ], ids=["taskset-out-missing-dir", "taskset-out-dir", "scenario-out-missing-dir",
         "trace-out-missing-dir", "trace-out-dir", "analyze-not-utf8",
         "simulate-taskset-not-utf8", "simulate-scenario-not-utf8",
-        "experiment-unbuildable-gen", "simulate-unschedulable",
-        "experiment-unschedulable"])
+        "experiment-unbuildable-gen", "scenario-ids-equal-as-strings",
+        "simulate-unschedulable", "experiment-unschedulable"])
 def test_input_error_exits_2_and_refusal_exits_3(sched_ts, heavy_ts, tmp_path,
                                                  capsys, argv, code):
     """Every command reports an input error (exit 2) or a refusal (exit 3)
@@ -128,6 +129,11 @@ def test_input_error_exits_2_and_refusal_exits_3(sched_ts, heavy_ts, tmp_path,
     heavy, heavy_path = heavy_ts
     latin1 = tmp_path / "latin1.json"
     latin1.write_bytes(b"\xff\xfe{}")
+    same_key = tmp_path / "same_key.json"  # both ids are "1" in a scenario
+    same_key.write_text(json.dumps({
+        "criticality_levels": 1, "processors": 1,
+        "tasks": [{"id": 1, "T": 8, "D": 8, "L": 1, "C": [1]},
+                  {"id": "1", "T": 12, "D": 12, "L": 1, "C": [2]}]}))
     specs = {"unbuildable": {"gen": {"n_tasks": 300, "levels": 2,
                                      "total_util": 0.5, "max_attempts": 1}},
              "unschedulable": {"taskset": heavy_path}}
@@ -136,6 +142,7 @@ def test_input_error_exits_2_and_refusal_exits_3(sched_ts, heavy_ts, tmp_path,
     paths = {name: str(tmp_path / name) for name in specs}
     paths.update(
         ts=ts_path, heavy=heavy_path, latin1=str(latin1), dir=str(tmp_path),
+        same_key=str(same_key),
         missing=str(tmp_path / "missing" / "out"),
         sc=scenario_file(tmp_path, ts, Scenario(
             horizon=20, arrivals={1: (0,), 2: (0,), 3: (0,)},
@@ -365,6 +372,26 @@ def test_check_refuses_trace_of_another_platform(sched_ts, tmp_path, capsys,
     assert err.startswith("error: trace meta line has m=1, levels=2; ")
 
 
+def test_check_refuses_scenario_of_another_horizon(sched_ts, tmp_path,
+                                                   capsys):
+    ts, path = sched_ts
+    arrivals = {1: (0, 8), 2: (0,), 3: (0,)}
+    exec_times = {1: (1, 2), 2: (2,), 3: (4,)}
+    sc_path = scenario_file(tmp_path, ts, Scenario(
+        horizon=40, arrivals=arrivals, exec_times=exec_times))
+    trace_path = str(tmp_path / "trace.jsonl")
+    assert simulate_to_file(path, sc_path, trace_path, capsys) == 0
+    longer = scenario_file(tmp_path, ts, Scenario(
+        horizon=80, arrivals=arrivals, exec_times=exec_times), "long.json")
+    rc = main(["check", "--trace", trace_path, "--taskset", path,
+               "--scenario", longer])
+    out, err = capsys.readouterr()
+    assert rc == 2
+    assert out == ""
+    assert err == ("error: trace meta line has horizon=40; the scenario has "
+                   "horizon=80\n")
+
+
 META_LINE = ('{"t":0,"kind":"meta","horizon":40,"m":1,"levels":2,'
              '"protocol":"drop","rem_order":"crit-edf"}')
 META_M2 = META_LINE.replace('"m":1', '"m":2')
@@ -444,6 +471,8 @@ MALFORMED_TRACES = [
     META_LINE + '\n' + DISPATCH_0 + '\n'
                 '{"t":2,"kind":"release","task":2,"k":1,"mode":1,"d":14}\n'
                 + DISPATCH_0 + '\n',
+    META_LINE + '\n{"t":0,"kind":"release","task":1,"k":1,"mode":7,"d":8}\n',
+    META_LINE + '\n' + DISPATCH_0.replace('"mode":1', '"mode":0') + '\n',
 ]
 
 
@@ -461,7 +490,8 @@ MALFORMED_TRACES = [
     "dispatch-rem-7", "ghost-rem-0", "meta-negative-horizon", "meta-m-0",
     "meta-levels-0", "meta-unknown-protocol", "meta-unknown-rem-order",
     "meta-t-not-0",
-    "span-repeated-after-preempt", "span-repeated-after-later-event"])
+    "span-repeated-after-preempt", "span-repeated-after-later-event",
+    "release-mode-7", "dispatch-mode-0"])
 def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
     _, path = sched_ts
     trace_path = tmp_path / "trace.jsonl"

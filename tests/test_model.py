@@ -67,6 +67,18 @@ def test_validate_duplicate_ids():
     assert "DuplicateId" in codes(ei)
 
 
+def test_validate_ids_equal_as_strings():
+    # scenario files and the analysis ranks key tasks by str(id)
+    ts = mk_ts(mk_task(1), mk_task("1", T=20, D=20), levels=1)
+    with pytest.raises(ValidationError) as ei:
+        validate_taskset(ts, Platform(m=1))
+    assert ei.value.errors == [("DuplicateId",
+                                "tasks 1 and '1' are both '1' in a file")]
+    for other in ("01", " 1", "-1", "1.0"):  # another key in a file
+        validate_taskset(mk_ts(mk_task(1), mk_task(other, T=20, D=20),
+                               levels=1), Platform(m=1))
+
+
 def test_validate_deadline_exceeds_period():
     ts = mk_ts(mk_task(1, T=10, D=11), levels=1)
     with pytest.raises(ValidationError) as ei:

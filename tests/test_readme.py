@@ -1,6 +1,7 @@
 """The README's examples must be what the package reads, writes and runs."""
 
 import ast
+import importlib
 import io
 import json
 import re
@@ -63,3 +64,16 @@ def test_package_imports_only_the_standard_library():
             for name in names:
                 top = name.partition(".")[0]
                 assert top in sys.stdlib_module_names, f"{path.name}: {name}"
+
+
+def test_readme_names_only_what_the_package_defines():
+    """Every backticked `module.name` (or `mcsched.module.name`) in the
+    README is an attribute of that mcsched module."""
+    modules = "|".join(path.stem for path in
+                       (ROOT / "src" / "mcsched").glob("[!_]*.py"))
+    named = re.findall(rf"`(?:mcsched\.)?({modules})\.([A-Za-z_]\w*)",
+                       README.read_text(encoding="utf-8"))
+    assert named
+    for module, name in named:
+        assert hasattr(importlib.import_module(f"mcsched.{module}"), name), \
+            f"{module}.{name}"

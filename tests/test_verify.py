@@ -8,13 +8,14 @@ from mcsched.analysis import opa_assign
 from mcsched.gen import GenParams, Infeasible, gen_scenario, gen_taskset
 from mcsched.model import MCTask, Scenario, TaskSet
 from mcsched.sim import PROTOCOLS, ProtocolConfig, Trace, simulate
-from mcsched.verify import (FeasibilityReport, ParameterTooLarge,
-                            PeriodicityReport, ReclaimReport, ResponseReport,
-                            _suspension_starts, brute_force_workload,
+from mcsched.verify import (FeasibilityReport, PeriodicityReport,
+                            ReclaimReport, ResponseReport, _suspension_starts,
                             check_feasibility, check_periodicity,
                             check_reclaim, check_response_bounds, check_run,
-                            compute_l_intervals, count_basic_scenarios,
-                            enumerate_basic_scenarios, level_at, metrics)
+                            compute_l_intervals, metrics)
+from oracles import (ParameterTooLarge, brute_force_workload,
+                     count_basic_scenarios, enumerate_basic_scenarios,
+                     level_at)
 
 
 def lo(tid, T, D, C, L=1, levels=1):
