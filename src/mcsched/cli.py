@@ -21,7 +21,7 @@ import sys
 from . import analysis, gen, verify
 from .experiment import Unschedulable, load_spec, prepare_run, run_experiment
 from .model import (dump_scenario, dump_taskset, id_key, load_scenario,
-                    load_taskset)
+                    load_taskset, open_output)
 from .sim import PROTOCOLS, REM_ORDERS, ProtocolConfig, simulate, trace_from_jsonl
 
 
@@ -55,7 +55,7 @@ def cmd_simulate(args) -> int:
     trace = simulate(ts, platform, pa, wt, sc, cfg)
     text = trace.to_jsonl()
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with open_output(args.out) as fh:
             fh.write(text)
         summary = verify.metrics(trace, ts)
         summary.pop("tardiness_signed", None)

@@ -13,7 +13,7 @@ from contextlib import nullcontext
 from typing import IO
 
 from . import analysis, gen, verify
-from .model import FormatError, load_taskset
+from .model import FormatError, load_taskset, open_output
 from .sim import PROTOCOLS, REM_ORDERS, ProtocolConfig, simulate
 
 CSV_HEADER = ("protocol,seed,scenario_id,misses_hi,misses_enabled,"
@@ -163,7 +163,7 @@ def run_experiment(spec: dict, out: str | IO[str]) -> dict:
 
     pa, wt, res = prepare_run(ts, platform, cap=True, force=force)
     opened = (nullcontext(out) if hasattr(out, "write")
-              else open(out, "w", encoding="utf-8", newline=""))
+              else open_output(out, newline=""))
     totals = {p: {"misses_enabled": 0, "rem_completed": 0, "rem_dropped": 0,
                   "tardiness": 0.0, "chain_aborts": 0} for p in protocols}
     with opened as fh:

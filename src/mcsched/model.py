@@ -16,8 +16,11 @@ requests to lower the system criticality level ("dmcr requests").
 from __future__ import annotations
 
 import json
+import os
+import stat
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import IO, Any
+from typing import IO, Any, Iterator
 
 TaskId = int | str
 
@@ -235,7 +238,29 @@ def validate_scenario(sc: Scenario, ts: TaskSet) -> Scenario:
 
 # ---------------------------------------------------------------------------
 # File I/O. One JSON document per file; field order in serialization is fixed
-# so identical objects produce identical bytes.
+# so identical objects produce identical bytes. Every output file is written
+# through open_output.
+
+@contextmanager
+def open_output(path: str, newline: str | None = None) -> Iterator[IO[str]]:
+    """Open a UTF-8 text file for writing, created if missing, and on exit
+    (normal or by exception) cut it at the end of what was written.
+
+    The file is overwritten in place rather than opened with O_TRUNC: on
+    ext4, truncating a file to zero and writing it again makes the next
+    truncating open wait for the previous contents' writeback, tens of
+    milliseconds per rewrite. The bytes left are those a truncating open
+    would leave. A symlink is followed; a device or FIFO is written without
+    being cut. `newline` is as for open().
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "w", encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        finally:
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()  # flushes, then cuts at the current position
+
 
 def _require(doc: dict, key: str, where: str) -> Any:
     if key not in doc:
@@ -301,19 +326,13 @@ def scenario_from_dict(doc: dict, ts: TaskSet) -> Scenario:
     raw_tasks = _require(doc, "tasks", "scenario")
     if not isinstance(raw_tasks, dict):
         raise FormatError("scenario tasks: expected an object keyed by task id")
-    by_id = {t.id: t for t in ts.tasks}
-    # JSON object keys are strings; map back to declared ids where possible
+    # JSON object keys are strings: a key names the declared id whose
+    # _file_key is its own, and any other key is an unknown id
+    by_key = {_file_key(t.id): t.id for t in ts.tasks}
     arrivals: dict[TaskId, tuple[int, ...]] = {}
     exec_times: dict[TaskId, tuple[int, ...]] = {}
     for key, entry in raw_tasks.items():
-        tid: TaskId = key
-        if key not in by_id:
-            try:
-                as_int = int(key)
-            except ValueError:
-                as_int = None
-            if as_int is not None and as_int in by_id:
-                tid = as_int
+        tid = by_key.get(_file_key(key), key)
         where = f"scenario tasks[{key!r}]"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
@@ -379,7 +398,7 @@ def _dump_json(doc: dict, target: str | IO[str]) -> None:
     if hasattr(target, "write"):
         target.write(text)  # type: ignore[union-attr]
     else:
-        with open(target, "w", encoding="utf-8") as fh:
+        with open_output(target) as fh:
             fh.write(text)
 
 

@@ -2,6 +2,7 @@ import copy
 import functools
 import io
 import json
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsched import gen, verify
+from mcsched import experiment, gen, verify
 from mcsched.cli import main
 from mcsched.experiment import CSV_HEADER, prepare_run, run_experiment
 from mcsched.model import (FormatError, MCTask, Platform, Scenario, TaskSet,
@@ -114,12 +115,14 @@ REFUSAL = ("error: task set is not schedulable by the analysis; refusing "
     ("simulate --taskset {ts} --scenario {latin1}", 2),
     ("experiment --spec {unbuildable}", 2),
     ("generate scenario --taskset {same_key} --horizon 40", 2),
+    ("simulate --taskset {ts} --scenario {key_01}", 2),
     ("simulate --taskset {heavy} --scenario {heavy_sc}", 3),
     ("experiment --spec {unschedulable}", 3),
 ], ids=["taskset-out-missing-dir", "taskset-out-dir", "scenario-out-missing-dir",
         "trace-out-missing-dir", "trace-out-dir", "analyze-not-utf8",
         "simulate-taskset-not-utf8", "simulate-scenario-not-utf8",
         "experiment-unbuildable-gen", "scenario-ids-equal-as-strings",
+        "scenario-key-not-as-written",
         "simulate-unschedulable", "experiment-unschedulable"])
 def test_input_error_exits_2_and_refusal_exits_3(sched_ts, heavy_ts, tmp_path,
                                                  capsys, argv, code):
@@ -134,6 +137,10 @@ def test_input_error_exits_2_and_refusal_exits_3(sched_ts, heavy_ts, tmp_path,
         "criticality_levels": 1, "processors": 1,
         "tasks": [{"id": 1, "T": 8, "D": 8, "L": 1, "C": [1]},
                   {"id": "1", "T": 12, "D": 12, "L": 1, "C": [2]}]}))
+    key_01 = tmp_path / "key_01.json"  # "01" is not how a file keys task 1
+    key_01.write_text(json.dumps({"horizon": 20, "tasks": {
+        "1": {"arrivals": [0], "exec_times": [1]},
+        "01": {"arrivals": [8], "exec_times": [1]}}}))
     specs = {"unbuildable": {"gen": {"n_tasks": 300, "levels": 2,
                                      "total_util": 0.5, "max_attempts": 1}},
              "unschedulable": {"taskset": heavy_path}}
@@ -142,7 +149,7 @@ def test_input_error_exits_2_and_refusal_exits_3(sched_ts, heavy_ts, tmp_path,
     paths = {name: str(tmp_path / name) for name in specs}
     paths.update(
         ts=ts_path, heavy=heavy_path, latin1=str(latin1), dir=str(tmp_path),
-        same_key=str(same_key),
+        same_key=str(same_key), key_01=str(key_01),
         missing=str(tmp_path / "missing" / "out"),
         sc=scenario_file(tmp_path, ts, Scenario(
             horizon=20, arrivals={1: (0,), 2: (0,), 3: (0,)},
@@ -194,6 +201,45 @@ def test_simulate_out_file_prints_metrics(sched_ts, tmp_path, capsys):
     assert metrics["releases"] >= 3
     assert "tardiness_signed" not in metrics
     assert trace_path.read_text().startswith('{"t":0,"kind":"meta"')
+
+
+@pytest.mark.parametrize("command", [
+    "generate taskset --n 4 --levels 2 --util 0.6 --seed 3",
+    "generate scenario --taskset {ts} --horizon 60 --seed 5 --dmcr 30:1",
+    "simulate --taskset {ts} --scenario {sc} --protocol wcet-reclaim",
+    "experiment --spec {spec}",
+], ids=["taskset", "scenario", "trace", "csv"])
+def test_out_file_holds_the_stdout_bytes_over_any_old_file(
+        sched_ts, tmp_path, capsys, command):
+    """`--out` overwrites an old file in place and cuts it to length. Over
+    no file, one twice as long, a prefix of the new text and a symlink to a
+    longer file, the file holds what stdout gets without `--out`; the
+    symlink stays one, and a device is written without being cut."""
+    ts, ts_path = sched_ts
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"taskset": ts_path, "scenarios": 2,
+                                "horizon": 60, "protocols": ["drop", "naive"]}))
+    sc = scenario_file(tmp_path, ts, Scenario(
+        horizon=60, arrivals={1: (0, 8, 16), 2: (0, 12), 3: (2,)},
+        exec_times={1: (1, 2, 1), 2: (2, 2), 3: (3,)},
+        dmcr_requests=((20, 1),)))
+    argv = command.format(ts=ts_path, sc=sc, spec=spec).split()
+    rc = main(argv)
+    data = capsys.readouterr().out.encode()
+    assert rc == 0 and data
+    olds = {"longer": data * 2, "prefix": data[:len(data) // 2],
+            "linked": data + b"old tail"}
+    for name, old in olds.items():
+        (tmp_path / name).write_bytes(old)
+    link = tmp_path / "link"
+    link.symlink_to(tmp_path / "linked")
+    for out in (tmp_path / "new", tmp_path / "longer", tmp_path / "prefix",
+                link):
+        assert main([*argv, "--out", str(out)]) == 0
+        capsys.readouterr()
+        assert out.read_bytes() == data, out.name
+    assert link.is_symlink()
+    assert main([*argv, "--out", os.devnull]) == 0
 
 
 def test_drop_and_wcrt_traces_share_releases_but_not_rem_handling(tmp_path, capsys):
@@ -688,6 +734,33 @@ def test_experiment_produces_deterministic_csv(tmp_path, capsys):
         assert cells[1] == "1"
         # mean_tardiness is serialized with six decimals
         assert len(cells[7].split(".")[1]) == 6
+
+
+def test_experiment_failing_midway_leaves_only_its_rows(tmp_path,
+                                                      monkeypatch):
+    """A run that raises after some rows leaves the header and those rows,
+    and none of the longer old file's bytes after them."""
+    spec = {"gen": {"n_tasks": 4, "levels": 2, "total_util": 0.7,
+                    "period_range": [8, 16]},
+            "scenarios": 3, "horizon": 200, "seed": 1,
+            "protocols": ["drop", "naive"]}
+    full = io.StringIO()
+    run_experiment(spec, full)
+    rows = full.getvalue().splitlines(keepends=True)
+    out = tmp_path / "out.csv"
+    out.write_text(full.getvalue() * 2)
+    real, calls = experiment.simulate, []
+
+    def fail_on_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise RuntimeError("simulate failed")
+        return real(*args)
+
+    monkeypatch.setattr(experiment, "simulate", fail_on_third)
+    with pytest.raises(RuntimeError, match="simulate failed"):
+        run_experiment(spec, str(out))
+    assert out.read_bytes() == "".join(rows[:3]).encode()
 
 
 def test_experiment_refuses_unschedulable_taskset(heavy_ts, tmp_path, capsys):

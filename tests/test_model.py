@@ -1,11 +1,16 @@
+import ast
 import io
 import json
+import os
+import threading
+from pathlib import Path
 
 import pytest
 
 from mcsched.model import (FormatError, LevelOutOfRange, MCTask, Platform,
                            Scenario, TaskSet, ValidationError, id_key,
-                           load_scenario, load_taskset, scenario_from_dict,
+                           load_scenario, load_taskset, open_output,
+                           scenario_from_dict,
                            scenario_to_dict, taskset_from_dict,
                            taskset_to_dict, validate_scenario,
                            validate_taskset)
@@ -254,3 +259,115 @@ def test_scenario_string_ids_from_json(tmp_path):
     p.write_text(json.dumps(sc_doc))
     sc2 = load_scenario(str(p), ts)
     assert sc2 == sc
+
+
+@pytest.mark.parametrize("other", ["01", " 1", "+1"])
+def test_scenario_keys_name_only_the_id_a_file_writes(other):
+    """A key names a declared id only as `scenario_to_dict` writes it, so a
+    second key for task 1 is an unknown id, not an overwrite of its jobs."""
+    ts = mk_two_task_set()
+    doc = {"horizon": 40, "tasks": {
+        "1": {"arrivals": [0, 10, 20], "exec_times": [1, 1, 1]},
+        other: {"arrivals": [0], "exec_times": [1]}}}
+    with pytest.raises(ValidationError) as ei:
+        scenario_from_dict(doc, ts)
+    assert ei.value.errors == [("UnknownTask",
+                                f"task {other!r} not in task set")]
+    string_ids = mk_ts(mk_task("1"), mk_task(other, T=20, D=20), levels=1)
+    sc = scenario_from_dict(doc, string_ids)
+    assert sc.arrivals == {"1": (0, 10, 20), other: (0,)}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs here")
+def test_open_output_writes_a_fifo_without_cutting_it(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    with open_output(str(fifo)) as fh:
+        fh.write("line\n" * 1000)
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert got == [b"line\n" * 1000]
+
+
+# The one writer: every output file is overwritten in place by
+# model.open_output, never opened with O_TRUNC (see its docstring).
+_WRITE_MODE = set("wax+")
+_WRITE_FLAGS = {"O_WRONLY", "O_RDWR", "O_APPEND", "O_CREAT", "O_TRUNC"}
+
+
+def _name(node):
+    """The name a Name or Attribute node refers to, else None."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _stray_writes(source, writer=None):
+    """Line numbers in `source` that name O_TRUNC, or open a file for
+    writing outside the function named `writer`: builtin, `io.` or
+    `os.fdopen` opens and `Path.open` with a write mode or a mode that is
+    not a literal, `os.open` with a write flag, and `write_text` or
+    `write_bytes`."""
+    tree = ast.parse(source)
+    exempt = {id(n) for f in ast.walk(tree) if isinstance(f, ast.FunctionDef)
+              and f.name == writer for n in ast.walk(f)}
+    lines = {n.lineno for n in ast.walk(tree) if _name(n) == "O_TRUNC"}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or id(node) in exempt:
+            continue
+        func = node.func
+        name = _name(func)
+        owner = _name(getattr(func, "value", None))
+        if name in ("write_text", "write_bytes"):
+            lines.add(node.lineno)
+        elif name == "open" and owner == "os":
+            flags = {_name(n) for arg in node.args[1:2] for n in ast.walk(arg)}
+            if _WRITE_FLAGS & flags:
+                lines.add(node.lineno)
+        elif name in ("open", "fdopen"):
+            at = 0 if isinstance(func, ast.Attribute) and owner not in (
+                "io", "os") else 1
+            modes = [k.value for k in node.keywords if k.arg == "mode"]
+            mode = modes[0] if modes else (
+                node.args[at] if len(node.args) > at else None)
+            if mode is not None and not (
+                    isinstance(mode, ast.Constant)
+                    and isinstance(mode.value, str)
+                    and not _WRITE_MODE & set(mode.value)):
+                lines.add(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("source", [
+    'open(p, "w")', 'open(p, mode="a", encoding="utf-8")', 'open(p, "r+")',
+    'io.open(p, "xb")', 'os.fdopen(fd, "w")', 'Path(p).open("w")',
+    'open(p, mode)', 'os.open(p, os.O_WRONLY | os.O_CREAT)',
+    'flags = os.O_TRUNC', 'Path(p).write_text(s)',
+    'def open_output(p):\n    return os.open(p, os.O_WRONLY | os.O_TRUNC)',
+])
+def test_write_guard_finds_a_write(source):
+    assert _stray_writes(source, "open_output")
+
+
+@pytest.mark.parametrize("source", [
+    'open(p)', 'open(p, "r", encoding="utf-8")', 'open(p, "rb")',
+    'Path(p).open()', 'io.open(p, mode="r")', 'os.open(p, os.O_RDONLY)',
+    'def open_output(p):\n    fd = os.open(p, os.O_WRONLY | os.O_CREAT)\n'
+    '    return open(fd, "w")',
+])
+def test_write_guard_passes_a_read_or_the_writer(source):
+    assert _stray_writes(source, "open_output") == []
+
+
+def test_package_writes_files_only_through_open_output():
+    """A truncating open stalls on ext4 while the file's old contents are
+    written back; the package has one writer that never truncates."""
+    sources = sorted(Path(__file__).resolve().parent.parent.glob(
+        "src/mcsched/*.py"))
+    assert sources
+    for path in sources:
+        writer = "open_output" if path.name == "model.py" else None
+        assert _stray_writes(path.read_text(encoding="utf-8"), writer) == [], \
+            path.name
