@@ -11,18 +11,22 @@ at one instant, arrivals exactly at the horizon, more processors than
 tasks, forced constrained-deadline runs whose deadlines fall on suspension
 and re-enable instants, and runs of the bench roundtrip's size (n=12, m=4,
 ~10k events); `test_queue_cases_hit_their_targets` checks that they still
-do. A refactor must leave every digest unchanged; a change meant to alter
+do. `test_taskset_bytes` pins `gen_taskset` itself, failed draws included,
+and `test_analysis_bytes` pins `opa_assign`. A refactor must leave every
+digest unchanged; a change meant to alter
 the bytes regenerates them and says why.
 """
 
 import hashlib
 import io
 import json
+from itertools import product
 
 import pytest
 
-from mcsched import analysis, experiment, gen, sim
+from mcsched import analysis, experiment, gen, model, sim
 from mcsched.model import Scenario, validate_scenario
+from test_acceptance import _sweep_params
 
 HORIZON = 400
 REQUESTS = {
@@ -372,3 +376,39 @@ def test_analysis_bytes():
     docs.append(_analysis_doc(analysis.opa_assign(ts, 4, order=order)))
     assert sum(doc[0] for doc in docs) not in (0, len(docs))
     assert _digest(repr(docs)) == ANALYSIS_DIGEST
+
+
+# n, period range, utilization tolerance and ensure_overrunnable, crossed;
+# tolerance 0 with unequal periods mostly fails, so each gets few attempts
+TASKSET_AXES = ((1, 2, 128, 256), ((8, 8), (8, 24), (10, 1000)), (0.0, 0.05),
+                (False, True))
+TASKSET_DIGEST = "dd64893df8ac027647bbb00da9004eb15ff11437c0c98a985de4f51d3a99f715"
+
+
+def _taskset_params():
+    """The bench's opa-large and roundtrip parameters, the acceptance
+    sweep's, and the product of TASKSET_AXES."""
+    for n in (32, 40, 48, 56, 64):
+        for levels, per_proc in ANALYSIS_REGIMES[:2]:
+            yield gen.GenParams(n_tasks=n, levels=levels,
+                                total_util=per_proc * (n // 4), m=n // 4)
+    yield from map(_sweep_params, range(1, 13))
+    yield QUEUE_PARAMS["roundtrip"]
+    for n, period_range, tol, overrunnable in product(*TASKSET_AXES):
+        m = max(1, n // 4)
+        yield gen.GenParams(n_tasks=n, levels=3, total_util=0.5 * m, m=m,
+                            period_range=period_range, util_tolerance=tol,
+                            max_attempts=4, ensure_overrunnable=overrunnable)
+
+
+def test_taskset_bytes():
+    docs = []
+    for params in _taskset_params():
+        for seed in range(3):
+            try:
+                docs.append(json.dumps(model.taskset_to_dict(
+                    *gen.gen_taskset(params, seed))))
+            except gen.Infeasible:
+                docs.append("Infeasible")
+    assert 0 < docs.count("Infeasible") < len(docs)
+    assert _digest("\n".join(docs)) == TASKSET_DIGEST
