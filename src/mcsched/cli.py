@@ -101,7 +101,10 @@ def cmd_generate_scenario(args) -> int:
     dmcr = []
     for spec in args.dmcr or []:
         t, _, lv = spec.partition(":")
-        dmcr.append((int(t), int(lv)))
+        try:
+            dmcr.append((int(t), int(lv)))
+        except ValueError:
+            raise ValueError(f"--dmcr {spec!r} is not TIME:LEVEL") from None
     sc = gen.gen_scenario(ts, args.horizon, args.seed,
                           exec_model=args.exec_model, dmcr_plan=dmcr)
     dump_scenario(sc, args.out or sys.stdout)

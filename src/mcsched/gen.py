@@ -6,6 +6,11 @@ than the stdlib Mersenne twister (whose float paths changed across versions)
 or a heavyweight dependency. Utilizations come from UUniFast with a discard
 loop for the per-task cap; integer budgets are then repaired with small
 local moves until the realized utilization sits within 0.01 of the target.
+Each repair step takes the best single +-1 budget move, or the best pair of
+moves on two different tasks; ties go to the first move in scan order, and
+a step fails when nothing lowers the deviation |d| from the target. Moves are
+scored by (sign, period), so a step costs O(n + K^2) for K distinct such
+pairs rather than O(n^2).
 """
 
 from __future__ import annotations
@@ -180,9 +185,18 @@ def _attempt_taskset(params: GenParams, rng: SplitMix64) -> tuple[TaskSet, Platf
 
 def _repair_utilization(budgets, periods, deadlines, target, tol,
                         max_steps=200):
-    """Nudge level-1 budgets by +-1 (singly or in pairs) until the realized
-    utilization is within tol of target. Pair moves matter: with a narrow
-    period range no single 1/T step is fine enough."""
+    """Nudge level-1 budgets by +-1 until the realized utilization is within
+    tol of target. Pair moves matter: with a narrow period range no single
+    1/T step is fine enough.
+
+    Each step takes the best single move, or the best pair of moves on two
+    different tasks when it lowers |d| strictly more, where d is the
+    utilization minus target. Moves are scanned by task, +1 before -1, and
+    ties go to the first single move or the first pair in that order. A step
+    fails when nothing lowers |d|. A move changes d by s/T, so moves are
+    grouped by (sign s, period T) and each ordered pair of groups is scored
+    once: a step costs O(n + K^2) for K distinct (sign, period) groups.
+    """
     n = len(budgets)
 
     def dev():
@@ -192,27 +206,42 @@ def _repair_utilization(budgets, periods, deadlines, target, tol,
         d = dev()
         if abs(d) <= tol:
             return
-        best = None  # (|new_dev|, moves)
-        moves = []
+        moves = []  # (scan position, task, sign)
         for i in range(n):
             if budgets[i] < deadlines[i]:
-                moves.append((i, 1))
+                moves.append((len(moves), i, 1))
             if budgets[i] > 1:
-                moves.append((i, -1))
-        for i, s in moves:
-            nd = abs(d + s / periods[i])
-            if best is None or nd < best[0]:
-                best = (nd, [(i, s)])
-        for i, si in moves:
-            for j, sj in moves:
-                if i == j:
-                    continue
-                nd = abs(d + si / periods[i] + sj / periods[j])
-                if nd < best[0]:
-                    best = (nd, [(i, si), (j, sj)])
-        if best is None or best[0] >= abs(d):
+                moves.append((len(moves), i, -1))
+        if not moves:
             raise Infeasible
-        for i, s in best[1]:
+        groups = {}
+        for move in moves:
+            groups.setdefault((move[2], periods[move[1]]), []).append(move)
+        # the float sums of a scan over the moves, (d + s_a/T_a) + s_b/T_b;
+        # a tuple (|d'|, move, move) is least for the first minimum in scan
+        # order, as a move's tuple starts with its scan position
+        steps = [(s / t, group) for (s, t), group in groups.items()]
+        single = min((abs(d + x), group[0]) for x, group in steps)
+        pair = (math.inf,)
+        for xa, ga in steps:
+            da = d + xa
+            for xb, gb in steps:
+                nd = abs(da + xb)
+                if nd > pair[0]:
+                    continue
+                a, b = ga[0], gb[0]
+                if a[1] == b[1]:  # one task twice: the first pair that is not
+                    if len(gb) > 1:
+                        b = gb[1]
+                    elif len(ga) > 1:
+                        a = ga[1]
+                    else:
+                        continue
+                pair = min(pair, (nd, a, b))
+        best = pair if pair[0] < single[0] else single
+        if best[0] >= abs(d):
+            raise Infeasible
+        for _, i, s in best[1:]:
             budgets[i] += s
     if abs(dev()) > tol:
         raise Infeasible

@@ -17,6 +17,10 @@ multiprocessor platforms" (RTSS 2007). The total adds the m-1 largest
 carry-in surcharges ci - nc, as in Guan et al., "New response time bounds
 for fixed priority multiprocessor scheduling" (RTSS 2009).
 
+Budget repair. The generator's utilization repair as a plain scan over every
+single move and every ordered pair of moves, the reference for the grouped
+search in `mcsched.gen`.
+
 Exhaustive oracles. The exact worst-case workload of one task over a
 window, by a search over every legal release pattern; every basic scenario
 of a small task set; the classical uniprocessor recurrence; and the level in
@@ -32,6 +36,7 @@ from math import prod
 from operator import itemgetter
 
 from mcsched.analysis import Divergent, SameTask, _terms, _window_total
+from mcsched.gen import Infeasible
 from mcsched.model import MCTask, Scenario, TaskSet
 
 MAX_ORACLE_DELTA = 64
@@ -120,6 +125,50 @@ def uniprocessor_rta(task: MCTask, hp: list[MCTask], level: int) -> int:
         if nxt == r:
             return r
         r = nxt
+
+
+# ---------------------------------------------------------------------------
+# budget repair
+
+
+def repair_utilization_reference(budgets, periods, deadlines, target, tol,
+                                 max_steps=200):
+    """Nudge level-1 budgets by +-1 (singly or in pairs) until the realized
+    utilization is within tol of target. Pair moves matter: with a narrow
+    period range no single 1/T step is fine enough."""
+    n = len(budgets)
+
+    def dev():
+        return sum(b / t for b, t in zip(budgets, periods)) - target
+
+    for _ in range(max_steps):
+        d = dev()
+        if abs(d) <= tol:
+            return
+        best = None  # (|new_dev|, moves)
+        moves = []
+        for i in range(n):
+            if budgets[i] < deadlines[i]:
+                moves.append((i, 1))
+            if budgets[i] > 1:
+                moves.append((i, -1))
+        for i, s in moves:
+            nd = abs(d + s / periods[i])
+            if best is None or nd < best[0]:
+                best = (nd, [(i, s)])
+        for i, si in moves:
+            for j, sj in moves:
+                if i == j:
+                    continue
+                nd = abs(d + si / periods[i] + sj / periods[j])
+                if nd < best[0]:
+                    best = (nd, [(i, si), (j, sj)])
+        if best is None or best[0] >= abs(d):
+            raise Infeasible
+        for i, s in best[1]:
+            budgets[i] += s
+    if abs(dev()) > tol:
+        raise Infeasible
 
 
 # ---------------------------------------------------------------------------

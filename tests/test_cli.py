@@ -116,14 +116,17 @@ REFUSAL = ("error: task set is not schedulable by the analysis; refusing "
     ("experiment --spec {unbuildable}", 2),
     ("generate scenario --taskset {same_key} --horizon 40", 2),
     ("simulate --taskset {ts} --scenario {key_01}", 2),
+    ("generate scenario --taskset {ts} --horizon 40 --dmcr 10", 2),
+    ("generate scenario --taskset {ts} --horizon 40 --dmcr 10:1:2", 2),
+    ("generate scenario --taskset {ts} --horizon 40 --dmcr x:1", 2),
     ("simulate --taskset {heavy} --scenario {heavy_sc}", 3),
     ("experiment --spec {unschedulable}", 3),
 ], ids=["taskset-out-missing-dir", "taskset-out-dir", "scenario-out-missing-dir",
         "trace-out-missing-dir", "trace-out-dir", "analyze-not-utf8",
         "simulate-taskset-not-utf8", "simulate-scenario-not-utf8",
         "experiment-unbuildable-gen", "scenario-ids-equal-as-strings",
-        "scenario-key-not-as-written",
-        "simulate-unschedulable", "experiment-unschedulable"])
+        "scenario-key-not-as-written", "dmcr-no-level", "dmcr-three-fields",
+        "dmcr-time-not-int", "simulate-unschedulable", "experiment-unschedulable"])
 def test_input_error_exits_2_and_refusal_exits_3(sched_ts, heavy_ts, tmp_path,
                                                  capsys, argv, code):
     """Every command reports an input error (exit 2) or a refusal (exit 3)
@@ -164,6 +167,8 @@ def test_input_error_exits_2_and_refusal_exits_3(sched_ts, heavy_ts, tmp_path,
     assert err.startswith("error: ") and err.count("\n") == 1
     if code == 3:
         assert err == REFUSAL
+    if "--dmcr" in argv:  # the error names the option and its value
+        assert err == f"error: --dmcr {argv.split()[-1]!r} is not TIME:LEVEL\n"
 
 
 def test_simulate_trace_to_stdout_and_determinism(sched_ts, tmp_path, capsys):

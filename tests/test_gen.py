@@ -3,11 +3,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsched.analysis import opa_assign
-from mcsched.gen import (GenParams, Infeasible, SplitMix64, child_seed,
-                         gen_scenario, gen_taskset, uunifast,
+from mcsched.gen import (GenParams, Infeasible, SplitMix64, _repair_utilization,
+                         child_seed, gen_scenario, gen_taskset, uunifast,
                          uunifast_discard)
 from mcsched.model import validate_scenario, validate_taskset
 from mcsched.sim import ProtocolConfig, simulate
+from oracles import repair_utilization_reference
 
 
 MASK = (1 << 64) - 1
@@ -124,6 +125,45 @@ def test_unreachable_utilization_raises():
                        max_attempts=8)
     with pytest.raises(Infeasible):
         gen_taskset(params, seed=1)
+
+
+@st.composite
+def repair_inputs(draw):
+    """(budgets, periods, deadlines, target, tol). Periods come from a pool
+    of one to three values, so moves tie, or from a wide range. Deadlines
+    of 1 and budgets at 1 or at D leave a task one move or none. The target
+    lies near the utilization of other budgets, so most repairs can reach
+    it."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.integers(4, 30), min_size=1, max_size=3))
+        periods = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    else:
+        periods = draw(st.lists(st.integers(4, 1000), min_size=n, max_size=n))
+    deadlines = [draw(st.just(1) | st.integers(1, t)) for t in periods]
+    budgets, goal = ([draw(st.sampled_from((1, d)) | st.integers(1, d))
+                      for d in deadlines] for _ in range(2))
+    target = (sum(g / t for g, t in zip(goal, periods))
+              + draw(st.floats(-0.05, 0.05)))
+    tol = draw(st.sampled_from((0.0, 0.001, 0.01, 0.05)))
+    return budgets, periods, deadlines, target, tol
+
+
+def _repaired(repair, budgets, periods, deadlines, target, tol):
+    """(outcome, budgets) after the repair; a failed one stops mid-way."""
+    budgets = list(budgets)
+    try:
+        repair(budgets, periods, deadlines, target, tol)
+    except Infeasible:
+        return Infeasible, budgets
+    return None, budgets
+
+
+@given(repair_inputs())
+@settings(max_examples=300, derandomize=True)
+def test_repair_matches_reference_scan(case):
+    assert (_repaired(_repair_utilization, *case)
+            == _repaired(repair_utilization_reference, *case))
 
 
 def test_params_validation():
