@@ -230,7 +230,7 @@ def _repair_utilization(budgets, periods, deadlines, target, tol,
                 if nd > pair[0]:
                     continue
                 a, b = ga[0], gb[0]
-                if a[1] == b[1]:  # one task twice: the first pair that is not
+                if a[1] == b[1]:  # one task twice: next pair in scan order
                     if len(gb) > 1:
                         b = gb[1]
                     elif len(ga) > 1:

@@ -141,8 +141,9 @@ def repair_inputs(draw):
     else:
         periods = draw(st.lists(st.integers(4, 1000), min_size=n, max_size=n))
     deadlines = [draw(st.just(1) | st.integers(1, t)) for t in periods]
-    budgets, goal = ([draw(st.sampled_from((1, d)) | st.integers(1, d))
-                      for d in deadlines] for _ in range(2))
+    budgets = [draw(st.sampled_from((1, d)) | st.integers(1, d))
+               for d in deadlines]
+    goal = [draw(st.integers(1, d)) for d in deadlines]
     target = (sum(g / t for g, t in zip(goal, periods))
               + draw(st.floats(-0.05, 0.05)))
     tol = draw(st.sampled_from((0.0, 0.001, 0.01, 0.05)))

@@ -13,8 +13,8 @@ and re-enable instants, and runs of the bench roundtrip's size (n=12, m=4,
 ~10k events); `test_queue_cases_hit_their_targets` checks that they still
 do. `test_taskset_bytes` pins `gen_taskset` itself, failed draws included,
 and `test_analysis_bytes` pins `opa_assign`. A refactor must leave every
-digest unchanged; a change meant to alter
-the bytes regenerates them and says why.
+digest unchanged; a change meant to alter the bytes regenerates them and
+says why.
 """
 
 import hashlib
