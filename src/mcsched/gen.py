@@ -117,6 +117,8 @@ class GenParams:
             raise ValueError("n_tasks must be positive")
         if self.levels < 1:
             raise ValueError("levels must be positive")
+        if self.m < 1:
+            raise ValueError("m must be positive")
         if not 0 < self.total_util <= self.m:
             raise ValueError("total_util must be in (0, m]")
         lo, hi = self.period_range

@@ -58,11 +58,7 @@ with one slot per busy processor, in priority order:
     ("R", task, k)                           rem-job on a free processor
     ("G", ghost_task, ghost_k, task, k)      rem-job hosted by a ghost slot
 In JSONL a span is one dispatch line per slot ("rem" 0 for "J", 1 for "R"
-and "G", which also names its ghost), an idle line for the free procs, and
-before them preempt lines for the jobs that stopped unfinished. The reader
-drops preempt lines as derived data once it has checked their fields, JSON
-types, t within [0, horizon] and proc within [0, m); it does not check them
-against the spans.
+and "G", which also names its ghost) and an idle line for the free procs.
 
 Same-instant processing order: credit execution, completions (spawning
 ghosts), budget-overrun cascade, ghost cleanup, level-decrease intake,
@@ -137,8 +133,7 @@ _JOB_LINE = ("task", "k", "proc", "mode", "until", "rem")
 # is its event tuple.
 _LINE_FIELDS = {"meta": META_FIELDS, **EVENT_FIELDS, "dispatch": _JOB_LINE,
                 "ghost": _JOB_LINE + ("ghost_task", "ghost_k"),
-                "idle": ("mode", "until", "procs"),
-                "preempt": ("task", "k", "proc", "mode")}
+                "idle": ("mode", "until", "procs")}
 # JSON types of the trace-line fields that are not integers. A task id is an
 # integer or a string; an array field is a tuple in the event, and its
 # elements have the types in _ELEMENT_TYPES.
@@ -256,28 +251,19 @@ class Trace:
         """Line-delimited records with a stable field order.
 
         sched records become dispatch lines (one per slot, span end in
-        "until"), preempt lines for entities that stop while incomplete,
-        and idle lines when processors are unoccupied.
+        "until") and idle lines when processors are unoccupied.
         """
         enc = _Encoded()
         out = [_WRITERS["meta"](("meta", 0) + tuple(
             getattr(self, f) for f in META_FIELDS), enc)]
         line = out.append
-        dispatch, ghost, idle, preempt = itemgetter(
-            "dispatch", "ghost", "idle", "preempt")(_WRITERS)
-        completed_at = {(ev[3], ev[4]): ev[1] for ev in self.events
-                        if ev[0] == "complete"}
-        prev = ()  # (task, k) per processor in the previous span
+        dispatch, ghost, idle = itemgetter("dispatch", "ghost", "idle")(_WRITERS)
         for ev in self.events:
             kind = ev[0]
             if kind != "sched":
                 line(_WRITERS[kind](ev, enc))
                 continue
             _, t0, mode, t1, slots = ev
-            now = [(s[3], s[4]) if s[0] == "G" else (s[1], s[2]) for s in slots]
-            for proc, (tid, k) in enumerate(prev):
-                if (tid, k) not in now and completed_at.get((tid, k)) != t0:
-                    line(preempt(("preempt", t0, mode, tid, k, proc), enc))
             for proc, s in enumerate(slots):
                 if s[0] == "G":
                     line(ghost(("dispatch", t0, mode, t1, s[3], s[4], proc, 1,
@@ -287,7 +273,6 @@ class Trace:
                                    s[0] != "J"), enc))
             if len(slots) < self.m:
                 line(idle(("idle", t0, mode, t1, self.m - len(slots)), enc))
-            prev = now
         return "\n".join(out) + "\n"
 
 
@@ -306,10 +291,9 @@ def trace_from_jsonl(text: str) -> Trace:
     and the lines of each span [t, until) together, in one mode, as dispatch
     lines for procs 0, 1, ... and an idle line for the procs left over, if
     any; each span starts after the one before it. A span becomes one sched
-    record; an idle line's "procs" and the preempt lines (derived data) are
-    checked, then dropped. Of a preempt line only the fields, their types,
-    t and proc are checked. Malformed input, a field of the wrong JSON type
-    included, raises ValueError naming the line."""
+    record; an idle line's "procs" is checked, then dropped. Malformed
+    input, a field of the wrong JSON type included, raises ValueError naming
+    the line."""
     events = []
     meta = span = None  # the open span: [t, until, mode, slots, free, line]
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -371,11 +355,7 @@ def trace_from_jsonl(text: str) -> Trace:
             if not 0 <= vals[1] <= horizon:
                 raise ValueError(f"trace line {lineno}: t={vals[1]} is "
                                  f"outside [0, horizon={horizon}]")
-            if kind != "preempt":
-                events.append(vals)
-            elif not 0 <= vals[5] < m:
-                raise ValueError(f"trace line {lineno}: preempt proc "
-                                 f"{vals[5]} is outside [0, m={m})")
+            events.append(vals)
             continue
         if span is None:
             # spans start in increasing time, so sorting the events by time

@@ -5,9 +5,9 @@ the declared inputs; nothing trusts the simulator's own bookkeeping beyond
 the events themselves. The rem marker on completions is cross-validated
 against the reconstructed level timeline, so a simulator bug that mislabels
 a job shows up as a violation rather than silently excusing a deadline miss.
-The woken list on re-enables is not checked. Each checker indexes the
-trace in one scan that builds the level intervals and only the per-job maps
-it reads: feasibility each job's last release, completion and drop reason;
+Each checker indexes the trace in one scan that builds the level intervals
+and only the maps it reads: feasibility each job's last release, completion
+and drop reason, and the re-enables with the level before each;
 periodicity its last release and arrival drop, and the jobs seen twice;
 response the completions; reclaim the sched records and last completions.
 `check_run` builds one full index and runs every checker that applies on it.
@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
-from .model import Scenario, TaskSet
+from .model import Scenario, TaskSet, id_key
 from .sim import Trace
 
 
@@ -71,7 +71,7 @@ def _suspension_starts(intervals, crit: int) -> list[int]:
 
 
 # the maps of an _Index that each checker reads
-_FEASIBILITY = frozenset({"releases", "completes", "dropped"})
+_FEASIBILITY = frozenset({"releases", "completes", "dropped", "re_enables"})
 _PERIODICITY = frozenset({"releases", "arrival_drops", "repeats"})
 _RESPONSE = frozenset({"completions"})
 _RECLAIM = frozenset({"completes", "scheds"})
@@ -81,7 +81,8 @@ _ALL = _FEASIBILITY | _PERIODICITY | _RESPONSE | _RECLAIM
 class _Index:
     """The level intervals, their starts and the maps named in `reads` of
     one trace, from one scan (any other map is None, repeats empty). Jobs
-    are keyed by (task, k); repeats holds [releases, arrival drops]."""
+    are keyed by (task, k); repeats holds [releases, arrival drops];
+    re_enables holds (the level in force before it, event) per re-enable."""
 
     def __init__(self, trace: Trace, reads: frozenset):
         self.horizon = trace.horizon
@@ -93,6 +94,7 @@ class _Index:
         completes = self.completes = {} if want("completes") else None
         completions = self.completions = [] if want("completions") else None
         scheds = self.scheds = [] if want("scheds") else None
+        re_enables = self.re_enables = [] if want("re_enables") else None
         sightings = 0  # releases and arrival drops
         for ev in trace.events:
             kind = ev[0]
@@ -115,6 +117,8 @@ class _Index:
                     drops[(ev[3], ev[4])] = ev
                     sightings += 1
             elif kind in _LEVEL_CHANGES:
+                if kind == "re_enabled" and re_enables is not None:
+                    re_enables.append((transitions[-1][1], ev))
                 transitions.append((ev[1], ev[2]))
         self.intervals = _intervals(transitions, trace.horizon)
         self.starts = [iv[0] for iv in self.intervals]
@@ -176,6 +180,8 @@ def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
     dropped, and either escape is accepted only if the level timeline shows
     the task actually suspended at the right moment. Incomplete jobs whose
     deadline lies beyond the horizon are counted as spanning, not judged.
+    A re-enable to level `target` wakes exactly the tasks with
+    target <= L < the level in force before it, in id order.
     """
     return _feasibility(_Index(trace, _FEASIBILITY), ts)
 
@@ -194,6 +200,13 @@ def _feasibility(ix: _Index, ts: TaskSet) -> FeasibilityReport:
         if why == "imcr" and key not in releases:
             rep.violations.append(("DropWithoutRelease", key[0], key[1],
                                    "imcr-dropped but never released"))
+    for before, ev in ix.re_enables:
+        woken = tuple(sorted((t.id for t in ts.tasks
+                              if ev[2] <= t.L < before), key=id_key))
+        if ev[3] != woken:
+            rep.violations.append((
+                "WrongWokenList", None, None,
+                f"re-enabled {list(ev[3])} at {ev[1]}, expected {list(woken)}"))
 
     for (tid, k), rel in releases.items():
         task = by_id.get(tid)

@@ -450,7 +450,6 @@ DISPATCH_0 = ('{"t":0,"kind":"dispatch","task":1,"k":1,"proc":0,"mode":1,'
               '"until":4,"rem":0}')
 GHOST_0 = ('{"t":0,"kind":"dispatch","task":2,"k":1,"proc":0,"mode":1,'
            '"until":4,"rem":1,"ghost_task":1,"ghost_k":1}')
-PREEMPT_0 = '{"t":0,"kind":"preempt","task":1,"k":1,"proc":0,"mode":1}'
 
 
 MALFORMED_TRACES = [
@@ -505,10 +504,8 @@ MALFORMED_TRACES = [
                   '"mode":1', '"mode":2') + '\n',
     META_LINE + '\n{"t":0,"kind":"ghost","task":2,"k":1,"proc":0,"mode":1,'
                 '"until":4,"rem":1,"ghost_task":1,"ghost_k":1}\n',
-    META_LINE + '\n{"t":0,"kind":"preempt"}\n',
-    META_LINE + '\n' + PREEMPT_0.replace('"t":0', '"t":"0"') + '\n',
-    META_LINE + '\n' + PREEMPT_0.replace('"t":0', '"t":41') + '\n',
-    META_LINE + '\n' + PREEMPT_0.replace('"proc":0', '"proc":1') + '\n',
+    META_LINE + '\n' + DISPATCH_0 + '\n{"t":4,"kind":"preempt","task":1,'
+                '"k":1,"proc":0,"mode":1}\n',
     META_LINE + '\n' + DISPATCH_0.replace('"rem":0', '"rem":7') + '\n',
     META_LINE + '\n' + GHOST_0.replace('"rem":1', '"rem":0') + '\n',
     META_LINE.replace('"horizon":40', '"horizon":-5') + '\n',
@@ -517,8 +514,6 @@ MALFORMED_TRACES = [
     META_LINE.replace('"drop"', '"bogus"') + '\n',
     META_LINE.replace('"crit-edf"', '"y"') + '\n',
     META_LINE.replace('"t":0', '"t":7') + '\n',
-    META_LINE + '\n' + DISPATCH_0 + '\n' + PREEMPT_0 + '\n'
-                + DISPATCH_0 + '\n',
     META_LINE + '\n' + DISPATCH_0 + '\n'
                 '{"t":2,"kind":"release","task":2,"k":1,"mode":1,"d":14}\n'
                 + DISPATCH_0 + '\n',
@@ -527,7 +522,7 @@ MALFORMED_TRACES = [
 ]
 
 
-@pytest.mark.parametrize("text", MALFORMED_TRACES, ids=[
+MALFORMED_IDS = [
     "release-without-d", "array-line", "meta-without-m", "unknown-kind",
     "unhashable-kind", "dispatch-without-proc", "extra-data", "string-time",
     "string-deadline", "tasks-nested", "deep-nesting", "proc-taken-twice",
@@ -536,14 +531,21 @@ MALFORMED_TRACES = [
     "idle-procs-wrong", "dispatch-after-idle", "event-before-meta",
     "event-past-horizon", "negative-time", "until-past-horizon",
     "empty-span", "span-split", "negative-span-start", "span-until-differs",
-    "dispatch-modes-differ", "ghost-kind", "preempt-without-fields",
-    "preempt-string-time", "preempt-past-horizon", "preempt-proc-past-m",
-    "dispatch-rem-7", "ghost-rem-0", "meta-negative-horizon", "meta-m-0",
+    "dispatch-modes-differ", "ghost-kind", "preempt-line", "dispatch-rem-7",
+    "ghost-rem-0", "meta-negative-horizon", "meta-m-0",
     "meta-levels-0", "meta-unknown-protocol", "meta-unknown-rem-order",
-    "meta-t-not-0",
-    "span-repeated-after-preempt", "span-repeated-after-later-event",
-    "release-mode-7", "dispatch-mode-0"])
-def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
+    "meta-t-not-0", "span-repeated-after-later-event",
+    "release-mode-7", "dispatch-mode-0"]
+# the whole message, where a case pins more than the line it names
+MALFORMED_ERRORS = {
+    "preempt-line": "error: trace line 3: unknown kind 'preempt'\n"}
+
+
+@pytest.mark.parametrize("case, text", zip(MALFORMED_IDS, MALFORMED_TRACES,
+                                             strict=True),
+                         ids=MALFORMED_IDS)
+def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, case,
+                                              text):
     _, path = sched_ts
     trace_path = tmp_path / "trace.jsonl"
     trace_path.write_text(text)
@@ -551,6 +553,8 @@ def test_check_malformed_trace_is_input_error(sched_ts, tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert rc == 2
     assert err.startswith("error: trace line ")
+    if case in MALFORMED_ERRORS:
+        assert err == MALFORMED_ERRORS[case]
 
 
 def test_trace_reader_names_a_line_past_a_full_span():
@@ -685,6 +689,14 @@ def test_generate_taskset_rejects_impossible_utilization(capsys):
                "--util", "1.5", "--m", "1"])
     capsys.readouterr()
     assert rc == 2
+
+
+@pytest.mark.parametrize("m", ["0", "-1"])
+def test_generate_taskset_rejects_m_below_1(capsys, m):
+    rc = main(["generate", "taskset", "--n", "3", "--levels", "2",
+               "--util", "0.5", "--m", m])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: m must be positive\n"
 
 
 def test_generate_scenario_with_requests(tmp_path, sched_ts, capsys):

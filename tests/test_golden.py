@@ -44,43 +44,43 @@ FORCED = gen.GenParams(n_tasks=6, levels=2, total_util=1.8, m=2,
 #  force, sha256 of to_jsonl)
 CASES = [
     (8, 56, "drop", "crit-edf", "every20", "uniform", False,
-     "65ef03f65a712c670ac45630562bffb191fa0691e0480703b6c554229cead0c1"),
+     "e1623c9ae19714561716ab366d3043eef527ad4a8a74d761c8a2bc06c2b9cba4"),
     (8, 56, "drop", "edf", "every20", "uniform", False,
-     "d5022be8f2aee186703bccbd0a7998581781ed9b800c91f6de3b6089f3c4bc9f"),
+     "66babff030906f795e7cca351b161d43e6f87d0f483bc684d6476d6b6eb4f75e"),
     (8, 56, "drop", "srpt", "every20", "uniform", False,
-     "2b38e06056e7af7d7782bb32fcbc8d1d386a4613e468e583da55be1b931232a0"),
+     "4d504b27013c87c095b511ad13ceb895c3e557000fc1b0574882499751a1d8a3"),
     (8, 56, "naive", "crit-edf", "every20", "uniform", False,
-     "0374f8230b2ac0dc3151dd4f83f360affe2d1928c0603453576e86819a8d760c"),
+     "0d7260dd85b324ed6af304e2ccfd3eb96d627156a9ec69107493a7c93d462d31"),
     (8, 56, "naive", "edf", "every20", "uniform", False,
-     "051b68145bbac2214382f068684c7c0d835410298eabf119b29c408a5113134b"),
+     "700b68e8ac832db3287474867c9ed92fb3b78cc28989a860f5e1fc742c1b171c"),
     (8, 56, "naive", "srpt", "every20", "uniform", False,
-     "ba72aa8e68417b071e638e54c35ba752577725b5ba82ed886b94ae0809e3aac7"),
+     "93b3826639a73408e8f5df5c3a91ff72f6d29a59e94197b910a27a167c329ac4"),
     (8, 56, "wcet-reclaim", "crit-edf", "every20", "uniform", False,
-     "51ae6d0b541a5ea0581b539bcc501f804814b7965bbc7f1ff1429852d8dead56"),
+     "4337c0fc1ac5d0d85b9a4387b43e7017581ec6e27668df3a8c338c05090cb4fa"),
     (8, 56, "wcet-reclaim", "edf", "every20", "uniform", False,
-     "2cf4b93a2bfafb0e89b655686375f8117cdc8a7eb8ef61ef4ab8e9606bc057d4"),
+     "4be9db04f489f712a71672e42b3e7b95846058a4db7f1d2e45d8f0c6d243c6ca"),
     (8, 56, "wcet-reclaim", "srpt", "every20", "uniform", False,
-     "7b21faaf4944e21b5c6b773c2c800488b36ac79261067c426c113d7742d908f6"),
+     "ee20748f1b1115a744e9bff1e4f635b85122d216307f8a4abdc03905972131e0"),
     (8, 56, "wcrt-simulate", "crit-edf", "every20", "uniform", False,
-     "6231a80a633b00932a148176b6b2aa846d61d4cbb17d29ae0ee2d3f4459936e1"),
+     "ab3df08397664cb5d2bdb441a889e5fe4eaff09d0af54eaaf98dad8c7a68cb68"),
     (8, 56, "wcrt-simulate", "edf", "every20", "uniform", False,
-     "9e86677e6278145b4c65ddc9773a26465cf1fd16e953fc88c45e74d8d7e4c7c8"),
+     "d9b5b195cb7f4ee2c22d69765281a9516fedcdb955cddc4b290b2aeb63eba323"),
     (8, 56, "wcrt-simulate", "srpt", "every20", "uniform", False,
-     "7f4892b871b2a604aa08688e287dde30f97f1238a73b160eb19814691ee0ae5a"),
+     "704263decf384cb9daa601b67fc13633201075fd3898f2e680e1d619dd7879a6"),
     (11, 77, "drop", "crit-edf", "every20", "uniform", False,
-     "eb864c203a7bed10ff28f2cd8f36bc46f4e289ae5e63456a96d99f0c16885620"),
+     "8c0328b77df161cd8bb0abd68813a6b39a4d99baecafe10a849f80581547c49a"),
     (11, 77, "naive", "edf", "every20", "uniform", False,
-     "97262207587009422626da51db4857184fbf81c587ac2ac3173dcf7b224a0983"),
+     "4fb84f2662f3c16a6c845c4e3dc239bcf3f273a921708e8c97ccb39271662a13"),
     (11, 77, "wcet-reclaim", "srpt", "every20", "uniform", False,
-     "fabd29884e0ee0bab284225b9bace89073511ea321e2a25841cfd00b66e26ef7"),
+     "c93308480a4ce9cad32b936ca8046c803987746c4bb2462099931a877e8b04b7"),
     (11, 77, "wcrt-simulate", "crit-edf", "every20", "uniform", False,
-     "1aa1f9b88cd0157afd481ae5dfe483cae30e68fa45110e0d8d36e6719f36ed29"),
+     "bf73b91019ce40d645ca6d8f4f77394d9fb168c04daa107dc53231e2d3697331"),
     (1, 7, "drop", "crit-edf", "none", "overrun", False,
      "e8dd72c30b40a0f8d9c3973ee4da65519583a604d7d6f5c5f63d87af3a4a37cf"),
     (1, 8, "naive", "edf", "one", "overrun-then-calm", False,
      "a2da5c195bcce3c84911a2ac85f6cc0c12e4a4a4414fbcd35eb8dad1fbed8b2b"),
     (1, 9, "wcet-reclaim", "srpt", "to2", "basic", False,
-     "774892efbf5fff3fe0f5b79b0a666655074d8ef8f01b13ee5650ea81a62ec30b"),
+     "9434ae5fbf5172bacb7686fb02fab317e747146e679c48171bec3ad0a3a742fb"),
     (1, 10, "wcrt-simulate", "crit-edf", "every20", "uniform", False,
      "11ae4e77310e2116bf304d2866a511b5af9012bfe87a4eb2e389d41e0960d0e5"),
     (3, 21, "naive", "edf", "none", "overrun", False,
@@ -88,53 +88,53 @@ CASES = [
     (3, 22, "wcet-reclaim", "srpt", "one", "overrun-then-calm", False,
      "18ae44a3ab235005286d483fddc4eeae5c44a800364b62b6cd5231a37f4d4a93"),
     (3, 23, "wcrt-simulate", "crit-edf", "to2", "basic", False,
-     "c82fa676b1b44746c35dc8528a1addf0ee9c7de977e49ae78fa27a22a4995434"),
+     "d7b48869a719100360e94dba45c76f68ce03cbb0d5b3786a2ee3d521e54cd6cb"),
     (3, 24, "drop", "edf", "every20", "uniform", False,
-     "e1ee6c25c3753ea7e9dccb9845728da53b100a82379dec88311b93a4fe246c9c"),
+     "689b869e15a9233859e91b180d5a6ea48fbe72ffb466fc9be7e9ac7066b28cf9"),
     (4, 28, "wcet-reclaim", "srpt", "none", "overrun", False,
      "206f93850811b4d2ba22bd625fcccc5ab96023bd143ab92b1498dac0d20c7418"),
     (4, 29, "wcrt-simulate", "crit-edf", "one", "overrun-then-calm", False,
-     "20bf118d9f27ca52ec2956219b05c131489bda531b9eee40ed9eb79e941a3ba3"),
+     "5fdf5dce8a1bc5132f2e198bd251fa9938c8577cba9ef288a0a0e05ac9cdf728"),
     (4, 30, "drop", "edf", "to2", "basic", False,
-     "f9f765965d01012935ffb2ed34d92b7cea074d6c8b3fdf4f6a2231fa8609bca8"),
+     "062244af4a42defb7a13e63ae9983ef9517086833afb2ca3bba5a5e0dbf3b956"),
     (4, 31, "naive", "srpt", "every20", "uniform", False,
      "b8b8cecbbac6f9ed3b97a8f883c650b4086d13140f0ff69adc3381f4ef344471"),
     (10, 70, "wcrt-simulate", "crit-edf", "none", "overrun", False,
-     "fae48e29a670f1ba13d9418ed4056591a0c448f41c4e2731fd27b968ab650762"),
+     "81f363bface82901a5083152f5ac9aa2a5e23f84e308ca296510bbedd98ce456"),
     (10, 71, "drop", "edf", "one", "overrun-then-calm", False,
-     "9bef33bfb656cccc7ef04dc4dafcce0bcd54ab3d17e44427f5dadda55aca6a66"),
+     "cf893ef2c2d5e9ac1a482ff4070409859646ec3a77fc14457a757d3c9a6f7678"),
     (10, 72, "naive", "srpt", "to2", "basic", False,
      "3110fa9f56e99181beacffe54f9fa6829fe56a4e505082021920e43dc1c12f99"),
     (10, 73, "wcet-reclaim", "crit-edf", "every20", "uniform", False,
-     "2d26100bae1f2a7ed29a4b14c21003441b2de4297b1a4f0e942d51a741e7c55a"),
+     "7b5c72dc10f7bb6cb9142908b7591192fb0ac18598e5a952c3da98357c48e278"),
     (6, 1, "drop", "edf", "every20", "overrun", False,
-     "e865e2faedc4635ce795fc31cb318a4c65d091c7bb8c2b46b4c49875624da81b"),
+     "f860281041c3fa798ee1fb7f9f1f214d36217d012a4ab881c819301bf93cd849"),
     (6, 2, "naive", "srpt", "every20", "overrun", False,
-     "42f5d47e59d7469d723f9cbb54bc5b195638a2ac4dc32a46aaaef74f35ef0e79"),
+     "234b37c40ce1fc806a6c362a24dfdbce4229f2015648648fb3f08dd2ddb8f932"),
     (6, 3, "wcet-reclaim", "crit-edf", "every20", "overrun", False,
-     "2b291db5551751b84efa7f0aa8472ddcbe31ed9c340e2c7d1f7d7ec115f4abcd"),
+     "33d8ff826f24e610c8dcc74003b5680cc252f0bc5504b8001b9b57183a0e78f0"),
     (6, 4, "wcrt-simulate", "edf", "every20", "overrun", False,
-     "a43ab858c5e47e4fe6936a758210db2ed8492bfa3270789fab97e4cb5fb56a32"),
+     "cdc8f8f1109c790147767ce6891d518084a5c1fdfabfd646c5dc01aee976d10f"),
     (3, 21, "drop", "srpt", "every20", "overrun", False,
-     "e2bd461558140f8fc948bca4b26259c7ed6b9237f22229239de052894946468c"),
+     "d4014287bac7f21ea4fae73e0a24b291b3502b216450b77dc2adc76f35830db6"),
     (3, 21, "naive", "crit-edf", "every20", "overrun", False,
-     "0d3bd4df0718367d91e0e88bd4c0d4b6b93c2e01e5dc6b4c130f4522e0b8fb95"),
+     "45eb8ae33c5f275e0935cebbfe16f566a848ed529b7fb1cff75042b6b3770a45"),
     (3, 21, "wcet-reclaim", "edf", "every20", "overrun", False,
-     "56db4cc808f69a6b6ee26044b948c208a95e9f0a9ca1b88fcfd64be52b54e68e"),
+     "9a0640f97da8e10ec1026f213a6c4c6013ea02f3235266160655511606c55816"),
     (3, 21, "wcrt-simulate", "srpt", "every20", "overrun", False,
-     "9b21de49b150e2bf59b89617f9cf95b8fb59a30d96b7281386bbc77460628564"),
+     "f893c51273f55057bc3ff34333236696cd585b3b6c9e70ae76b578b2782b41e6"),
     (1, 1, "naive", "crit-edf", "none", "basic", True,
-     "8e62225ae88d9235576f79f51531eb028d9d754b391632db12356018d89d49be"),
+     "73388ef60bda23b76ee876000cecdd157db367fc498634a90a2e392d3bcf41eb"),
     (1, 5, "wcet-reclaim", "edf", "one", "uniform", True,
-     "3a492add50ac8d5f7848bccf7e8219b247d2b86d4528dbfe776997bf2c13ec8a"),
+     "756ef921f7ae2e6b1d1d974cd7635169ca338cec6d081b20a2548c8db8f57d04"),
     (2, 2, "drop", "crit-edf", "one", "basic", True,
-     "ce8da3d3805b83dfb5901478aa78bd46e2b1d38aab5125f402d3514ff5017b56"),
+     "193f47f6e9d86a6d6988416aa5c21151fe827de9520d3bfaa7385d35ee6f6bd3"),
     (2, 4, "wcet-reclaim", "srpt", "every20", "uniform", True,
-     "2eab490250e6f2037e95603129938fdaa0a6503f4bcaf2c789d8f998ff07c3c2"),
+     "1799b2380825f099f4cf0bb95d88aa33d0658cb18ddb29adbbffaab1094a370e"),
     (2, 6, "naive", "srpt", "none", "overrun", True,
-     "427988577a4f04afffea090b555339e96ae1f5e9e429fa199f55a6ae58da5971"),
+     "540b76e0feb4f79502aaac2a567e9c1e1f31418a3e160cd1d5bd83999a0e34b6"),
     (3, 3, "wcrt-simulate", "edf", "every20", "overrun", True,
-     "74a5b1d4a2b6a75ca26d0da2664c3080721e64d083f1ff671192690a9b0b3804"),
+     "df671a50c128bcb3d3da9536a754d8baffca94e0c964a9bf8549f0e8633f36d9"),
 ]
 
 QUEUE_PARAMS = {
@@ -169,25 +169,25 @@ QUEUE_CASES = [
      "c04c7acc748c99829f3f2dcc3673697b539187f0d5a3ed867bfed210ee14844a"),
     ("periodic", 3, 4, "overrun", "every13", "at-horizon", 400, False,
      "naive", "srpt",
-     "131caba67da17e2b28b7bc525d3bfd450f323d5495d8e8564905530942a0c117"),
+     "0bb7d7baebf07048414de811d31112351fbe0a2cb448fb2943a06077d2f46199"),
     ("periodic", 4, 5, "uniform", "every20", "at-horizon", 480, False,
      "wcrt-simulate", "edf",
-     "9a5c5ca76a3bdb9055f38d5800c2030b6afd2321c415296450a710f62da35bb6"),
+     "c239e688384a4d2d25f276f5f5dc4098127b5db7566a556eab710c66ea0c5955"),
     ("periodic", 1, 6, "basic", "none", "sync", 400, False,
      "drop", "crit-edf",
      "1ebde0aac9c5753c4ded5836639a843bd31e5d4433a4ae39c6189e05524f7664"),
     ("constrained", 2, 1, "basic", "every13", "sporadic", 400, True,
      "drop", "crit-edf",
-     "d509cb52e818c433ed6c3d229c31278dee11e41e75cf7387f0a0ccf44d935507"),
+     "be3afc8f9ee473c7df1e6f8a4c439a6e4689474805c2e7b73c0f9f083c1a122e"),
     ("constrained", 2, 1, "basic", "every20", "sporadic", 400, True,
      "naive", "edf",
-     "43e5fb2ee8129a06ecdd2bffdc03426de9b3ac781813408beb7cef9d83f95015"),
+     "39909e3866b5b600ecd72cc3e141e20ca749302e739e0d60e70f6cdf58f89e79"),
     ("constrained", 2, 14, "basic", "every20", "sporadic", 400, True,
      "drop", "srpt",
-     "34817621d439dee5b3c6e9b5af1cc0d923c19fe9bc9e4fa89d0638a5daf486c7"),
+     "462bfd2d7034d06212535569d77ed8c16ec7321593f8dcbee84a995e8c5f64c5"),
     ("constrained", 7, 2, "basic", "every13", "sporadic", 400, True,
      "wcet-reclaim", "crit-edf",
-     "9d7cdd2b32d2a30a4cd3428da5f4898d758dca424985619affcc7d1e8827f3e7"),
+     "26430b9742776d0e66eafcea7538d55f1468c4c078f6dc2dbda0999c2b891df2"),
     ("idle", 1, 1, "overrun", "every20", "sporadic", 400, False,
      "wcet-reclaim", "crit-edf",
      "b996f785f57ff2982873e53eaf7d5b5234671bdfc959df07354c2ebf42ca1f22"),
@@ -202,7 +202,7 @@ QUEUE_CASES = [
      "86bd0ef13002da14b08ec1a4e5a9ef47abeb8a9974ce6eebcca8e67bb86246cb"),
     ("roundtrip", 4, 3, "overrun", "every30", "sporadic", 6000, False,
      "naive", "crit-edf",
-     "ce04b99cf90e9071b3697f52c4fc969a5757eb1964faadf89074268740cf2f60"),
+     "87072af76df53f0aa9da3f4a86586330b63734dddbf92693fa8188e4f559255a"),
 ]
 
 
@@ -336,8 +336,8 @@ def test_cases_cover_every_event_kind_and_slot_code():
     assert kinds == POINT_KINDS | {"sched"}
     assert codes == {"J", "R", "G"}
     # every compiled line writer is pinned by a digest
-    assert lines == POINT_KINDS | {"meta", "dispatch rem 0", "dispatch rem 1",
-                                   "ghost", "idle", "preempt"}
+    assert lines == (sim._LINE_FIELDS.keys() - {"dispatch"}
+                     | {"dispatch rem 0", "dispatch rem 1"})
 
 
 def test_experiment_csv_bytes():

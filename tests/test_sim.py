@@ -472,19 +472,6 @@ def test_jsonl_roundtrip_preserves_events():
     assert (back.protocol, back.rem_order) == ("wcet-reclaim", "crit-edf")
 
 
-def test_jsonl_preempt_lines_for_interrupted_entities():
-    a = MCTask(id=1, T=30, D=30, L=2, C=(2, 4))
-    v = MCTask(id=2, T=30, D=30, L=1, C=(4, 4))
-    e = MCTask(id=3, T=30, D=30, L=2, C=(2, 2))
-    wt = {(1, 1): 2, (1, 2): 4, (2, 1): 8, (3, 1): 2, (3, 2): 2}
-    trace = run([a, v, e], 2, 1, {1: 1, 3: 2, 2: 3}, wt,
-                30, {1: (0,), 2: (0,), 3: (5,)}, {1: (4,), 2: (4,), 3: (2,)},
-                protocol="naive")
-    lines = trace.to_jsonl().splitlines()
-    preempts = [ln for ln in lines if '"preempt"' in ln]
-    assert any('"task":2' in ln and '"t":5' in ln for ln in preempts)
-
-
 def test_simulation_is_deterministic():
     t1 = rich_trace()
     t2 = rich_trace()
@@ -539,9 +526,6 @@ def ref_jsonl(trace):
     meta = {"t": 0, "kind": "meta"}
     meta.update((f, getattr(trace, f)) for f in META_FIELDS)
     out = [dumps(meta)]
-    completed_at = {(ev[3], ev[4]): ev[1] for ev in trace.events
-                    if ev[0] == "complete"}
-    prev = []
     for ev in trace.events:
         if ev[0] != "sched":
             fields = EVENT_FIELDS[ev[0]]
@@ -552,12 +536,8 @@ def ref_jsonl(trace):
             out.append(dumps(rec))
             continue
         _, t0, mode, t1, slots = ev
-        now = [(s[3], s[4]) if s[0] == "G" else (s[1], s[2]) for s in slots]
-        for proc, (tid, k) in enumerate(prev):
-            if (tid, k) not in now and completed_at.get((tid, k)) != t0:
-                out.append(dumps({"t": t0, "kind": "preempt", "task": tid,
-                                  "k": k, "proc": proc, "mode": mode}))
-        for proc, (slot, (tid, k)) in enumerate(zip(slots, now)):
+        for proc, slot in enumerate(slots):
+            tid, k = slot[3:] if slot[0] == "G" else slot[1:]
             rec = {"t": t0, "kind": "dispatch", "task": tid, "k": k,
                    "proc": proc, "mode": mode, "until": t1,
                    "rem": 0 if slot[0] == "J" else 1}
@@ -568,7 +548,6 @@ def ref_jsonl(trace):
         if len(slots) < trace.m:
             out.append(dumps({"t": t0, "kind": "idle", "mode": mode,
                               "until": t1, "procs": trace.m - len(slots)}))
-        prev = now
     return out
 
 

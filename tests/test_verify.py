@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from mcsched.analysis import opa_assign
 from mcsched.gen import GenParams, Infeasible, gen_scenario, gen_taskset
-from mcsched.model import MCTask, Scenario, TaskSet
+from mcsched.model import MCTask, Scenario, TaskSet, id_key
 from mcsched.sim import PROTOCOLS, ProtocolConfig, Trace, simulate
 from mcsched.verify import (FeasibilityReport, PeriodicityReport,
                             ReclaimReport, ResponseReport, _suspension_starts,
@@ -570,6 +570,17 @@ def ref_feasibility(trace, ts):
         if why == "imcr" and key not in releases:
             rep.violations.append(("DropWithoutRelease", key[0], key[1],
                                    "imcr-dropped but never released"))
+    level = 1
+    for ev in trace.events:
+        if ev[0] == "re_enabled":
+            woken = tuple(sorted((t.id for t in ts.tasks
+                                  if ev[2] <= t.L < level), key=id_key))
+            if ev[3] != woken:
+                rep.violations.append((
+                    "WrongWokenList", None, None, f"re-enabled {list(ev[3])} "
+                    f"at {ev[1]}, expected {list(woken)}"))
+        if ev[0] in ("budget_exceeded", "re_enabled"):
+            level = ev[2]
     for (tid, k), rel in releases.items():
         task = by_id.get(tid)
         if task is None:
@@ -848,6 +859,32 @@ def test_checkers_judge_a_job_by_its_last_repeated_event(
     assert got["response"] == check_response_bounds(trace, res.wcrt_table, ts)
     if protocol == "wcet-reclaim":
         assert got["reclaim"] == check_reclaim(trace, ts)
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_woken_list_missing_a_task_fails_feasibility(protocol):
+    ts, platform, res = equiv_set(1)
+    plan = tuple((t, 1 + (t // 20) % 2) for t in range(20, EQUIV_HORIZON, 20))
+    sc = gen_scenario(ts, EQUIV_HORIZON, 7, exec_model="overrun",
+                      overrun_prob=0.5, dmcr_plan=plan)
+    clean = simulate(ts, platform, res.assignment, res.wcrt_table, sc,
+                     ProtocolConfig(protocol))
+    assert check_feasibility(clean, ts).ok
+    where = [i for i, ev in enumerate(clean.events)
+             if ev[0] == "re_enabled" and ev[3]]
+    assert len(where) >= 3
+    for i in (where[0], where[-1]):
+        events = list(clean.events)
+        ev = events[i]
+        events[i] = ev[:3] + (ev[3][1:],)
+        trace = Trace(events, clean.horizon, clean.m, clean.levels,
+                      clean.protocol, clean.rem_order)
+        rep = check_feasibility(trace, ts)
+        assert rep.violations == [(
+            "WrongWokenList", None, None, f"re-enabled {list(ev[3][1:])} at "
+            f"{ev[1]}, expected {list(ev[3])}")]
+        assert rep == ref_feasibility(trace, ts)
+        assert check_run(trace, ts)["feasibility"] == rep
 
 
 # single-processor sets, where ghost slots host rem-jobs most often
