@@ -450,6 +450,7 @@ DISPATCH_0 = ('{"t":0,"kind":"dispatch","task":1,"k":1,"proc":0,"mode":1,'
               '"until":4,"rem":0}')
 GHOST_0 = ('{"t":0,"kind":"dispatch","task":2,"k":1,"proc":0,"mode":1,'
            '"until":4,"rem":1,"ghost_task":1,"ghost_k":1}')
+PREEMPT_0 = '{"t":0,"kind":"preempt","task":1,"k":1,"proc":0,"mode":1}'
 
 
 MALFORMED_TRACES = [
@@ -504,8 +505,10 @@ MALFORMED_TRACES = [
                   '"mode":1', '"mode":2') + '\n',
     META_LINE + '\n{"t":0,"kind":"ghost","task":2,"k":1,"proc":0,"mode":1,'
                 '"until":4,"rem":1,"ghost_task":1,"ghost_k":1}\n',
-    META_LINE + '\n' + DISPATCH_0 + '\n{"t":4,"kind":"preempt","task":1,'
-                '"k":1,"proc":0,"mode":1}\n',
+    META_LINE + '\n{"t":0,"kind":"preempt"}\n',
+    META_LINE + '\n' + PREEMPT_0.replace('"t":0', '"t":"0"') + '\n',
+    META_LINE + '\n' + PREEMPT_0.replace('"t":0', '"t":41') + '\n',
+    META_LINE + '\n' + PREEMPT_0.replace('"proc":0', '"proc":1') + '\n',
     META_LINE + '\n' + DISPATCH_0.replace('"rem":0', '"rem":7') + '\n',
     META_LINE + '\n' + GHOST_0.replace('"rem":1', '"rem":0') + '\n',
     META_LINE.replace('"horizon":40', '"horizon":-5') + '\n',
@@ -514,6 +517,8 @@ MALFORMED_TRACES = [
     META_LINE.replace('"drop"', '"bogus"') + '\n',
     META_LINE.replace('"crit-edf"', '"y"') + '\n',
     META_LINE.replace('"t":0', '"t":7') + '\n',
+    META_LINE + '\n' + DISPATCH_0 + '\n' + PREEMPT_0 + '\n'
+                + DISPATCH_0 + '\n',
     META_LINE + '\n' + DISPATCH_0 + '\n'
                 '{"t":2,"kind":"release","task":2,"k":1,"mode":1,"d":14}\n'
                 + DISPATCH_0 + '\n',
@@ -531,14 +536,21 @@ MALFORMED_IDS = [
     "idle-procs-wrong", "dispatch-after-idle", "event-before-meta",
     "event-past-horizon", "negative-time", "until-past-horizon",
     "empty-span", "span-split", "negative-span-start", "span-until-differs",
-    "dispatch-modes-differ", "ghost-kind", "preempt-line", "dispatch-rem-7",
-    "ghost-rem-0", "meta-negative-horizon", "meta-m-0",
+    "dispatch-modes-differ", "ghost-kind", "preempt-without-fields",
+    "preempt-string-time", "preempt-past-horizon", "preempt-proc-past-m",
+    "dispatch-rem-7", "ghost-rem-0", "meta-negative-horizon", "meta-m-0",
     "meta-levels-0", "meta-unknown-protocol", "meta-unknown-rem-order",
-    "meta-t-not-0", "span-repeated-after-later-event",
+    "meta-t-not-0",
+    "span-repeated-after-preempt", "span-repeated-after-later-event",
     "release-mode-7", "dispatch-mode-0"]
-# the whole message, where a case pins more than the line it names
+# the whole message, where a case pins more than the line it names: a
+# preempt line is no longer a trace line kind, whatever its fields
 MALFORMED_ERRORS = {
-    "preempt-line": "error: trace line 3: unknown kind 'preempt'\n"}
+    **{case: "error: trace line 2: unknown kind 'preempt'\n"
+       for case in ("preempt-without-fields", "preempt-string-time",
+                    "preempt-past-horizon", "preempt-proc-past-m")},
+    "span-repeated-after-preempt":
+        "error: trace line 3: unknown kind 'preempt'\n"}
 
 
 @pytest.mark.parametrize("case, text", zip(MALFORMED_IDS, MALFORMED_TRACES,
