@@ -88,6 +88,7 @@ def _names(names) -> str:
 
 _SPEC_TYPES = {
     "taskset": (_is(str), "a path string"),
+    "gen": (_is(dict), "an object"),
     "seed": (_is_int, "an integer"),
     "scenarios": (lambda v: _is_int(v) and v > 0, "a positive integer"),
     "horizon": (lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
@@ -124,7 +125,7 @@ def run_experiment(spec: dict, out: str | IO[str]) -> dict:
     """
     if not isinstance(spec, dict):
         raise FormatError("experiment spec must be a JSON object")
-    unknown = spec.keys() - _SPEC_TYPES.keys() - {"gen"}
+    unknown = spec.keys() - _SPEC_TYPES.keys()
     if unknown:
         raise FormatError(f"experiment spec has unknown keys {sorted(unknown)}")
     seed = _spec_get(spec, "seed", 0)
@@ -143,9 +144,10 @@ def run_experiment(spec: dict, out: str | IO[str]) -> dict:
         except (ValueError, OSError) as exc:  # format, validity, reading
             raise FormatError(f"experiment spec 'taskset' {path}: {exc}") from None
     else:
+        fields = _spec_get(spec, "gen", None)
         try:
-            params = gen.GenParams(**spec["gen"])
-        except (TypeError, ValueError) as exc:  # not an object; bad keys
+            params = gen.GenParams(**fields)
+        except (TypeError, ValueError) as exc:  # bad keys, types or ranges
             raise FormatError(f"experiment spec 'gen': {exc}") from None
         ts, platform = gen.gen_taskset(params, seed)
     if "horizon" in spec:

@@ -433,8 +433,8 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
     """Aggregate counters and averages for one run.
 
     Tardiness is reported over rem-job completions only (enabled jobs are
-    covered by the feasibility check instead); the positive part enters the
-    mean and max, the signed values are returned alongside. Suspension delay
+    covered by the feasibility check instead); a rem-job that completes by
+    its deadline has tardiness 0 in the mean and max. Suspension delay
     averages completed suspension episodes, reconstructed from the level
     transitions rather than read off the woken lists.
     """
@@ -447,7 +447,7 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
     chain_aborts = 0
     releases = 0
     enabled_completed = 0
-    tardiness_signed: list[int] = []
+    tardiness: list[int] = []
     rem_responses: list[int] = []
     interference_star: list[int] = []
     susp_start: dict = {}
@@ -467,7 +467,7 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
             if ev[8]:
                 rem_completed += 1
                 f, c, r, d = ev[1], ev[5], ev[6], ev[7]
-                tardiness_signed.append(f - d)
+                tardiness.append(max(0, f - d))
                 rem_responses.append(f - r)
                 interference_star.append(f - r - c)
             else:
@@ -493,7 +493,6 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
                     susp_delays.append(ev[1] - susp_start.pop(tid))
     idle_time = trace.m * sched_time - busy_time
 
-    late = [max(0, x) for x in tardiness_signed]
     return {
         "misses_enabled": misses_enabled,
         "misses_hi": misses_hi,
@@ -503,9 +502,9 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
         "chain_aborts": chain_aborts,
         "releases": releases,
         "enabled_completed": enabled_completed,
-        "mean_tardiness": sum(late) / len(late) if late else 0.0,
-        "max_tardiness": max(late) if late else 0,
-        "tardiness_signed": tardiness_signed,
+        "mean_tardiness": (sum(tardiness) / len(tardiness)
+                           if tardiness else 0.0),
+        "max_tardiness": max(tardiness) if tardiness else 0,
         "mean_rem_response": (sum(rem_responses) / len(rem_responses)
                               if rem_responses else 0.0),
         "mean_interference_star": (sum(interference_star) / len(interference_star)

@@ -23,19 +23,16 @@ search in `mcsched.gen`.
 
 Exhaustive oracles. The exact worst-case workload of one task over a
 window, by a search over every legal release pattern; every basic scenario
-of a small task set; the classical uniprocessor recurrence; and the level in
-force at an instant of a level timeline.
+of a small task set; and the classical uniprocessor recurrence.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import product
 from math import prod
-from operator import itemgetter
 
-from mcsched.analysis import Divergent, SameTask, _terms, _window_total
+from mcsched.analysis import Divergent, SameTask
 from mcsched.gen import Infeasible
 from mcsched.model import MCTask, Scenario, TaskSet
 
@@ -98,19 +95,6 @@ def interfering_bounds(tj: MCTask, ti: MCTask, delta: int, level: int,
     nc = min(workload_nc(tj, delta, level), limit)
     ci = min(workload_ci(tj, delta, level), limit)
     return InterferenceBound(nc=nc, ci=ci)
-
-
-def total_interfering(ti: MCTask, hp: list[MCTask], delta: int, level: int,
-                      m: int, cap: bool = True) -> int:
-    """Total interfering workload on ti over a window of length delta, as
-    the package's kernel computes it: the sum of non-carry-in bounds plus
-    the m-1 largest carry-in surcharges. The sum of the k largest values is
-    the same whichever of several equal values is taken, so the total does
-    not depend on how ties are broken."""
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    limit = max(delta - ti.wcet(level) + 1, 0) if cap else delta
-    return _window_total(_terms(ti, hp, level), limit, delta, m - 1)
 
 
 def uniprocessor_rta(task: MCTask, hp: list[MCTask], level: int) -> int:
@@ -250,15 +234,3 @@ def enumerate_basic_scenarios(ts: TaskSet, horizon: int, arrivals=None):
                        exec_times={task.id: times for task, times
                                    in zip(ts.tasks, combo)},
                        dmcr_requests=())
-
-
-# ---------------------------------------------------------------------------
-# level timeline
-
-
-def level_at(intervals, t: int) -> int:
-    """System level in force at instant t of `verify.compute_l_intervals`'
-    timeline (the end instant maps to the last interval, matching
-    completions being processed before transitions)."""
-    i = bisect_right(intervals, t, key=itemgetter(0))
-    return intervals[i - 1 if i else 0][2]

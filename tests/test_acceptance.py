@@ -10,42 +10,28 @@ conftest.py prints one PASS/FAIL line per criterion at the end of the run.
 
 import io
 import random
-from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from itertools import islice
 
 import pytest
 
 from mcsched.analysis import opa_assign, wcrt
 from mcsched.experiment import CSV_HEADER, run_experiment
-from mcsched.gen import (GenParams, Infeasible, SplitMix64, child_seed,
-                         gen_scenario, gen_taskset)
+from mcsched.gen import (GenParams, SplitMix64, child_seed, gen_scenario,
+                         gen_taskset)
 from mcsched.model import MCTask
 from mcsched.sim import PROTOCOLS, ProtocolConfig, simulate
-from mcsched.verify import check_feasibility, check_run, compute_l_intervals
+from mcsched.verify import check_feasibility, compute_l_intervals
 from oracles import (brute_force_workload, count_basic_scenarios,
                      enumerate_basic_scenarios, uniprocessor_rta, workload_ci,
                      workload_nc)
-
-MAX_SAMPLES = 5  # violations kept for the failure message
-
+from slices import generated_sets, run_slice, schedulable_sets
 
 # ---------------------------------------------------------------------------
 # shared soundness sweep (criteria 3, 5, 6, 10)
 
 N_SETS = 500
 N_SCENARIOS = 100
-
-
-@dataclass
-class SweepStats:
-    sets: int = 0
-    runs: int = 0
-    trips: int = 0
-    checked: Counter = field(default_factory=Counter)  # per report name
-    violations: dict = field(default_factory=dict)  # report name -> samples
-    rem_sum: Counter = field(default_factory=Counter)  # per protocol
-    rem_count: Counter = field(default_factory=Counter)
 
 
 def _sweep_params(idx):
@@ -57,51 +43,19 @@ def _sweep_params(idx):
                      period_range=(8, 12), ensure_overrunnable=True)
 
 
-def _schedulable_sets(params_of, stall):
-    """(seed, set, platform, analysis) for each seed below stall whose set,
-    generated from params_of(seed), the analysis accepts."""
-    for seed in range(1, stall):
-        try:
-            ts, platform = gen_taskset(params_of(seed), seed)
-        except Infeasible:
-            continue
-        res = opa_assign(ts, platform.m)
-        if res.schedulable:
-            yield seed, ts, platform, res
-    pytest.fail("task set generation stalled")
+def _sweep_scenarios(seed, ts):
+    horizon = 20 * max(t.T for t in ts.tasks)
+    for i in range(N_SCENARIOS):
+        model = "overrun" if i % 2 else "uniform"
+        plan = ((horizon // 2, 1),) if i % 3 == 0 else ()
+        yield gen_scenario(ts, horizon, child_seed(seed, i),
+                           exec_model=model, dmcr_plan=plan)
 
 
 @pytest.fixture(scope="session")
 def sweep():
-    stats = SweepStats()
-    cfgs = {p: ProtocolConfig(protocol=p) for p in PROTOCOLS}
-    for draw, ts, platform, res in islice(
-            _schedulable_sets(_sweep_params, 20 * N_SETS), N_SETS):
-        stats.sets += 1
-        horizon = 20 * max(t.T for t in ts.tasks)
-        for i in range(N_SCENARIOS):
-            model = "overrun" if i % 2 else "uniform"
-            plan = ((horizon // 2, 1),) if i % 3 == 0 else ()
-            sc = gen_scenario(ts, horizon, child_seed(draw, i),
-                              exec_model=model, dmcr_plan=plan)
-            for protocol in PROTOCOLS:
-                trace = simulate(ts, platform, res.assignment,
-                                 res.wcrt_table, sc, cfgs[protocol])
-                stats.runs += 1
-                reports = check_run(trace, ts, res.wcrt_table, sc)
-                for name, rep in reports.items():
-                    stats.checked[name] += rep.checked
-                    samples = stats.violations.setdefault(name, [])
-                    if not rep.ok and len(samples) < MAX_SAMPLES:
-                        samples.append(((draw, i, protocol), rep.violations[:3]))
-                for ev in trace.events:  # one scan for trips and rem-jobs
-                    kind = ev[0]
-                    if kind == "budget_exceeded":
-                        stats.trips += 1
-                    elif kind == "complete" and ev[8]:
-                        stats.rem_sum[protocol] += ev[1] - ev[6]
-                        stats.rem_count[protocol] += 1
-    return stats
+    sets = schedulable_sets(_sweep_params, range(1, 20 * N_SETS))
+    return run_slice(islice(sets, N_SETS), _sweep_scenarios)
 
 
 # ---------------------------------------------------------------------------
@@ -195,31 +149,20 @@ def test_criterion_04_exhaustive_basic_scenarios():
                          total_util=0.5 * (1 + seed % 2), m=1 + (seed % 2),
                          period_range=(4, 8), ensure_overrunnable=True)
 
-    sets = []
-    for _, ts, platform, res in _schedulable_sets(tiny, 2000):
-        horizon = 2 * max(t.T for t in ts.tasks)
-        arrivals = {t.id: tuple(range(0, horizon, t.T)) for t in ts.tasks}
-        counts = {tid: len(v) for tid, v in arrivals.items()}
-        if sum(counts.values()) > 12:
-            continue
-        if count_basic_scenarios(ts, counts) > 729:
-            continue
-        sets.append((ts, platform, res, horizon))
-        if len(sets) == 50:
-            break
+    def horizon(ts):
+        return 2 * max(t.T for t in ts.tasks)
 
-    checked = 0
-    for ts, platform, res, horizon in sets:
-        for sc in enumerate_basic_scenarios(ts, horizon):
-            for protocol in PROTOCOLS:
-                trace = simulate(ts, platform, res.assignment,
-                                 res.wcrt_table, sc,
-                                 ProtocolConfig(protocol=protocol))
-                for name, rep in check_run(trace, ts, res.wcrt_table,
-                                           sc).items():
-                    assert rep.ok, (name, ts, sc, protocol)
-                checked += 1
-    assert checked >= 4000
+    def enumerable(ts):  # at most 12 jobs and 729 basic scenarios
+        counts = {t.id: len(range(0, horizon(ts), t.T)) for t in ts.tasks}
+        return (sum(counts.values()) <= 12
+                and count_basic_scenarios(ts, counts) <= 729)
+
+    sets = (s for s in schedulable_sets(tiny, range(1, 2000))
+            if enumerable(s[1]))
+    stats = run_slice(islice(sets, 50),
+                      lambda _, ts: enumerate_basic_scenarios(ts, horizon(ts)))
+    assert all(v == [] for v in stats.violations.values()), stats.violations
+    assert stats.runs >= 4000
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +173,8 @@ def _dmcr_sets(want=20):
     params = GenParams(n_tasks=5, levels=3, total_util=1.0, m=2,
                        period_range=(8, 14), ensure_overrunnable=True)
     # group B needs a task able to trip level 2 -> 3
-    sets = ((ts, platform, res, seed) for seed, ts, platform, res
-            in _schedulable_sets(lambda seed: params, 2000)
-            if any(t.L == 3 and t.C[2] > t.C[1] for t in ts.tasks))
+    sets = (s for s in schedulable_sets(lambda _: params, range(1, 2000))
+            if any(t.L == 3 and t.C[2] > t.C[1] for t in s[1].tasks))
     return list(islice(sets, want))
 
 
@@ -274,7 +216,7 @@ def test_criterion_07_dmcr_validity():
     sets = _dmcr_sets()
     scenarios = 0
     re_enabled_a = aborted_b = 0
-    for ts, platform, res, seed in sets:
+    for seed, ts, platform, res in sets:
         horizon = 20 * max(t.T for t in ts.tasks)
         # group A: one overrun, then calm demand, then the request
         for i in range(8):
@@ -320,21 +262,15 @@ def test_criterion_07_dmcr_validity():
 
 
 def test_criterion_08_opa_order_independence():
-    built = 0
-    seed = 0
-    verdicts_seen = set()
-    while built < 100:
-        seed += 1
-        assert seed < 1000
+    def params(seed):
         m = 1 + (seed % 3)
-        try:
-            ts, platform = gen_taskset(GenParams(
-                n_tasks=3 + (seed % 5), levels=1 + (seed % 3),
-                total_util=(0.45 + 0.08 * (seed % 4)) * m, m=m,
-                period_range=(8, 16)), seed)
-        except Infeasible:
-            continue
-        built += 1
+        return GenParams(n_tasks=3 + (seed % 5), levels=1 + (seed % 3),
+                         total_util=(0.45 + 0.08 * (seed % 4)) * m, m=m,
+                         period_range=(8, 16))
+
+    verdicts_seen = set()
+    for seed, ts, platform in islice(generated_sets(params, range(1, 1000)),
+                                     100):
         ids = [t.id for t in ts.tasks]
         verdicts = set()
         shuffler = random.Random(child_seed(9000, seed))

@@ -34,11 +34,9 @@ REQUESTS = {
     "one": ((200, 1),),
     "to2": ((100, 2), (150, 1), (300, 2)),
     "every20": tuple((t, 1) for t in range(20, HORIZON, 20)),
+    "every13": tuple((t, 1 + (t // 13) % 2) for t in range(13, HORIZON, 13)),
+    "every30": tuple((t, 1) for t in range(30, 6000, 30)),
 }
-SCHEDULABLE = gen.GenParams(n_tasks=6, levels=3, total_util=1.0, m=2,
-                            period_range=(8, 16), ensure_overrunnable=True)
-FORCED = gen.GenParams(n_tasks=6, levels=2, total_util=1.8, m=2,
-                       period_range=(8, 16), ensure_overrunnable=True)
 
 # (set seed, scenario seed, protocol, rem order, requests, exec model,
 #  force, sha256 of to_jsonl)
@@ -137,7 +135,13 @@ CASES = [
      "df671a50c128bcb3d3da9536a754d8baffca94e0c964a9bf8549f0e8633f36d9"),
 ]
 
-QUEUE_PARAMS = {
+PARAMS = {
+    # the CASES' sets, the analysis accepting or (forced) rejecting them
+    "schedulable": gen.GenParams(n_tasks=6, levels=3, total_util=1.0, m=2,
+                                 period_range=(8, 16),
+                                 ensure_overrunnable=True),
+    "forced": gen.GenParams(n_tasks=6, levels=2, total_util=1.8, m=2,
+                            period_range=(8, 16), ensure_overrunnable=True),
     # periods 8-12: strictly periodic arrivals coincide often
     "periodic": gen.GenParams(n_tasks=6, levels=3, total_util=1.0, m=2,
                               period_range=(8, 12), ensure_overrunnable=True),
@@ -151,12 +155,6 @@ QUEUE_PARAMS = {
     # the bench roundtrip's shape
     "roundtrip": gen.GenParams(n_tasks=12, levels=3, total_util=1.6, m=4,
                                ensure_overrunnable=True),
-}
-QUEUE_REQUESTS = {
-    "none": (),
-    "every20": REQUESTS["every20"],
-    "every13": tuple((t, 1 + (t // 13) % 2) for t in range(13, HORIZON, 13)),
-    "every30": tuple((t, 1) for t in range(30, 6000, 30)),
 }
 
 # (params, set seed, scenario seed, exec model, requests, arrivals,
@@ -222,11 +220,11 @@ def _periodic(ts, sc, at_horizon):
 
 def _queue_trace(params, set_seed, sc_seed, exec_model, requests, arrivals,
                  horizon, force, protocol, rem_order):
-    ts, platform = gen.gen_taskset(QUEUE_PARAMS[params], set_seed)
+    ts, platform = gen.gen_taskset(PARAMS[params], set_seed)
     pa, wt, res = experiment.prepare_run(ts, platform, True, force)
     assert res.schedulable != force
     sc = gen.gen_scenario(ts, horizon, sc_seed, exec_model=exec_model,
-                          dmcr_plan=QUEUE_REQUESTS[requests])
+                          dmcr_plan=REQUESTS[requests])
     if arrivals != "sporadic":
         sc = _periodic(ts, sc, arrivals == "at-horizon")
     return sim.simulate(ts, platform, pa, wt, sc,
@@ -251,13 +249,9 @@ POINT_KINDS = {"release", "job_dropped", "complete", "budget_exceeded",
 
 def _trace(set_seed, sc_seed, protocol, rem_order, requests, exec_model,
            force):
-    ts, platform = gen.gen_taskset(FORCED if force else SCHEDULABLE, set_seed)
-    pa, wt, res = experiment.prepare_run(ts, platform, True, force)
-    assert res.schedulable != force
-    sc = gen.gen_scenario(ts, HORIZON, sc_seed, exec_model=exec_model,
-                          dmcr_plan=REQUESTS[requests])
-    return sim.simulate(ts, platform, pa, wt, sc,
-                        sim.ProtocolConfig(protocol, rem_order))
+    return _queue_trace("forced" if force else "schedulable", set_seed,
+                        sc_seed, exec_model, requests, "sporadic", HORIZON,
+                        force, protocol, rem_order)
 
 
 def _digest(text):
@@ -285,7 +279,7 @@ def test_queue_cases_hit_their_targets():
     hit = set()
     for case in QUEUE_CASES:
         trace = _queue_trace(*case[:10])
-        ts, _ = gen.gen_taskset(QUEUE_PARAMS[case[0]], case[1])
+        ts, _ = gen.gen_taskset(PARAMS[case[0]], case[1])
         ev = trace.events
         per_instant = {}
         for e in ev:
@@ -393,7 +387,7 @@ def _taskset_params():
             yield gen.GenParams(n_tasks=n, levels=levels,
                                 total_util=per_proc * (n // 4), m=n // 4)
     yield from map(_sweep_params, range(1, 13))
-    yield QUEUE_PARAMS["roundtrip"]
+    yield PARAMS["roundtrip"]
     for n, period_range, tol, overrunnable in product(*TASKSET_AXES):
         m = max(1, n // 4)
         yield gen.GenParams(n_tasks=n, levels=3, total_util=0.5 * m, m=m,

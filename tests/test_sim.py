@@ -1,16 +1,17 @@
 import json
 from dataclasses import replace
+from itertools import islice
 
 import pytest
 
-from mcsched.analysis import PriorityAssignment
+from mcsched.analysis import PriorityAssignment, opa_assign
 from mcsched.gen import GenParams, Infeasible, child_seed, gen_scenario, gen_taskset
 from mcsched.model import MCTask, Platform, Scenario, TaskSet
 from mcsched.sim import (EVENT_FIELDS, META_FIELDS, PROTOCOLS,
                          InconsistentInputs, InvalidTarget, ModelViolation,
                          ProtocolConfig, simulate, trace_from_jsonl)
-from mcsched.verify import check_run, compute_l_intervals
-from mcsched.analysis import opa_assign
+from mcsched.verify import compute_l_intervals
+from slices import run_slice, schedulable_sets
 
 
 def run(tasks, levels, m, ranks, wt, horizon, arrivals, execs, reqs=(),
@@ -482,34 +483,25 @@ def test_simulation_is_deterministic():
 # integration: simulated traces satisfy the independent checkers
 
 
-@pytest.mark.parametrize("protocol", ["drop", "naive", "wcet-reclaim",
-                                      "wcrt-simulate"])
+def overrun_scenarios(seed, ts):
+    horizon = 15 * max(t.T for t in ts.tasks)
+    for i in range(5):
+        yield gen_scenario(ts, horizon, child_seed(seed, i),
+                           exec_model="overrun")
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_checkers_hold_on_generated_runs(protocol):
     params = GenParams(n_tasks=4, levels=2, total_util=0.6,
                        period_range=(8, 16), ensure_overrunnable=True)
-    found = 0
-    seed = 0
-    while found < 3:
-        seed += 1
-        try:
-            ts, platform = gen_taskset(params, seed)
-        except Infeasible:
-            continue
-        res = opa_assign(ts, platform.m)
-        if not res.schedulable:
-            continue
-        found += 1
-        horizon = 15 * max(t.T for t in ts.tasks)
-        for i in range(5):
-            sc = gen_scenario(ts, horizon, child_seed(seed, i),
-                              exec_model="overrun")
-            cfg = ProtocolConfig(protocol=protocol)
-            trace = simulate(ts, platform, res.assignment, res.wcrt_table,
-                             sc, cfg)
-            reports = check_run(trace, ts, res.wcrt_table, sc)
-            assert len(reports) == (4 if protocol == "wcet-reclaim" else 3)
-            for name, rep in reports.items():
-                assert rep.ok, (seed, i, name, rep.violations)
+    sets = schedulable_sets(lambda _: params, range(1, 100))
+    stats = run_slice(islice(sets, 3), overrun_scenarios, (protocol,))
+    assert stats.runs == 15
+    reports = ["feasibility", "periodicity", "response"]
+    if protocol == "wcet-reclaim":
+        reports.append("reclaim")
+    assert stats.violations == {name: [] for name in reports}
+    assert stats.checked["feasibility"] > 0
 
 
 AWKWARD_IDS = ['say "hi"', "back\\slash", "bell\x07", "naïve 任务", 7, 12, "0"]

@@ -1,11 +1,11 @@
+from functools import cache
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsched.analysis import opa_assign
-from mcsched.gen import GenParams, Infeasible, gen_scenario, gen_taskset
+from mcsched.gen import GenParams, gen_scenario
 from mcsched.model import MCTask, Scenario, TaskSet, id_key
 from mcsched.sim import PROTOCOLS, ProtocolConfig, Trace, simulate
 from mcsched.verify import (FeasibilityReport, PeriodicityReport,
@@ -14,8 +14,8 @@ from mcsched.verify import (FeasibilityReport, PeriodicityReport,
                             check_reclaim, check_response_bounds, check_run,
                             compute_l_intervals, metrics)
 from oracles import (ParameterTooLarge, brute_force_workload,
-                     count_basic_scenarios, enumerate_basic_scenarios,
-                     level_at)
+                     count_basic_scenarios, enumerate_basic_scenarios)
+from slices import schedulable_sets
 
 
 def lo(tid, T, D, C, L=1, levels=1):
@@ -58,15 +58,6 @@ def test_l_intervals_collapse_same_instant_cascade():
 def test_l_intervals_no_transitions():
     trace = mk_trace([], horizon=15)
     assert compute_l_intervals(trace) == [(0, 15, 1)]
-
-
-def test_level_at_maps_boundaries_to_new_interval():
-    iv = [(0, 7, 1), (7, 30, 2), (30, 50, 1)]
-    assert level_at(iv, 0) == 1
-    assert level_at(iv, 6) == 1
-    assert level_at(iv, 7) == 2
-    assert level_at(iv, 30) == 1
-    assert level_at(iv, 50) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -526,7 +517,7 @@ def test_metrics_counts():
     assert m["misses_hi"] == 1
     assert m["rem_completed"] == 1
     assert m["enabled_completed"] == 1
-    assert m["tardiness_signed"] == [-1]
+    assert m["max_tardiness"] == 0
     assert m["mean_tardiness"] == 0.0
     assert m["mean_rem_response"] == 9.0
     assert m["mean_susp_delay"] == 10.0
@@ -722,24 +713,31 @@ def ref_response_bounds(trace, wt, ts):
 EQUIV_PARAMS = GenParams(n_tasks=5, levels=3, total_util=1.0, m=2,
                          period_range=(8, 16), ensure_overrunnable=True)
 EQUIV_HORIZON = 600
-_equiv_sets: dict = {}
 
 
+@cache
 def equiv_set(seed):
-    """A schedulable generated set, its platform and its analysis, by seed."""
-    if seed not in _equiv_sets:
-        draw = seed
-        while True:
-            draw += 1000
-            try:
-                ts, platform = gen_taskset(EQUIV_PARAMS, draw)
-            except Infeasible:
-                continue
-            res = opa_assign(ts, platform.m)
-            if res.schedulable:
-                break
-        _equiv_sets[seed] = (ts, platform, res)
-    return _equiv_sets[seed]
+    """A schedulable generated set, its platform and its analysis, by seed:
+    the first of the draws seed + 1000, seed + 2000, ... that the analysis
+    accepts."""
+    draws = range(seed + 1000, seed + 100_000, 1000)
+    return next(schedulable_sets(lambda _: EQUIV_PARAMS, draws))[1:]
+
+
+def equiv_run(set_seed, sc_seed, protocol, plan):
+    """equiv_set(set_seed)'s set and analysis, an overrun scenario with
+    these decrease requests, and its clean trace under protocol."""
+    ts, platform, res = equiv_set(set_seed)
+    sc = gen_scenario(ts, EQUIV_HORIZON, sc_seed, exec_model="overrun",
+                      overrun_prob=0.5, dmcr_plan=plan)
+    return ts, res, sc, simulate(ts, platform, res.assignment, res.wcrt_table,
+                                 sc, ProtocolConfig(protocol))
+
+
+def retrace(trace, events):
+    """trace with these events in place of its own."""
+    return Trace(events, trace.horizon, trace.m, trace.levels, trace.protocol,
+                 trace.rem_order)
 
 
 GHOST_STRETCH = 16  # ticks: no budget exceeds it when periods are at most 16
@@ -789,19 +787,12 @@ def corrupt(events, how, pick):
        pick=st.integers(-10**6, 10**6))
 def test_checkers_match_linear_scan_references(set_seed, sc_seed, protocol,
                                                gap, how, pick):
-    ts, platform, res = equiv_set(set_seed)
-    plan = tuple((t, 1 + (t // gap) % (ts.levels - 1))
+    plan = tuple((t, 1 + (t // gap) % (EQUIV_PARAMS.levels - 1))
                  for t in range(gap, EQUIV_HORIZON, gap))
-    sc = gen_scenario(ts, EQUIV_HORIZON, sc_seed, exec_model="overrun",
-                      overrun_prob=0.5, dmcr_plan=plan)
-    clean = simulate(ts, platform, res.assignment, res.wcrt_table, sc,
-                     ProtocolConfig(protocol))
-    trace = Trace(corrupt(clean.events, how, pick), clean.horizon, clean.m,
-                  clean.levels, clean.protocol, clean.rem_order)
-    intervals = compute_l_intervals(trace)
-    assert len(intervals) >= 12  # dozens, so that bisection has work to do
-    for x in [s + d for s, _, _ in intervals for d in (0, -1)] + [trace.horizon]:
-        assert level_at(intervals, x) == ref_level_at(intervals, x), x
+    ts, res, sc, clean = equiv_run(set_seed, sc_seed, protocol, plan)
+    trace = retrace(clean, corrupt(clean.events, how, pick))
+    # dozens of level intervals, so that bisection has work to do
+    assert len(compute_l_intervals(trace)) >= 12
     feas = check_feasibility(trace, ts)
     per = check_periodicity(trace, ts, sc)
     resp = check_response_bounds(trace, res.wcrt_table, ts)
@@ -835,11 +826,8 @@ def test_checkers_judge_a_job_by_its_last_repeated_event(
     # (a re-release with its deadline at the first release, a completion
     # past any deadline): each checker, alone or in check_run, judges the
     # job by that second event, as the references do
-    ts, platform, res = equiv_set(set_seed)
-    sc = gen_scenario(ts, EQUIV_HORIZON, sc_seed, exec_model="overrun",
-                      overrun_prob=0.5, dmcr_plan=((EQUIV_HORIZON // 2, 1),))
-    clean = simulate(ts, platform, res.assignment, res.wcrt_table, sc,
-                     ProtocolConfig(protocol))
+    ts, res, sc, clean = equiv_run(set_seed, sc_seed, protocol,
+                                   ((EQUIV_HORIZON // 2, 1),))
     events = list(clean.events)
     where = [i for i, ev in enumerate(events) if ev[0] == kind]
     i = where[pick % len(where)]
@@ -848,8 +836,7 @@ def test_checkers_judge_a_job_by_its_last_repeated_event(
     if kind == "release":
         again = again[:5] + (ev[1],)
     events.insert(i + 1, again)
-    trace = Trace(events, clean.horizon, clean.m, clean.levels,
-                  clean.protocol, clean.rem_order)
+    trace = retrace(clean, events)
     feas = check_feasibility(trace, ts)
     per = check_periodicity(trace, ts, sc)
     assert feas == ref_feasibility(trace, ts)
@@ -863,12 +850,8 @@ def test_checkers_judge_a_job_by_its_last_repeated_event(
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
 def test_woken_list_missing_a_task_fails_feasibility(protocol):
-    ts, platform, res = equiv_set(1)
     plan = tuple((t, 1 + (t // 20) % 2) for t in range(20, EQUIV_HORIZON, 20))
-    sc = gen_scenario(ts, EQUIV_HORIZON, 7, exec_model="overrun",
-                      overrun_prob=0.5, dmcr_plan=plan)
-    clean = simulate(ts, platform, res.assignment, res.wcrt_table, sc,
-                     ProtocolConfig(protocol))
+    ts, _, _, clean = equiv_run(1, 7, protocol, plan)
     assert check_feasibility(clean, ts).ok
     where = [i for i, ev in enumerate(clean.events)
              if ev[0] == "re_enabled" and ev[3]]
@@ -877,8 +860,7 @@ def test_woken_list_missing_a_task_fails_feasibility(protocol):
         events = list(clean.events)
         ev = events[i]
         events[i] = ev[:3] + (ev[3][1:],)
-        trace = Trace(events, clean.horizon, clean.m, clean.levels,
-                      clean.protocol, clean.rem_order)
+        trace = retrace(clean, events)
         rep = check_feasibility(trace, ts)
         assert rep.violations == [(
             "WrongWokenList", None, None, f"re-enabled {list(ev[3][1:])} at "
@@ -894,14 +876,8 @@ GHOST_PARAMS = GenParams(n_tasks=4, levels=2, total_util=0.6, m=1,
 
 def test_stretched_ghost_fails_reclaim():
     with_ghosts = 0
-    for seed in range(1, 200):
-        try:
-            ts, platform = gen_taskset(GHOST_PARAMS, seed)
-        except Infeasible:
-            continue
-        res = opa_assign(ts, platform.m)
-        if not res.schedulable:
-            continue
+    for seed, ts, platform, res in schedulable_sets(lambda _: GHOST_PARAMS,
+                                                    range(1, 200)):
         horizon = 20 * max(t.T for t in ts.tasks)
         for sc_seed in range(10):
             sc = gen_scenario(ts, horizon, sc_seed, exec_model="basic")
@@ -913,16 +889,13 @@ def test_stretched_ghost_fails_reclaim():
                 continue  # no ghost slot hosted a rem-job
             with_ghosts += 1
             for pick in (0, 5, -2):
-                trace = Trace(corrupt(clean.events, "stretch", pick),
-                              clean.horizon, clean.m, clean.levels,
-                              clean.protocol, clean.rem_order)
+                trace = retrace(clean, corrupt(clean.events, "stretch", pick))
                 rep = check_reclaim(trace, ts)
                 assert rep.violations, (seed, sc_seed, pick)
                 assert {v[0] for v in rep.violations} == {"ReclaimOverBudget"}
                 assert check_run(trace, ts)["reclaim"] == rep
         if with_ghosts >= 8:
-            break
-    assert with_ghosts >= 8
+            break  # else schedulable_sets fails the test when seeds run out
 
 
 def test_periodicity_counts_repeats_like_reference():
@@ -995,6 +968,3 @@ def test_checkers_match_references_at_interval_boundaries(horizon):
                 == ref_periodicity(trace, ts, sc)), case
         assert (check_response_bounds(trace, wt, ts)
                 == ref_response_bounds(trace, wt, ts)), case
-    intervals = compute_l_intervals(mk_trace(level_changes, horizon=horizon))
-    for t in range(-1, 27):
-        assert level_at(intervals, t) == ref_level_at(intervals, t), t
