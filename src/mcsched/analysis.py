@@ -18,11 +18,13 @@ sound upper bounds on any legal sporadic release pattern; the test suite
 checks them against an exhaustive oracle rather than trusting the algebra.
 
 Every fixed point (wcrt, opa_assign, dm_fallback) runs through one
-routine, _response, and each iterate evaluates the total through one
-integer kernel, _window_total, over plain (T_j, C_j(l)) pairs, with no
-object per term. The readable per-term definition of the bounds above and a
-reference fixed point built from it live in tests/oracles.py and
-tests/test_analysis.py, which check the kernel against them.
+routine, _response, and every window bound comes from one integer
+kernel, _bounds, over plain (T_j, C_j(l)) pairs, with no object per term.
+wcrt and dm_fallback add its values up in _window_total; opa_assign
+derives them per candidate (below). The readable per-term definition of
+the bounds above and a reference fixed point built from it live in
+tests/oracles.py and tests/test_analysis.py, which check the kernel
+against them.
 
 Closed-form first iterate. With the cap and C_i(l) >= 1 the first iterate
 is R1 = C_i(l) + floor(#{j : C_j(l) >= 1} / m). Proof: on the window
@@ -36,14 +38,22 @@ Priority assignment uses Audsley's lowest-priority-first greedy search. A
 task can take the lowest remaining rank iff R_i(l) <= D_i for every level
 l <= L_i with all other remaining tasks as higher-priority interference.
 The test depends only on that set, never on its internal order, so the
-verdict is independent of candidate examination order. The search keeps
-one term table per level over the remaining tasks; a candidate's terms are
-that row without its own entry, and a placed task leaves every row.
+verdict is independent of candidate examination order (the
+OPA-compatibility of Davis & Burns, RTS 2011). It also means that every
+candidate at one rank sees the same row, the remaining tasks, less its
+own entry. So the search keeps one row of terms per level over the
+remaining tasks, evaluates each window (level, limit, delta) at most once
+per rank with one kernel pass over the whole row, and lets each candidate
+take its own total from that window exactly, by subtracting its own nc
+and its place among the m - 1 largest surcharges (_RankTotals). There is no
+second kernel pass and no copy of the row per candidate. A placed task
+leaves every row and drops the rank's windows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .model import MCTask, TaskSet, id_key
 
@@ -66,35 +76,49 @@ def _terms(ti: MCTask, hp: list[MCTask], level: int) -> list[tuple[int, int]]:
     return terms
 
 
-def _window_total(terms: list[tuple[int, int]], limit: int, delta: int,
-                  k: int) -> int:
-    """Kernel of the interfering-workload total over a window of length
-    delta: the nc bound of every term plus the k largest ci - nc
-    surcharges, each bound clipped at limit (and ci also at delta).
+def _bounds(terms: list[tuple[int, int]], limit: int,
+            delta: int) -> tuple[list[int], list[int]]:
+    """Kernel of the window bounds: per term, in order, the nc bound and
+    the ci - nc surcharge over a window of length delta, each bound clipped
+    at limit (and ci also at delta).
 
     Same values as the per-term definition, without building an object per
     term.
     """
     ci_limit = delta if delta < limit else limit
-    total = 0
-    diffs = []
+    ncs, diffs = [], []
     for t, c in terms:
-        q = delta // t
-        r = delta - q * t
-        nc = q * c + (c if c < r else r)
+        if delta < t:  # no whole period fits: the quotient is 0
+            nc = c if c < delta else delta
+        else:
+            q = delta // t
+            r = delta - q * t
+            nc = q * c + (c if c < r else r)
         if nc > limit:
             nc = limit
         rest = delta - c
-        if rest > 0:
-            q = rest // t
-            r = rest - q * t
-            ci = c * (q + 1) + (c if c < r else r)
+        if rest <= 0:
+            ci = ci_limit if ci_limit < c else c
+        else:
+            if rest < t:  # likewise
+                ci = c + (c if c < rest else rest)
+            else:
+                q = rest // t
+                r = rest - q * t
+                ci = c * (q + 1) + (c if c < r else r)
             if ci > ci_limit:
                 ci = ci_limit
-        else:
-            ci = ci_limit if ci_limit < c else c
-        total += nc
+        ncs.append(nc)
         diffs.append(ci - nc)
+    return ncs, diffs
+
+
+def _window_total(terms: list[tuple[int, int]], limit: int, delta: int,
+                  k: int) -> int:
+    """Interfering-workload total over a window of length delta: the nc
+    bound of every term plus the k largest ci - nc surcharges."""
+    ncs, diffs = _bounds(terms, limit, delta)
+    total = sum(ncs)
     if k >= len(diffs):
         return total + sum(diffs)
     if k > 0:
@@ -103,26 +127,32 @@ def _window_total(terms: list[tuple[int, int]], limit: int, delta: int,
     return total
 
 
-def _response(terms: list[tuple[int, int]], c: int, d: int, m: int,
-              cap: bool, busy: int | None = None) -> int:
-    """Least fixed point of R = c + floor(total / m) over the terms, or the
-    first iterate past d. Iterates from c; each step is monotone, so the
-    first repeat is the least fixed point. With the cap and c >= 1 the first
-    iterate is c + busy // m, busy counting the terms with C_j >= 1
-    (counted here when None)."""
+def _response(total, busy: int, c: int, d: int, m: int, cap: bool) -> int:
+    """Least fixed point of R = c + floor(total(limit, R) / m), or the first
+    iterate past d; total(limit, delta) is the interfering total over a
+    window of length delta with bounds clipped at limit. Iterates from c;
+    each step is monotone, so the first repeat is the least fixed point.
+    With the cap and c >= 1 the first iterate is c + busy // m, busy
+    counting the interfering terms with C_j >= 1."""
     r = c
     if cap and 0 < c <= d:
-        if busy is None:
-            busy = sum(1 for _, cj in terms if cj > 0)
         r = c + busy // m
         if r == c:
             return r
     while r <= d:
-        nxt = c + _window_total(terms, r - c + 1 if cap else r, r, m - 1) // m
+        nxt = c + total(r - c + 1 if cap else r, r) // m
         if nxt == r:
             return r
         r = nxt
     return r
+
+
+def _solo(terms: list[tuple[int, int]], c: int, d: int, m: int,
+          cap: bool) -> int:
+    """_response against a plain list of interfering terms."""
+    k = m - 1
+    return _response(lambda limit, delta: _window_total(terms, limit, delta, k),
+                     sum(1 for _, cj in terms if cj > 0), c, d, m, cap)
 
 
 def _rows(tasks: list[MCTask]) -> list[list[tuple[int, int]]]:
@@ -133,14 +163,59 @@ def _rows(tasks: list[MCTask]) -> list[list[tuple[int, int]]]:
             for lv in range(levels)]
 
 
+class _RankTotals:
+    """The window totals of the Audsley search's candidates at one rank, over
+    its rows: per level, the (T_j, C_j(l)) terms of the tasks not yet
+    placed, in the order of the candidate list.
+
+    A candidate's test sees its row without its own entry. Every window
+    (level, limit, delta) is evaluated once per rank by one kernel pass over
+    the whole row, and each candidate derives its own total from it
+    exactly. With the row's surcharges sorted descending as D,
+    k = m - 1, S = sum(D[:k+1]) and X = D[min(k, n-1)], leaving out an
+    entry with surcharge own removes one of the k + 1 largest if own >= X,
+    and otherwise leaves the k largest, summing to S - X, in place; when
+    n <= k + 1 every surcharge counts and own >= X. So the candidate's
+    total is
+
+        sum of nc - own nc + S - max(own, X).
+
+    Placing a task drops the rank's windows.
+    """
+
+    def __init__(self, rows: list[list[tuple[int, int]]], k: int):
+        self.k = k
+        self.rows = rows
+        # per level, the entries with C_j >= 1
+        self.busy = [sum(1 for _, c in row if c > 0) for row in rows]
+        self.windows = {}  # (level, limit, delta) -> shared part
+
+    def total(self, lv: int, i: int, limit: int, delta: int) -> int:
+        """_window_total over row lv without its entry i."""
+        window = self.windows.get((lv, limit, delta))
+        if window is None:
+            ncs, diffs = _bounds(self.rows[lv], limit, delta)
+            top = sorted(diffs, reverse=True)[:self.k + 1]
+            window = self.windows[lv, limit, delta] = (
+                ncs, diffs, sum(ncs), sum(top), top[-1])
+        ncs, diffs, nc_sum, top, cut = window
+        diff = diffs[i]
+        return nc_sum - ncs[i] + top - (diff if diff > cut else cut)
+
+    def place(self, i: int) -> None:
+        """Take entry i out of every row, as its task takes the rank."""
+        self.windows = {}
+        for lv, row in enumerate(self.rows):
+            self.busy[lv] -= row.pop(i)[1] > 0
+
+
 def wcrt(ti: MCTask, hp: list[MCTask], level: int, m: int,
          cap: bool = True) -> int:
     """Least fixed point of the response-time recurrence, or Divergent
     when an iterate passes D_i."""
     if level > ti.L:
         raise ValueError(f"level {level} above task criticality {ti.L}")
-    c = ti.wcet(level)
-    r = _response(_terms(ti, hp, level), c, ti.D, m, cap)
+    r = _solo(_terms(ti, hp, level), ti.wcet(level), ti.D, m, cap)
     if r > ti.D:
         raise Divergent(f"task {ti.id!r} level {level}: iterate {r} > D={ti.D}")
     return r
@@ -187,17 +262,15 @@ def opa_assign(ts: TaskSet, m: int, cap: bool = True,
         order = sorted((t.id for t in ts.tasks), key=id_key)
     by_id = {t.id: t for t in ts.tasks}
     remaining = [by_id[tid] for tid in order]
-    rows = _rows(remaining)
-    busy = [sum(1 for _, c in row if c > 0) for row in rows]  # C_j >= 1
+    totals = _RankTotals(_rows(remaining), m - 1)
     ranks, table = {}, {}
     for rank in range(len(remaining), 0, -1):
         for i, task in enumerate(remaining):
             rs = {}
-            for lv in range(task.L):  # the row without task's own entry
-                row = rows[lv]
-                c = row[i][1]
-                r = _response(row[:i] + row[i + 1:], c, task.D, m, cap,
-                              busy[lv] - (c > 0))
+            for lv in range(task.L):
+                c = totals.rows[lv][i][1]
+                r = _response(partial(totals.total, lv, i),
+                              totals.busy[lv] - (c > 0), c, task.D, m, cap)
                 if r > task.D:
                     break
                 rs[(task.id, lv + 1)] = r
@@ -210,8 +283,7 @@ def opa_assign(ts: TaskSet, m: int, cap: bool = True,
         ranks[task.id] = rank
         table.update(rs)
         del remaining[i]
-        for lv, row in enumerate(rows):
-            busy[lv] -= row.pop(i)[1] > 0
+        totals.place(i)
     return AnalysisResult(schedulable=True,
                           assignment=PriorityAssignment(ranks=ranks),
                           wcrt_table=table)
@@ -223,7 +295,7 @@ def dm_fallback(ts: TaskSet, m: int,
     for forced simulation of sets the analysis rejects."""
     order = sorted(ts.tasks, key=lambda t: (t.D, id_key(t.id)))
     rows = _rows(order)
-    wt = {(task.id, lv + 1): min(_response(rows[lv][:i], rows[lv][i][1],
-                                           task.D, m, cap), task.D)
+    wt = {(task.id, lv + 1): min(_solo(rows[lv][:i], rows[lv][i][1], task.D,
+                                       m, cap), task.D)
           for i, task in enumerate(order) for lv in range(task.L)}
     return PriorityAssignment({t.id: i + 1 for i, t in enumerate(order)}), wt

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from contextlib import nullcontext
+from dataclasses import MISSING, fields as dataclass_fields
 from typing import IO
 
 from . import analysis, gen, verify
@@ -103,6 +104,11 @@ _SPEC_TYPES = {
 }
 
 
+# GenParams field name -> whether a "gen" object must give it
+_GEN_FIELDS = {f.name: f.default is MISSING and f.default_factory is MISSING
+               for f in dataclass_fields(gen.GenParams)}
+
+
 def _spec_get(spec: dict, key: str, default):
     value = spec.get(key, default)
     valid, want = _SPEC_TYPES[key]
@@ -145,9 +151,17 @@ def run_experiment(spec: dict, out: str | IO[str]) -> dict:
             raise FormatError(f"experiment spec 'taskset' {path}: {exc}") from None
     else:
         fields = _spec_get(spec, "gen", None)
+        unknown = fields.keys() - _GEN_FIELDS.keys()
+        if unknown:
+            raise FormatError(f"experiment spec 'gen' has unknown keys "
+                              f"{sorted(unknown)}")
+        missing = [name for name, required in _GEN_FIELDS.items()
+                   if required and name not in fields]
+        if missing:
+            raise FormatError(f"experiment spec 'gen' is missing keys {missing}")
         try:
             params = gen.GenParams(**fields)
-        except (TypeError, ValueError) as exc:  # bad keys, types or ranges
+        except (TypeError, ValueError) as exc:  # bad types or ranges
             raise FormatError(f"experiment spec 'gen': {exc}") from None
         ts, platform = gen.gen_taskset(params, seed)
     if "horizon" in spec:

@@ -45,7 +45,9 @@ with pending jobs are kept in rank order, so dispatch reads the m highest
 enabled heads off the front, and it sorts only when ghost slots compete
 with them. The next event is the earliest of the next arrival, the
 earliest pending deadline, the next request, ghost expiries, forced ticks
-and the running entities' budget and completion boundaries.
+and the running entities' budget and completion boundaries. A request that
+waits on a chain or on rem-jobs adds no steps, since those end only at such
+boundaries; one still waiting after a re-enable at t is taken up at t + 1.
 
 Internal trace events are tuples. A point event is (kind, t, mode, *fields)
 with the fields of EVENT_FIELDS[kind] other than "mode", in table order; the
@@ -311,17 +313,17 @@ def trace_from_jsonl(text: str) -> Trace:
         if not isinstance(rec, dict):
             raise ValueError(f"trace line {lineno}: expected a JSON object")
         kind = rec.get("kind")
+        # "ghost" is the layout of a dispatch line, not a line kind; a kind
+        # that is no string (an array, say) names no layout either
+        layout = (_FROM_RECORD.get(kind)
+                  if type(kind) is str and kind != "ghost" else None)
+        if kind == "dispatch" and "ghost_task" in rec:
+            layout = _FROM_RECORD["ghost"]
         try:
-            # "ghost" is the layout of a dispatch line, not a line kind
-            layout = _FROM_RECORD.get(kind if kind != "ghost" else None)
-            if kind == "dispatch" and "ghost_task" in rec:
-                layout = _FROM_RECORD["ghost"]
             vals = layout and layout[0](rec)
         except KeyError as exc:
             raise ValueError(
                 f"trace line {lineno}: {kind} record has no field {exc}") from None
-        except TypeError as exc:  # an unhashable kind
-            raise ValueError(f"trace line {lineno}: {exc}") from None
         if layout is None:
             raise ValueError(f"trace line {lineno}: unknown kind {kind!r}")
         if not layout[2](vals):
@@ -728,8 +730,12 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         if force_tick:
             nxt = t + 1
             force_tick = False
-        if pending_req is not None and t + 1 < nxt:
-            nxt = t + 1  # re-check intake promptly once the system settles
+        if (pending_req is not None and chain is None and not rem_pool
+                and t + 1 < nxt):
+            # only a re-enable at t leaves a request waiting on a settled
+            # system; a chain or the rem pool can only let intake go at a
+            # completion or an overrun, and those are event instants
+            nxt = t + 1
         for code, job, g in running:
             delta = job.c - job.executed
             top_left = job.C[job.L - 1] - job.executed

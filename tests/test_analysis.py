@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsched.analysis import (AnalysisResult, Divergent, PriorityAssignment,
-                              SameTask, _response, _terms, _window_total,
+                              SameTask, _RankTotals, _solo, _terms, _window_total,
                               dm_fallback, opa_assign, wcrt)
 from mcsched.model import MCTask, TaskSet, id_key
 from oracles import (interfering_bounds, uniprocessor_rta, workload_ci,
@@ -56,7 +56,7 @@ def test_interfering_bounds_same_task_rejected():
 
 def total_interfering(ti, hp, delta, level, m, cap=True):
     """Total interfering workload on ti over a window of length delta, as
-    the package's kernel `_window_total` computes it: the sum of
+    the package's `_window_total` computes it: the sum of
     non-carry-in bounds plus the m-1 largest carry-in surcharges."""
     limit = max(delta - ti.wcet(level) + 1, 0) if cap else delta
     return _window_total(_terms(ti, hp, level), limit, delta, m - 1)
@@ -253,6 +253,45 @@ def test_kernel_matches_reference(case, delta):
             wcrt(ti, hp + [ti], level, m, cap)
 
 
+@st.composite
+def search_row(draw):
+    """A row of (T, C) terms from a small pool, so that equal terms repeat
+    and surcharges tie; budgets from 0 and above T, which give negative
+    surcharges under the cap; k from 0 to past the row's length; the
+    positions of entries to place one at a time; and a window length."""
+    pool = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 8)),
+                         min_size=1, max_size=4))
+    terms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
+    k = draw(st.integers(0, len(terms) + 1))
+    placed = [draw(st.integers(0, len(terms) - 1 - j))
+              for j in range(draw(st.integers(0, len(terms) - 1)))]
+    return terms, k, placed, draw(st.integers(0, 30))
+
+
+@given(case=search_row())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_rank_total_equals_kernel_without_the_entry(case):
+    """Each candidate's total derived from the whole row's window equals the
+    kernel run over the row without that entry, before and after tasks are
+    placed, with the cap's limit and without it."""
+    terms, k, placed, delta = case
+    totals = _RankTotals([list(terms)], k)
+
+    def check():
+        assert totals.busy == [sum(1 for _, c in terms if c > 0)]
+        for i, (_, c) in enumerate(terms):
+            rest = terms[:i] + terms[i + 1:]
+            for limit in (max(delta - c + 1, 0), delta):
+                assert (totals.total(0, i, limit, delta)
+                        == _window_total(rest, limit, delta, k))
+
+    check()
+    for i in placed:
+        totals.place(i)
+        del terms[i]
+        check()
+
+
 # ---------------------------------------------------------------------------
 # priority assignment
 
@@ -419,11 +458,10 @@ def test_response_routine_over_deadline_budget(cap, m):
     ti = MCTask(id="x", T=10, D=4, L=2, C=(3, 5))
     hp = [MCTask(id=1, T=6, D=6, L=1, C=(1, 1)),
           MCTask(id=2, T=9, D=9, L=1, C=(0, 0))]
-    assert wcrt(ti, hp, 1, m, cap) == _response(
-        _terms(ti, hp, 1), 3, 4, m, cap)
+    assert wcrt(ti, hp, 1, m, cap) == _solo(_terms(ti, hp, 1), 3, 4, m, cap)
     with pytest.raises(Divergent, match="iterate 5 > D=4"):
         wcrt(ti, hp, 2, m, cap)
-    assert _response(_terms(ti, hp, 2), 5, 4, m, cap) == 5
+    assert _solo(_terms(ti, hp, 2), 5, 4, m, cap) == 5
     ts = TaskSet(tasks=(ti, *hp), levels=2)
     res = opa_assign(ts, m, cap)
     assert res == reference_opa(ts, m, cap)

@@ -483,7 +483,7 @@ MALFORMED_TRACES = [
      "trace line 2: unknown kind 'teleport'"),
     ("unhashable-kind",
      lines(META_LINE, '{"t":0,"kind":["release"],"mode":1}'),
-     "trace line 2: ..."),
+     "trace line 2: unknown kind ['release']"),
     ("dispatch-without-proc", lines(META_LINE, DISPATCH_0.replace(
         '"proc":0,', "")),
      "trace line 2: dispatch record has no field 'proc'"),
@@ -869,9 +869,9 @@ REQUEST_LIST = "a list of [time, level] integer pairs with time >= 0"
 MALFORMED_SPECS = [
     ("unknown-gen-key",
      {"gen": {"n_tasks": 4, "levels": 2, "total_util": 0.7, "colour": "red"}},
-     "experiment spec 'gen': ..."),
+     "experiment spec 'gen' has unknown keys ['colour']"),
     ("missing-gen-key", {"gen": {"levels": 2, "total_util": 0.7}},
-     "experiment spec 'gen': ..."),
+     "experiment spec 'gen' is missing keys ['n_tasks']"),
     ("not-an-object",
      [{"gen": {"n_tasks": 4, "levels": 2, "total_util": 0.7}}],
      "experiment spec must be a JSON object"),
