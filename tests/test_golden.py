@@ -12,7 +12,10 @@ tasks, forced constrained-deadline runs whose deadlines fall on suspension
 and re-enable instants, and runs of the bench roundtrip's size (n=12, m=4,
 ~10k events); `test_queue_cases_hit_their_targets` checks that they still
 do. `test_taskset_bytes` pins `gen_taskset` itself, failed draws included,
-and `test_analysis_bytes` pins `opa_assign`. A refactor must leave every
+and `test_analysis_bytes` pins `opa_assign`. `test_sweep_batch_events`
+pins the event lists of a batch shaped like the acceptance sweep, every
+protocol and rem order, where suspended tasks' arrivals are dropped at
+many instants that hold nothing else. A refactor must leave every
 digest unchanged; a change meant to alter the bytes regenerates them and
 says why.
 """
@@ -20,13 +23,14 @@ says why.
 import hashlib
 import io
 import json
-from itertools import product
+from itertools import islice, product
 
 import pytest
 
 from mcsched import analysis, experiment, gen, model, sim
 from mcsched.model import Scenario, validate_scenario
-from test_acceptance import _sweep_params
+from slices import schedulable_sets
+from test_acceptance import _sweep_params, _sweep_scenarios
 
 HORIZON = 400
 REQUESTS = {
@@ -332,6 +336,34 @@ def test_cases_cover_every_event_kind_and_slot_code():
     # every compiled line writer is pinned by a digest
     assert lines == (sim._LINE_FIELDS.keys() - {"dispatch"}
                      | {"dispatch rem 0", "dispatch rem 1"})
+
+
+# the first BATCH_SETS accepted acceptance-sweep sets x their first
+# BATCH_SCENARIOS sweep scenarios x every protocol x every rem order
+BATCH_SETS = 48
+BATCH_SCENARIOS = 3
+BATCH_DIGEST = "0a720cc386e79f9e07d139f9c5d3aa3c934a909a5a4f88099ea23fa77bfc023e"
+
+
+def test_sweep_batch_events():
+    digest = hashlib.sha256()
+    cfgs = [sim.ProtocolConfig(p, o)
+            for p in sim.PROTOCOLS for o in sim.REM_ORDERS]
+    drop_only = 0  # instants whose only events are suspended-arrival drops
+    sets = schedulable_sets(_sweep_params, range(1, 20 * BATCH_SETS))
+    for seed, ts, platform, res in islice(sets, BATCH_SETS):
+        for sc in islice(_sweep_scenarios(seed, ts), BATCH_SCENARIOS):
+            for cfg in cfgs:
+                events = sim.simulate(ts, platform, res.assignment,
+                                      res.wcrt_table, sc, cfg).events
+                digest.update(repr(events).encode())
+                only = {}
+                for e in events:
+                    only[e[1]] = only.get(e[1], True) and (
+                        e[0] == "job_dropped" and e[5] == "suspended_arrival")
+                drop_only += sum(only.values())
+    assert drop_only > 0
+    assert digest.hexdigest() == BATCH_DIGEST
 
 
 def test_experiment_csv_bytes():
