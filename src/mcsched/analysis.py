@@ -131,9 +131,11 @@ def _response(total, busy: int, c: int, d: int, m: int, cap: bool) -> int:
     """Least fixed point of R = c + floor(total(limit, R) / m), or the first
     iterate past d; total(limit, delta) is the interfering total over a
     window of length delta with bounds clipped at limit. Iterates from c;
-    each step is monotone, so the first repeat is the least fixed point.
-    With the cap and c >= 1 the first iterate is c + busy // m, busy
-    counting the interfering terms with C_j >= 1."""
+    each step is monotone, so the first repeat is the least fixed point,
+    and an iterate below the one before it means a faulty total, which
+    fails here rather than cycle. With the cap and c >= 1 the first
+    iterate is c + busy // m, busy counting the interfering terms with
+    C_j >= 1."""
     r = c
     if cap and 0 < c <= d:
         r = c + busy // m
@@ -143,6 +145,7 @@ def _response(total, busy: int, c: int, d: int, m: int, cap: bool) -> int:
         nxt = c + total(r - c + 1 if cap else r, r) // m
         if nxt == r:
             return r
+        assert nxt > r, f"response iterate fell from {r} to {nxt}"
         r = nxt
     return r
 

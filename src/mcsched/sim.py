@@ -43,11 +43,19 @@ then job index; a job that completed or was suspended is no longer
 pending, and its entry is discarded when it reaches the top. The tasks
 with pending jobs are kept in rank order, so dispatch reads the m highest
 enabled heads off the front, and it sorts only when ghost slots compete
-with them. The next event is the earliest of the next arrival, the
-earliest pending deadline, the next request, ghost expiries, forced ticks
-and the running entities' budget and completion boundaries. A request that
-waits on a chain or on rem-jobs adds no steps, since those end only at such
-boundaries; one still waiting after a re-enable at t is taken up at t + 1.
+with them. The next event is the earliest of the next arrival of an
+enabled task, the earliest pending deadline, the next request, ghost
+expiries, forced ticks, the horizon and the running entities' budget and
+completion boundaries. A suspended task's arrivals before it are dropped on
+the way, each at its own instant and at the level in force. That is exact:
+a task's enabled state and the level change only at a completion or an
+overrun, and those, like every other phase before releases, act only at
+the boundaries above, so a step at such an arrival would do nothing but
+drop it. An arrival at the next event itself is left to that step's
+releases phase, after its completions, overruns and re-enables. A request
+that waits on a chain or on rem-jobs adds no steps, since those end only at
+such boundaries; one still waiting after a re-enable at t is taken up at
+t + 1.
 
 Internal trace events are tuples. A point event is (kind, t, mode, *fields)
 with the fields of EVENT_FIELDS[kind] other than "mode", in table order; the
@@ -724,9 +732,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             running.append(("R", job, None))
 
         # ---- next event ----
-        nxt = arrivals[arr_i][0]
-        if nxt > horizon:
-            nxt = horizon
+        nxt = horizon
         if force_tick:
             nxt = t + 1
             force_tick = False
@@ -763,6 +769,17 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             nxt = deadlines[0][0]
         if reqs[req_i][0] < nxt:
             nxt = reqs[req_i][0]
+        # a suspended task's arrival before nxt changes nothing but the
+        # trace: drop it here, at its own instant and the level in force;
+        # an enabled task's arrival is the next event
+        while arrivals[arr_i][0] < nxt:
+            a, ti, k = arrivals[arr_i]
+            st = states[ti]
+            if st.enabled:
+                nxt = a
+                break
+            arr_i += 1
+            emit(("job_dropped", a, level, st.tid, k, "suspended_arrival"))
         assert nxt > t, f"simulation time stalled at {t}"
 
         slots_t = tuple(slots)

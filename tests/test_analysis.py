@@ -3,8 +3,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsched.analysis import (AnalysisResult, Divergent, PriorityAssignment,
-                              SameTask, _RankTotals, _solo, _terms, _window_total,
-                              dm_fallback, opa_assign, wcrt)
+                              SameTask, _RankTotals, _response, _solo, _terms,
+                              _window_total, dm_fallback, opa_assign, wcrt)
 from mcsched.model import MCTask, TaskSet, id_key
 from oracles import (interfering_bounds, uniprocessor_rta, workload_ci,
                      workload_nc)
@@ -467,3 +467,19 @@ def test_response_routine_over_deadline_budget(cap, m):
     assert res == reference_opa(ts, m, cap)
     assert "x" in res.witness
     assert dm_fallback(ts, m, cap)[1][("x", 2)] == 4
+
+
+def test_response_fails_fast_on_a_falling_iterate():
+    """A total that is not monotone in the window makes the iterates cycle
+    (1, 6, 3, 6, ...); the routine fails at the first fall instead."""
+    calls = []
+
+    def total(limit, delta):
+        calls.append(delta)
+        if len(calls) > 100:
+            raise RuntimeError("the iterates never settled")
+        return 2 if delta == 6 else 5
+
+    with pytest.raises(AssertionError, match="fell from 6 to 3"):
+        _response(total, 0, 1, 100, 1, False)
+    assert calls == [1, 6]

@@ -367,6 +367,74 @@ def test_request_targeting_current_or_higher_level_is_discarded():
 
 
 # ---------------------------------------------------------------------------
+# suspended arrivals: dropped at their own instant, in same-instant order
+
+
+def at(trace, t):
+    return [e for e in trace.events if e[1] == t and e[0] != "sched"]
+
+
+def test_suspended_arrival_before_enabled_one_at_one_instant():
+    # s is suspended from 2; s and e both arrive at 7, s first in task order
+    s = MCTask(id=1, T=10, D=10, L=1, C=(1, 1))
+    e = MCTask(id=2, T=10, D=10, L=2, C=(1, 1))
+    h = MCTask(id=3, T=20, D=20, L=2, C=(2, 4))
+    wt = {(1, 1): 4, (2, 1): 3, (2, 2): 5, (3, 1): 2, (3, 2): 4}
+    trace = run([s, e, h], 2, 1, {3: 1, 2: 2, 1: 3}, wt,
+                20, {1: (0, 7), 2: (7,), 3: (0,)}, {1: (1, 1), 2: (1,), 3: (3,)})
+    assert at(trace, 7) == [("job_dropped", 7, 2, 1, 2, "suspended_arrival"),
+                            ("release", 7, 2, 2, 1, 17)]
+
+
+def test_suspended_arrival_at_a_completion_comes_after_it():
+    a = MCTask(id=1, T=10, D=10, L=2, C=(2, 5))
+    v = MCTask(id=2, T=4, D=4, L=1, C=(1, 1))
+    trace = run([a, v], 2, 1, {1: 1, 2: 2}, {(1, 1): 2, (1, 2): 5, (2, 1): 3},
+                10, {1: (0,), 2: (0, 4)}, {1: (4,), 2: (1, 1)})
+    assert at(trace, 4) == [("complete", 4, 2, 1, 1, 4, 0, 10, 0),
+                            ("job_dropped", 4, 2, 2, 2, "suspended_arrival")]
+
+
+def test_arrival_at_an_overrun_is_dropped_at_the_new_level():
+    # the overrun at 2 raises the level to 3 and suspends u as it arrives;
+    # v, suspended since the overrun at 1, arrives then too
+    v = MCTask(id=1, T=10, D=10, L=1, C=(1, 1, 1))
+    u = MCTask(id=2, T=10, D=10, L=2, C=(1, 1, 1))
+    h = MCTask(id=3, T=20, D=20, L=3, C=(1, 2, 6))
+    wt = {(1, 1): 3, (2, 1): 2, (2, 2): 3, (3, 1): 1, (3, 2): 2, (3, 3): 6}
+    trace = run([v, u, h], 3, 1, {3: 1, 2: 2, 1: 3}, wt,
+                20, {1: (0, 2), 2: (2,), 3: (0,)}, {1: (1, 1), 2: (1,), 3: (5,)})
+    assert at(trace, 2) == [("budget_exceeded", 2, 3, 3, 1),
+                            ("job_dropped", 2, 3, 1, 2, "suspended_arrival"),
+                            ("job_dropped", 2, 3, 2, 1, "suspended_arrival")]
+
+
+def test_arrival_at_a_re_enable_is_released():
+    a = MCTask(id=1, T=10, D=10, L=2, C=(2, 4))
+    v = MCTask(id=2, T=10, D=10, L=1, C=(2, 2))
+    wt = {(1, 1): 2, (1, 2): 4, (2, 1): 4}
+    trace = run([a, v], 2, 1, {1: 1, 2: 2}, wt,
+                20, {1: (0, 10), 2: (0, 12)}, {1: (3, 2), 2: (1, 1)},
+                reqs=((5, 1),))
+    assert at(trace, 12) == [("complete", 12, 2, 1, 2, 2, 10, 20, 0),
+                             ("chain_advance", 12, 2, 1, 2),
+                             ("re_enabled", 12, 1, (2,)),
+                             ("release", 12, 1, 2, 2, 22)]
+
+
+def test_suspended_arrivals_at_and_past_the_horizon():
+    # the completion at the horizon comes first; the arrival at 25 is
+    # never seen
+    a = MCTask(id=1, T=10, D=10, L=2, C=(2, 4))
+    v = MCTask(id=2, T=10, D=10, L=1, C=(1, 1))
+    trace = run([a, v], 2, 1, {1: 1, 2: 2}, {(1, 1): 2, (1, 2): 4, (2, 1): 3},
+                20, {1: (0, 17), 2: (0, 20, 25)}, {1: (3, 3), 2: (1, 1, 1)})
+    assert at(trace, 20) == [("complete", 20, 2, 1, 2, 3, 17, 27, 0),
+                             ("job_dropped", 20, 2, 2, 2, "suspended_arrival")]
+    assert max(e[1] for e in trace.events) == 20
+
+
+# ---------------------------------------------------------------------------
 # deadline misses
 
 
