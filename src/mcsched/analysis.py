@@ -143,9 +143,9 @@ def _response(total, busy: int, c: int, d: int, m: int, cap: bool) -> int:
             return r
     while r <= d:
         nxt = c + total(r - c + 1 if cap else r, r) // m
-        if nxt == r:
+        if nxt <= r:
+            assert nxt == r, f"response iterate fell from {r} to {nxt}"
             return r
-        assert nxt > r, f"response iterate fell from {r} to {nxt}"
         r = nxt
     return r
 
