@@ -42,16 +42,21 @@ verdict is independent of candidate examination order (the
 OPA-compatibility of Davis & Burns, RTS 2011). It also means that every
 candidate at one rank sees the same row, the remaining tasks, less its
 own entry. So the search keeps one row of terms per level over the
-remaining tasks, evaluates each window (level, limit, delta) at most once
-per rank with one kernel pass over the whole row, and lets each candidate
-take its own total from that window exactly, by subtracting its own nc
-and its place among the m - 1 largest surcharges (_RankTotals). There is no
+remaining tasks, evaluates each window (level, limit, delta) with one
+kernel pass over the whole row, shared by the rank's candidates, and lets
+each candidate take its own total from that window exactly, by
+subtracting its own nc and its place among the m - 1 largest surcharges
+(_RankTotals). There is no
 second kernel pass and no copy of the row per candidate. A placed task
-leaves every row and drops the rank's windows.
+leaves every row, but the windows outlive the rank: the kernel bounds each
+term on its own, so a window from an earlier rank, with the entries placed
+since then deleted, is exactly the window over the shorter row. Each window
+goes through the kernel at most once per analysis.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -144,7 +149,8 @@ def _response(total, busy: int, c: int, d: int, m: int, cap: bool) -> int:
     while r <= d:
         nxt = c + total(r - c + 1 if cap else r, r) // m
         if nxt <= r:
-            assert nxt == r, f"response iterate fell from {r} to {nxt}"
+            if nxt < r:  # kept under python -O, unlike an assert
+                raise AssertionError(f"response iterate fell from {r} to {nxt}")
             return r
         r = nxt
     return r
@@ -172,8 +178,8 @@ class _RankTotals:
     placed, in the order of the candidate list.
 
     A candidate's test sees its row without its own entry. Every window
-    (level, limit, delta) is evaluated once per rank by one kernel pass over
-    the whole row, and each candidate derives its own total from it
+    (level, limit, delta) is evaluated by one kernel pass over the whole
+    row, and each candidate derives its own total from it
     exactly. With the row's surcharges sorted descending as D,
     k = m - 1, S = sum(D[:k+1]) and X = D[min(k, n-1)], leaving out an
     entry with surcharge own removes one of the k + 1 largest if own >= X,
@@ -183,7 +189,13 @@ class _RankTotals:
 
         sum of nc - own nc + S - max(own, X).
 
-    Placing a task drops the rank's windows.
+    Placing a task logs its position and keeps the windows. A window
+    records how much of the log it has absorbed. One that is behind deletes
+    the newer logged positions from its nc and surcharge lists in placement
+    order, since each is a position in the row as it stood at that
+    placement, then takes its sums, top and cut anew. As each term's bounds
+    depend on that term alone, the result is exactly the kernel over the
+    shorter row.
     """
 
     def __init__(self, rows: list[list[tuple[int, int]]], k: int):
@@ -191,23 +203,30 @@ class _RankTotals:
         self.rows = rows
         # per level, the entries with C_j >= 1
         self.busy = [sum(1 for _, c in row if c > 0) for row in rows]
-        self.windows = {}  # (level, limit, delta) -> shared part
+        self.placed = []  # row positions taken out, in placement order
+        # (level, limit, delta) -> (len(placed) absorbed, shared part)
+        self.windows = {}
 
     def total(self, lv: int, i: int, limit: int, delta: int) -> int:
         """_window_total over row lv without its entry i."""
         window = self.windows.get((lv, limit, delta))
-        if window is None:
-            ncs, diffs = _bounds(self.rows[lv], limit, delta)
+        if window is None or window[0] != len(self.placed):
+            if window is None:
+                ncs, diffs = _bounds(self.rows[lv], limit, delta)
+            else:
+                seen, ncs, diffs = window[:3]
+                for j in self.placed[seen:]:
+                    del ncs[j], diffs[j]
             top = sorted(diffs, reverse=True)[:self.k + 1]
             window = self.windows[lv, limit, delta] = (
-                ncs, diffs, sum(ncs), sum(top), top[-1])
-        ncs, diffs, nc_sum, top, cut = window
+                len(self.placed), ncs, diffs, sum(ncs), sum(top), top[-1])
+        _, ncs, diffs, nc_sum, top, cut = window
         diff = diffs[i]
         return nc_sum - ncs[i] + top - (diff if diff > cut else cut)
 
     def place(self, i: int) -> None:
         """Take entry i out of every row, as its task takes the rank."""
-        self.windows = {}
+        self.placed.append(i)
         for lv, row in enumerate(self.rows):
             self.busy[lv] -= row.pop(i)[1] > 0
 
@@ -259,11 +278,22 @@ def opa_assign(ts: TaskSet, m: int, cap: bool = True,
     candidate, in `order` (default: ascending task id), whose response-time
     bound fits its deadline at every level against all still-unassigned
     tasks, takes the rank. If none fits, the remaining set is the
-    unschedulability witness.
+    unschedulability witness. `order`, when given, must list every task id
+    exactly once; anything else raises ValueError.
     """
-    if order is None:
-        order = sorted((t.id for t in ts.tasks), key=id_key)
     by_id = {t.id: t for t in ts.tasks}
+    if order is None:
+        order = sorted(by_id, key=id_key)
+    else:
+        counts = Counter(order)
+        faults = {"missing": [tid for tid in by_id if tid not in counts],
+                  "repeated": [tid for tid, n in counts.items()
+                               if n > 1 and tid in by_id],
+                  "unknown": [tid for tid in counts if tid not in by_id]}
+        if any(faults.values()):
+            raise ValueError("order is not a permutation of the task ids: "
+                             + "; ".join(f"{what} {ids!r}"
+                                         for what, ids in faults.items() if ids))
     remaining = [by_id[tid] for tid in order]
     totals = _RankTotals(_rows(remaining), m - 1)
     ranks, table = {}, {}

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mcsched import analysis
 from mcsched.analysis import (AnalysisResult, Divergent, PriorityAssignment,
                               SameTask, _RankTotals, _response, _solo, _terms,
                               _window_total, dm_fallback, opa_assign, wcrt)
+from mcsched.gen import GenParams, gen_taskset
 from mcsched.model import MCTask, TaskSet, id_key
 from oracles import (interfering_bounds, uniprocessor_rta, workload_ci,
                      workload_nc)
@@ -258,14 +265,18 @@ def search_row(draw):
     """A row of (T, C) terms from a small pool, so that equal terms repeat
     and surcharges tie; budgets from 0 and above T, which give negative
     surcharges under the cap; k from 0 to past the row's length; the
-    positions of entries to place one at a time; and a window length."""
+    positions of entries to place one at a time; a window length; and a
+    second one with the steps at which it is asked for."""
     pool = draw(st.lists(st.tuples(st.integers(1, 6), st.integers(0, 8)),
                          min_size=1, max_size=4))
     terms = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=12))
     k = draw(st.integers(0, len(terms) + 1))
     placed = [draw(st.integers(0, len(terms) - 1 - j))
               for j in range(draw(st.integers(0, len(terms) - 1)))]
-    return terms, k, placed, draw(st.integers(0, 30))
+    asked = draw(st.lists(st.booleans(), min_size=len(placed) + 1,
+                          max_size=len(placed) + 1))
+    return (terms, k, placed, draw(st.integers(0, 30)),
+            draw(st.integers(0, 30)), asked)
 
 
 @given(case=search_row())
@@ -273,11 +284,13 @@ def search_row(draw):
 def test_rank_total_equals_kernel_without_the_entry(case):
     """Each candidate's total derived from the whole row's window equals the
     kernel run over the row without that entry, before and after tasks are
-    placed, with the cap's limit and without it."""
-    terms, k, placed, delta = case
+    placed, with the cap's limit and without it. The second window length
+    is asked for only at some steps, so that one catch-up takes out several
+    placed entries, each at its position in the row when it was placed."""
+    terms, k, placed, delta, other, asked = case
     totals = _RankTotals([list(terms)], k)
 
-    def check():
+    def check(delta):
         assert totals.busy == [sum(1 for _, c in terms if c > 0)]
         for i, (_, c) in enumerate(terms):
             rest = terms[:i] + terms[i + 1:]
@@ -285,11 +298,13 @@ def test_rank_total_equals_kernel_without_the_entry(case):
                 assert (totals.total(0, i, limit, delta)
                         == _window_total(rest, limit, delta, k))
 
-    check()
-    for i in placed:
-        totals.place(i)
-        del terms[i]
-        check()
+    for step, ask in enumerate(asked):
+        if step:
+            totals.place(placed[step - 1])
+            del terms[placed[step - 1]]
+        check(delta)
+        if ask:
+            check(other)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +444,43 @@ def test_opa_matches_candidate_by_candidate_search(case):
         assert dm_fallback(ts, m, cap) == reference_dm(ts, m, cap)
 
 
+def test_each_window_goes_through_the_kernel_once(monkeypatch):
+    """Windows outlive the ranks: over one whole analysis no (row, limit,
+    delta) goes through the kernel twice, and the result is still that of
+    the candidate-by-candidate search."""
+    ts, platform = gen_taskset(GenParams(n_tasks=64, levels=2,
+                                         total_util=0.40 * 16, m=16), 0)
+    keys = []
+    kernel = analysis._bounds
+
+    def counted(terms, limit, delta):
+        keys.append((id(terms), limit, delta))
+        return kernel(terms, limit, delta)
+
+    for cap in (True, False):
+        keys.clear()
+        monkeypatch.setattr(analysis, "_bounds", counted)
+        got = opa_assign(ts, platform.m, cap)
+        monkeypatch.undo()
+        assert got.schedulable and keys
+        assert len(set(keys)) == len(keys)
+        assert got == reference_opa(ts, platform.m, cap)
+
+
+@pytest.mark.parametrize("order, faults", [
+    ([1, 1, 2], "missing [3]; repeated [1]"),
+    ([1, 2], "missing [3]"),
+    ([1, 2, 3, 2, 2], "repeated [2]"),
+    ([3, 2, 1, 7], "unknown [7]"),
+    ([1, 2, "3"], "missing [3]; unknown ['3']"),
+])
+def test_opa_order_must_be_a_permutation(order, faults):
+    with pytest.raises(ValueError) as err:
+        opa_assign(two_level_set(), m=1, order=order)
+    assert str(err.value) == ("order is not a permutation of the task ids: "
+                              + faults)
+
+
 def test_zero_budget_interferer_adds_nothing():
     # C = D: one extra tick in the first iterate would miss the deadline
     ti = lo(1, T=10, D=5, C=5)
@@ -483,3 +535,17 @@ def test_response_fails_fast_on_a_falling_iterate():
     with pytest.raises(AssertionError, match="fell from 6 to 3"):
         _response(total, 0, 1, 100, 1, False)
     assert calls == [1, 6]
+
+
+def test_falling_iterate_fails_under_python_O():
+    """The check is no assert, so python -O, which strips asserts, keeps it:
+    the test above passes there too."""
+    paths = [str(Path(analysis.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        paths + [os.environ.get("PYTHONPATH", "")]))
+    code = ("import test_analysis\n"
+            "test_analysis.test_response_fails_fast_on_a_falling_iterate()\n"
+            "print('raised')")
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "raised\n"), proc.stderr
