@@ -46,12 +46,12 @@ remaining tasks, evaluates each window (level, limit, delta) with one
 kernel pass over the whole row, shared by the rank's candidates, and lets
 each candidate take its own total from that window exactly, by
 subtracting its own nc and its place among the m - 1 largest surcharges
-(_RankTotals). There is no
-second kernel pass and no copy of the row per candidate. A placed task
-leaves every row, but the windows outlive the rank: the kernel bounds each
-term on its own, so a window from an earlier rank, with the entries placed
-since then deleted, is exactly the window over the shorter row. Each window
-goes through the kernel at most once per analysis.
+(_RankTotals). There is no second kernel pass and no copy of the row per
+candidate. A placed task leaves every row, but the windows outlive the
+rank: the kernel bounds each term on its own, so a window from an earlier
+rank, with the entries placed since then deleted, is exactly the window
+over the shorter row. Each window goes through the kernel at most once per
+analysis.
 """
 
 from __future__ import annotations
@@ -283,7 +283,7 @@ def opa_assign(ts: TaskSet, m: int, cap: bool = True,
     """
     by_id = {t.id: t for t in ts.tasks}
     if order is None:
-        order = sorted(by_id, key=id_key)
+        order = sorted((t.id for t in ts.tasks), key=id_key)
     else:
         counts = Counter(order)
         faults = {"missing": [tid for tid in by_id if tid not in counts],

@@ -541,8 +541,7 @@ def test_falling_iterate_fails_under_python_O():
     """The check is no assert, so python -O, which strips asserts, keeps it:
     the test above passes there too."""
     paths = [str(Path(analysis.__file__).parents[1]), str(Path(__file__).parent)]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        paths + [os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
     code = ("import test_analysis\n"
             "test_analysis.test_response_fails_fast_on_a_falling_iterate()\n"
             "print('raised')")
