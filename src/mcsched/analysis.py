@@ -17,14 +17,13 @@ cannot be delayed by more than that while still pending. The bounds are
 sound upper bounds on any legal sporadic release pattern; the test suite
 checks them against an exhaustive oracle rather than trusting the algebra.
 
-Every fixed point (wcrt, opa_assign, dm_fallback) runs through one
-routine, _response, and every window bound comes from one integer
-kernel, _bounds, over plain (T_j, C_j(l)) pairs, with no object per term.
-wcrt and dm_fallback add its values up in _window_total; opa_assign
-derives them per candidate (below). The readable per-term definition of
-the bounds above and a reference fixed point built from it live in
-tests/oracles.py and tests/test_analysis.py, which check the kernel
-against them.
+Every fixed point is that of one entry of a row of (T_j, C_j(l)) terms
+against the rest of the row: wcrt puts ti last in a row after hp. It runs
+through one routine, _response, on the window totals of _RankTotals, whose
+bounds come from one integer kernel, _bounds, with no object per term. The
+readable per-term definition of the bounds above and a reference fixed
+point built from it live in tests/oracles.py and tests/test_analysis.py,
+which check the package against them.
 
 Closed-form first iterate. With the cap and C_i(l) >= 1 the first iterate
 is R1 = C_i(l) + floor(#{j : C_j(l) >= 1} / m). Proof: on the window
@@ -51,7 +50,8 @@ candidate. A placed task leaves every row, but the windows outlive the
 rank: the kernel bounds each term on its own, so a window from an earlier
 rank, with the entries placed since then deleted, is exactly the window
 over the shorter row. Each window goes through the kernel at most once per
-analysis.
+analysis. dm_fallback is this loop with the candidate fixed, placing the
+deadline-monotonic order from last to first.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 
-from .model import MCTask, TaskSet, id_key
+from .model import LevelOutOfRange, MCTask, TaskSet, id_key
 
 
 class Divergent(Exception):
@@ -69,16 +69,6 @@ class Divergent(Exception):
 
 class SameTask(ValueError):
     """Interference of a task with itself was requested."""
-
-
-def _terms(ti: MCTask, hp: list[MCTask], level: int) -> list[tuple[int, int]]:
-    """(T_j, C_j(level)) for every interfering task; ti itself is rejected."""
-    terms = []
-    for tj in hp:
-        if tj.id == ti.id:
-            raise SameTask(f"task {ti.id!r} cannot interfere with itself")
-        terms.append((tj.T, tj.wcet(level)))
-    return terms
 
 
 def _bounds(terms: list[tuple[int, int]], limit: int,
@@ -118,20 +108,6 @@ def _bounds(terms: list[tuple[int, int]], limit: int,
     return ncs, diffs
 
 
-def _window_total(terms: list[tuple[int, int]], limit: int, delta: int,
-                  k: int) -> int:
-    """Interfering-workload total over a window of length delta: the nc
-    bound of every term plus the k largest ci - nc surcharges."""
-    ncs, diffs = _bounds(terms, limit, delta)
-    total = sum(ncs)
-    if k >= len(diffs):
-        return total + sum(diffs)
-    if k > 0:
-        diffs.sort(reverse=True)
-        total += sum(diffs[:k])
-    return total
-
-
 def _response(total, busy: int, c: int, d: int, m: int, cap: bool) -> int:
     """Least fixed point of R = c + floor(total(limit, R) / m), or the first
     iterate past d; total(limit, delta) is the interfering total over a
@@ -156,14 +132,6 @@ def _response(total, busy: int, c: int, d: int, m: int, cap: bool) -> int:
     return r
 
 
-def _solo(terms: list[tuple[int, int]], c: int, d: int, m: int,
-          cap: bool) -> int:
-    """_response against a plain list of interfering terms."""
-    k = m - 1
-    return _response(lambda limit, delta: _window_total(terms, limit, delta, k),
-                     sum(1 for _, cj in terms if cj > 0), c, d, m, cap)
-
-
 def _rows(tasks: list[MCTask]) -> list[list[tuple[int, int]]]:
     """Term table: for each level l, (T_j, C_j(l)) of every task in order;
     a budget vector shorter than the table stays constant past its end."""
@@ -173,9 +141,9 @@ def _rows(tasks: list[MCTask]) -> list[list[tuple[int, int]]]:
 
 
 class _RankTotals:
-    """The window totals of the Audsley search's candidates at one rank, over
-    its rows: per level, the (T_j, C_j(l)) terms of the tasks not yet
-    placed, in the order of the candidate list.
+    """The window totals of every fixed point, over its rows: per level,
+    the (T_j, C_j(l)) terms of the tasks not yet placed, in the order of the
+    candidate list. Refuses m < 1.
 
     A candidate's test sees its row without its own entry. Every window
     (level, limit, delta) is evaluated by one kernel pass over the whole
@@ -198,8 +166,10 @@ class _RankTotals:
     shorter row.
     """
 
-    def __init__(self, rows: list[list[tuple[int, int]]], k: int):
-        self.k = k
+    def __init__(self, rows: list[list[tuple[int, int]]], m: int):
+        if m < 1:
+            raise ValueError(f"m must be >= 1, got {m}")
+        self.m = m
         self.rows = rows
         # per level, the entries with C_j >= 1
         self.busy = [sum(1 for _, c in row if c > 0) for row in rows]
@@ -208,7 +178,7 @@ class _RankTotals:
         self.windows = {}
 
     def total(self, lv: int, i: int, limit: int, delta: int) -> int:
-        """_window_total over row lv without its entry i."""
+        """_response's total(limit, delta) for entry i of row lv."""
         window = self.windows.get((lv, limit, delta))
         if window is None or window[0] != len(self.placed):
             if window is None:
@@ -217,12 +187,18 @@ class _RankTotals:
                 seen, ncs, diffs = window[:3]
                 for j in self.placed[seen:]:
                     del ncs[j], diffs[j]
-            top = sorted(diffs, reverse=True)[:self.k + 1]
+            top = sorted(diffs, reverse=True)[:self.m]  # the k + 1 largest
             window = self.windows[lv, limit, delta] = (
                 len(self.placed), ncs, diffs, sum(ncs), sum(top), top[-1])
         _, ncs, diffs, nc_sum, top, cut = window
         diff = diffs[i]
         return nc_sum - ncs[i] + top - (diff if diff > cut else cut)
+
+    def response(self, lv: int, i: int, d: int, cap: bool) -> int:
+        """_response of entry i of row lv against the rest of the row."""
+        c = self.rows[lv][i][1]
+        return _response(partial(self.total, lv, i), self.busy[lv] - (c > 0),
+                         c, d, self.m, cap)
 
     def place(self, i: int) -> None:
         """Take entry i out of every row, as its task takes the rank."""
@@ -233,11 +209,15 @@ class _RankTotals:
 
 def wcrt(ti: MCTask, hp: list[MCTask], level: int, m: int,
          cap: bool = True) -> int:
-    """Least fixed point of the response-time recurrence, or Divergent
-    when an iterate passes D_i."""
+    """Least fixed point of ti's recurrence at level against the
+    higher-priority tasks hp, or Divergent when an iterate passes D_i."""
     if level > ti.L:
         raise ValueError(f"level {level} above task criticality {ti.L}")
-    r = _solo(_terms(ti, hp, level), ti.wcet(level), ti.D, m, cap)
+    if level < 1:
+        raise LevelOutOfRange(f"level {level} not in [1, {ti.L}]")
+    if any(tj.id == ti.id for tj in hp):
+        raise SameTask(f"task {ti.id!r} cannot interfere with itself")
+    r = _RankTotals(_rows([*hp, ti]), m).response(level - 1, len(hp), ti.D, cap)
     if r > ti.D:
         raise Divergent(f"task {ti.id!r} level {level}: iterate {r} > D={ti.D}")
     return r
@@ -295,12 +275,13 @@ def opa_assign(ts: TaskSet, m: int, cap: bool = True,
                              + "; ".join(f"{what} {ids!r}"
                                          for what, ids in faults.items() if ids))
     remaining = [by_id[tid] for tid in order]
-    totals = _RankTotals(_rows(remaining), m - 1)
+    totals = _RankTotals(_rows(remaining), m)
     ranks, table = {}, {}
     for rank in range(len(remaining), 0, -1):
         for i, task in enumerate(remaining):
             rs = {}
             for lv in range(task.L):
+                # totals.response inlined: this loop is the analysis' hot path
                 c = totals.rows[lv][i][1]
                 r = _response(partial(totals.total, lv, i),
                               totals.busy[lv] - (c > 0), c, task.D, m, cap)
@@ -327,8 +308,12 @@ def dm_fallback(ts: TaskSet, m: int,
     """Deadline-monotonic ranks with per-level bounds clamped to deadlines,
     for forced simulation of sets the analysis rejects."""
     order = sorted(ts.tasks, key=lambda t: (t.D, id_key(t.id)))
-    rows = _rows(order)
-    wt = {(task.id, lv + 1): min(_solo(rows[lv][:i], rows[lv][i][1], task.D,
-                                       m, cap), task.D)
-          for i, task in enumerate(order) for lv in range(task.L)}
+    totals = _RankTotals(_rows(order), m)
+    wt = {}
+    for i in range(len(order) - 1, -1, -1):
+        task = order[i]
+        for lv in range(task.L):
+            wt[task.id, lv + 1] = min(totals.response(lv, i, task.D, cap),
+                                      task.D)
+        totals.place(i)
     return PriorityAssignment({t.id: i + 1 for i, t in enumerate(order)}), wt

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from mcsched import analysis
 from mcsched.analysis import (AnalysisResult, Divergent, PriorityAssignment,
-                              SameTask, _RankTotals, _response, _solo, _terms,
-                              _window_total, dm_fallback, opa_assign, wcrt)
+                              SameTask, _RankTotals, _response, dm_fallback,
+                              opa_assign, wcrt)
 from mcsched.gen import GenParams, gen_taskset
 from mcsched.model import MCTask, TaskSet, id_key
 from oracles import (interfering_bounds, uniprocessor_rta, workload_ci,
@@ -61,12 +61,20 @@ def test_interfering_bounds_same_task_rejected():
         interfering_bounds(t, t, 5, 1)
 
 
+def kernel_total(terms, limit, delta, k):
+    """The package kernel's nc bounds of terms plus its k largest ci - nc
+    surcharges, summed here rather than by the package."""
+    ncs, diffs = analysis._bounds(terms, limit, delta)
+    return sum(ncs) + sum(sorted(diffs, reverse=True)[:k])
+
+
 def total_interfering(ti, hp, delta, level, m, cap=True):
-    """Total interfering workload on ti over a window of length delta, as
-    the package's `_window_total` computes it: the sum of
-    non-carry-in bounds plus the m-1 largest carry-in surcharges."""
+    """Total interfering workload on ti over a window of length delta from
+    the package kernel: the sum of non-carry-in bounds plus the m-1 largest
+    carry-in surcharges."""
     limit = max(delta - ti.wcet(level) + 1, 0) if cap else delta
-    return _window_total(_terms(ti, hp, level), limit, delta, m - 1)
+    return kernel_total([(tj.T, tj.wcet(level)) for tj in hp], limit, delta,
+                        m - 1)
 
 
 def test_total_interference_adds_top_diffs():
@@ -151,9 +159,13 @@ def test_wcrt_no_interference_is_wcet():
 
 
 def test_wcrt_level_above_criticality_rejected():
+    # level 0 would otherwise read the last row of terms without a word
     t = lo(1, T=10, D=10, C=3)
-    with pytest.raises(ValueError):
-        wcrt(t, [], 2, m=1)
+    for hp in ([], [lo(2, T=5, D=5, C=1)]):
+        with pytest.raises(ValueError, match="level 2 above task criticality 1"):
+            wcrt(t, hp, 2, m=1)
+        with pytest.raises(ValueError, match=r"level 0 not in \[1, 1\]"):
+            wcrt(t, hp, 0, m=1)
 
 
 UNIPROC_CASES = [
@@ -288,7 +300,7 @@ def test_rank_total_equals_kernel_without_the_entry(case):
     is asked for only at some steps, so that one catch-up takes out several
     placed entries, each at its position in the row when it was placed."""
     terms, k, placed, delta, other, asked = case
-    totals = _RankTotals([list(terms)], k)
+    totals = _RankTotals([list(terms)], k + 1)
 
     def check(delta):
         assert totals.busy == [sum(1 for _, c in terms if c > 0)]
@@ -296,7 +308,7 @@ def test_rank_total_equals_kernel_without_the_entry(case):
             rest = terms[:i] + terms[i + 1:]
             for limit in (max(delta - c + 1, 0), delta):
                 assert (totals.total(0, i, limit, delta)
-                        == _window_total(rest, limit, delta, k))
+                        == kernel_total(rest, limit, delta, k))
 
     for step, ask in enumerate(asked):
         if step:
@@ -397,13 +409,15 @@ def reference_opa(ts, m, cap, order=None, rt=wcrt):
                           wcrt_table=table)
 
 
-def reference_dm(ts, m, cap):
+def reference_dm(ts, m, cap, rt=wcrt):
+    """Deadline-monotonic ranks, and rt for every task and level against a
+    fresh list of the tasks ranked above it, clamped to the deadline."""
     order = sorted(ts.tasks, key=lambda t: (t.D, id_key(t.id)))
     wt = {}
     for i, task in enumerate(order):
         for lv in range(1, task.L + 1):
             try:
-                wt[(task.id, lv)] = wcrt(task, order[:i], lv, m, cap)
+                wt[(task.id, lv)] = rt(task, order[:i], lv, m, cap)
             except Divergent:
                 wt[(task.id, lv)] = task.D
     return PriorityAssignment({t.id: i + 1 for i, t in enumerate(order)}), wt
@@ -441,7 +455,9 @@ def test_opa_matches_candidate_by_candidate_search(case):
         got = opa_assign(ts, m, cap, order)
         assert got == reference_opa(ts, m, cap, order)
         assert got == reference_opa(ts, m, cap, order, rt=reference_wcrt)
-        assert dm_fallback(ts, m, cap) == reference_dm(ts, m, cap)
+        dm = dm_fallback(ts, m, cap)
+        assert dm == reference_dm(ts, m, cap)
+        assert dm == reference_dm(ts, m, cap, rt=reference_wcrt)
 
 
 def test_each_window_goes_through_the_kernel_once(monkeypatch):
@@ -499,26 +515,43 @@ def test_opa_accepts_unpadded_budget_vectors():
     res = opa_assign(ts, m=1)
     assert res == reference_opa(ts, 1, True)
     assert res.wcrt_table == {(1, 1): 4, (2, 1): 2, (2, 2): 3}
+    # wcrt pads task 1's budget at level 2 the same way
+    padded = MCTask(id=1, T=10, D=10, L=1, C=(2, 2))
+    assert (wcrt(ts.tasks[1], [ts.tasks[0]], 2, m=1)
+            == wcrt(ts.tasks[1], [padded], 2, m=1) == 5)
 
 
 @pytest.mark.parametrize("cap", [True, False])
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_response_routine_over_deadline_budget(cap, m):
-    """C_i > D_i: wcrt raises Divergent and the shared routine returns the
-    first iterate, C_i itself, past the deadline; opa_assign and the DM
-    fallback agree."""
+    """C_i > D_i: the shared routine stops at the first iterate, C_i itself,
+    past the deadline, so wcrt raises Divergent naming it; opa_assign leaves
+    the task unplaced and the DM fallback clamps its bound to D_i."""
     ti = MCTask(id="x", T=10, D=4, L=2, C=(3, 5))
     hp = [MCTask(id=1, T=6, D=6, L=1, C=(1, 1)),
           MCTask(id=2, T=9, D=9, L=1, C=(0, 0))]
-    assert wcrt(ti, hp, 1, m, cap) == _solo(_terms(ti, hp, 1), 3, 4, m, cap)
+    assert wcrt(ti, hp, 1, m, cap) == reference_wcrt(ti, hp, 1, m, cap)
     with pytest.raises(Divergent, match="iterate 5 > D=4"):
         wcrt(ti, hp, 2, m, cap)
-    assert _solo(_terms(ti, hp, 2), 5, 4, m, cap) == 5
     ts = TaskSet(tasks=(ti, *hp), levels=2)
     res = opa_assign(ts, m, cap)
-    assert res == reference_opa(ts, m, cap)
+    assert res == reference_opa(ts, m, cap, rt=reference_wcrt)
     assert "x" in res.witness
-    assert dm_fallback(ts, m, cap)[1][("x", 2)] == 4
+    # x has the shortest deadline, so it ranks first and sees no interference
+    dm = dm_fallback(ts, m, cap)
+    assert dm == reference_dm(ts, m, cap, rt=reference_wcrt)
+    assert (dm[1][("x", 1)], dm[1][("x", 2)]) == (3, 4)
+
+
+@pytest.mark.parametrize("m", [0, -1])
+@pytest.mark.parametrize("entry", [
+    lambda ts, m: opa_assign(ts, m),
+    lambda ts, m: dm_fallback(ts, m),
+    lambda ts, m: wcrt(ts.tasks[2], list(ts.tasks[:2]), 1, m),
+], ids=["opa_assign", "dm_fallback", "wcrt"])
+def test_entry_points_refuse_m_below_one(entry, m):
+    with pytest.raises(ValueError, match=f"m must be >= 1, got {m}"):
+        entry(two_level_set(), m)
 
 
 def test_response_fails_fast_on_a_falling_iterate():
