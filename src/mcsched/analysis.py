@@ -281,10 +281,7 @@ def opa_assign(ts: TaskSet, m: int, cap: bool = True,
         for i, task in enumerate(remaining):
             rs = {}
             for lv in range(task.L):
-                # totals.response inlined: this loop is the analysis' hot path
-                c = totals.rows[lv][i][1]
-                r = _response(partial(totals.total, lv, i),
-                              totals.busy[lv] - (c > 0), c, task.D, m, cap)
+                r = totals.response(lv, i, task.D, cap)
                 if r > task.D:
                     break
                 rs[(task.id, lv + 1)] = r
