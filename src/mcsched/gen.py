@@ -267,6 +267,9 @@ def gen_scenario(ts: TaskSet, horizon: int, seed: int,
                        probability overrun_prob, everyone else stays under C(1)
     overrun-then-calm  one victim trips level 2 on its first job, all later
                        jobs stay under C(1) so a decrease chain can qualify
+
+    dmcr_plan holds the level-decrease requests as (time, level) pairs of
+    integers; any other entry raises ValueError.
     """
     if exec_model not in EXEC_MODELS:
         raise ValueError(f"unknown exec model {exec_model!r}")
@@ -311,7 +314,14 @@ def gen_scenario(ts: TaskSet, horizon: int, seed: int,
                     cs.append(rng.randint(1, task.C[0]))
         exec_times[task.id] = tuple(cs)
 
+    requests = []
+    for entry in dmcr_plan:
+        pair = tuple(entry) if isinstance(entry, (tuple, list)) else ()
+        if len(pair) != 2 or not all(type(x) is int for x in pair):
+            raise ValueError(f"dmcr_plan entry {entry!r} is not a (time, "
+                             "level) pair of integers")  # a bool is no int
+        requests.append(pair)
     sc = Scenario(horizon=horizon, arrivals=arrivals, exec_times=exec_times,
-                  dmcr_requests=tuple((int(t), int(lv)) for t, lv in dmcr_plan))
+                  dmcr_requests=tuple(requests))
     validate_scenario(sc, ts)
     return sc

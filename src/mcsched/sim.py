@@ -15,9 +15,13 @@ Tasks with L below the new level are suspended: their future arrivals are
 dropped, and their already-released jobs either vanish (protocol "drop") or
 join the rem-job pool to be finished at background priority. Protocols
 "wcet-reclaim" and "wcrt-simulate" additionally lend rem-jobs the processor
-slots that completed jobs of enabled tasks no longer need: a ghost carries
-either the completing job's unused budget (C_i(level) - c) or its remaining
-response-time window (until r + R_i(level)).
+slots that completed jobs of enabled tasks no longer need. Such a ghost slot
+has a budget and an expiry, and it hosts a rem-job only while t < expiry and
+budget > 0; the time it hosts is spent from its budget. Under wcet-reclaim
+the budget is the completing job's unused budget C_i(level) - c and the
+expiry lies past the horizon; under wcrt-simulate the expiry is the end of
+the job's response-time window, r + R_i(level), and the budget lies past the
+horizon.
 
 Level decreases are requested externally (scenario dmcr_requests). A request
 is taken up at the next steady instant; the system then watches the enabled
@@ -28,10 +32,10 @@ while the chain is active aborts it.
 
 All times are integers. One run is strictly deterministic in its inputs.
 simulate expects a validated scenario (model.validate_scenario). Of its
-contract it checks only what the queues below rely on: the horizon and
-each task's arrivals are non-negative, the arrivals do not decrease, and
-there is an exec_time for every arrival; otherwise it raises
-InconsistentInputs.
+contract it checks only the request targets and what the queues below rely
+on: the horizon and each task's arrivals are non-negative, the arrivals do
+not decrease, every arrival has an exec_time, and every request targets a
+level in [1, levels - 1]; otherwise it raises InconsistentInputs.
 
 Queues. Time jumps from event to event; only a level change or the start
 of a decrease chain looks at every task. The arrivals of all tasks are
@@ -45,17 +49,19 @@ with pending jobs are kept in rank order, so dispatch reads the m highest
 enabled heads off the front, and it sorts only when ghost slots compete
 with them. The next event is the earliest of the next arrival of an
 enabled task, the earliest pending deadline, the next request, ghost
-expiries, forced ticks, the horizon and the running entities' budget and
-completion boundaries. A suspended task's arrivals before it are dropped on
-the way, each at its own instant and at the level in force. That is exact:
-a task's enabled state and the level change only at a completion or an
-overrun, and those, like every other phase before releases, act only at
-the boundaries above, so a step at such an arrival would do nothing but
-drop it. An arrival at the next event itself is left to that step's
-releases phase, after its completions, overruns and re-enables. A request
-that waits on a chain or on rem-jobs adds no steps, since those end only at
-such boundaries; one still waiting after a re-enable at t is taken up at
-t + 1.
+expiries, forced ticks, the horizon and the running entities' budget,
+ghost-budget and completion boundaries. A suspended task's arrivals before
+it are dropped on the way, each at its own instant and at the level in
+force. That is exact: a task's enabled state and the level change only at a
+completion or an overrun, and those, like every other phase before
+releases, act only at the boundaries above, so a step at such an arrival
+would do nothing but drop it. An arrival at the next event itself is left
+to that step's releases phase, after its completions, overruns and
+re-enables. A request that waits on a chain or on rem-jobs adds no steps,
+since those end only at such boundaries; one still waiting after a
+re-enable at t is taken up at t + 1. Events are emitted in time order: a
+dispatch span takes its place in the trace when it opens, after the point
+events at its start, and is filled in when it ends.
 
 Internal trace events are tuples. A point event is (kind, t, mode, *fields)
 with the fields of EVENT_FIELDS[kind] other than "mode", in table order; the
@@ -97,16 +103,12 @@ REM_ORDERS = ("crit-edf", "edf", "srpt")
 
 
 class InconsistentInputs(ValueError):
-    """Priority assignment or response-time table does not cover the task set."""
+    """The inputs fail a check of simulate's (see the module docstring)."""
 
 
 class ModelViolation(ValueError):
     """A job reached its top-level budget without completing; the scenario
     breached the execution-time contract."""
-
-
-class InvalidTarget(ValueError):
-    """Level-decrease request targeting a level outside [1, levels-1]."""
 
 
 @dataclass(frozen=True)
@@ -408,7 +410,7 @@ def trace_from_jsonl(text: str) -> Trace:
 
 
 class _Job:
-    __slots__ = ("st", "tid", "k", "r", "d", "c", "executed", "f", "rem",
+    __slots__ = ("st", "tid", "k", "r", "d", "c", "executed", "rem",
                  "pending", "L", "C", "rank", "idk")
 
     def __init__(self, st, k, r, c):
@@ -419,8 +421,7 @@ class _Job:
         self.r = r
         self.d = r + task.D
         self.c = c
-        self.executed = 0
-        self.f = None
+        self.executed = 0  # never passes c: executed == c once complete
         self.rem = False
         self.pending = True  # in its task's pending list
         self.L = task.L
@@ -430,15 +431,14 @@ class _Job:
 
 
 class _Ghost:
-    __slots__ = ("tid", "k", "rank", "kind", "budget", "expiry")
+    __slots__ = ("tid", "k", "rank", "budget", "expiry")
 
-    def __init__(self, tid, k, rank, kind, budget=0, expiry=0):
+    def __init__(self, tid, k, rank, budget, expiry):
         self.tid = tid
         self.k = k
         self.rank = rank
-        self.kind = kind  # "ur" carries unused budget, "win" a wall-clock window
-        self.budget = budget
-        self.expiry = expiry
+        self.budget = budget  # hosting time left
+        self.expiry = expiry  # hosts only before this instant
 
 
 class _TaskState:
@@ -510,7 +510,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         raise InconsistentInputs(f"negative horizon {sc.horizon}")
     for _, target in sc.dmcr_requests:
         if not 1 <= target < ts.levels:
-            raise InvalidTarget(
+            raise InconsistentInputs(
                 f"target level {target} not in [1, {ts.levels - 1}]")
 
     horizon = sc.horizon
@@ -537,18 +537,17 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
     pending_req = None
     reqs = sorted(sc.dmcr_requests, key=itemgetter(0)) + [(horizon + 1, 0)]
     req_i = 0
-    running: list[tuple] = []  # (code, job, ghost_or_None) in slot order
-    open_rec = None  # [t0, mode, slots]
+    running: list[tuple] = []  # (job, hosting ghost or None) in slot order
+    open_rec = None  # [t0, mode, slots, index of its place in events]
     force_tick = False
     t = 0
 
     while True:
         # ---- completions (execution was credited before the jump here) ----
         completions = None  # task id -> jobs completed at t, if any
-        for code, job, ghost in running:
-            if job.f is not None or job.executed < job.c:
+        for job, _ in running:
+            if job.executed < job.c:
                 continue
-            job.f = t
             emit(("complete", t, level, job.tid, job.k, job.c, job.r, job.d,
                   1 if job.rem else 0))
             if job.rem:
@@ -563,23 +562,22 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 completions = {}
             completions.setdefault(job.tid, []).append(job)
             if reclaiming and rem_pool:
-                budget = job.C[level - 1]
+                # the limit a protocol does not set lies past the horizon
+                budget = expiry = horizon + 1
                 if cfg.protocol == "wcet-reclaim":
-                    if job.c < budget:
-                        ghosts.append(_Ghost(job.tid, job.k, job.rank, "ur",
-                                             budget=budget - job.c))
+                    budget = job.C[level - 1] - job.c
                 else:
-                    end = job.r + wt[(job.tid, level)]
-                    if end > t:
-                        ghosts.append(_Ghost(job.tid, job.k, job.rank, "win",
-                                             expiry=end))
+                    expiry = job.r + wt[(job.tid, level)]
+                if budget > 0 and expiry > t:
+                    ghosts.append(_Ghost(job.tid, job.k, job.rank, budget,
+                                         expiry))
 
         # ---- budget-overrun cascade ----
         while True:
             tripped = broken = None
-            for code, job, ghost in running:
-                if job.f is not None:
-                    continue
+            for job, _ in running:
+                if job.executed >= job.c:
+                    continue  # completed
                 if (not job.rem and job.L > level
                         and job.executed >= job.C[level - 1]):
                     tripped = job
@@ -619,9 +617,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             if not rem_pool:
                 ghosts.clear()
             else:
-                ghosts = [g for g in ghosts
-                          if (g.kind == "win" and g.expiry > t)
-                          or (g.kind == "ur" and g.budget > 0)]
+                ghosts = [g for g in ghosts if g.budget > 0 and g.expiry > t]
 
         # ---- level-decrease intake ----
         while reqs[req_i][0] <= t:
@@ -692,9 +688,9 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         slots = []
         running = []
         if ghosts:
-            band = [((st.rank, st.pending[0].k, 0), "J", st.pending[0], None)
+            band = [((st.rank, st.pending[0].k, 0), st.pending[0], None)
                     for st in ready[:m]]
-            band += [((g.rank, g.k, 1), "G", None, g) for g in ghosts]
+            band += [((g.rank, g.k, 1), None, g) for g in ghosts]
             band.sort(key=itemgetter(0))
             selected = [entry[1:] for entry in band[:m]]
         else:
@@ -703,7 +699,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             for st in ready[:m]:
                 job = st.pending[0]
                 slots.append(("J", job.tid, job.k))
-                running.append(("J", job, None))
+                running.append((job, None))
         free = m - len(selected) - len(running)
         rem_eligible = ()
         if rem_pool and (free or ghosts):
@@ -714,22 +710,31 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                     front[job.tid] = job
             rem_eligible = sorted(front.values(), key=rem_key)
         hi = free
-        for code, job, g in selected:
-            if code == "J":
+        for job, g in selected:
+            if g is None:
                 slots.append(("J", job.tid, job.k))
-                running.append(("J", job, None))
+                running.append((job, None))
             elif hi < len(rem_eligible):
                 host = rem_eligible[hi]
                 hi += 1
                 slots.append(("G", g.tid, g.k, host.tid, host.k))
-                running.append(("G", host, g))
+                running.append((host, g))
             else:
                 # pool ran dry: retire the ghost, its slot idles this tick
                 ghosts.remove(g)
                 force_tick = True
         for job in rem_eligible[:free]:
             slots.append(("R", job.tid, job.k))
-            running.append(("R", job, None))
+            running.append((job, None))
+        slots_t = tuple(slots)
+        if open_rec is None or open_rec[2] != slots_t or open_rec[1] != level:
+            # a new span takes its place in events now, after the point
+            # events at t and before the arrival drops emitted below
+            if open_rec is not None:
+                t0, mode, prev, i = open_rec
+                events[i] = ("sched", t0, mode, t, prev)
+            open_rec = [t, level, slots_t, len(events)]
+            emit(None)
 
         # ---- next event ----
         nxt = horizon
@@ -742,16 +747,16 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             # system; a chain or the rem pool can only let intake go at a
             # completion or an overrun, and those are event instants
             nxt = t + 1
-        for code, job, g in running:
+        for job, g in running:
             delta = job.c - job.executed
             top_left = job.C[job.L - 1] - job.executed
             if top_left < delta:
                 delta = top_left  # stop at the contract boundary
-            if code == "J" and job.L > level:
+            if not job.rem and job.L > level:
                 budget_left = job.C[level - 1] - job.executed
                 if budget_left < delta:
                     delta = budget_left
-            if g is not None and g.kind == "ur" and g.budget < delta:
+            if g is not None and g.budget < delta:
                 delta = g.budget
             if delta < 1:
                 # a level decrease can leave a running job already at or past
@@ -761,7 +766,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             if t + delta < nxt:
                 nxt = t + delta
         for g in ghosts:
-            if g.kind == "win" and g.expiry < nxt:
+            if g.expiry < nxt:
                 nxt = g.expiry
         while not deadlines[0][3].pending:
             heappop(deadlines)  # completed or suspended since its release
@@ -783,22 +788,14 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         if nxt <= t:  # kept under python -O, where an assert would spin
             raise AssertionError(f"simulation time stalled at {t}")
 
-        slots_t = tuple(slots)
-        if open_rec is None or open_rec[2] != slots_t or open_rec[1] != level:
-            if open_rec is not None and open_rec[0] < t:
-                emit(("sched", open_rec[0], open_rec[1], t, open_rec[2]))
-            open_rec = [t, level, slots_t]
-
         span = nxt - t
-        for code, job, g in running:
+        for job, g in running:
             job.executed += span
-            if g is not None and g.kind == "ur":
+            if g is not None:
                 g.budget -= span
         t = nxt
 
-    if open_rec is not None and open_rec[0] < horizon:
-        emit(("sched", open_rec[0], open_rec[1], horizon, open_rec[2]))
-    # stable: each sched record is emitted after every point event at its
-    # start, so those stay ahead of it
-    events.sort(key=itemgetter(1))
+    if open_rec is not None:
+        t0, mode, prev, i = open_rec
+        events[i] = ("sched", t0, mode, horizon, prev)
     return Trace(events, horizon, m, ts.levels, cfg.protocol, cfg.rem_order)

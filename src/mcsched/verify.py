@@ -9,8 +9,9 @@ Each checker indexes the trace in one scan that builds the level intervals
 and only the maps it reads: feasibility each job's last release, completion
 and drop reason, and the re-enables with the level before each;
 periodicity its last release and arrival drop, and the jobs seen twice;
-response the completions; reclaim the sched records and last completions.
-`check_run` builds one full index and runs every checker that applies on it.
+response the completions. `check_run` builds one full index, which also
+holds the sched records that its reclaim report reads with the last
+completions, and runs every checker that applies on it.
 
 The timeline is the list of maximal half-open intervals [s, e) with constant
 system level. Trace events are in time order, so the intervals are
@@ -74,8 +75,7 @@ def _suspension_starts(intervals, crit: int) -> list[int]:
 _FEASIBILITY = frozenset({"releases", "completes", "dropped", "re_enables"})
 _PERIODICITY = frozenset({"releases", "arrival_drops", "repeats"})
 _RESPONSE = frozenset({"completions"})
-_RECLAIM = frozenset({"completes", "scheds"})
-_ALL = _FEASIBILITY | _PERIODICITY | _RESPONSE | _RECLAIM
+_ALL = _FEASIBILITY | _PERIODICITY | _RESPONSE | {"scheds"}
 
 
 class _Index:
@@ -389,17 +389,13 @@ class ReclaimReport(Report):
     """Judges each job whose ghost slot hosted rem-jobs."""
 
 
-def check_reclaim(trace: Trace, ts: TaskSet) -> ReclaimReport:
+def _reclaim(ix: _Index, ts: TaskSet) -> ReclaimReport:
     """A wcet-reclaim ghost slot spends only the budget its job left
     unused: the job's execution time plus the time its ghost hosted
     rem-jobs stays within its task's budget at the job's completion level.
     A ghost of a job that never completed at a level of its task is a
     violation. wcrt-simulate ghosts follow another rule: do not judge them
     here."""
-    return _reclaim(_Index(trace, _RECLAIM), ts)
-
-
-def _reclaim(ix: _Index, ts: TaskSet) -> ReclaimReport:
     rep = ReclaimReport()
     by_id = {t.id: t for t in ts.tasks}
     spans: dict = {}  # job -> ticks its ghost slot hosted rem-jobs

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,6 +277,15 @@ def test_scenario_dmcr_plan_is_carried_through():
     ts, _ = small_set()
     sc = gen_scenario(ts, 120, seed=4, dmcr_plan=((30, 1),))
     assert sc.dmcr_requests == ((30, 1),)
+
+
+@pytest.mark.parametrize("entry", [(10.9, 1), (10, 1.0), (True, 1),
+                                   (10, True), ("5", 1), (10, "1"),
+                                   5, (5,), (5, 1, 2), "51"])
+def test_scenario_dmcr_plan_entries_must_be_integers(entry):
+    ts, _ = small_set()
+    with pytest.raises(ValueError, match=re.escape(repr(entry))):
+        gen_scenario(ts, 50, seed=3, dmcr_plan=[(30, 1), entry])
 
 
 def test_scenario_zero_horizon_is_empty():

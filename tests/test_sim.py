@@ -8,7 +8,7 @@ from mcsched.analysis import PriorityAssignment, opa_assign
 from mcsched.gen import GenParams, Infeasible, child_seed, gen_scenario, gen_taskset
 from mcsched.model import MCTask, Platform, Scenario, TaskSet
 from mcsched.sim import (EVENT_FIELDS, META_FIELDS, PROTOCOLS,
-                         InconsistentInputs, InvalidTarget, ModelViolation,
+                         InconsistentInputs, ModelViolation,
                          ProtocolConfig, simulate, trace_from_jsonl)
 from mcsched.verify import compute_l_intervals
 from slices import run_slice, schedulable_sets
@@ -487,7 +487,8 @@ def test_re_enabled_task_misses_only_for_jobs_released_after():
 
 def test_invalid_request_target_rejected():
     a = MCTask(id=1, T=10, D=10, L=2, C=(2, 2))
-    with pytest.raises(InvalidTarget):
+    with pytest.raises(InconsistentInputs,
+                       match=r"target level 2 not in \[1, 1\]"):
         run([a], 2, 1, {1: 1}, {(1, 1): 2, (1, 2): 2},
             20, {1: (0,)}, {1: (2,)}, reqs=((5, 2),))
 
