@@ -74,18 +74,219 @@ def test_analyze_unschedulable_prints_witness(heavy_ts, capsys):
 
 
 DEEP = "[" * 100_000  # past the JSON decoder's recursion limit
-MALFORMED_TASKSETS = ("{not json", DEEP)
+
+
+def task_doc(*drop, **fields):
+    """A task entry of a task-set file, without the keys in `drop` and
+    with these fields set."""
+    doc = {"id": 1, "T": 10, "D": 10, "L": 1, "C": [2], **fields}
+    return {key: value for key, value in doc.items() if key not in drop}
+
+
+def ts_doc(*tasks, drop=(), **fields):
+    """A task-set document with these task entries (one default task if
+    none), without the keys in `drop` and with these fields set."""
+    doc = {"criticality_levels": 2, "processors": 1,
+           "tasks": list(tasks) or [task_doc()], **fields}
+    return {key: value for key, value in doc.items() if key not in drop}
+
+
+EXPECTED_INT = "expected integer, got"
+C_LIST = "C: expected a non-empty list of integers"
+
+# (id, task-set document as a JSON value or as text, error message): one
+# row per refusal of the task-set loader, of validate_taskset and of
+# Platform
+MALFORMED_TASKSETS = [
+    ("not-json", "{not json", "bad JSON at line 1 col 2: ..."),
+    ("deep-nesting", DEEP, "bad JSON: nested too deep"),
+    ("not-an-object", [ts_doc()], "task-set document must be an object"),
+    ("missing-levels", ts_doc(drop=["criticality_levels"]),
+     "task set: missing field 'criticality_levels'"),
+    ("string-levels", ts_doc(criticality_levels="2"),
+     f"criticality_levels: {EXPECTED_INT} '2'"),
+    ("missing-processors", ts_doc(drop=["processors"]),
+     "task set: missing field 'processors'"),
+    ("float-processors", ts_doc(processors=1.0),
+     f"processors: {EXPECTED_INT} 1.0"),
+    ("missing-tasks", ts_doc(drop=["tasks"]), "task set: missing field 'tasks'"),
+    ("tasks-object", ts_doc(tasks={"1": task_doc()}), "tasks: expected a list"),
+    ("entry-not-object", ts_doc(tasks=[[1, 10, 10, 1, [2]]]),
+     "tasks[0]: expected an object"),
+    ("missing-id", ts_doc(task_doc("id")), "tasks[0]: missing field 'id'"),
+    ("float-id", ts_doc(task_doc(id=1.5)),
+     "tasks[0]: id must be an integer or string"),
+    ("bool-id", ts_doc(task_doc(id=True)),
+     "tasks[0]: id must be an integer or string"),
+    ("list-id", ts_doc(task_doc(), task_doc(id=[2])),
+     "tasks[1]: id must be an integer or string"),
+    ("string-T", ts_doc(task_doc(T="10")), f"tasks[0].T: {EXPECTED_INT} '10'"),
+    ("bool-D", ts_doc(task_doc(D=True)), f"tasks[0].D: {EXPECTED_INT} True"),
+    ("missing-L", ts_doc(task_doc("L")), "tasks[0]: missing field 'L'"),
+    ("float-L", ts_doc(task_doc(L=1.0)), f"tasks[0].L: {EXPECTED_INT} 1.0"),
+    ("missing-C", ts_doc(task_doc("C")), "tasks[0]: missing field 'C'"),
+    ("int-C", ts_doc(task_doc(C=2)), f"tasks[0].{C_LIST}"),
+    ("empty-C", ts_doc(task_doc(C=[])), f"tasks[0].{C_LIST}"),
+    ("float-in-C", ts_doc(task_doc(L=2, C=[1, 2.5])), f"tasks[0].{C_LIST}"),
+    ("C-between-L-and-levels",
+     ts_doc(task_doc(C=[2, 2]), criticality_levels=3),
+     "tasks[0].C: C must have length L=1 or levels=3, got 2"),
+    ("C-past-levels", ts_doc(task_doc(L=2, C=[1, 2, 2])),
+     "tasks[0].C: C must have length L=2 or levels=2, got 3"),
+    ("C-not-constant-above-L", ts_doc(task_doc(C=[2, 3])),
+     "tasks[0].C: C must be constant beyond level L=1"),
+    ("L-zero", ts_doc(task_doc(L=0, C=[2, 2])),
+     "CriticalityAboveLambda: task 1: L=0, levels=2"),
+    ("L-above-levels", ts_doc(task_doc(L=3, C=[1, 2, 3])),
+     "CriticalityAboveLambda: task 1: L=3, levels=2"),
+    ("levels-zero", ts_doc(criticality_levels=0),
+     "CriticalityAboveLambda: task 1: L=1, levels=0"),
+    ("levels-zero-no-tasks", ts_doc(criticality_levels=0, tasks=[]),
+     "InvalidLevels: levels must be >= 1, got 0"),
+    ("m-zero", ts_doc(processors=0), "InvalidPlatform: m must be >= 1, got 0"),
+    ("ids-equal-as-strings", ts_doc(task_doc(), task_doc(id="1")),
+     "DuplicateId: tasks 1 and '1' are both '1' in a file"),
+    ("T-zero", ts_doc(task_doc(T=0)),
+     "InvalidPeriod: task 1: T=0; DeadlineExceedsPeriod: task 1: D=10, T=0"),
+    ("D-above-T", ts_doc(task_doc(D=11)),
+     "DeadlineExceedsPeriod: task 1: D=11, T=10"),
+    ("D-zero", ts_doc(task_doc(D=0)),
+     "DeadlineExceedsPeriod: task 1: D=0, T=10; "
+     "WcetExceedsDeadline: task 1: C(L)=2 > D=0"),
+    ("C-zero", ts_doc(task_doc(C=[0])),
+     "InvalidWcet: task 1: C=(0, 0) has entries < 1"),
+    ("C-decreasing", ts_doc(task_doc(L=2, C=[3, 2])),
+     "NonMonotoneWcet: task 1: C(1)=3 > C(2)=2"),
+    ("C-above-D", ts_doc(task_doc(D=4, C=[5])),
+     "WcetExceedsDeadline: task 1: C(L)=5 > D=4"),
+]
+
+
+def write_doc(path, doc):
+    """Write a document given as a JSON value or as text to path."""
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("doc, message",
+                         [row[1:] for row in MALFORMED_TASKSETS],
+                         ids=[row[0] for row in MALFORMED_TASKSETS])
+def test_analyze_malformed_taskset_is_input_error(tmp_path, capsys, doc,
+                                                  message):
+    rc = main(["analyze", "--taskset", write_doc(tmp_path / "ts.json", doc)])
+    stdout, err = capsys.readouterr()
+    assert rc == 2
+    assert stdout == ""
+    assert_error(err, message)
 
 
 def test_analyze_malformed_file_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    for text in MALFORMED_TASKSETS:
+    for text in ("{not json", DEEP):
         bad.write_text(text)
         for argv in (["analyze"], ["check", "--trace", str(bad)]):
             rc = main([*argv, "--taskset", str(bad)])
             err = capsys.readouterr().err
             assert rc == 2
             assert err.startswith("error: bad JSON")
+
+
+def sc_doc(drop=(), **fields):
+    """A scenario document for `sched_ts`, without the keys in `drop` and
+    with these fields set."""
+    doc = {"horizon": 20,
+           "tasks": {"1": {"arrivals": [0, 8], "exec_times": [1, 2]}},
+           "dmcr_requests": [{"time": 10, "target_level": 1}], **fields}
+    return {key: value for key, value in doc.items() if key not in drop}
+
+
+def jobs(arrivals, exec_times, tid="1"):
+    """The tasks object of a scenario with one task's jobs."""
+    return {tid: {"arrivals": arrivals, "exec_times": exec_times}}
+
+
+INT_LIST = "expected a list of integers"
+
+# (id, scenario document for `sched_ts` as a JSON value or as text, error
+# message): one row per refusal of the scenario loader and of
+# validate_scenario
+MALFORMED_SCENARIOS = [
+    ("not-json", "{not json", "bad JSON at line 1 col 2: ..."),
+    ("deep-nesting", DEEP, "bad JSON: nested too deep"),
+    ("not-an-object", [sc_doc()], "scenario document must be an object"),
+    ("missing-horizon", sc_doc(drop=["horizon"]),
+     "scenario: missing field 'horizon'"),
+    ("string-horizon", sc_doc(horizon="20"), f"horizon: {EXPECTED_INT} '20'"),
+    ("missing-tasks", sc_doc(drop=["tasks"]), "scenario: missing field 'tasks'"),
+    ("tasks-list", sc_doc(tasks=[jobs([0], [1])]),
+     "scenario tasks: expected an object keyed by task id"),
+    ("entry-not-object", sc_doc(tasks={"1": [[0], [1]]}),
+     "scenario tasks['1']: expected an object"),
+    ("missing-arrivals", sc_doc(tasks={"1": {"exec_times": [1]}}),
+     "scenario tasks['1']: missing field 'arrivals'"),
+    ("missing-exec-times", sc_doc(tasks={"1": {"arrivals": [0]}}),
+     "scenario tasks['1']: missing field 'exec_times'"),
+    ("float-arrival", sc_doc(tasks=jobs([0.5], [1])),
+     f"scenario tasks['1'].arrivals: {INT_LIST}"),
+    ("bool-exec-time", sc_doc(tasks=jobs([0], [True])),
+     f"scenario tasks['1'].exec_times: {INT_LIST}"),
+    ("int-exec-times", sc_doc(tasks=jobs([0], 1)),
+     f"scenario tasks['1'].exec_times: {INT_LIST}"),
+    ("requests-object", sc_doc(dmcr_requests={"time": 10, "target_level": 1}),
+     "dmcr_requests: expected a list"),
+    ("request-pair", sc_doc(dmcr_requests=[[10, 1]]),
+     "dmcr_requests[0]: expected an object"),
+    ("request-without-time", sc_doc(dmcr_requests=[{"target_level": 1}]),
+     "dmcr_requests[0]: missing field 'time'"),
+    ("request-string-level",
+     sc_doc(dmcr_requests=[{"time": 10, "target_level": "1"}]),
+     f"dmcr_requests[0].target_level: {EXPECTED_INT} '1'"),
+    ("negative-horizon", sc_doc(horizon=-1, tasks={}, dmcr_requests=[]),
+     "InvalidHorizon: horizon=-1"),
+    ("unknown-task", sc_doc(tasks=jobs([0], [1], "9")),
+     "UnknownTask: task '9' not in task set"),
+    ("arrivals-without-exec-times", sc_doc(tasks=jobs([0, 8], [1])),
+     "ArrivalExecMismatch: task 1: 2 arrivals, 1 exec_times"),
+    ("gap-below-T", sc_doc(tasks=jobs([0, 7], [1, 1])),
+     "MinInterArrivalViolated: task 1: gap 0->7 < T=8"),
+    ("negative-first-arrival", sc_doc(tasks=jobs([-1], [1])),
+     "NegativeArrival: task 1: first arrival -1"),
+    ("exec-zero", sc_doc(tasks=jobs([0], [0])),
+     "ExecOutOfRange: task 1 job 1: c=0 not in [1, 2]"),
+    ("exec-above-top-budget", sc_doc(tasks=jobs([0, 8], [1, 3])),
+     "ExecOutOfRange: task 1 job 2: c=3 not in [1, 2]"),
+    ("negative-request-time",
+     sc_doc(dmcr_requests=[{"time": -1, "target_level": 1}]),
+     "InvalidRequestTime: dmcr at t=-1"),
+    ("request-to-top-level",
+     sc_doc(dmcr_requests=[{"time": 10, "target_level": 2}]),
+     "InvalidTargetLevel: dmcr target=2, levels=2"),
+]
+
+
+def test_malformed_rows_edit_valid_documents(sched_ts, tmp_path, capsys):
+    """Each row breaks one rule of a document that is accepted as it is."""
+    _, path = sched_ts
+    rc = main(["analyze", "--taskset", write_doc(tmp_path / "doc.json",
+                                                 ts_doc())])
+    assert (rc, capsys.readouterr().err) == (0, "")
+    rc = main(["simulate", "--taskset", path, "--scenario",
+               write_doc(tmp_path / "sc.json", sc_doc())])
+    assert (rc, capsys.readouterr().err) == (0, "")
+
+
+@pytest.mark.parametrize("doc, message",
+                         [row[1:] for row in MALFORMED_SCENARIOS],
+                         ids=[row[0] for row in MALFORMED_SCENARIOS])
+def test_simulate_malformed_scenario_is_input_error(sched_ts, tmp_path,
+                                                    capsys, doc, message):
+    _, path = sched_ts
+    rc = main(["simulate", "--taskset", path, "--scenario",
+               write_doc(tmp_path / "sc.json", doc)])
+    stdout, err = capsys.readouterr()
+    assert rc == 2
+    assert stdout == ""
+    assert_error(err, message)
 
 
 def test_simulate_refuses_unschedulable_without_force(heavy_ts, tmp_path, capsys):
