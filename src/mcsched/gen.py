@@ -18,8 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from .model import (MCTask, Platform, Scenario, TaskSet, ValidationError,
-                    validate_scenario, validate_taskset)
+from .model import MCTask, Platform, Scenario, TaskSet, validate_scenario
 
 MASK64 = (1 << 64) - 1
 
@@ -176,13 +175,8 @@ def _attempt_taskset(params: GenParams, rng: SplitMix64) -> tuple[TaskSet, Platf
     if params.ensure_overrunnable:
         if not any(t.L >= 2 and t.C[1] > t.C[0] for t in tasks):
             raise Infeasible
-    ts = TaskSet(tasks=tuple(tasks), levels=params.levels)
-    platform = Platform(m=params.m)
-    try:
-        validate_taskset(ts, platform)
-    except ValidationError:
-        raise Infeasible
-    return ts, platform
+    return (TaskSet(tasks=tuple(tasks), levels=params.levels),
+            Platform(m=params.m))
 
 
 def _repair_utilization(budgets, periods, deadlines, target, tol,

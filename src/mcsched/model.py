@@ -112,24 +112,6 @@ class TaskSet:
         raise KeyError(tid)
 
 
-def _normalize_c(raw_c: list[int], L: int, levels: int) -> tuple[int, ...] | str:
-    """Pad or check a WCET vector. Returns the padded tuple or an error text.
-
-    Files may give C at length L (padded here) or at full system length
-    (checked for constancy beyond L).
-    """
-    if len(raw_c) == L:
-        padded = list(raw_c) + [raw_c[-1]] * (levels - L)
-    elif len(raw_c) == levels:
-        padded = list(raw_c)
-        for l in range(L, levels):
-            if padded[l] != padded[L - 1]:
-                return f"C must be constant beyond level L={L}"
-    else:
-        return f"C must have length L={L} or levels={levels}, got {len(raw_c)}"
-    return tuple(padded)
-
-
 def _file_key(tid: TaskId) -> TaskId:
     """Files key tasks by str(id). A string id that is the str() of an int
     is keyed as that int, so 1 and "1" meet without a string per int id."""
@@ -143,11 +125,14 @@ def _file_key(tid: TaskId) -> TaskId:
     return tid
 
 
-def validate_taskset(ts: TaskSet, platform: Platform) -> TaskSet:
-    """Check every model invariant; return ts unchanged or raise.
+def validate_taskset(ts: TaskSet) -> TaskSet:
+    """Check every rule of the task model; return ts unchanged or raise one
+    ValidationError that lists every broken rule.
 
     The error list is deterministic: tasks are scanned in order and each
-    produces its findings in a fixed sequence.
+    produces its findings in a fixed sequence. A task whose L lies outside
+    [1, levels], or whose C does not hold `levels` entries all at least 1,
+    gets no further check.
     """
     errors: list[tuple[str, str]] = []
     if ts.levels < 1:
@@ -275,6 +260,10 @@ def _as_int(value: Any, where: str) -> int:
 
 
 def taskset_from_dict(doc: dict) -> tuple[TaskSet, Platform]:
+    """Read a task-set document. A missing field, a wrong JSON type or a C
+    whose length is neither L nor levels is a FormatError. A C of length
+    L < levels is padded with C(L); Platform then refuses m < 1, and
+    validate_taskset alone judges every rule of the task model."""
     if not isinstance(doc, dict):
         raise FormatError("task-set document must be an object")
     levels = _as_int(_require(doc, "criticality_levels", "task set"), "criticality_levels")
@@ -296,16 +285,13 @@ def taskset_from_dict(doc: dict) -> tuple[TaskSet, Platform]:
         raw_c = _require(rt, "C", where)
         if not isinstance(raw_c, list) or not raw_c or any(isinstance(c, bool) or not isinstance(c, int) for c in raw_c):
             raise FormatError(f"{where}.C: expected a non-empty list of integers")
-        if not 1 <= L <= levels:
-            # caught again by validation, but C normalization needs a sane L
-            raise ValidationError([("CriticalityAboveLambda", f"task {tid!r}: L={L}, levels={levels}")])
-        c = _normalize_c(raw_c, L, levels)
-        if isinstance(c, str):
-            raise FormatError(f"{where}.C: {c}")
+        if len(raw_c) not in (L, levels):
+            raise FormatError(f"{where}.C: C must have length L={L} or "
+                              f"levels={levels}, got {len(raw_c)}")
+        c = tuple(raw_c) + (raw_c[-1],) * (levels - len(raw_c))
         tasks.append(MCTask(id=tid, T=T, D=D, L=L, C=c))
-    ts = TaskSet(tasks=tuple(tasks), levels=levels)
     platform = Platform(m=m)
-    return validate_taskset(ts, platform), platform
+    return validate_taskset(TaskSet(tasks=tuple(tasks), levels=levels)), platform
 
 
 def taskset_to_dict(ts: TaskSet, platform: Platform) -> dict:

@@ -134,15 +134,20 @@ MALFORMED_TASKSETS = [
     ("C-past-levels", ts_doc(task_doc(L=2, C=[1, 2, 2])),
      "tasks[0].C: C must have length L=2 or levels=2, got 3"),
     ("C-not-constant-above-L", ts_doc(task_doc(C=[2, 3])),
-     "tasks[0].C: C must be constant beyond level L=1"),
+     "NonConstantWcetAboveL: task 1: C(2) != C(L)"),
     ("L-zero", ts_doc(task_doc(L=0, C=[2, 2])),
      "CriticalityAboveLambda: task 1: L=0, levels=2"),
     ("L-above-levels", ts_doc(task_doc(L=3, C=[1, 2, 3])),
      "CriticalityAboveLambda: task 1: L=3, levels=2"),
     ("levels-zero", ts_doc(criticality_levels=0),
+     "InvalidLevels: levels must be >= 1, got 0; "
      "CriticalityAboveLambda: task 1: L=1, levels=0"),
     ("levels-zero-no-tasks", ts_doc(criticality_levels=0, tasks=[]),
      "InvalidLevels: levels must be >= 1, got 0"),
+    ("L-above-levels-and-T-zero",
+     ts_doc(task_doc(L=3, C=[1, 2, 3]), task_doc(id=2, T=0)),
+     "CriticalityAboveLambda: task 1: L=3, levels=2; "
+     "InvalidPeriod: task 2: T=0; DeadlineExceedsPeriod: task 2: D=10, T=0"),
     ("m-zero", ts_doc(processors=0), "InvalidPlatform: m must be >= 1, got 0"),
     ("ids-equal-as-strings", ts_doc(task_doc(), task_doc(id="1")),
      "DuplicateId: tasks 1 and '1' are both '1' in a file"),

@@ -90,7 +90,7 @@ def test_taskset_generation_hits_utilization_window():
     params = GenParams(n_tasks=6, levels=3, total_util=1.2, m=2)
     ts, platform = gen_taskset(params, seed=2024)
     assert platform.m == 2
-    validate_taskset(ts, platform)
+    validate_taskset(ts)
     total = sum(t.C[0] / t.T for t in ts.tasks)
     assert 1.19 <= total <= 1.21
     assert len(ts.tasks) == 6

@@ -62,13 +62,13 @@ def test_validate_accepts_well_formed_set():
     ts = mk_ts(mk_task(1, T=10, D=8, L=2, C=(2, 4, 4)),
                mk_task(2, T=5, D=5, L=1, C=(1, 1, 1)),
                levels=3)
-    validate_taskset(ts, Platform(m=2))
+    validate_taskset(ts)
 
 
 def test_validate_duplicate_ids():
     ts = mk_ts(mk_task(1), mk_task(1, T=20, D=20), levels=1)
     with pytest.raises(ValidationError) as ei:
-        validate_taskset(ts, Platform(m=1))
+        validate_taskset(ts)
     assert "DuplicateId" in codes(ei)
 
 
@@ -76,53 +76,62 @@ def test_validate_ids_equal_as_strings():
     # scenario files and the analysis ranks key tasks by str(id)
     ts = mk_ts(mk_task(1), mk_task("1", T=20, D=20), levels=1)
     with pytest.raises(ValidationError) as ei:
-        validate_taskset(ts, Platform(m=1))
+        validate_taskset(ts)
     assert ei.value.errors == [("DuplicateId",
                                 "tasks 1 and '1' are both '1' in a file")]
     for other in ("01", " 1", "-1", "1.0"):  # another key in a file
         validate_taskset(mk_ts(mk_task(1), mk_task(other, T=20, D=20),
-                               levels=1), Platform(m=1))
+                               levels=1))
 
 
 def test_validate_deadline_exceeds_period():
     ts = mk_ts(mk_task(1, T=10, D=11), levels=1)
     with pytest.raises(ValidationError) as ei:
-        validate_taskset(ts, Platform(m=1))
+        validate_taskset(ts)
     assert "DeadlineExceedsPeriod" in codes(ei)
 
 
 def test_validate_non_monotone_wcet():
     ts = mk_ts(MCTask(id=1, T=10, D=10, L=2, C=(5, 3)), levels=2)
     with pytest.raises(ValidationError) as ei:
-        validate_taskset(ts, Platform(m=1))
+        validate_taskset(ts)
     assert "NonMonotoneWcet" in codes(ei)
 
 
 def test_validate_wcet_not_constant_above_criticality():
     ts = mk_ts(MCTask(id=1, T=10, D=10, L=1, C=(3, 4)), levels=2)
     with pytest.raises(ValidationError) as ei:
-        validate_taskset(ts, Platform(m=1))
+        validate_taskset(ts)
     assert "NonConstantWcetAboveL" in codes(ei)
 
 
 def test_validate_wcet_exceeds_deadline():
     ts = mk_ts(MCTask(id=1, T=10, D=6, L=2, C=(3, 7)), levels=2)
     with pytest.raises(ValidationError) as ei:
-        validate_taskset(ts, Platform(m=1))
+        validate_taskset(ts)
     assert "WcetExceedsDeadline" in codes(ei)
 
 
 def test_validate_criticality_above_lambda():
     ts = mk_ts(MCTask(id=1, T=10, D=10, L=3, C=(1, 2)), levels=2)
     with pytest.raises(ValidationError) as ei:
-        validate_taskset(ts, Platform(m=1))
+        validate_taskset(ts)
     assert "CriticalityAboveLambda" in codes(ei)
+
+
+def test_validate_wcet_vector_of_another_length():
+    # a file's C is padded to `levels`; a TaskSet built in code may not be
+    ts = mk_ts(MCTask(id=1, T=10, D=10, L=1, C=(3,)), levels=2)
+    with pytest.raises(ValidationError) as ei:
+        validate_taskset(ts)
+    assert ei.value.errors == [("InvalidWcetVector",
+                                "task 1: |C|=1 != levels=2")]
 
 
 def test_validate_zero_wcet():
     ts = mk_ts(MCTask(id=1, T=10, D=10, L=1, C=(0,)), levels=1)
     with pytest.raises(ValidationError) as ei:
-        validate_taskset(ts, Platform(m=1))
+        validate_taskset(ts)
     assert "InvalidWcet" in codes(ei)
 
 
