@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields as dataclass_fields
 from typing import IO
 
 from . import analysis, gen, verify
-from .model import FormatError, load_taskset, open_output
+from .model import FormatError, load_taskset, open_output, unique_keys
 from .sim import PROTOCOLS, REM_ORDERS, ProtocolConfig, simulate
 
 CSV_HEADER = ("protocol,seed,scenario_id,misses_hi,misses_enabled,"
@@ -42,10 +42,13 @@ def prepare_run(ts, platform, cap, force):
 
 def load_spec(path: str):
     """The JSON value in an experiment spec file; text that is not JSON,
-    or JSON nested too deep to decode, is a FormatError."""
+    JSON nested too deep to decode, or an object that repeats a key is a
+    FormatError."""
     with open(path, encoding="utf-8") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
+        except FormatError:
+            raise
         except (ValueError, RecursionError) as exc:
             raise FormatError(f"experiment spec is not JSON: {exc}") from None
 

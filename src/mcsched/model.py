@@ -361,12 +361,26 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
+def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict, for json.load's object_pairs_hook; an
+    object that repeats a key is a FormatError naming it, where json.load
+    alone would keep the last value without a word."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise FormatError(f"bad JSON: repeated key {key!r}")
+            seen.add(key)
+    return doc
+
+
 def _load_json(source: str | IO[str]) -> dict:
     try:
         if hasattr(source, "read"):
-            return json.load(source)  # type: ignore[arg-type]
+            return json.load(source, object_pairs_hook=unique_keys)  # type: ignore[arg-type]
         with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
     except RecursionError:

@@ -101,6 +101,8 @@ MALFORMED_TASKSETS = [
     ("not-json", "{not json", "bad JSON at line 1 col 2: ..."),
     ("deep-nesting", DEEP, "bad JSON: nested too deep"),
     ("not-an-object", [ts_doc()], "task-set document must be an object"),
+    ("repeated-key", json.dumps(ts_doc()).replace('"T": 10', '"T": 10, "T": 8'),
+     "bad JSON: repeated key 'T'"),
     ("missing-levels", ts_doc(drop=["criticality_levels"]),
      "task set: missing field 'criticality_levels'"),
     ("string-levels", ts_doc(criticality_levels="2"),
@@ -219,6 +221,10 @@ MALFORMED_SCENARIOS = [
     ("not-json", "{not json", "bad JSON at line 1 col 2: ..."),
     ("deep-nesting", DEEP, "bad JSON: nested too deep"),
     ("not-an-object", [sc_doc()], "scenario document must be an object"),
+    ("repeated-task-key",
+     '{"horizon": 20, "tasks": {"1": {"arrivals": [0], "exec_times": [1]}, '
+     '"1": {"arrivals": [8], "exec_times": [2]}}}',
+     "bad JSON: repeated key '1'"),
     ("missing-horizon", sc_doc(drop=["horizon"]),
      "scenario: missing field 'horizon'"),
     ("string-horizon", sc_doc(horizon="20"), f"horizon: {EXPECTED_INT} '20'"),
@@ -1159,6 +1165,8 @@ MALFORMED_SPECS = [
     ("negative-request-time", {**FORCED, "dmcr": [[-1, 1]]},
      f"experiment spec 'dmcr' must be {REQUEST_LIST}, got [[-1, 1]]"),
     ("not-json", "{not json", "experiment spec is not JSON: ..."),
+    ("repeated-key", json.dumps({**FORCED, "seed": 1})[:-1] + ', "seed": 2}',
+     "bad JSON: repeated key 'seed'"),
     ("taskset-and-gen", {"gen": GEN, "taskset": "ts.json"},
      "experiment spec needs one 'taskset' or 'gen' entry"),
     ("missing-taskset", {"taskset": "/nonexistent/ts.json"},
