@@ -184,6 +184,19 @@ def test_feasibility_completion_without_release():
     assert "CompletionWithoutRelease" in [v[0] for v in rep.violations]
 
 
+def test_feasibility_drop_without_release():
+    ts = two_crit_set()
+    trace = mk_trace([
+        ("budget_exceeded", 4, 2, 1, 1),
+        ("job_dropped", 4, 2, 2, 1, "imcr"),
+    ], horizon=20)
+    rep = check_feasibility(trace, ts)
+    assert rep.violations == [("DropWithoutRelease", 2, 1,
+                               "imcr-dropped but never released")]
+    assert check_run(trace, ts)["feasibility"] == rep
+    assert ref_feasibility(trace, ts) == rep
+
+
 # ---------------------------------------------------------------------------
 # periodicity
 
