@@ -78,6 +78,12 @@ def test_uunifast_sums_to_target():
     assert all(u > 0 for u in utils)
 
 
+@pytest.mark.parametrize("n", [0, -1])
+def test_uunifast_refuses_no_tasks(n):
+    with pytest.raises(ValueError, match="^n must be positive$"):
+        uunifast(SplitMix64(3), n, 0.5)
+
+
 def test_uunifast_discard_respects_cap():
     rng = SplitMix64(5)
     for _ in range(20):
@@ -169,6 +175,37 @@ def test_repair_matches_reference_scan(case):
             == _repaired(repair_utilization_reference, *case))
 
 
+@st.composite
+def gen_params(draw):
+    """GenParams over every field's range, with total utilizations up to
+    0.6 per task and eight attempts."""
+    m, n = draw(st.integers(1, 4)), draw(st.integers(1, 12))
+    lo, levels = draw(st.integers(4, 60)), draw(st.integers(1, 4))
+    return GenParams(
+        n_tasks=n, levels=levels,
+        total_util=draw(st.floats(0.01, min(m, 0.6 * n))), m=m,
+        period_range=(lo, draw(st.integers(lo, 1000))),
+        deadline_factor=draw(st.floats(0.01, 1.0)),
+        inflation=draw(st.floats(1.0, 4.0)),
+        util_tolerance=draw(st.sampled_from((0.01, 0.05))),
+        max_attempts=8,
+        ensure_overrunnable=levels > 1 and draw(st.booleans()))
+
+
+@given(gen_params(), st.integers(0, MASK))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_generated_sets_pass_validation(params, seed):
+    """gen_taskset builds its sets valid by construction and does not
+    validate them itself."""
+    try:
+        ts, platform = gen_taskset(params, seed)
+    except Infeasible:
+        return
+    assert validate_taskset(ts) is ts
+    assert (len(ts), ts.levels, platform.m) == (params.n_tasks,
+                                                params.levels, params.m)
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         GenParams(n_tasks=0, levels=2, total_util=0.5)
@@ -182,6 +219,17 @@ def test_params_validation():
         GenParams(n_tasks=2, levels=2, total_util=0.5, util_tolerance=-0.01)
     with pytest.raises(ValueError):
         GenParams(n_tasks=2, levels=2, total_util=0.5, max_attempts=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("deadline_factor", 0.0, "deadline_factor must be in (0, 1]"),
+    ("deadline_factor", 1.01, "deadline_factor must be in (0, 1]"),
+    ("inflation", 0.99, "inflation must be >= 1"),
+])
+def test_params_refuse_factors_out_of_range(field, value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        GenParams(**{"n_tasks": 2, "levels": 2, "total_util": 0.5,
+                     field: value})
 
 
 @pytest.mark.parametrize("field, value", [
@@ -293,3 +341,13 @@ def test_scenario_zero_horizon_is_empty():
     sc = gen_scenario(ts, 0, seed=1)
     assert all(not v for v in sc.arrivals.values())
     assert all(not v for v in sc.exec_times.values())
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"horizon": 50, "exec_model": "worst"}, "unknown exec model 'worst'"),
+    ({"horizon": -1}, "horizon must be non-negative"),
+])
+def test_scenario_refuses_bad_arguments(kwargs, message):
+    ts, _ = small_set()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        gen_scenario(ts, seed=1, **kwargs)
