@@ -188,14 +188,12 @@ def test_analyze_malformed_taskset_is_input_error(tmp_path, capsys, doc,
 
 
 def test_analyze_malformed_file_is_input_error(tmp_path, capsys):
-    bad = tmp_path / "bad.json"
-    for text in ("{not json", DEEP):
-        bad.write_text(text)
-        for argv in (["analyze"], ["check", "--trace", str(bad)]):
-            rc = main([*argv, "--taskset", str(bad)])
-            err = capsys.readouterr().err
-            assert rc == 2
-            assert err.startswith("error: bad JSON")
+    """`check` reads its task set as `analyze` does, before the trace."""
+    for name, doc, message in MALFORMED_TASKSETS:
+        bad = write_doc(tmp_path / f"{name}.json", doc)
+        rc = main(["check", "--trace", bad, "--taskset", bad])
+        assert rc == 2
+        assert_error(capsys.readouterr().err, message)
 
 
 def sc_doc(drop=(), **fields):
