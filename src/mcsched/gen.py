@@ -125,9 +125,10 @@ class GenParams:
             raise ValueError("period_range must lie within [4, 1000]")
         if not 0 < self.deadline_factor <= 1:
             raise ValueError("deadline_factor must be in (0, 1]")
-        if self.inflation < 1:
+        # `not x >= ...` refuses NaN as well
+        if not self.inflation >= 1:
             raise ValueError("inflation must be >= 1")
-        if self.util_tolerance < 0:
+        if not self.util_tolerance >= 0:
             raise ValueError("util_tolerance must be >= 0")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be positive")
@@ -167,7 +168,9 @@ def _attempt_taskset(params: GenParams, rng: SplitMix64) -> tuple[TaskSet, Platf
     for i in range(n):
         c = [budgets[i]]
         for _ in range(2, crits[i] + 1):
-            c.append(min(math.ceil(c[-1] * params.inflation), deadlines[i]))
+            # clamped before the ceil, so an infinite product never reaches
+            # it; D is an integer, so the budget is the same
+            c.append(math.ceil(min(c[-1] * params.inflation, deadlines[i])))
         c.extend([c[-1]] * (params.levels - crits[i]))
         tasks.append(MCTask(id=i + 1, T=periods[i], D=deadlines[i],
                             L=crits[i], C=tuple(c)))

@@ -161,15 +161,17 @@ def _is_one_of(types, v):
 
 
 def _type_check(names):
-    """A predicate over a tuple of values of fields `names`: true when each
-    value has its field's JSON type (bool is not an integer here).
+    """A predicate over a tuple of values of fields `names`, the kind first:
+    true when each value after the kind has its field's JSON type (bool is
+    not an integer here). The kind goes untested, since the reader found
+    the layout by it.
 
     The predicate is compiled from the table once, as straight-line
     `type(v[i]) is ...` tests: on a trace read, a generic per-line
     `tuple(map(type, values))` lookup costs ~3 times as much.
     """
     tests = []
-    for i, name in enumerate(names):
+    for i, name in enumerate(names[1:], 1):
         test = _is_one_of(_FIELD_TYPES.get(name, (int,)), f"v[{i}]")
         if name in _ELEMENT_TYPES:
             test = (f"({test}) and all({_is_one_of(_ELEMENT_TYPES[name], 'x')}"
@@ -214,9 +216,16 @@ def _line_writer(kind, fields, names):
     return eval(f"lambda v, enc: {template!r} % ({', '.join(args)},)")
 
 
+# A line's part in the trace, which the reader's table marks per layout;
+# the layouts not named in _PARTS are point events.
+_POINT, _IDLE, _DISPATCH, _GHOST, _META = range(5)
+_PARTS = {"idle": _IDLE, "dispatch": _DISPATCH, "ghost": _GHOST, "meta": _META}
+
+
 def _layouts():
-    """Per line kind of _LINE_FIELDS, its writer, and the getter of its
-    values from a decoded record with their names and type check."""
+    """Per line kind of _LINE_FIELDS, its writer, and the reader's entry:
+    the getter of its values from a decoded record, their type check, the
+    line's part and the values' names."""
     writers, readers = {}, {}
     for kind, fields in _LINE_FIELDS.items():
         lead = tuple(f for f in ("mode", "until") if f in fields)
@@ -226,13 +235,18 @@ def _layouts():
         get = itemgetter(*names)
         if _ELEMENT_TYPES.keys() & set(names):
             get = _with_tuples(get)
-        readers[kind] = (get, names, _type_check(names))
+        readers[kind] = (get, _type_check(names), _PARTS.get(kind, _POINT),
+                         names)
     return writers, readers
 
 
-_WRITERS, _FROM_RECORD = _layouts()
+_WRITERS, _READERS = _layouts()
+# "ghost" is the layout of a dispatch line whose rem-job a ghost slot hosts,
+# not a line kind: a line of kind "ghost" is an unknown kind
+_GHOST_LINE = _READERS.pop("ghost")
 _encode = json.JSONEncoder(separators=(",", ":")).encode
-_decode = json.JSONDecoder().raw_decode
+_decoder = json.JSONDecoder()
+_scan, _decode = _decoder.scan_once, _decoder.raw_decode
 
 
 class _Encoded(dict):
@@ -288,12 +302,15 @@ class Trace:
         return "\n".join(out) + "\n"
 
 
-def _sched_record(span) -> tuple:
-    t, until, mode, slots, free, lineno = span
-    if free:
-        raise ValueError(f"trace line {lineno}: span [{t}, {until}) ends "
-                         "short of m with no idle line")
-    return ("sched", t, mode, until, tuple(slots))
+def _no_layout(rec, exc) -> str:
+    """Why the reader found no layout for a decoded line, or no field of
+    its layout: `exc` is the KeyError or TypeError of the lookup."""
+    if not isinstance(rec, dict):
+        return "expected a JSON object"
+    kind = rec.get("kind")
+    if type(kind) is str and kind in _READERS:
+        return f"{kind} record has no field {exc}"
+    return f"unknown kind {kind!r}"
 
 
 def trace_from_jsonl(text: str) -> Trace:
@@ -307,40 +324,47 @@ def trace_from_jsonl(text: str) -> Trace:
     input, a field of the wrong JSON type included, raises ValueError naming
     the line."""
     events = []
-    meta = span = None  # the open span: [t, until, mode, slots, free, line]
+    meta = slots = None  # slots: those of the open span, if one is open
+    # levels is 0 until the meta line, so every line before it fails the
+    # mode test below, where the meta-first rule refuses it
+    levels = 0
     for lineno, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
-        if not line:
-            continue
+        # a line the scanner takes whole is its own stripped text; any
+        # other is stripped and decoded again, which names its fault
         try:
-            rec, end = _decode(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"trace line {lineno}: {exc.msg}") from exc
-        except RecursionError:
-            raise ValueError(f"trace line {lineno}: nested too deep") from None
-        if end < len(line):
-            raise ValueError(f"trace line {lineno}: extra data after the record")
-        if not isinstance(rec, dict):
-            raise ValueError(f"trace line {lineno}: expected a JSON object")
-        kind = rec.get("kind")
-        # "ghost" is the layout of a dispatch line, not a line kind; a kind
-        # that is no string (an array, say) names no layout either
-        layout = (_FROM_RECORD.get(kind)
-                  if type(kind) is str and kind != "ghost" else None)
-        if kind == "dispatch" and "ghost_task" in rec:
-            layout = _FROM_RECORD["ghost"]
+            rec, end = _scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec, end = _decode(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"trace line {lineno}: {exc.msg}") from exc
+            except RecursionError:
+                raise ValueError(
+                    f"trace line {lineno}: nested too deep") from None
+            if end < len(line):
+                raise ValueError(
+                    f"trace line {lineno}: extra data after the record")
         try:
-            vals = layout and layout[0](rec)
-        except KeyError as exc:
+            get, check, part, names = _READERS[rec["kind"]]
+            if part == _DISPATCH and "ghost_task" in rec:
+                get, check, part, names = _GHOST_LINE
+            vals = get(rec)
+        except (KeyError, TypeError) as exc:
             raise ValueError(
-                f"trace line {lineno}: {kind} record has no field {exc}") from None
-        if layout is None:
-            raise ValueError(f"trace line {lineno}: unknown kind {kind!r}")
-        if not layout[2](vals):
-            raise ValueError(f"trace line {lineno}: {kind} record "
-                             f"{_mistyped(layout[1], vals)}")
-        if meta is None or kind == "meta":
-            if meta is not None or kind != "meta":
+                f"trace line {lineno}: {_no_layout(rec, exc)}") from None
+        if not check(vals):
+            raise ValueError(f"trace line {lineno}: {vals[0]} record "
+                             f"{_mistyped(names, vals)}")
+        if part == _META or not 1 <= vals[2] <= levels:
+            if meta is not None and part != _META:
+                raise ValueError(f"trace line {lineno}: mode {vals[2]} is "
+                                 f"outside [1, levels={levels}]")
+            if meta is not None or part != _META:
                 raise ValueError(f"trace line {lineno}: the meta line must "
                                  "come first, and only once")
             meta, horizon, m, levels = vals[2:], vals[2], vals[3], vals[4]
@@ -355,54 +379,55 @@ def trace_from_jsonl(text: str) -> Trace:
                 raise ValueError(f"trace line {lineno}: {exc}") from None
             start = -1  # the start of the last span read
             continue
-        if not 1 <= vals[2] <= levels:
-            raise ValueError(f"trace line {lineno}: mode {vals[2]} is outside "
-                             f"[1, levels={levels}]")
-        on_span = kind == "dispatch" or kind == "idle"
-        if span is not None and not (on_span and vals[1] == span[0]
-                                     and vals[3] == span[1]):
-            events.append(_sched_record(span))
-            span = None
-        if not on_span:
+        if slots is not None and (not part or vals[1] != start
+                                  or vals[3] != until):
+            if free:
+                raise ValueError(f"trace line {first}: span [{start}, "
+                                 f"{until}) ends short of m with no idle line")
+            events.append(("sched", start, span_mode, until, tuple(slots)))
+            slots = None
+        if not part:
             if not 0 <= vals[1] <= horizon:
                 raise ValueError(f"trace line {lineno}: t={vals[1]} is "
                                  f"outside [0, horizon={horizon}]")
             events.append(vals)
             continue
-        if span is None:
+        if slots is None:
             # spans start in increasing time, so sorting the events by time
             # never brings two spans of one [t, until) together
             if not start < vals[1] < vals[3] <= horizon:
                 raise ValueError(f"trace line {lineno}: span [{vals[1]}, "
                                  f"{vals[3]}) is empty, leaves [0, {horizon}] "
                                  "or does not start after the span before it")
-            start = vals[1]
-            span = [start, vals[3], vals[2], [], m, lineno]
-        elif vals[2] != span[2]:
+            start, span_mode, until = vals[1], vals[2], vals[3]
+            slots, free, first = [], m, lineno
+        elif vals[2] != span_mode:
             raise ValueError(f"trace line {lineno}: mode {vals[2]} "
-                             f"differs from its span's mode {span[2]}")
-        slots, free = span[3], span[4]
-        if kind == "idle":
+                             f"differs from its span's mode {span_mode}")
+        if part == _IDLE:
             if not 0 < vals[4] == free:
                 raise ValueError(f"trace line {lineno}: idle line for "
                                  f"{vals[4]} procs where {free} are free")
-            span[4] = 0
-        elif vals[7] != 1 and (vals[7] != 0 or len(vals) == 10):
+            free = 0
+        elif vals[7] != 1 and (vals[7] != 0 or part == _GHOST):
             raise ValueError(f"trace line {lineno}: rem {vals[7]} is not "
                              + ("1 on a ghost-hosting dispatch line"
-                                if len(vals) == 10 else "0 or 1"))
+                                if part == _GHOST else "0 or 1"))
         elif free and vals[6] == len(slots):
             slots.append(("G", vals[8], vals[9], vals[4], vals[5])
-                         if len(vals) == 10 else
+                         if part == _GHOST else
                          ("R" if vals[7] else "J", vals[4], vals[5]))
-            span[4] = free - 1
+            free -= 1
         else:
             raise ValueError(f"trace line {lineno}: proc {vals[6]} is not "
                              "the next free proc of its span")
     if meta is None:
         raise ValueError("trace has no meta line")
-    if span is not None:
-        events.append(_sched_record(span))
+    if slots is not None:
+        if free:
+            raise ValueError(f"trace line {first}: span [{start}, {until}) "
+                             "ends short of m with no idle line")
+        events.append(("sched", start, span_mode, until, tuple(slots)))
     # stable: the point events at a span's start, all read before the span
     # closed, stay ahead of its sched record
     events.sort(key=itemgetter(1))

@@ -688,6 +688,8 @@ MALFORMED_TRACES = [
      "trace line 2: release record has no field 'd'"),
     ("array-line", lines(META_LINE, "[1,2,3]"),
      "trace line 2: expected a JSON object"),
+    ("array-line-padded", lines(META_LINE, "  [1,2,3]\t"),
+     "trace line 2: expected a JSON object"),
     ("meta-without-m", lines(META_LINE.replace('"m":1,', "")),
      "trace line 1: meta record has no field 'm'"),
     ("unknown-kind", lines(META_LINE, '{"t":0,"kind":"teleport","mode":1}'),
@@ -699,6 +701,8 @@ MALFORMED_TRACES = [
         '"proc":0,', "")),
      "trace line 2: dispatch record has no field 'proc'"),
     ("extra-data", lines(META_LINE, IDLE_0 + " {}"),
+     "trace line 2: extra data after the record"),
+    ("extra-data-padded", lines(META_LINE, " \t" + IDLE_0 + " {} "),
      "trace line 2: extra data after the record"),
     ("string-time", lines(META_LINE, edit(RELEASE_0, t="x")),
      "trace line 2: release record field 't' must be an integer, got 'x'"),
@@ -1138,6 +1142,10 @@ MALFORMED_SPECS = [
      "experiment spec 'gen': n_tasks must be positive"),
     ("zero-max-attempts", {"gen": {**GEN, "max_attempts": 0}},
      "experiment spec 'gen': max_attempts must be positive"),
+    ("nan-inflation", {"gen": {**GEN, "inflation": float("nan")}},
+     "experiment spec 'gen': inflation must be >= 1"),
+    ("nan-util-tolerance", {"gen": {**GEN, "util_tolerance": float("nan")}},
+     "experiment spec 'gen': util_tolerance must be >= 0"),
     ("unknown-protocol", {**FORCED, "protocols": ["bogus"]},
      f"experiment spec 'protocols' must be {PROTOCOL_LIST}, got ['bogus']"),
     ("no-protocols", {**FORCED, "protocols": []},
@@ -1213,6 +1221,20 @@ TINY_SPEC = {"gen": {"levels": 2, "n_tasks": 3, "total_util": 0.6, "m": 1,
              "scenarios": 2, "horizon": 40, "seed": 1,
              "protocols": ["drop", "wcet-reclaim"], "rem_order": "edf",
              "exec_model": "overrun", "dmcr": [[20, 1]], "force": True}
+
+
+@pytest.mark.parametrize("inflation", [1e308, float("inf")])
+def test_experiment_runs_with_unbounded_inflation(tmp_path, capsys,
+                                                  inflation):
+    spec = {**TINY_SPEC, "gen": {**TINY_SPEC["gen"], "inflation": inflation}}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    rc = main(["experiment", "--spec", str(spec_path)])
+    stdout, err = capsys.readouterr()
+    assert (rc, err) == (0, "")
+    assert len(stdout.splitlines()) == 1 + 2 * 2  # 2 protocols x 2 scenarios
+
+
 SPEC_VALUES = [None, True, False, -1, 0, 2, 1.5, 2.0, "", "x", "drop", [],
                [1], [8.5, 12], [[20, 1]], {}, {"n_tasks": 1}]
 SPEC_CHARS = '{}[]":,-.eEtrufalsn \\'  # no digits: numbers only shrink

@@ -216,15 +216,28 @@ def test_params_validation():
     with pytest.raises(ValueError):
         GenParams(n_tasks=2, levels=2, total_util=0.5, period_range=(2, 24))
     with pytest.raises(ValueError):
-        GenParams(n_tasks=2, levels=2, total_util=0.5, util_tolerance=-0.01)
-    with pytest.raises(ValueError):
         GenParams(n_tasks=2, levels=2, total_util=0.5, max_attempts=0)
     for factor in (0.0, 1.01):
         with pytest.raises(ValueError, match=r"^deadline_factor must be in "):
             GenParams(n_tasks=2, levels=2, total_util=0.5,
                       deadline_factor=factor)
-    with pytest.raises(ValueError, match="^inflation must be >= 1$"):
-        GenParams(n_tasks=2, levels=2, total_util=0.5, inflation=0.99)
+    for inflation in (0.99, float("nan")):
+        with pytest.raises(ValueError, match="^inflation must be >= 1$"):
+            GenParams(n_tasks=2, levels=2, total_util=0.5, inflation=inflation)
+    for tolerance in (-0.01, float("nan")):
+        with pytest.raises(ValueError, match="^util_tolerance must be >= 0$"):
+            GenParams(n_tasks=2, levels=2, total_util=0.5,
+                      util_tolerance=tolerance)
+
+
+@pytest.mark.parametrize("inflation", [1e308, float("inf")])
+def test_unbounded_inflation_clamps_budgets_to_the_deadline(inflation):
+    params = GenParams(n_tasks=6, levels=3, total_util=1.0, m=2,
+                       inflation=inflation, ensure_overrunnable=True)
+    ts, _ = gen_taskset(params, seed=7)
+    assert any(t.L >= 2 for t in ts.tasks)
+    for t in ts.tasks:
+        assert t.C[1:t.L] == (t.D,) * (t.L - 1)
 
 
 @pytest.mark.parametrize("field, value", [

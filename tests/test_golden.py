@@ -279,6 +279,37 @@ def test_queue_trace_bytes_and_roundtrip(case):
     assert sim.trace_from_jsonl(text).events == trace.events
 
 
+def _loosened(text):
+    """text as another writer might write it: CRLF line ends, blank and
+    whitespace-only lines, padded records, every other record's fields in
+    reverse order, and an extra nested field on every third."""
+    out = []
+    for i, line in enumerate(text.splitlines()):
+        rec = json.loads(line)
+        if i % 2:
+            rec = dict(reversed(rec.items()))
+        if i % 3 == 0:
+            rec["note"] = {"by": [1, {"kind": "release"}], "t": None}
+        out.append((" \t" if i % 5 == 0 else "") + json.dumps(rec)
+                   + ("  " if i % 4 == 0 else ""))
+        if i % 7 == 0:
+            out.append("")
+        if i % 11 == 0:
+            out.append(" \t ")
+    return "\r\n".join(out) + "\r\n"
+
+
+def test_reader_tolerance_on_a_roundtrip_trace():
+    """What the README says the reader accepts beyond the writer's bytes
+    reads to the same trace."""
+    case = next(c for c in QUEUE_CASES if c[0] == "roundtrip")
+    trace = _queue_trace(*case[:10])
+    back = sim.trace_from_jsonl(_loosened(trace.to_jsonl()))
+    assert back.events == trace.events
+    assert [getattr(back, f) for f in sim.META_FIELDS] == [
+        getattr(trace, f) for f in sim.META_FIELDS]
+
+
 def test_queue_cases_hit_their_targets():
     hit = set()
     for case in QUEUE_CASES:

@@ -5,13 +5,15 @@ from itertools import islice
 import pytest
 
 from mcsched.analysis import PriorityAssignment, opa_assign
-from mcsched.gen import GenParams, Infeasible, child_seed, gen_scenario, gen_taskset
+from mcsched.gen import (GenParams, Infeasible, SplitMix64, child_seed,
+                         gen_scenario, gen_taskset)
 from mcsched.model import MCTask, Platform, Scenario, TaskSet
 from mcsched.sim import (EVENT_FIELDS, META_FIELDS, PROTOCOLS,
                          InconsistentInputs, ModelViolation,
                          ProtocolConfig, simulate, trace_from_jsonl)
 from mcsched.verify import compute_l_intervals
 from slices import run_slice, schedulable_sets
+from test_acceptance import _sweep_params, _sweep_scenarios
 
 
 def run(tasks, levels, m, ranks, wt, horizon, arrivals, execs, reqs=(),
@@ -546,6 +548,34 @@ def test_simulation_is_deterministic():
     t1 = rich_trace()
     t2 = rich_trace()
     assert t1.to_jsonl() == t2.to_jsonl()
+
+
+def test_shorter_horizon_runs_a_prefix_of_the_schedule():
+    """The horizon-prefix relation: with the scenario's horizon cut to some
+    H1 < H, the events before H1 are the full run's, its sched spans
+    clipped at H1. A step that the next-event computation skips or adds
+    shows as a difference."""
+    clipped = changes = 0
+    sets = schedulable_sets(_sweep_params, range(1, 1000))
+    for seed, ts, platform, res in islice(sets, 45):
+        rng = SplitMix64(seed)
+        for sc in islice(_sweep_scenarios(seed, ts), 4):
+            h1 = rng.randint(1, sc.horizon - 1)
+            for protocol in PROTOCOLS:
+                full, head = (simulate(ts, platform, res.assignment,
+                                       res.wcrt_table, s,
+                                       ProtocolConfig(protocol)).events
+                              for s in (sc, replace(sc, horizon=h1)))
+                want = [e[:3] + (min(e[3], h1),) + e[4:]
+                        if e[0] == "sched" else e
+                        for e in full if e[1] < h1]
+                assert [e for e in head if e[1] < h1] == want
+                clipped += any(e[0] == "sched" and e[3] > h1 for e in full
+                               if e[1] < h1)
+                changes += any(e[0] == "budget_exceeded" for e in want)
+    # in over half of the 720 runs the cut falls inside a span, and after
+    # a level change
+    assert clipped > 360 and changes > 360
 
 
 # ---------------------------------------------------------------------------
