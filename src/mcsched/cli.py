@@ -53,14 +53,13 @@ def cmd_simulate(args) -> int:
     cfg = ProtocolConfig(protocol=args.protocol, rem_order=args.rem_order)
     pa, wt, _ = prepare_run(ts, platform, not args.no_cap, args.force)
     trace = simulate(ts, platform, pa, wt, sc, cfg)
-    text = trace.to_jsonl()
     if args.out:
         with open_output(args.out) as fh:
-            fh.write(text)
+            trace.write_jsonl(fh)
         json.dump(verify.metrics(trace, ts), sys.stdout, indent=2)
         print()
     else:
-        sys.stdout.write(text)
+        trace.write_jsonl(sys.stdout)
     return 1 if trace.kind("deadline_miss") else 0
 
 

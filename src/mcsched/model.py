@@ -262,8 +262,9 @@ def _as_int(value: Any, where: str) -> int:
 def taskset_from_dict(doc: dict) -> tuple[TaskSet, Platform]:
     """Read a task-set document. A missing field, a wrong JSON type or a C
     whose length is neither L nor levels is a FormatError. A C of length
-    L < levels is padded with C(L); Platform then refuses m < 1, and
-    validate_taskset alone judges every rule of the task model."""
+    L < levels is padded with C(L). Platform's rule (m >= 1) and
+    validate_taskset's rules of the task model are judged together, and
+    one ValidationError lists every rule broken."""
     if not isinstance(doc, dict):
         raise FormatError("task-set document must be an object")
     levels = _as_int(_require(doc, "criticality_levels", "task set"), "criticality_levels")
@@ -290,8 +291,19 @@ def taskset_from_dict(doc: dict) -> tuple[TaskSet, Platform]:
                               f"levels={levels}, got {len(raw_c)}")
         c = tuple(raw_c) + (raw_c[-1],) * (levels - len(raw_c))
         tasks.append(MCTask(id=tid, T=T, D=D, L=L, C=c))
-    platform = Platform(m=m)
-    return validate_taskset(TaskSet(tasks=tuple(tasks), levels=levels)), platform
+    ts = TaskSet(tasks=tuple(tasks), levels=levels)
+    errors = []
+    try:
+        platform = Platform(m=m)
+    except ValidationError as exc:
+        errors = exc.errors
+    try:
+        validate_taskset(ts)
+    except ValidationError as exc:
+        errors += exc.errors
+    if errors:
+        raise ValidationError(errors)
+    return ts, platform
 
 
 def taskset_to_dict(ts: TaskSet, platform: Platform) -> dict:

@@ -92,7 +92,7 @@ import json
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
-from itertools import count, repeat
+from itertools import chain, count, repeat
 from operator import attrgetter, gt, itemgetter
 
 from .model import Platform, Scenario, TaskSet, id_key
@@ -247,6 +247,10 @@ _GHOST_LINE = _READERS.pop("ghost")
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 _decoder = json.JSONDecoder()
 _scan, _decode = _decoder.scan_once, _decoder.raw_decode
+# The writer yields the lines of this many events at a time; the reader
+# splits pieces of about this many characters into lines.
+_PIECE_EVENTS = 256
+_READ_CHARS = 1 << 16
 
 
 class _Encoded(dict):
@@ -279,12 +283,26 @@ class Trace:
         sched records become dispatch lines (one per slot, span end in
         "until") and idle lines when processors are unoccupied.
         """
-        enc = _Encoded()
-        out = [_WRITERS["meta"](("meta", 0) + tuple(
-            getattr(self, f) for f in META_FIELDS), enc)]
-        line = out.append
-        dispatch, ghost, idle = itemgetter("dispatch", "ghost", "idle")(_WRITERS)
-        for ev in self.events:
+        return "".join(_jsonl_pieces(self))
+
+    def write_jsonl(self, fh) -> None:
+        """Write the to_jsonl text to the open text file fh, one piece at a
+        time, so the whole text is never held at once."""
+        fh.writelines(_jsonl_pieces(self))
+
+
+def _jsonl_pieces(trace: Trace):
+    """The JSONL text of trace in pieces of whole lines: the meta line,
+    then the lines of each run of up to _PIECE_EVENTS events."""
+    enc = _Encoded()
+    yield _WRITERS["meta"](("meta", 0) + tuple(
+        getattr(trace, f) for f in META_FIELDS), enc) + "\n"
+    out = []
+    line = out.append
+    dispatch, ghost, idle = itemgetter("dispatch", "ghost", "idle")(_WRITERS)
+    events, m = trace.events, trace.m
+    for at in range(0, len(events), _PIECE_EVENTS):
+        for ev in events[at:at + _PIECE_EVENTS]:
             kind = ev[0]
             if kind != "sched":
                 line(_WRITERS[kind](ev, enc))
@@ -297,9 +315,27 @@ class Trace:
                 else:
                     line(dispatch(("dispatch", t0, mode, t1, s[1], s[2], proc,
                                    s[0] != "J"), enc))
-            if len(slots) < self.m:
-                line(idle(("idle", t0, mode, t1, self.m - len(slots)), enc))
-        return "\n".join(out) + "\n"
+            if len(slots) < m:
+                line(idle(("idle", t0, mode, t1, m - len(slots)), enc))
+        line("")
+        yield "\n".join(out)
+        out.clear()
+
+
+def _text_lines(text: str):
+    """The lines of text, as text.splitlines() splits them, taken from
+    pieces of about _READ_CHARS cut just after a "\n". A cut splits no line
+    boundary: "\n" is one of its own, and the only two-character boundary,
+    "\r\n", ends in "\n"."""
+    return chain.from_iterable(map(str.splitlines, _text_pieces(text)))
+
+
+def _text_pieces(text: str):
+    start = 0
+    while start < len(text):
+        cut = text.find("\n", start + _READ_CHARS) + 1 or len(text)
+        yield text[start:cut]
+        start = cut
 
 
 def _no_layout(rec, exc) -> str:
@@ -328,7 +364,7 @@ def trace_from_jsonl(text: str) -> Trace:
     # levels is 0 until the meta line, so every line before it fails the
     # mode test below, where the meta-first rule refuses it
     levels = 0
-    for lineno, line in enumerate(text.splitlines(), 1):
+    for lineno, line in enumerate(_text_lines(text), 1):
         # a line the scanner takes whole is its own stripped text; any
         # other is stripped and decoded again, which names its fault
         try:
@@ -343,6 +379,8 @@ def trace_from_jsonl(text: str) -> Trace:
                 rec, end = _decode(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"trace line {lineno}: {exc.msg}") from exc
+            except ValueError as exc:  # such as an over-long integer
+                raise ValueError(f"trace line {lineno}: {exc}") from None
             except RecursionError:
                 raise ValueError(
                     f"trace line {lineno}: nested too deep") from None

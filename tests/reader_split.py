@@ -14,6 +14,13 @@ median over interleaved rounds, in ms, of:
 ROADMAP item 8's bar is post <= sim. The three timings take turns within
 each round, so a change in machine speed moves all of them alike.
 
+It then prints, per protocol, the text's length and the tracemalloc peak,
+in KB, of:
+
+    to_jsonl     trace.to_jsonl()
+    write_jsonl  trace.write_jsonl() into a temporary file
+    read         sim.trace_from_jsonl(text), less the Trace it returns
+
     PYTHONPATH=src python tests/reader_split.py [--rounds N]
 
 Standard library and mcsched only; pytest does not collect it.
@@ -22,7 +29,9 @@ Standard library and mcsched only; pytest does not collect it.
 import argparse
 import json
 import statistics
+import tempfile
 import time
+import tracemalloc
 
 from mcsched import experiment, gen, sim
 
@@ -44,6 +53,19 @@ def timed(fn, *args):
     return (time.perf_counter() - t0) * 1e3
 
 
+def peak(fn, *args):
+    """fn(*args)'s tracemalloc peak, and what it holds on return, its
+    result included."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        held, top = tracemalloc.get_traced_memory()
+        del result
+    finally:
+        tracemalloc.stop()
+    return top, held
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--rounds", type=int, default=21)
@@ -54,9 +76,11 @@ def main():
                           dmcr_plan=REQUESTS)
     print(f"{'protocol':<14} {'lines':>6} {'read':>7} {'scan':>7} "
           f"{'post':>7} {'sim':>7}  (median ms of {rounds} rounds)")
+    traces = {}
     for protocol in sim.PROTOCOLS:
         cfg = sim.ProtocolConfig(protocol)
-        text = sim.simulate(ts, platform, pa, wt, sc, cfg).to_jsonl()
+        traces[protocol] = trace = sim.simulate(ts, platform, pa, wt, sc, cfg)
+        text = trace.to_jsonl()
         times = {"read": [], "scan": [], "sim": []}
         for _ in range(rounds):
             times["read"].append(timed(sim.trace_from_jsonl, text))
@@ -67,6 +91,17 @@ def main():
                                 for k in ("read", "scan", "sim"))
         print(f"{protocol:<14} {text.count(chr(10)):>6} {read:>7.2f} "
               f"{scan:>7.2f} {read - scan:>7.2f} {simulate:>7.2f}")
+
+    print(f"\n{'protocol':<14} {'text':>7} {'to_jsonl':>9} "
+          f"{'write_jsonl':>12} {'read':>7}  (KB: length, tracemalloc peaks)")
+    for protocol, trace in traces.items():
+        text = trace.to_jsonl()
+        to_jsonl = peak(trace.to_jsonl)[0]
+        with tempfile.TemporaryFile("w", encoding="utf-8") as fh:
+            write_jsonl = peak(trace.write_jsonl, fh)[0]
+        top, held = peak(sim.trace_from_jsonl, text)
+        print(f"{protocol:<14} {len(text) / 1e3:>7.0f} {to_jsonl / 1e3:>9.0f} "
+              f"{write_jsonl / 1e3:>12.0f} {(top - held) / 1e3:>7.0f}")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsched import experiment, gen, verify
+from mcsched import experiment, gen, sim, verify
 from mcsched.cli import main
 from mcsched.experiment import CSV_HEADER, prepare_run, run_experiment
 from mcsched.model import (FormatError, MCTask, Platform, Scenario, TaskSet,
@@ -151,6 +151,9 @@ MALFORMED_TASKSETS = [
      "CriticalityAboveLambda: task 1: L=3, levels=2; "
      "InvalidPeriod: task 2: T=0; DeadlineExceedsPeriod: task 2: D=10, T=0"),
     ("m-zero", ts_doc(processors=0), "InvalidPlatform: m must be >= 1, got 0"),
+    ("m-zero-and-T-zero", ts_doc(task_doc(T=0), processors=0),
+     "InvalidPlatform: m must be >= 1, got 0; InvalidPeriod: task 1: T=0; "
+     "DeadlineExceedsPeriod: task 1: D=10, T=0"),
     ("ids-equal-as-strings", ts_doc(task_doc(), task_doc(id="1")),
      "DuplicateId: tasks 1 and '1' are both '1' in a file"),
     ("T-zero", ts_doc(task_doc(T=0)),
@@ -713,6 +716,10 @@ MALFORMED_TRACES = [
      "trace line 2: re_enabled record each element of field 'tasks' must "
      "be an integer or a string, got [[1]]"),
     ("deep-nesting", lines(META_LINE, DEEP), "trace line 2: nested too deep"),
+    # past Python's integer-string limit: a ValueError of the scanner that
+    # is no JSONDecodeError, with Python's own text after the line number
+    ("over-long-integer", lines(META_LINE, '{"t":' + "9" * 5000 + "}"),
+     "trace line 2: ..."),
     ("proc-taken-twice", lines(META_LINE, DISPATCH_0, GHOST_0),
      f"trace line 3: proc 0 {NOT_NEXT_PROC}"),
     ("span-ends-before-start", lines(META_LINE, edit(IDLE_0, t=4, until=3)),
@@ -824,6 +831,20 @@ def test_trace_reader_names_a_line_past_a_full_span():
         with pytest.raises(ValueError,
                            match=f"^trace line 3: proc 0 {NOT_NEXT_PROC}$"):
             trace_from_jsonl(text)
+
+
+def test_trace_reader_errors_do_not_depend_on_its_pieces(monkeypatch):
+    """Every MALFORMED_TRACES row read in pieces of a few characters gets
+    the message and line number it gets read whole."""
+    for name, text, _ in MALFORMED_TRACES:
+        with pytest.raises(ValueError) as whole:
+            trace_from_jsonl(text)
+        for piece in (1, 2, 5):
+            monkeypatch.setattr(sim, "_READ_CHARS", piece)
+            with pytest.raises(ValueError) as cut:
+                trace_from_jsonl(text)
+            assert str(cut.value) == str(whole.value), (name, piece)
+        monkeypatch.undo()
 
 
 @functools.lru_cache(maxsize=None)

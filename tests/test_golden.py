@@ -23,6 +23,7 @@ says why.
 import hashlib
 import io
 import json
+import tracemalloc
 from itertools import islice, product
 
 import pytest
@@ -262,21 +263,32 @@ def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c[:7])))
-def test_trace_bytes_and_roundtrip(case):
-    trace = _trace(*case[:7])
+def _assert_bytes_and_roundtrip(trace, digest, monkeypatch):
+    """The trace's text has the digest, write_jsonl writes the same text,
+    and the reader gives the events back; the writer's pieces of one event
+    and the reader's of one line each change none of it."""
     text = trace.to_jsonl()
-    assert _digest(text) == case[7]
+    assert _digest(text) == digest
+    out = io.StringIO()
+    trace.write_jsonl(out)
+    assert out.getvalue() == text
     assert sim.trace_from_jsonl(text).events == trace.events
+    monkeypatch.setattr(sim, "_PIECE_EVENTS", 1)
+    monkeypatch.setattr(sim, "_READ_CHARS", 1)
+    assert trace.to_jsonl() == text
+    assert sim.trace_from_jsonl(text).events == trace.events
+
+
+@pytest.mark.parametrize("case", CASES, ids=lambda c: "-".join(map(str, c[:7])))
+def test_trace_bytes_and_roundtrip(case, monkeypatch):
+    _assert_bytes_and_roundtrip(_trace(*case[:7]), case[7], monkeypatch)
 
 
 @pytest.mark.parametrize("case", QUEUE_CASES,
                          ids=lambda c: "-".join(map(str, c[:10])))
-def test_queue_trace_bytes_and_roundtrip(case):
-    trace = _queue_trace(*case[:10])
-    text = trace.to_jsonl()
-    assert _digest(text) == case[10]
-    assert sim.trace_from_jsonl(text).events == trace.events
+def test_queue_trace_bytes_and_roundtrip(case, monkeypatch):
+    _assert_bytes_and_roundtrip(_queue_trace(*case[:10]), case[10],
+                                monkeypatch)
 
 
 def _loosened(text):
@@ -299,15 +311,51 @@ def _loosened(text):
     return "\r\n".join(out) + "\r\n"
 
 
-def test_reader_tolerance_on_a_roundtrip_trace():
+def _roundtrip_trace():
+    return _queue_trace(*next(c for c in QUEUE_CASES
+                              if c[0] == "roundtrip")[:10])
+
+
+def test_reader_tolerance_on_a_roundtrip_trace(monkeypatch):
     """What the README says the reader accepts beyond the writer's bytes
-    reads to the same trace."""
-    case = next(c for c in QUEUE_CASES if c[0] == "roundtrip")
-    trace = _queue_trace(*case[:10])
-    back = sim.trace_from_jsonl(_loosened(trace.to_jsonl()))
+    reads to the same trace, whatever the size of the reader's pieces."""
+    trace = _roundtrip_trace()
+    text = _loosened(trace.to_jsonl())
+    for piece in (sim._READ_CHARS, 1, 3):
+        monkeypatch.setattr(sim, "_READ_CHARS", piece)
+        back = sim.trace_from_jsonl(text)
+        assert back.events == trace.events
+        assert [getattr(back, f) for f in sim.META_FIELDS] == [
+            getattr(trace, f) for f in sim.META_FIELDS]
+
+
+def test_writer_and_reader_hold_the_text_in_pieces(tmp_path):
+    """On the roundtrip case, writing the trace to a file allocates under a
+    quarter of its text's length at its peak, and reading the text back
+    under half of it beyond the Trace it returns. Whole-text writing and
+    reading, which hold the text or its list of lines, peak at several
+    times the text."""
+    trace = _roundtrip_trace()
+    text = trace.to_jsonl()
+    size = len(text)
+    path = tmp_path / "trace.jsonl"
+    with open(path, "w", encoding="utf-8") as fh:
+        tracemalloc.start()
+        try:
+            trace.write_jsonl(fh)
+            write_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert path.read_text(encoding="utf-8") == text
+    tracemalloc.start()
+    try:
+        back = sim.trace_from_jsonl(text)
+        held, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert back.events == trace.events
-    assert [getattr(back, f) for f in sim.META_FIELDS] == [
-        getattr(trace, f) for f in sim.META_FIELDS]
+    assert write_peak < size / 4, (write_peak, size)
+    assert read_peak - held < size / 2, (read_peak, held, size)
 
 
 def test_queue_cases_hit_their_targets():

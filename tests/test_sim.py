@@ -3,7 +3,10 @@ from dataclasses import replace
 from itertools import islice
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mcsched import sim
 from mcsched.analysis import PriorityAssignment, opa_assign
 from mcsched.gen import (GenParams, Infeasible, SplitMix64, child_seed,
                          gen_scenario, gen_taskset)
@@ -542,6 +545,27 @@ def test_jsonl_roundtrip_preserves_events():
     assert back.events == trace.events
     assert (back.horizon, back.m, back.levels) == (30, 2, 3)
     assert (back.protocol, back.rem_order) == ("wcet-reclaim", "crit-edf")
+
+
+# every line boundary of str.splitlines() but "\n", which ends the pieces
+OTHER_BOUNDARIES = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+
+
+@given(text=st.text("\n" + OTHER_BOUNDARIES + "ab", max_size=40),
+       size=st.integers(1, 6))
+@example(text="a\r\n\r\n\n\r\r\nb\r", size=1)
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_reader_pieces_split_lines_as_splitlines(text, size):
+    """The reader cuts its text into pieces just after a "\n" and splits
+    each on its own. Pieces of a few characters put every other boundary,
+    and both halves of "\r\n", at and around the cuts."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_READ_CHARS", size)
+        pieces = list(sim._text_pieces(text))
+        lines = list(sim._text_lines(text))
+    assert "".join(pieces) == text
+    assert all(piece.endswith("\n") for piece in pieces[:-1])
+    assert lines == text.splitlines()
 
 
 def test_simulation_is_deterministic():
