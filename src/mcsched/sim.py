@@ -352,13 +352,13 @@ def _no_layout(rec, exc) -> str:
 def trace_from_jsonl(text: str) -> Trace:
     """Rebuild a Trace from its serialized form in one pass, reading the
     lines in the order `Trace.to_jsonl` writes them: the meta line first,
-    every instant within [0, horizon] and every mode within [1, levels],
-    and the lines of each span [t, until) together, in one mode, as dispatch
-    lines for procs 0, 1, ... and an idle line for the procs left over, if
-    any; each span starts after the one before it. A span becomes one sched
-    record; an idle line's "procs" is checked, then dropped. Malformed
-    input, a field of the wrong JSON type included, raises ValueError naming
-    the line."""
+    every instant within [0, horizon] and not below the line before, every
+    mode within [1, levels], and the lines of each span [t, until) together,
+    in one mode, as dispatch lines for procs 0, 1, ... and an idle line for
+    the procs left over, if any; each span starts after the one before it. A
+    span becomes one sched record in the place of its lines; an idle line's
+    "procs" is checked, then dropped. Malformed input, a field of the wrong
+    JSON type included, raises ValueError naming the line."""
     events = []
     meta = slots = None  # slots: those of the open span, if one is open
     # levels is 0 until the meta line, so every line before it fails the
@@ -415,7 +415,7 @@ def trace_from_jsonl(text: str) -> Trace:
                 ProtocolConfig(*vals[5:])
             except ValueError as exc:
                 raise ValueError(f"trace line {lineno}: {exc}") from None
-            start = -1  # the start of the last span read
+            start, low = -1, 0  # the start of the last span; the last line's t
             continue
         if slots is not None and (not part or vals[1] != start
                                   or vals[3] != until):
@@ -425,19 +425,22 @@ def trace_from_jsonl(text: str) -> Trace:
             events.append(("sched", start, span_mode, until, tuple(slots)))
             slots = None
         if not part:
-            if not 0 <= vals[1] <= horizon:
+            if not low <= vals[1] <= horizon:
                 raise ValueError(f"trace line {lineno}: t={vals[1]} is "
-                                 f"outside [0, horizon={horizon}]")
+                                 f"outside [{low}, horizon={horizon}]")
             events.append(vals)
+            low = vals[1]
             continue
         if slots is None:
-            # spans start in increasing time, so sorting the events by time
-            # never brings two spans of one [t, until) together
             if not start < vals[1] < vals[3] <= horizon:
                 raise ValueError(f"trace line {lineno}: span [{vals[1]}, "
                                  f"{vals[3]}) is empty, leaves [0, {horizon}] "
                                  "or does not start after the span before it")
-            start, span_mode, until = vals[1], vals[2], vals[3]
+            if vals[1] < low:
+                raise ValueError(f"trace line {lineno}: span [{vals[1]}, "
+                                 f"{vals[3]}) starts before t={low}")
+            start = low = vals[1]
+            span_mode, until = vals[2], vals[3]
             slots, free, first = [], m, lineno
         elif vals[2] != span_mode:
             raise ValueError(f"trace line {lineno}: mode {vals[2]} "
@@ -466,9 +469,6 @@ def trace_from_jsonl(text: str) -> Trace:
             raise ValueError(f"trace line {first}: span [{start}, {until}) "
                              "ends short of m with no idle line")
         events.append(("sched", start, span_mode, until, tuple(slots)))
-    # stable: the point events at a span's start, all read before the span
-    # closed, stay ahead of its sched record
-    events.sort(key=itemgetter(1))
     return Trace(events, *meta)
 
 

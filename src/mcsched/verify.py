@@ -5,47 +5,51 @@ the declared inputs; nothing trusts the simulator's own bookkeeping beyond
 the events themselves. The rem marker on completions is cross-validated
 against the reconstructed level timeline, so a simulator bug that mislabels
 a job shows up as a violation rather than silently excusing a deadline miss.
-Each checker indexes the trace in one scan that builds the level intervals
-and only the maps it reads: feasibility each job's last release, completion
-and drop reason, and the re-enables with the level before each;
-periodicity its last release and arrival drop, and the jobs seen twice;
-response the completions. `check_run` builds one full index, which also
-holds the sched records that its reclaim report reads with the last
-completions, and runs every checker that applies on it.
 
 The timeline is the list of maximal half-open intervals [s, e) with constant
-system level. Trace events are in time order, so the intervals are
-contiguous with strictly increasing starts, and the checkers find the
-interval of an instant by binary search. A task with criticality L is
-suspended exactly while the level exceeds L, which is how the checkers
-decide whether a job was ever eligible for relegation to the rem pool.
+system level, from level 1; of several level changes at one instant the last
+wins. A task with criticality L is suspended exactly while the level exceeds
+L, which is how the checkers decide whether a job could be relegated.
+
+Every checker, and `check_run` for all the reports that apply, is one walk
+over the events that feeds each report as it goes, as an online trace
+monitor does. It holds the instants at which the level changed, the open
+jobs, what it read since it last judged, the arrivals judged per task, the
+violations and, on a wcet-reclaim trace, each completion and ghost: its
+state grows with the open jobs, not with the trace. At a completion 512 or
+more events after it last judged, and at the end, it judges all that the
+instants before that completion's decide.
+
+This needs the events in time order, as `simulate` emits them and
+`sim.trace_from_jsonl` requires. A trace built by hand must keep its level
+changes in time order; its other events may run back in time if each is
+read before the walk judges its job. A release or drop read after that
+counts for a new job, one read after its scenario arrival was judged is
+fabricated, and feasibility takes no account of arrival drops.
+
+Violations come in this order. Feasibility: completions, then imcr drops,
+without a release, then wrong woken lists, then released jobs', each as first
+read. Periodicity: arrivals task by task in scenario order, then fabricated
+releases, then fabricated drops, each as first read. The others: as read.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .model import Scenario, TaskSet, id_key
 from .sim import Trace
 
 
 # ---------------------------------------------------------------------------
-# level timeline, trace index and the whole-run check
+# level timeline, reports and the walk
 
 
 _LEVEL_CHANGES = ("budget_exceeded", "re_enabled")
-
-
-def _intervals(transitions, horizon: int) -> list[tuple[int, int, int]]:
-    intervals = []
-    for i, (s, lv) in enumerate(transitions):
-        e = transitions[i + 1][0] if i + 1 < len(transitions) else horizon
-        if e > s:
-            intervals.append((s, e, lv))
-    if not intervals:  # zero-horizon run: keep lookups well defined
-        intervals.append((0, horizon, transitions[-1][1]))
-    return intervals
+_NEVER = float("inf")
+_ROUND = 512  # events between two judgings of the walk
 
 
 def compute_l_intervals(trace: Trace) -> list[tuple[int, int, int]]:
@@ -55,83 +59,11 @@ def compute_l_intervals(trace: Trace) -> list[tuple[int, int, int]]:
     instant, completed decrease chains lower it; several transitions at one
     instant collapse (the last one wins an empty span).
     """
-    return _intervals([(0, 1)] + [(ev[1], ev[2]) for ev in trace.events
-                                  if ev[0] in _LEVEL_CHANGES], trace.horizon)
-
-
-def _suspension_starts(intervals, crit: int) -> list[int]:
-    """Instants, in increasing order, at which a task with criticality crit
-    becomes suspended."""
-    starts = []
-    prev = 1
-    for s, e, lv in intervals:
-        if lv > crit >= prev:
-            starts.append(s)
-        prev = lv
-    return starts
-
-
-# the maps of an _Index that each checker reads
-_FEASIBILITY = frozenset({"releases", "completes", "dropped", "re_enables"})
-_PERIODICITY = frozenset({"releases", "arrival_drops", "repeats"})
-_RESPONSE = frozenset({"completions"})
-_ALL = _FEASIBILITY | _PERIODICITY | _RESPONSE | {"scheds"}
-
-
-class _Index:
-    """The level intervals, their starts and the maps named in `reads` of
-    one trace, from one scan (any other map is None, repeats empty). Jobs
-    are keyed by (task, k); repeats holds [releases, arrival drops];
-    re_enables holds (the level in force before it, event) per re-enable."""
-
-    def __init__(self, trace: Trace, reads: frozenset):
-        self.horizon = trace.horizon
-        transitions = [(0, 1)]
-        want = reads.__contains__
-        releases = self.releases = {} if want("releases") else None
-        drops = self.arrival_drops = {} if want("arrival_drops") else None
-        dropped = self.dropped = {} if want("dropped") else None
-        completes = self.completes = {} if want("completes") else None
-        completions = self.completions = [] if want("completions") else None
-        scheds = self.scheds = [] if want("scheds") else None
-        re_enables = self.re_enables = [] if want("re_enables") else None
-        sightings = 0  # releases and arrival drops
-        for ev in trace.events:
-            kind = ev[0]
-            if kind == "sched":
-                if scheds is not None:
-                    scheds.append(ev)
-            elif kind == "release":
-                if releases is not None:
-                    releases[(ev[3], ev[4])] = ev
-                    sightings += 1
-            elif kind == "complete":
-                if completes is not None:
-                    completes[(ev[3], ev[4])] = ev
-                if completions is not None:
-                    completions.append(ev)
-            elif kind == "job_dropped":
-                if dropped is not None:
-                    dropped[(ev[3], ev[4])] = ev[5]
-                if drops is not None and ev[5] == "suspended_arrival":
-                    drops[(ev[3], ev[4])] = ev
-                    sightings += 1
-            elif kind in _LEVEL_CHANGES:
-                if kind == "re_enabled" and re_enables is not None:
-                    re_enables.append((transitions[-1][1], ev))
-                transitions.append((ev[1], ev[2]))
-        self.intervals = _intervals(transitions, trace.horizon)
-        self.starts = [iv[0] for iv in self.intervals]
-        counts: dict = {}  # a second pass only if some job was seen twice
-        if want("repeats") and (sightings > len(releases) + len(drops) or
-                                not drops.keys().isdisjoint(releases)):
-            for ev in trace.events:
-                kind = ev[0]
-                if kind == "release" or (kind == "job_dropped"
-                                         and ev[5] == "suspended_arrival"):
-                    n = counts.setdefault((ev[3], ev[4]), [0, 0])
-                    n[kind != "release"] += 1
-        self.repeats = {key: n for key, n in counts.items() if sum(n) > 1}
+    changes = [(0, 1)] + [(ev[1], ev[2]) for ev in trace.events
+                          if ev[0] in _LEVEL_CHANGES]
+    ends = [s for s, _ in changes[1:]] + [trace.horizon]
+    return [(s, e, lv) for (s, lv), e in zip(changes, ends) if e > s] or [
+        (0, trace.horizon, changes[-1][1])]  # zero horizon: keep lookups defined
 
 
 @dataclass
@@ -146,31 +78,37 @@ class Report:
         return not self.violations
 
 
-def check_run(trace: Trace, ts: TaskSet, wt: dict | None = None,
-              sc: Scenario | None = None) -> dict[str, Report]:
-    """The reports that apply to one run, from one index of its trace, in
-    this order: "feasibility", "periodicity" given sc, "response" given the
-    analysis table wt, and "reclaim" for a wcet-reclaim trace."""
-    ix = _Index(trace, _ALL)
-    reports = {"feasibility": _feasibility(ix, ts)}
-    if sc is not None:
-        reports["periodicity"] = _periodicity(ix, ts, sc)
-    if wt is not None:
-        reports["response"] = _response_bounds(ix, wt, ts)
-    if trace.protocol == "wcet-reclaim":
-        reports["reclaim"] = _reclaim(ix, ts)
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# feasibility
-
-
 @dataclass
 class FeasibilityReport(Report):
     exempt_rem: int = 0
     exempt_dropped: int = 0
     spanning: int = 0
+
+
+class PeriodicityReport(Report):
+    """Judges each scenario arrival inside the horizon."""
+
+
+@dataclass
+class ResponseReport(Report):
+    spanning: int = 0
+    unscoped: int = 0
+
+
+class ReclaimReport(Report):
+    """Judges each job whose ghost slot hosted rem-jobs. A wcet-reclaim ghost
+    spends only the budget its job left unused: the job's execution time plus
+    the time its ghost hosted stays within its task's budget at the job's
+    completion level, and a ghost of a job that never completed at a level
+    of its task is a violation. wcrt-simulate ghosts follow another rule."""
+
+
+def check_run(trace: Trace, ts: TaskSet, wt: dict | None = None,
+              sc: Scenario | None = None) -> dict[str, Report]:
+    """The reports that apply to one run, from one walk over its trace, in
+    this order: "feasibility", "periodicity" given sc, "response" given the
+    analysis table wt, and "reclaim" for a wcet-reclaim trace."""
+    return _walk(trace, ts, True, sc, wt, trace.protocol == "wcet-reclaim")
 
 
 def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
@@ -183,166 +121,14 @@ def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
     A re-enable to level `target` wakes exactly the tasks with
     target <= L < the level in force before it, in id order.
     """
-    return _feasibility(_Index(trace, _FEASIBILITY), ts)
-
-
-def _feasibility(ix: _Index, ts: TaskSet) -> FeasibilityReport:
-    rep = FeasibilityReport()
-    by_id = {t.id: t for t in ts.tasks}
-    releases, completes, dropped = ix.releases, ix.completes, ix.dropped
-    starts_by_crit = {lv: _suspension_starts(ix.intervals, lv)
-                      for lv in {t.L for t in ts.tasks}}
-    for key, ev in completes.items():
-        if key not in releases:
-            rep.violations.append(("CompletionWithoutRelease", key[0], key[1],
-                                   f"completed at {ev[1]} but never released"))
-    for key, why in dropped.items():
-        if why == "imcr" and key not in releases:
-            rep.violations.append(("DropWithoutRelease", key[0], key[1],
-                                   "imcr-dropped but never released"))
-    for before, ev in ix.re_enables:
-        woken = tuple(sorted((t.id for t in ts.tasks
-                              if ev[2] <= t.L < before), key=id_key))
-        if ev[3] != woken:
-            rep.violations.append((
-                "WrongWokenList", None, None,
-                f"re-enabled {list(ev[3])} at {ev[1]}, expected {list(woken)}"))
-
-    for (tid, k), rel in releases.items():
-        task = by_id.get(tid)
-        if task is None:
-            rep.violations.append(("UnknownTask", tid, k, "release of unknown task"))
-            continue
-        r, d = rel[1], rel[5]
-        comp = completes.get((tid, k))
-        starts = starts_by_crit[task.L]
-        # the first suspension after the release, if any
-        i = bisect_right(starts, r)
-        u = starts[i] if i < len(starts) else None
-        if comp is not None:
-            f, rem = comp[1], comp[8]
-            suspended_within = u is not None and u < f
-            rep.checked += 1
-            if rem:
-                if not suspended_within:
-                    rep.violations.append((
-                        "RemFlagInconsistent", tid, k,
-                        f"flagged rem but task never suspended in ({r}, {f})"))
-                else:
-                    rep.exempt_rem += 1
-            elif suspended_within:
-                rep.violations.append((
-                    "RemFlagInconsistent", tid, k,
-                    f"task suspended inside [{r}, {f}) but job not flagged rem"))
-            elif f > d:
-                rep.violations.append((
-                    "DeadlineMiss", tid, k, f"completed at {f}, deadline {d}"))
-        # incomplete at the horizon
-        elif (tid, k) in dropped:
-            rep.exempt_dropped += 1
-        elif d > ix.horizon:
-            rep.spanning += 1
-        elif u is not None and u <= d:
-            rep.checked += 1
-            rep.exempt_rem += 1  # relegated before the deadline, still queued
-        else:
-            rep.checked += 1
-            rep.violations.append((
-                "DeadlineMiss", tid, k,
-                f"released at {r}, deadline {d}, never completed"))
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# periodicity
-
-
-class PeriodicityReport(Report):
-    """Judges each scenario arrival inside the horizon."""
+    return _walk(trace, ts, feasibility=True)["feasibility"]
 
 
 def check_periodicity(trace: Trace, ts: TaskSet, sc: Scenario) -> PeriodicityReport:
     """Releases follow the scenario arrivals exactly while the task is
     enabled; arrivals during suspension surface as dropped arrivals and
     nothing else is ever released."""
-    return _periodicity(_Index(trace, _PERIODICITY), ts, sc)
-
-
-def _periodicity(ix: _Index, ts: TaskSet, sc: Scenario) -> PeriodicityReport:
-    rep = PeriodicityReport()
-    by_id = {t.id: t for t in ts.tasks}
-    releases, drops, repeats = ix.releases, ix.arrival_drops, ix.repeats
-    starts, intervals, horizon = ix.starts, ix.intervals, sc.horizon
-    checked = seen = 0  # arrivals judged; those with a release or a drop
-    for tid, arrivals in sc.arrivals.items():
-        task = by_id.get(tid)
-        if task is None:
-            continue
-        D, L = task.D, task.L
-        for k, a in enumerate(arrivals, 1):
-            if a > horizon:
-                continue
-            key = (tid, k)
-            checked += 1
-            ev = releases.get(key) or drops.get(key)
-            seen += ev is not None
-            if ev is None or key in repeats:
-                n = repeats.get(key, (0, 0))
-                rep.violations.append((
-                    "ArrivalMultiplicity", tid, k,
-                    f"{n[0]} releases and {n[1]} arrival drops"))
-                continue
-            i = bisect_right(starts, a)  # the level in force at a
-            lv = intervals[i - 1 if i else 0][2]
-            if ev[0] == "release":
-                if ev[1] != a:
-                    rep.violations.append((
-                        "ShiftedRelease", tid, k,
-                        f"released at {ev[1]}, arrival at {a}"))
-                elif ev[5] != a + D:
-                    rep.violations.append((
-                        "WrongDeadline", tid, k,
-                        f"deadline {ev[5]}, expected {a + D}"))
-                elif L < lv:
-                    rep.violations.append((
-                        "ReleaseWhileSuspended", tid, k,
-                        f"released at {a} at level {lv} > L={L}"))
-            else:
-                if ev[1] != a:
-                    rep.violations.append((
-                        "ShiftedDrop", tid, k,
-                        f"arrival drop at {ev[1]}, arrival at {a}"))
-                elif L >= lv:
-                    rep.violations.append((
-                        "DropWhileEnabled", tid, k,
-                        f"arrival dropped at {a} at level {lv} <= L={L}"))
-    rep.checked = checked
-
-    both = sum(1 for n in repeats.values() if n[0] and n[1])
-    if seen < len(releases) + len(drops) - both:
-        # some job has no scenario arrival: list releases, then arrival
-        # drops, each in the order of first sight
-        expected = {(tid, k) for tid, arrivals in sc.arrivals.items()
-                    if tid in by_id
-                    for k, a in enumerate(arrivals, 1) if a <= sc.horizon}
-        for keys, name, what in ((releases, "FabricatedRelease", "release"),
-                                 (drops, "FabricatedDrop", "arrival drop")):
-            for key in keys:
-                if key not in expected:
-                    rep.violations.append((
-                        name, key[0], key[1],
-                        f"{what} without a scenario arrival"))
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# response bounds
-
-
-@dataclass
-class ResponseReport(Report):
-    spanning: int = 0
-    unscoped: int = 0
+    return _walk(trace, ts, sc=sc)["periodicity"]
 
 
 def check_response_bounds(trace: Trace, wt: dict, ts: TaskSet) -> ResponseReport:
@@ -350,75 +136,289 @@ def check_response_bounds(trace: Trace, wt: dict, ts: TaskSet) -> ResponseReport
     in force, judged only for jobs that start and finish inside one constant
     level interval (finishing exactly at a transition instant counts as
     inside, since completions are processed first)."""
-    return _response_bounds(_Index(trace, _RESPONSE), wt, ts)
+    return _walk(trace, ts, wt=wt)["response"]
 
 
-def _response_bounds(ix: _Index, wt: dict, ts: TaskSet) -> ResponseReport:
-    rep = ResponseReport()
-    intervals, starts = ix.intervals, ix.starts
+def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
+          sc: Scenario | None = None, wt: dict | None = None,
+          reclaim: bool = False) -> dict[str, Report]:
+    """The reports asked for, in check_run's order (see the module docstring)."""
+    events, horizon = trace.events, trace.horizon
     by_id = {t.id: t for t in ts.tasks}
-    for ev in ix.completions:
-        if ev[8]:
-            continue
-        tid, k, f, r = ev[3], ev[4], ev[1], ev[6]
-        task = by_id.get(tid)
-        if task is None:
-            continue
-        i = bisect_right(starts, r) - 1
-        if i < 0 or not r < intervals[i][1] or f > intervals[i][1]:
-            rep.spanning += 1
-            continue
-        lv = intervals[i][2]
-        bound = wt.get((tid, lv))
-        if bound is None or lv > task.L:
-            rep.unscoped += 1
-            continue
-        rep.checked += 1
-        if f - r > bound:
-            rep.violations.append((
-                "ResponseBoundExceeded", tid, k,
-                f"response {f - r} > bound {bound} at level {lv}"))
-    return rep
+    starts, levels = [0], [1]  # each instant the level changed; the level then
+    reports, fv, pv = {}, [], []  # [(place in its report's order, violation)]
+    frep = prep = rrep = opened = closed = sighted = done = None
+    if feasibility:
+        reports["feasibility"] = frep = FeasibilityReport()
+        # (task, k) -> release position, per open job; (release, completion
+        # or drop, release position), per job closed since the last judging;
+        # (task, k) -> [last release, completion and drop, positions of the
+        # first of each], per job whose events are off that pattern
+        opened, closed, odd = {}, [], {}
+    if sc is not None:
+        reports["periodicity"] = prep = PeriodicityReport()
+        # per task judged: its place in the scenario, arrivals, L and D
+        plan = {tid: (n, arrivals, by_id[tid].L, by_id[tid].D)
+                for n, (tid, arrivals) in enumerate(sc.arrivals.items())
+                if tid in by_id}
+        pos = [0] * len(sc.arrivals)  # per place, the arrivals judged
+        # (task, k) -> position of its first release or arrival drop; for a
+        # job sighted twice, -> [releases, arrival drops, first of each]
+        sighted, again = {}, {}
+    if wt is not None:
+        reports["response"] = rrep = ResponseReport()
+        done = []  # completions of known tasks' jobs not in the rem pool
+    if reclaim:
+        comps, spans = {}, {}  # task -> k -> completion; job -> ticks hosted
 
+    def suspends(L, r, end):
+        """Whether a task of criticality L becomes suspended in (r, end)."""
+        g, n = bisect_right(starts, r), len(starts)
+        prev = levels[g - 1] if g else 1
+        while g < n and starts[g] < end:
+            if levels[g] > L >= prev and (starts[g] < horizon or g + 1 < n
+                                          or not g):
+                return True
+            prev, g = levels[g], g + 1
+        return False
 
-# ---------------------------------------------------------------------------
-# reclaim budget
+    def oddity(key, part, ev, i):
+        """Record part 0, 1 or 2 (release, completion, drop) of a job off the
+        pattern of one release, then one completion or drop."""
+        if (rec := odd.get(key)) is None:
+            rec = odd[key] = [None] * 6
+            if (r := opened.pop(key, None)) is not None:
+                rec[0], rec[3] = events[r], r
+            for j, (rel, close, r) in enumerate(closed):
+                if rel[3] == key[0] and rel[4] == key[1]:
+                    del closed[j]
+                    rec[0], rec[3] = rel, r
+                    rec[1 if close[0] == "complete" else 2] = close
+                    break
+        rec[part] = ev
+        if rec[3 + part] is None:
+            rec[3 + part] = i
 
+    def sight_again(key, first, i):
+        """Count a release or arrival drop of a job sighted before."""
+        rec = again.setdefault(key, [0, 0, None, None])
+        for j in (first, i) if rec == [0, 0, None, None] else (i,):
+            side = events[j][0] != "release"
+            rec[side] += 1
+            if rec[2 + side] is None:
+                rec[2 + side] = j
 
-class ReclaimReport(Report):
-    """Judges each job whose ghost slot hosted rem-jobs."""
+    def judge_jobs(t, last):
+        ready = [job for job in closed if last or job[1][1] < t]
+        closed[:] = () if last else [job for job in closed if job[1][1] >= t]
+        for key in [key for key, rec in odd.items() if last or (
+                rec[1] or rec[2]) and all(ev[1] < t for ev in rec[1:3] if ev)]:
+            rel, comp, drop, i_rel, i_comp, i_drop = odd.pop(key)
+            if rel is not None:
+                ready.append((rel, comp or drop, i_rel))
+                continue
+            if comp is not None:
+                fv.append(((0, i_comp), (
+                    "CompletionWithoutRelease", *key,
+                    f"completed at {comp[1]} but never released")))
+            if drop is not None and drop[5] == "imcr":
+                fv.append(((1, i_drop), ("DropWithoutRelease", *key,
+                                         "imcr-dropped but never released")))
+        if last:
+            ready.extend((events[r], None, r) for r in opened.values())
+        for rel, close, i_rel in ready:
+            tid, k, r, d = rel[3], rel[4], rel[1], rel[5]
+            if (task := by_id.get(tid)) is None:
+                fv.append(((3, i_rel), ("UnknownTask", tid, k,
+                                        "release of unknown task")))
+            elif close is not None and close[0] == "complete":
+                f, rem, g = close[1], close[8], bisect_right(starts, r)
+                within = g < len(starts) and starts[g] < f and suspends(
+                    task.L, r, f)
+                frep.checked += 1
+                if rem and within:
+                    frep.exempt_rem += 1
+                elif rem or within:
+                    fv.append(((3, i_rel), ("RemFlagInconsistent", tid, k, (
+                        f"flagged rem but task never suspended in ({r}, {f})"
+                        if rem else f"task suspended inside [{r}, {f}) but "
+                        "job not flagged rem"))))
+                elif f > d:
+                    fv.append(((3, i_rel), ("DeadlineMiss", tid, k,
+                                            f"completed at {f}, deadline {d}")))
+            # incomplete at the horizon
+            elif close is not None:
+                frep.exempt_dropped += 1
+            elif d > horizon:
+                frep.spanning += 1
+            else:
+                frep.checked += 1
+                if suspends(task.L, r, d + 1):
+                    frep.exempt_rem += 1  # relegated before the deadline, still queued
+                else:
+                    fv.append(((3, i_rel), (
+                        "DeadlineMiss", tid, k,
+                        f"released at {r}, deadline {d}, never completed")))
 
+    def judge_arrivals(t, last):
+        top = max(levels) if last else _NEVER  # no task with L >= top is suspended
+        # a last change at or past the horizon, after another, starts nothing
+        checked, h, n_starts = prep.checked, sc.horizon, len(starts)
+        skip = n_starts > 1 and starts[-1] >= horizon
+        for tid, (n, arrivals, L, D) in plan.items():
+            k = pos[n]
+            stop = len(arrivals) if last else k
+            while stop < len(arrivals) and arrivals[stop] < t:
+                stop += 1
+            pos[n] = stop
+            for k, a in enumerate(arrivals[k:stop], k + 1):
+                if a > h:
+                    continue
+                checked += 1
+                first = sighted.pop(key := (tid, k), None)
+                if first is None or again and key in again:
+                    n_rel, n_drop = (0, 0) if first is None else again.pop(
+                        key)[:2]
+                    bad = ("ArrivalMultiplicity",
+                           f"{n_rel} releases and {n_drop} arrival drops")
+                elif (ev := events[first])[1] != a:
+                    what = "released" if ev[0] == "release" else "arrival drop"
+                    bad = ("ShiftedRelease" if ev[0] == "release" else
+                           "ShiftedDrop", f"{what} at {ev[1]}, arrival at {a}")
+                elif (released := ev[0] == "release") and ev[5] != a + D:
+                    bad = "WrongDeadline", f"deadline {ev[5]}, expected {a + D}"
+                elif released and L >= top:
+                    continue
+                else:
+                    g = bisect_right(starts, a)  # the level in force at a
+                    lv = levels[g - 1 - (g == n_starts and skip) if g else 0]
+                    if released and L < lv:
+                        bad = ("ReleaseWhileSuspended",
+                               f"released at {a} at level {lv} > L={L}")
+                    elif not released and L >= lv:
+                        bad = ("DropWhileEnabled",
+                               f"arrival dropped at {a} at level {lv} <= L={L}")
+                    else:
+                        continue
+                pv.append(((0, n, k), (bad[0], tid, k, bad[1])))
+        prep.checked = checked
+        # what is left has no arrival, or one still to come or judged before
+        for key, first in list(sighted.items()):
+            n, arrivals = plan.get(key[0], (0, ()))[:2]
+            if (0 < key[1] <= len(arrivals) and key[1] > pos[n]
+                    and arrivals[key[1] - 1] <= h):
+                continue
+            del sighted[key]
+            side = events[first][0] != "release"
+            rec = again.pop(key, None) or [not side, side, first, first]
+            if rec[0]:
+                pv.append(((1, rec[2]), ("FabricatedRelease", *key,
+                                         "release without a scenario arrival")))
+            if rec[1]:
+                pv.append(((2, rec[3]), (
+                    "FabricatedDrop", *key,
+                    "arrival drop without a scenario arrival")))
 
-def _reclaim(ix: _Index, ts: TaskSet) -> ReclaimReport:
-    """A wcet-reclaim ghost slot spends only the budget its job left
-    unused: the job's execution time plus the time its ghost hosted
-    rem-jobs stays within its task's budget at the job's completion level.
-    A ghost of a job that never completed at a level of its task is a
-    violation. wcrt-simulate ghosts follow another rule: do not judge them
-    here."""
-    rep = ReclaimReport()
-    by_id = {t.id: t for t in ts.tasks}
-    spans: dict = {}  # job -> ticks its ghost slot hosted rem-jobs
-    for ev in ix.scheds:
-        for slot in ev[4]:
-            if slot[0] == "G":
-                key = (slot[1], slot[2])
-                spans[key] = spans.get(key, 0) + ev[3] - ev[1]
-    for (tid, k), hosted in spans.items():
-        rep.checked += 1
-        comp = ix.completes.get((tid, k))
-        task = by_id.get(tid)
-        if comp is None or task is None or not 1 <= comp[2] <= len(task.C):
-            rep.violations.append(("UnfundedGhost", tid, k, f"ghost hosted "
-                                   f"{hosted} ticks but its job never completed"))
-            continue
-        c, level = comp[5], comp[2]
-        budget = task.wcet(level)
-        if c + hosted > budget:
-            rep.violations.append((
-                "ReclaimOverBudget", tid, k,
-                f"ran {c} + hosted {hosted} > budget {budget} at level {level}"))
-    return rep
+    def judge_completions(t, last):
+        n_starts, skip = len(starts), len(starts) > 1 and starts[-1] >= horizon
+        for ev in done if last else [ev for ev in done if ev[1] < t]:
+            tid, f, r = ev[3], ev[1], ev[6]
+            g = bisect_right(starts, r)  # the first change after r
+            g -= g == n_starts and skip
+            e = starts[g] if g < n_starts else horizon
+            if not g or not r < e or f > e:
+                rrep.spanning += 1
+            elif (bound := wt.get((tid, lv := levels[g - 1]))) is None \
+                    or lv > by_id[tid].L:
+                rrep.unscoped += 1
+            else:
+                rrep.checked += 1
+                if f - r > bound:
+                    rrep.violations.append((
+                        "ResponseBoundExceeded", tid, ev[4],
+                        f"response {f - r} > bound {bound} at level {lv}"))
+        done[:] = () if last else [ev for ev in done if ev[1] >= t]
+
+    def settle(t, last=False):
+        """Judge all that the instants before t decide; last, all left."""
+        for judge, state in ((judge_jobs, opened), (judge_arrivals, sighted),
+                             (judge_completions, done)):
+            if state is not None:
+                judge(t, last)
+
+    keyed, due = opened is not None or sighted is not None, _ROUND
+    for i, ev in enumerate(events):  # the commonest kinds first
+        kind = ev[0]
+        if kind == "sched":
+            if reclaim:
+                for slot in ev[4]:
+                    if slot[0] == "G":
+                        key = slot[1], slot[2]
+                        spans[key] = spans.get(key, 0) + ev[3] - ev[1]
+        elif kind == "complete":
+            if opened is not None:
+                if (r := opened.pop(key := (ev[3], ev[4]), None)) is None:
+                    oddity(key, 1, ev, i)
+                else:
+                    closed.append((events[r], ev, r))
+            if done is not None and not ev[8] and ev[3] in by_id:
+                done.append(ev)
+            if reclaim:
+                if (by_k := comps.get(ev[3])) is None:
+                    by_k = comps[ev[3]] = {}
+                by_k[ev[4]] = ev
+            if i >= due:
+                settle(ev[1])
+                due = i + _ROUND
+        elif kind == "job_dropped":
+            if ev[5] == "suspended_arrival":
+                if sighted is not None and (first := sighted.setdefault(
+                        key := (ev[3], ev[4]), i)) != i:
+                    sight_again(key, first, i)
+            elif opened is not None:
+                if (r := opened.pop(key := (ev[3], ev[4]), None)) is None:
+                    oddity(key, 2, ev, i)
+                else:
+                    closed.append((events[r], ev, r))
+        elif kind == "release" and keyed:
+            key = ev[3], ev[4]
+            if sighted is not None and (
+                    first := sighted.setdefault(key, i)) != i:
+                sight_again(key, first, i)
+            if opened is not None and (
+                    odd and key in odd or opened.setdefault(key, i) != i):
+                oddity(key, 0, ev, i)
+        elif kind in _LEVEL_CHANGES:
+            if kind == "re_enabled" and frep is not None:
+                woken = tuple(sorted((task.id for task in ts.tasks
+                                      if ev[2] <= task.L < levels[-1]),
+                                     key=id_key))
+                if ev[3] != woken:
+                    fv.append(((2, i), (
+                        "WrongWokenList", None, None, f"re-enabled "
+                        f"{list(ev[3])} at {ev[1]}, expected {list(woken)}")))
+            if ev[1] != starts[-1]:
+                starts.append(ev[1])
+                levels.append(None)
+            levels[-1] = ev[2]  # of several changes at one instant the last wins
+    settle(_NEVER, last=True)
+    for rep, found in ((frep, fv), (prep, pv)):
+        if rep is not None:
+            rep.violations = [v for _, v in sorted(found, key=itemgetter(0))]
+    if reclaim:
+        reports["reclaim"] = crep = ReclaimReport()
+        for (tid, k), hosted in spans.items():
+            crep.checked += 1
+            comp, task = comps.get(tid, {}).get(k), by_id.get(tid)
+            if comp is None or task is None or not 1 <= comp[2] <= len(task.C):
+                crep.violations.append((
+                    "UnfundedGhost", tid, k,
+                    f"ghost hosted {hosted} ticks but its job never completed"))
+            elif comp[5] + hosted > (budget := task.wcet(comp[2])):
+                crep.violations.append((
+                    "ReclaimOverBudget", tid, k, f"ran {comp[5]} + hosted "
+                    f"{hosted} > budget {budget} at level {comp[2]}"))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -530,12 +530,17 @@ def test_check_flags_delayed_release(sched_ts, tmp_path, capsys):
     trace_path = tmp_path / "trace.jsonl"
     assert simulate_to_file(path, sc_path, str(trace_path), capsys) == 0
 
+    # delay task 2's release by a tick, moving its line after the others at
+    # t=0, since the reader refuses a line whose t is below the line before
     lines = trace_path.read_text().splitlines()
     for i, ln in enumerate(lines):
         rec = json.loads(ln)
         if rec["kind"] == "release" and rec["task"] == 2:
             rec["t"] += 1
-            lines[i] = json.dumps(rec, separators=(",", ":"))
+            del lines[i]
+            at = next(j for j, ln in enumerate(lines)
+                      if json.loads(ln)["t"] >= rec["t"])
+            lines.insert(at, json.dumps(rec, separators=(",", ":")))
             break
     trace_path.write_text("\n".join(lines) + "\n")
 
@@ -747,6 +752,12 @@ MALFORMED_TRACES = [
      "trace line 2: t=41 is outside [0, horizon=40]"),
     ("negative-time", lines(META_LINE, edit(RELEASE_0, t=-1, d=7)),
      "trace line 2: t=-1 is outside [0, horizon=40]"),
+    ("event-before-the-line-before",
+     lines(META_LINE, edit(RELEASE_0, t=5, d=13), RELEASE_0),
+     "trace line 3: t=0 is outside [5, horizon=40]"),
+    ("span-before-the-line-before",
+     lines(META_LINE, edit(RELEASE_0, t=5, d=13), DISPATCH_0),
+     "trace line 3: span [0, 4) starts before t=5"),
     ("until-past-horizon", lines(META_LINE, edit(DISPATCH_0, until=41)),
      f"trace line 2: span [0, 41) {NOT_NEXT_SPAN}"),
     ("empty-span", lines(META_LINE, edit(DISPATCH_0, until=0)),

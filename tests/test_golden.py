@@ -20,6 +20,7 @@ digest unchanged; a change meant to alter the bytes regenerates them and
 says why.
 """
 
+import gc
 import hashlib
 import io
 import json
@@ -28,7 +29,7 @@ from itertools import islice, product
 
 import pytest
 
-from mcsched import analysis, experiment, gen, model, sim
+from mcsched import analysis, experiment, gen, model, sim, verify
 from mcsched.model import Scenario, validate_scenario
 from slices import schedulable_sets
 from test_acceptance import _sweep_params, _sweep_scenarios
@@ -356,6 +357,36 @@ def test_writer_and_reader_hold_the_text_in_pieces(tmp_path):
     assert back.events == trace.events
     assert write_peak < size / 4, (write_peak, size)
     assert read_peak - held < size / 2, (read_peak, held, size)
+
+
+def test_check_run_holds_little_beside_the_trace():
+    """On the roundtrip case's inputs, under each protocol, check_run's
+    tracemalloc peak above the Trace stays under a fifth of the Trace's own
+    traced size: its walk holds the open jobs, not an index of the trace."""
+    params, set_seed, sc_seed, exec_model, requests, _, horizon, force = next(
+        c for c in QUEUE_CASES if c[0] == "roundtrip")[:8]
+    ts, platform = gen.gen_taskset(PARAMS[params], set_seed)
+    pa, wt, _ = experiment.prepare_run(ts, platform, True, force)
+    sc = gen.gen_scenario(ts, horizon, sc_seed, exec_model=exec_model,
+                          dmcr_plan=REQUESTS[requests])
+    for protocol in sim.PROTOCOLS:
+        # a full collection empties the free lists, whose reuse tracemalloc
+        # does not see, so that the Trace's traced size does not depend on
+        # what ran before
+        trace = reports = None
+        gc.collect()
+        tracemalloc.start()
+        try:
+            trace = sim.simulate(ts, platform, pa, wt, sc,
+                                 sim.ProtocolConfig(protocol))
+            size = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            reports = verify.check_run(trace, ts, wt, sc)
+            above = tracemalloc.get_traced_memory()[1] - size
+        finally:
+            tracemalloc.stop()
+        assert all(rep.ok for rep in reports.values()), protocol
+        assert above < size / 5, (protocol, above, size)
 
 
 def test_queue_cases_hit_their_targets():

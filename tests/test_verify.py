@@ -9,7 +9,7 @@ from mcsched.gen import GenParams, gen_scenario
 from mcsched.model import MCTask, Scenario, TaskSet, id_key
 from mcsched.sim import PROTOCOLS, ProtocolConfig, Trace, simulate
 from mcsched.verify import (FeasibilityReport, PeriodicityReport,
-                            ReclaimReport, ResponseReport, _suspension_starts,
+                            ReclaimReport, ResponseReport,
                             check_feasibility, check_periodicity,
                             check_response_bounds, check_run,
                             compute_l_intervals, metrics)
@@ -556,6 +556,18 @@ def ref_level_at(intervals, t):
         if t >= s:
             return lv
     return intervals[0][2]
+
+
+def _suspension_starts(intervals, crit):
+    """Instants, in increasing order, at which a task with criticality crit
+    becomes suspended."""
+    starts = []
+    prev = 1
+    for s, e, lv in intervals:
+        if lv > crit >= prev:
+            starts.append(s)
+        prev = lv
+    return starts
 
 
 def ref_feasibility(trace, ts):
