@@ -13,19 +13,18 @@ L, which is how the checkers decide whether a job could be relegated.
 
 Every checker, and `check_run` for all the reports that apply, is one walk
 over the events that feeds each report as it goes, as an online trace
-monitor does. It holds the instants at which the level changed, the open
-jobs, what it read since it last judged, the arrivals judged per task, the
-violations and, on a wcet-reclaim trace, each completion and ghost: its
-state grows with the open jobs, not with the trace. At a completion 512 or
-more events after it last judged, and at the end, it judges all that the
-instants before that completion's decide.
-
-This needs the events in time order, as `simulate` emits them and
-`sim.trace_from_jsonl` requires. A trace built by hand must keep its level
-changes in time order; its other events may run back in time if each is
-read before the walk judges its job. A release or drop read after that
-counts for a new job, one read after its scenario arrival was judged is
-fabricated, and feasibility takes no account of arrival drops.
+monitor does. It judges a job as it completes or drops, an arrival as it is
+released or dropped (again if a level change at that instant follows), a
+response as its job completes, and what is left at the end. It holds the
+level changes, the open jobs, per task the job numbers seen, and, to the
+end, what breaks the pattern of one release or arrival drop, then one
+completion or drop, per job: a job seen again after its verdict is rebuilt
+from the events before, its verdict taken back. On wcet-reclaim traces it
+also keeps each completion and ghost for the reclaim rule. So its state
+grows with the open jobs and the anomalies, not with the trace. It needs
+each level change read before the completions and arrivals of later
+instants, as in a trace in time order within its horizon, which `simulate`
+emits and `sim.trace_from_jsonl` requires.
 
 Violations come in this order. Feasibility: completions, then imcr drops,
 without a release, then wrong woken lists, then released jobs', each as first
@@ -48,8 +47,7 @@ from .sim import Trace
 
 
 _LEVEL_CHANGES = ("budget_exceeded", "re_enabled")
-_NEVER = float("inf")
-_ROUND = 512  # events between two judgings of the walk
+_PARTS = {"release": 0, "complete": 1, "job_dropped": 2}  # of a job's record
 
 
 def compute_l_intervals(trace: Trace) -> list[tuple[int, int, int]]:
@@ -61,9 +59,10 @@ def compute_l_intervals(trace: Trace) -> list[tuple[int, int, int]]:
     """
     changes = [(0, 1)] + [(ev[1], ev[2]) for ev in trace.events
                           if ev[0] in _LEVEL_CHANGES]
-    ends = [s for s, _ in changes[1:]] + [trace.horizon]
-    return [(s, e, lv) for (s, lv), e in zip(changes, ends) if e > s] or [
-        (0, trace.horizon, changes[-1][1])]  # zero horizon: keep lookups defined
+    ends = [s for s, _ in changes[1:]] + [trace.horizon]  # each change's end
+    intervals = [(s, e, lv) for (s, lv), e in zip(changes, ends) if e > s]
+    # a zero-horizon run keeps one, so that lookups stay defined
+    return intervals or [(0, trace.horizon, changes[-1][1])]
 
 
 @dataclass
@@ -139,6 +138,21 @@ def check_response_bounds(trace: Trace, wt: dict, ts: TaskSet) -> ResponseReport
     return _walk(trace, ts, wt=wt)["response"]
 
 
+def _first_sight(mark: list, k) -> bool:
+    """Whether job number k is new to mark, which then holds it: mark starts
+    with the least k >= 1 it lacks and the set of those above it holds."""
+    if k == mark[0]:
+        mark[0] += 1
+        while mark[0] in mark[1]:
+            mark[1].remove(mark[0])
+            mark[0] += 1
+        return True
+    if 0 < k < mark[0] or k in mark[1]:
+        return False
+    mark[1].add(k)
+    return True
+
+
 def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
           sc: Scenario | None = None, wt: dict | None = None,
           reclaim: bool = False) -> dict[str, Report]:
@@ -146,207 +160,173 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
     events, horizon = trace.events, trace.horizon
     by_id = {t.id: t for t in ts.tasks}
     starts, levels = [0], [1]  # each instant the level changed; the level then
+    live = 1  # the starts in force: not a last one at or past the horizon
     reports, fv, pv = {}, [], []  # [(place in its report's order, violation)]
-    frep = prep = rrep = opened = closed = sighted = done = None
+    frep = prep = rrep = None
     if feasibility:
         reports["feasibility"] = frep = FeasibilityReport()
-        # (task, k) -> release position, per open job; (release, completion
-        # or drop, release position), per job closed since the last judging;
-        # (task, k) -> [last release, completion and drop, positions of the
-        # first of each], per job whose events are off that pattern
-        opened, closed, odd = {}, [], {}
+        # (task, k) -> release position, per open job; per job off the
+        # pattern, [last release, completion, drop, first position of each];
+        # per task, the job numbers seen
+        opened, odd, seen = {}, {}, {t.id: [1, set()] for t in ts.tasks}
     if sc is not None:
         reports["periodicity"] = prep = PeriodicityReport()
-        # per task judged: its place in the scenario, arrivals, L and D
-        plan = {tid: (n, arrivals, by_id[tid].L, by_id[tid].D)
+        h = sc.horizon
+        # per task judged: the job numbers sighted, its place in the
+        # scenario, arrivals, L and D
+        plan = {tid: [1, set(), n, arrivals, by_id[tid].L, by_id[tid].D]
                 for n, (tid, arrivals) in enumerate(sc.arrivals.items())
                 if tid in by_id}
-        pos = [0] * len(sc.arrivals)  # per place, the arrivals judged
-        # (task, k) -> position of its first release or arrival drop; for a
-        # job sighted twice, -> [releases, arrival drops, first of each]
-        sighted, again = {}, {}
+        # (task, k) -> [releases, arrival drops] of an arrival sighted twice;
+        # (0 or 1, (task, k)) -> the first release or arrival drop of a job
+        # with no arrival
+        again, fabricated = {}, {}
+        t_on, now = None, []  # the last instant of on-time sightings, and they
     if wt is not None:
         reports["response"] = rrep = ResponseReport()
-        done = []  # completions of known tasks' jobs not in the rem pool
+        late = []  # completions not after their release, judged at the end
     if reclaim:
         comps, spans = {}, {}  # task -> k -> completion; job -> ticks hosted
 
-    def suspends(L, r, end):
-        """Whether a task of criticality L becomes suspended in (r, end)."""
-        g, n = bisect_right(starts, r), len(starts)
+    def suspends(L, g, end):
+        """Whether a task of criticality L becomes suspended at a level
+        change from starts[g] on, before end."""
         prev = levels[g - 1] if g else 1
-        while g < n and starts[g] < end:
-            if levels[g] > L >= prev and (starts[g] < horizon or g + 1 < n
-                                          or not g):
+        for g in range(g, live):
+            if starts[g] >= end:
+                break
+            if levels[g] > L >= prev:
                 return True
-            prev, g = levels[g], g + 1
+            prev = levels[g]
         return False
 
-    def oddity(key, part, ev, i):
-        """Record part 0, 1 or 2 (release, completion, drop) of a job off the
-        pattern of one release, then one completion or drop."""
+    def judge_job(rel, close, i_rel, sign=1):
+        """Pass (sign 1) or take back (-1) the feasibility verdict on a
+        released job from its last release and last completion, else drop;
+        one with neither only at the end."""
+        tid, k, r, d = rel[3], rel[4], rel[1], rel[5]
+        if (task := by_id.get(tid)) is None:
+            bad = "UnknownTask", "release of unknown task"
+        elif close is not None and close[0] == "complete":
+            f, rem = close[1], close[8]
+            g = bisect_right(starts, r)  # the first change after r
+            within = g < live and starts[g] < f and suspends(task.L, g, f)
+            frep.checked += sign
+            if rem and within:
+                frep.exempt_rem += sign
+                return
+            if rem or within:
+                bad = "RemFlagInconsistent", (
+                    f"flagged rem but task never suspended in ({r}, {f})"
+                    if rem else f"task suspended inside [{r}, {f}) but job "
+                    "not flagged rem")
+            elif f > d:
+                bad = "DeadlineMiss", f"completed at {f}, deadline {d}"
+            else:
+                return
+        elif close is not None:
+            frep.exempt_dropped += sign
+            return
+        elif d > horizon:  # incomplete at the horizon
+            frep.spanning += 1
+            return
+        else:
+            frep.checked += 1
+            if suspends(task.L, bisect_right(starts, r), d + 1):
+                frep.exempt_rem += 1  # relegated before the deadline, still queued
+                return
+            bad = "DeadlineMiss", f"released at {r}, deadline {d}, never completed"
+        item = (3, i_rel), (bad[0], tid, k, bad[1])
+        if sign > 0:
+            fv.append(item)
+        elif item in fv:  # out of time order, a verdict may come out anew
+            fv.remove(item)
+
+    def job(part, ev, i):
+        """Feed part 0, 1 or 2 (release, completion, drop) of a job, off the
+        common path of a new release or a closing, to feasibility."""
+        key = ev[3], ev[4]
         if (rec := odd.get(key)) is None:
-            rec = odd[key] = [None] * 6
-            if (r := opened.pop(key, None)) is not None:
-                rec[0], rec[3] = events[r], r
-            for j, (rel, close, r) in enumerate(closed):
-                if rel[3] == key[0] and rel[4] == key[1]:
-                    del closed[j]
-                    rec[0], rec[3] = rel, r
-                    rec[1 if close[0] == "complete" else 2] = close
-                    break
+            if key not in opened and _first_sight(
+                    seen.setdefault(key[0], [1, set()]), key[1]):
+                if not part:
+                    opened[key] = i
+                    return
+                if ev[0] == "job_dropped" and ev[5] == "suspended_arrival":
+                    return  # nothing to judge unless the job shows again
+                rec = odd[key] = [None] * 6
+            else:  # seen before: rebuild it, take back any verdict on it
+                rec = odd[key] = [None] * 6
+                for j, e in enumerate(events[:i]):
+                    if e[0] in _PARTS and (e[3], e[4]) == key:
+                        part_e = _PARTS[e[0]]
+                        rec[part_e] = e
+                        if rec[3 + part_e] is None:
+                            rec[3 + part_e] = j
+                if opened.pop(key, None) is None and rec[0] is not None:
+                    judge_job(rec[0], rec[1] or rec[2], rec[3], -1)
         rec[part] = ev
         if rec[3 + part] is None:
             rec[3 + part] = i
 
-    def sight_again(key, first, i):
-        """Count a release or arrival drop of a job sighted before."""
-        rec = again.setdefault(key, [0, 0, None, None])
-        for j in (first, i) if rec == [0, 0, None, None] else (i,):
-            side = events[j][0] != "release"
-            rec[side] += 1
-            if rec[2 + side] is None:
-                rec[2 + side] = j
+    def sight(ev, i):
+        """Feed a release or arrival drop, off the common path, to
+        periodicity: whether it first sights its scenario arrival, on time."""
+        tid, k = key = ev[3], ev[4]
+        side = ev[0] != "release"  # 0 a release, 1 an arrival drop
+        if (p := plan.get(tid)) is None or not 0 < k <= len(p[3]) or \
+                (a := p[3][k - 1]) > h:
+            fabricated.setdefault((side, key), i)
+        elif key in again:
+            again[key][side] += 1
+        elif not _first_sight(p, k):  # sighted twice: the count is its verdict
+            pv[:] = [v for v in pv if v[0] != (0, p[2], k)]
+            count = again[key] = [0, 0]
+            for e in events[:i + 1]:
+                if (e[0] == "release" or e[0] == "job_dropped" and e[5] ==
+                        "suspended_arrival") and (e[3], e[4]) == key:
+                    count[e[0] != "release"] += 1
+        elif ev[1] != a:
+            pv.append(((0, p[2], k), (
+                "ShiftedDrop", tid, k, f"arrival drop at {ev[1]}, arrival at {a}")
+                if side else ("ShiftedRelease", tid, k,
+                              f"released at {ev[1]}, arrival at {a}")))
+        elif not side and ev[5] != a + p[5]:
+            pv.append(((0, p[2], k), ("WrongDeadline", tid, k,
+                                      f"deadline {ev[5]}, expected {a + p[5]}")))
+        else:
+            return True
+        return False
 
-    def judge_jobs(t, last):
-        ready = [job for job in closed if last or job[1][1] < t]
-        closed[:] = () if last else [job for job in closed if job[1][1] >= t]
-        for key in [key for key, rec in odd.items() if last or (
-                rec[1] or rec[2]) and all(ev[1] < t for ev in rec[1:3] if ev)]:
-            rel, comp, drop, i_rel, i_comp, i_drop = odd.pop(key)
-            if rel is not None:
-                ready.append((rel, comp or drop, i_rel))
-                continue
-            if comp is not None:
-                fv.append(((0, i_comp), (
-                    "CompletionWithoutRelease", *key,
-                    f"completed at {comp[1]} but never released")))
-            if drop is not None and drop[5] == "imcr":
-                fv.append(((1, i_drop), ("DropWithoutRelease", *key,
-                                         "imcr-dropped but never released")))
-        if last:
-            ready.extend((events[r], None, r) for r in opened.values())
-        for rel, close, i_rel in ready:
-            tid, k, r, d = rel[3], rel[4], rel[1], rel[5]
-            if (task := by_id.get(tid)) is None:
-                fv.append(((3, i_rel), ("UnknownTask", tid, k,
-                                        "release of unknown task")))
-            elif close is not None and close[0] == "complete":
-                f, rem, g = close[1], close[8], bisect_right(starts, r)
-                within = g < len(starts) and starts[g] < f and suspends(
-                    task.L, r, f)
-                frep.checked += 1
-                if rem and within:
-                    frep.exempt_rem += 1
-                elif rem or within:
-                    fv.append(((3, i_rel), ("RemFlagInconsistent", tid, k, (
-                        f"flagged rem but task never suspended in ({r}, {f})"
-                        if rem else f"task suspended inside [{r}, {f}) but "
-                        "job not flagged rem"))))
-                elif f > d:
-                    fv.append(((3, i_rel), ("DeadlineMiss", tid, k,
-                                            f"completed at {f}, deadline {d}")))
-            # incomplete at the horizon
-            elif close is not None:
-                frep.exempt_dropped += 1
-            elif d > horizon:
-                frep.spanning += 1
-            else:
-                frep.checked += 1
-                if suspends(task.L, r, d + 1):
-                    frep.exempt_rem += 1  # relegated before the deadline, still queued
-                else:
-                    fv.append(((3, i_rel), (
-                        "DeadlineMiss", tid, k,
-                        f"released at {r}, deadline {d}, never completed")))
+    def judge_level(ev, p):
+        """Judge an arrival sighted on time by the level in force at it."""
+        tid, k, a, L = ev[3], ev[4], ev[1], p[4]
+        lv = levels[(min(bisect_right(starts, a), live) or 1) - 1]
+        if ev[0] == "release" and L < lv:
+            pv.append(((0, p[2], k), ("ReleaseWhileSuspended", tid, k,
+                                      f"released at {a} at level {lv} > L={L}")))
+        elif ev[0] != "release" and L >= lv:
+            pv.append(((0, p[2], k), (
+                "DropWhileEnabled", tid, k,
+                f"arrival dropped at {a} at level {lv} <= L={L}")))
 
-    def judge_arrivals(t, last):
-        top = max(levels) if last else _NEVER  # no task with L >= top is suspended
-        # a last change at or past the horizon, after another, starts nothing
-        checked, h, n_starts = prep.checked, sc.horizon, len(starts)
-        skip = n_starts > 1 and starts[-1] >= horizon
-        for tid, (n, arrivals, L, D) in plan.items():
-            k = pos[n]
-            stop = len(arrivals) if last else k
-            while stop < len(arrivals) and arrivals[stop] < t:
-                stop += 1
-            pos[n] = stop
-            for k, a in enumerate(arrivals[k:stop], k + 1):
-                if a > h:
-                    continue
-                checked += 1
-                first = sighted.pop(key := (tid, k), None)
-                if first is None or again and key in again:
-                    n_rel, n_drop = (0, 0) if first is None else again.pop(
-                        key)[:2]
-                    bad = ("ArrivalMultiplicity",
-                           f"{n_rel} releases and {n_drop} arrival drops")
-                elif (ev := events[first])[1] != a:
-                    what = "released" if ev[0] == "release" else "arrival drop"
-                    bad = ("ShiftedRelease" if ev[0] == "release" else
-                           "ShiftedDrop", f"{what} at {ev[1]}, arrival at {a}")
-                elif (released := ev[0] == "release") and ev[5] != a + D:
-                    bad = "WrongDeadline", f"deadline {ev[5]}, expected {a + D}"
-                elif released and L >= top:
-                    continue
-                else:
-                    g = bisect_right(starts, a)  # the level in force at a
-                    lv = levels[g - 1 - (g == n_starts and skip) if g else 0]
-                    if released and L < lv:
-                        bad = ("ReleaseWhileSuspended",
-                               f"released at {a} at level {lv} > L={L}")
-                    elif not released and L >= lv:
-                        bad = ("DropWhileEnabled",
-                               f"arrival dropped at {a} at level {lv} <= L={L}")
-                    else:
-                        continue
-                pv.append(((0, n, k), (bad[0], tid, k, bad[1])))
-        prep.checked = checked
-        # what is left has no arrival, or one still to come or judged before
-        for key, first in list(sighted.items()):
-            n, arrivals = plan.get(key[0], (0, ()))[:2]
-            if (0 < key[1] <= len(arrivals) and key[1] > pos[n]
-                    and arrivals[key[1] - 1] <= h):
-                continue
-            del sighted[key]
-            side = events[first][0] != "release"
-            rec = again.pop(key, None) or [not side, side, first, first]
-            if rec[0]:
-                pv.append(((1, rec[2]), ("FabricatedRelease", *key,
-                                         "release without a scenario arrival")))
-            if rec[1]:
-                pv.append(((2, rec[3]), (
-                    "FabricatedDrop", *key,
-                    "arrival drop without a scenario arrival")))
+    def respond(ev):
+        """Judge a completion's response by the level interval of its release."""
+        tid, f, r = ev[3], ev[1], ev[6]
+        g = bisect_right(starts, r)  # the interval of r ends at starts[g]
+        e = starts[g] if g < len(starts) else horizon
+        if not g or not r < e or f > e:
+            rrep.spanning += 1
+        elif (bound := wt.get((tid, lv := levels[g - 1]))) is None \
+                or lv > by_id[tid].L:
+            rrep.unscoped += 1
+        else:
+            rrep.checked += 1
+            if f - r > bound:
+                rrep.violations.append((
+                    "ResponseBoundExceeded", tid, ev[4],
+                    f"response {f - r} > bound {bound} at level {lv}"))
 
-    def judge_completions(t, last):
-        n_starts, skip = len(starts), len(starts) > 1 and starts[-1] >= horizon
-        for ev in done if last else [ev for ev in done if ev[1] < t]:
-            tid, f, r = ev[3], ev[1], ev[6]
-            g = bisect_right(starts, r)  # the first change after r
-            g -= g == n_starts and skip
-            e = starts[g] if g < n_starts else horizon
-            if not g or not r < e or f > e:
-                rrep.spanning += 1
-            elif (bound := wt.get((tid, lv := levels[g - 1]))) is None \
-                    or lv > by_id[tid].L:
-                rrep.unscoped += 1
-            else:
-                rrep.checked += 1
-                if f - r > bound:
-                    rrep.violations.append((
-                        "ResponseBoundExceeded", tid, ev[4],
-                        f"response {f - r} > bound {bound} at level {lv}"))
-        done[:] = () if last else [ev for ev in done if ev[1] >= t]
-
-    def settle(t, last=False):
-        """Judge all that the instants before t decide; last, all left."""
-        for judge, state in ((judge_jobs, opened), (judge_arrivals, sighted),
-                             (judge_completions, done)):
-            if state is not None:
-                judge(t, last)
-
-    keyed, due = opened is not None or sighted is not None, _ROUND
     for i, ev in enumerate(events):  # the commonest kinds first
         kind = ev[0]
         if kind == "sched":
@@ -356,38 +336,52 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
                         key = slot[1], slot[2]
                         spans[key] = spans.get(key, 0) + ev[3] - ev[1]
         elif kind == "complete":
-            if opened is not None:
-                if (r := opened.pop(key := (ev[3], ev[4]), None)) is None:
-                    oddity(key, 1, ev, i)
+            if frep is not None:
+                if (r := opened.pop((ev[3], ev[4]), None)) is None:
+                    job(1, ev, i)
+                elif not ev[8] and ev[1] <= events[r][5] and ev[3] in by_id \
+                        and events[r][1] >= starts[live - 1]:
+                    frep.checked += 1  # on time, no level change since release
                 else:
-                    closed.append((events[r], ev, r))
-            if done is not None and not ev[8] and ev[3] in by_id:
-                done.append(ev)
+                    judge_job(events[r], ev, r)
+            if rrep is not None and not ev[8] and ev[3] in by_id:
+                if ev[6] < ev[1]:
+                    respond(ev)
+                else:  # its level may yet change; it cannot exceed a bound
+                    late.append(ev)
             if reclaim:
-                if (by_k := comps.get(ev[3])) is None:
-                    by_k = comps[ev[3]] = {}
-                by_k[ev[4]] = ev
-            if i >= due:
-                settle(ev[1])
-                due = i + _ROUND
-        elif kind == "job_dropped":
-            if ev[5] == "suspended_arrival":
-                if sighted is not None and (first := sighted.setdefault(
-                        key := (ev[3], ev[4]), i)) != i:
-                    sight_again(key, first, i)
-            elif opened is not None:
-                if (r := opened.pop(key := (ev[3], ev[4]), None)) is None:
-                    oddity(key, 2, ev, i)
+                comps.setdefault(ev[3], {})[ev[4]] = ev
+        elif kind == "release" or kind == "job_dropped":
+            if frep is not None:
+                if kind != "release" and (
+                        r := opened.pop((ev[3], ev[4]), None)) is not None:
+                    judge_job(events[r], ev, r)
+                elif (kind == "release" or ev[5] == "suspended_arrival") and \
+                        (mark := seen.get(ev[3])) is not None and \
+                        ev[4] == mark[0] and not mark[1]:
+                    mark[0] += 1  # a job new and numbered next
+                    if kind == "release":
+                        opened[ev[3], ev[4]] = i
                 else:
-                    closed.append((events[r], ev, r))
-        elif kind == "release" and keyed:
-            key = ev[3], ev[4]
-            if sighted is not None and (
-                    first := sighted.setdefault(key, i)) != i:
-                sight_again(key, first, i)
-            if opened is not None and (
-                    odd and key in odd or opened.setdefault(key, i) != i):
-                oddity(key, 0, ev, i)
+                    job(_PARTS[kind], ev, i)
+            if prep is not None and (kind == "release"
+                                     or ev[5] == "suspended_arrival"):
+                # the common case, as sight() would find it: the next
+                # arrival of its task, sighted on time
+                if (p := plan.get(ev[3])) is not None and ev[4] == p[0] and \
+                        not p[1] and ev[4] <= len(p[3]) and ev[1] == p[3][
+                            ev[4] - 1] <= h and (kind != "release"
+                                                 or ev[5] == ev[1] + p[5]):
+                    p[0] += 1
+                elif not sight(ev, i):
+                    continue
+                if ev[1] != t_on:
+                    t_on = ev[1]
+                    now.clear()
+                now.append(ev)
+                lv = levels[live - 1] if ev[1] >= starts[-1] else None
+                if lv is None or (p[4] < lv) == (kind == "release"):
+                    judge_level(ev, p)
         elif kind in _LEVEL_CHANGES:
             if kind == "re_enabled" and frep is not None:
                 woken = tuple(sorted((task.id for task in ts.tasks
@@ -399,12 +393,50 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
                         f"{list(ev[3])} at {ev[1]}, expected {list(woken)}")))
             if ev[1] != starts[-1]:
                 starts.append(ev[1])
-                levels.append(None)
-            levels[-1] = ev[2]  # of several changes at one instant the last wins
-    settle(_NEVER, last=True)
-    for rep, found in ((frep, fv), (prep, pv)):
-        if rep is not None:
-            rep.violations = [v for _, v in sorted(found, key=itemgetter(0))]
+                levels.append(ev[2])
+            else:
+                levels[-1] = ev[2]  # of several changes at one instant the last wins
+            live = len(starts) - (len(starts) > 1 and starts[-1] >= horizon)
+            if prep is not None and ev[1] == t_on:
+                # judge the arrivals sighted on time at this instant anew
+                for e in now:
+                    if (e[3], e[4]) not in again:
+                        p = plan[e[3]]
+                        pv[:] = [v for v in pv if v[0] != (0, p[2], e[4])]
+                        judge_level(e, p)
+    if frep is not None:
+        for r in opened.values():
+            judge_job(events[r], None, r)
+        for rel, comp, drop, i_rel, i_comp, i_drop in odd.values():
+            if rel is not None:
+                judge_job(rel, comp or drop, i_rel)
+                continue
+            if comp is not None:
+                fv.append(((0, i_comp), (
+                    "CompletionWithoutRelease", comp[3], comp[4],
+                    f"completed at {comp[1]} but never released")))
+            if drop is not None and drop[5] == "imcr":
+                fv.append(((1, i_drop), ("DropWithoutRelease", drop[3],
+                                         drop[4], "imcr-dropped but never released")))
+        frep.violations = [v for _, v in sorted(fv, key=itemgetter(0))]
+    if prep is not None:
+        for tid, (low, above, n, arrivals, _, _) in plan.items():
+            unseen = [k for k in range(low, len(arrivals) + 1)
+                      if k not in above and arrivals[k - 1] <= h]
+            prep.checked += low - 1 + len(above) + len(unseen)
+            again.update(((tid, k), (0, 0)) for k in unseen)
+        for (tid, k), (n_rel, n_drop) in again.items():
+            pv.append(((0, plan[tid][2], k), ("ArrivalMultiplicity", tid, k,
+                       f"{n_rel} releases and {n_drop} arrival drops")))
+        for (side, key), first in fabricated.items():
+            name, what = (("FabricatedDrop", "arrival drop") if side else
+                          ("FabricatedRelease", "release"))
+            pv.append(((1 + side, first), (name, *key,
+                                           f"{what} without a scenario arrival")))
+        prep.violations = [v for _, v in sorted(pv, key=itemgetter(0))]
+    if rrep is not None:
+        for ev in late:
+            respond(ev)
     if reclaim:
         reports["reclaim"] = crep = ReclaimReport()
         for (tid, k), hosted in spans.items():

@@ -1,3 +1,4 @@
+import gc
 from functools import cache
 from itertools import product
 
@@ -876,6 +877,73 @@ def test_checkers_judge_a_job_by_its_last_repeated_event(
         # the repeat changes only the completion's time, which the reclaim
         # rule does not read
         assert got["reclaim"] == check_run(clean, ts)["reclaim"]
+
+
+def in_time(events, ev):
+    """events with ev inserted after every event at or before its instant."""
+    at = next((j for j, e in enumerate(events) if e[1] > ev[1]), len(events))
+    return events[:at] + [ev] + events[at:]
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(set_seed=st.integers(1, 12), sc_seed=st.integers(0, 10**6),
+       protocol=st.sampled_from(PROTOCOLS),
+       kind=st.sampled_from(["release", "complete", "job_dropped"]),
+       move=st.booleans(), pick=st.integers(0, 10**6),
+       later=st.integers(2, 40))
+def test_checkers_match_references_on_late_events_in_time_order(
+        set_seed, sc_seed, protocol, kind, move, pick, later):
+    # an event `later` ticks on, moved there or repeated there, in its place
+    # in time, after the events of its new instant: a release after its
+    # arrival, a completion or drop of a job closed long before. The walk
+    # has judged many jobs and arrivals by then, as a trace read from a file
+    # would have it
+    plan = tuple((t, 1 + (t // 15) % 2) for t in range(15, EQUIV_HORIZON, 15))
+    ts, res, sc, clean = equiv_run(set_seed, sc_seed, protocol, plan)
+    events = list(clean.events)
+    where = [i for i, ev in enumerate(events) if ev[0] == kind]
+    i = where[pick % len(where)]
+    ev = events[i]
+    if move:
+        del events[i]
+    events = in_time(events, ev[:1] + (ev[1] + later,) + ev[2:])
+    assert [e[1] for e in events] == sorted(e[1] for e in events)
+    assert len(events) > 500
+    trace = retrace(clean, events)
+    feas = check_feasibility(trace, ts)
+    per = check_periodicity(trace, ts, sc)
+    resp = check_response_bounds(trace, res.wcrt_table, ts)
+    assert feas == ref_feasibility(trace, ts)
+    assert per == ref_periodicity(trace, ts, sc)
+    assert resp == ref_response_bounds(trace, res.wcrt_table, ts)
+    if kind == "release":
+        assert not per.ok
+    got = check_run(trace, ts, res.wcrt_table, sc)
+    got.pop("reclaim", None)
+    assert got == {"feasibility": feas, "periodicity": per, "response": resp}
+
+
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_checkers_leave_no_reference_cycles(protocol):
+    # what a walk holds is freed when it returns: a cycle (a closure that
+    # refers to itself, say) would keep it until the cyclic collector ran,
+    # and make that collector run more often
+    plan = tuple((t, 1 + (t // 15) % 2) for t in range(15, EQUIV_HORIZON, 15))
+    ts, res, sc, clean = equiv_run(2, 11, protocol, plan)
+    events = list(clean.events)
+    ev = next(ev for ev in events if ev[0] == "complete")
+    late = retrace(clean, in_time(events, ev[:1] + (ev[1] + 20,) + ev[2:]))
+    gc.collect()
+    gc.disable()
+    try:
+        for trace in (clean, late):
+            check_run(trace, ts, res.wcrt_table, sc)
+            check_feasibility(trace, ts)
+            check_periodicity(trace, ts, sc)
+            check_response_bounds(trace, res.wcrt_table, ts)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
