@@ -16,13 +16,18 @@ over the events that feeds each report as it goes, as an online trace
 monitor does. It judges a job as it completes or drops, an arrival as it is
 released or dropped (again if a level change at that instant follows), a
 response as its job completes, and what is left at the end. It holds the
-level changes, the open jobs, per task the job numbers seen, and, to the
-end, what breaks the pattern of one release or arrival drop, then one
-completion or drop, per job: a job seen again after its verdict is rebuilt
-from the events before, its verdict taken back. On wcet-reclaim traces it
-also keeps each completion and ghost for the reclaim rule. So its state
-grows with the open jobs and the anomalies, not with the trace. It needs
-each level change read before the completions and arrivals of later
+level changes, the open jobs, per task the job numbers seen, the
+violations, and, to the end, the keys of the jobs and arrivals that break
+the pattern of one release or arrival drop, then one completion or drop,
+per job. One closing pass over the events settles those: it takes back the
+verdict a job got at its first closing, judges the job by its last release
+and its last completion, else drop, and counts an arrival's releases and
+drops. It also finds the positions that put the violations in order, so it
+runs only when something is off the pattern or a job's verdict is a
+violation. On wcet-reclaim traces the walk also keeps each completion and
+ghost for the reclaim rule. So its state grows with the open jobs and the
+anomalies, not with the trace, and its time is linear in the trace. It
+needs each level change read before the completions and arrivals of later
 instants, as in a trace in time order within its horizon, which `simulate`
 emits and `sim.trace_from_jsonl` requires.
 
@@ -47,7 +52,7 @@ from .sim import Trace
 
 
 _LEVEL_CHANGES = ("budget_exceeded", "re_enabled")
-_PARTS = {"release": 0, "complete": 1, "job_dropped": 2}  # of a job's record
+_JOB_EVENTS = ("release", "complete", "job_dropped")
 
 
 def compute_l_intervals(trace: Trace) -> list[tuple[int, int, int]]:
@@ -161,14 +166,16 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
     by_id = {t.id: t for t in ts.tasks}
     starts, levels = [0], [1]  # each instant the level changed; the level then
     live = 1  # the starts in force: not a last one at or past the horizon
-    reports, fv, pv = {}, [], []  # [(place in its report's order, violation)]
-    frep = prep = rrep = None
+    reports, frep, prep, rrep = {}, None, None, None
+    # the (task, k) of each job and arrival off the pattern, which the
+    # closing pass settles; (task, k) -> the violation of a job judged
+    odd, again, bad = set(), set(), {}
     if feasibility:
         reports["feasibility"] = frep = FeasibilityReport()
-        # (task, k) -> release position, per open job; per job off the
-        # pattern, [last release, completion, drop, first position of each];
-        # per task, the job numbers seen
-        opened, odd, seen = {}, {}, {t.id: [1, set()] for t in ts.tasks}
+        # (task, k) -> release, per open job; per task, the job numbers
+        # seen; (place in the order, violation) of each wrong woken list,
+        # then of the rest at the end
+        opened, seen, fv = {}, {t.id: [1, set()] for t in ts.tasks}, []
     if sc is not None:
         reports["periodicity"] = prep = PeriodicityReport()
         h = sc.horizon
@@ -177,10 +184,9 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
         plan = {tid: [1, set(), n, arrivals, by_id[tid].L, by_id[tid].D]
                 for n, (tid, arrivals) in enumerate(sc.arrivals.items())
                 if tid in by_id}
-        # (task, k) -> [releases, arrival drops] of an arrival sighted twice;
-        # (0 or 1, (task, k)) -> the first release or arrival drop of a job
-        # with no arrival
-        again, fabricated = {}, {}
+        # (place in the order, violation) per arrival judged; (0 or 1, (task,
+        # k)) per release or arrival drop with no arrival, as first read
+        pv, fabricated = [], {}
         t_on, now = None, []  # the last instant of on-time sightings, and they
     if wt is not None:
         reports["response"] = rrep = ResponseReport()
@@ -200,13 +206,13 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
             prev = levels[g]
         return False
 
-    def judge_job(rel, close, i_rel, sign=1):
-        """Pass (sign 1) or take back (-1) the feasibility verdict on a
-        released job from its last release and last completion, else drop;
-        one with neither only at the end."""
+    def judge_job(rel, close, sign=1):
+        """Count (sign 1) or take back (-1) the feasibility verdict on a
+        released job by its release and its completion, else drop, into
+        bad if it is a violation; one with neither only at the end."""
         tid, k, r, d = rel[3], rel[4], rel[1], rel[5]
         if (task := by_id.get(tid)) is None:
-            bad = "UnknownTask", "release of unknown task"
+            why = "UnknownTask", "release of unknown task"
         elif close is not None and close[0] == "complete":
             f, rem = close[1], close[8]
             g = bisect_right(starts, r)  # the first change after r
@@ -216,12 +222,12 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
                 frep.exempt_rem += sign
                 return
             if rem or within:
-                bad = "RemFlagInconsistent", (
+                why = "RemFlagInconsistent", (
                     f"flagged rem but task never suspended in ({r}, {f})"
                     if rem else f"task suspended inside [{r}, {f}) but job "
                     "not flagged rem")
             elif f > d:
-                bad = "DeadlineMiss", f"completed at {f}, deadline {d}"
+                why = "DeadlineMiss", f"completed at {f}, deadline {d}"
             else:
                 return
         elif close is not None:
@@ -235,57 +241,32 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
             if suspends(task.L, bisect_right(starts, r), d + 1):
                 frep.exempt_rem += 1  # relegated before the deadline, still queued
                 return
-            bad = "DeadlineMiss", f"released at {r}, deadline {d}, never completed"
-        item = (3, i_rel), (bad[0], tid, k, bad[1])
+            why = "DeadlineMiss", f"released at {r}, deadline {d}, never completed"
         if sign > 0:
-            fv.append(item)
-        elif item in fv:  # out of time order, a verdict may come out anew
-            fv.remove(item)
+            bad[tid, k] = why[0], tid, k, why[1]
 
-    def job(part, ev, i):
-        """Feed part 0, 1 or 2 (release, completion, drop) of a job, off the
-        common path of a new release or a closing, to feasibility."""
+    def job(ev):
+        """Feed a release, completion or drop of a job, off the common path
+        of a new release or a closing, to feasibility."""
         key = ev[3], ev[4]
-        if (rec := odd.get(key)) is None:
-            if key not in opened and _first_sight(
-                    seen.setdefault(key[0], [1, set()]), key[1]):
-                if not part:
-                    opened[key] = i
-                    return
-                if ev[0] == "job_dropped" and ev[5] == "suspended_arrival":
-                    return  # nothing to judge unless the job shows again
-                rec = odd[key] = [None] * 6
-            else:  # seen before: rebuild it, take back any verdict on it
-                rec = odd[key] = [None] * 6
-                for j, e in enumerate(events[:i]):
-                    if e[0] in _PARTS and (e[3], e[4]) == key:
-                        part_e = _PARTS[e[0]]
-                        rec[part_e] = e
-                        if rec[3 + part_e] is None:
-                            rec[3 + part_e] = j
-                if opened.pop(key, None) is None and rec[0] is not None:
-                    judge_job(rec[0], rec[1] or rec[2], rec[3], -1)
-        rec[part] = ev
-        if rec[3 + part] is None:
-            rec[3 + part] = i
+        if not _first_sight(seen.setdefault(key[0], [1, set()]), key[1]):
+            odd.add(key)  # seen again
+            opened.pop(key, None)
+        elif ev[0] == "release":
+            opened[key] = ev
+        elif ev[0] == "complete" or ev[5] != "suspended_arrival":
+            odd.add(key)  # closed, never released
 
-    def sight(ev, i):
+    def sight(ev):
         """Feed a release or arrival drop, off the common path, to
         periodicity: whether it first sights its scenario arrival, on time."""
         tid, k = key = ev[3], ev[4]
         side = ev[0] != "release"  # 0 a release, 1 an arrival drop
         if (p := plan.get(tid)) is None or not 0 < k <= len(p[3]) or \
                 (a := p[3][k - 1]) > h:
-            fabricated.setdefault((side, key), i)
-        elif key in again:
-            again[key][side] += 1
-        elif not _first_sight(p, k):  # sighted twice: the count is its verdict
-            pv[:] = [v for v in pv if v[0] != (0, p[2], k)]
-            count = again[key] = [0, 0]
-            for e in events[:i + 1]:
-                if (e[0] == "release" or e[0] == "job_dropped" and e[5] ==
-                        "suspended_arrival") and (e[3], e[4]) == key:
-                    count[e[0] != "release"] += 1
+            fabricated[side, key] = None
+        elif not _first_sight(p, k):
+            again.add(key)  # sighted twice: the count is its verdict
         elif ev[1] != a:
             pv.append(((0, p[2], k), (
                 "ShiftedDrop", tid, k, f"arrival drop at {ev[1]}, arrival at {a}")
@@ -327,7 +308,7 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
                     "ResponseBoundExceeded", tid, ev[4],
                     f"response {f - r} > bound {bound} at level {lv}"))
 
-    for i, ev in enumerate(events):  # the commonest kinds first
+    for ev in events:  # the commonest kinds first
         kind = ev[0]
         if kind == "sched":
             if reclaim:
@@ -337,13 +318,13 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
                         spans[key] = spans.get(key, 0) + ev[3] - ev[1]
         elif kind == "complete":
             if frep is not None:
-                if (r := opened.pop((ev[3], ev[4]), None)) is None:
-                    job(1, ev, i)
-                elif not ev[8] and ev[1] <= events[r][5] and ev[3] in by_id \
-                        and events[r][1] >= starts[live - 1]:
+                if (rel := opened.pop((ev[3], ev[4]), None)) is None:
+                    job(ev)
+                elif not ev[8] and ev[1] <= rel[5] and ev[3] in by_id \
+                        and rel[1] >= starts[live - 1]:
                     frep.checked += 1  # on time, no level change since release
                 else:
-                    judge_job(events[r], ev, r)
+                    judge_job(rel, ev)
             if rrep is not None and not ev[8] and ev[3] in by_id:
                 if ev[6] < ev[1]:
                     respond(ev)
@@ -354,16 +335,16 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
         elif kind == "release" or kind == "job_dropped":
             if frep is not None:
                 if kind != "release" and (
-                        r := opened.pop((ev[3], ev[4]), None)) is not None:
-                    judge_job(events[r], ev, r)
+                        rel := opened.pop((ev[3], ev[4]), None)) is not None:
+                    judge_job(rel, ev)
                 elif (kind == "release" or ev[5] == "suspended_arrival") and \
                         (mark := seen.get(ev[3])) is not None and \
                         ev[4] == mark[0] and not mark[1]:
                     mark[0] += 1  # a job new and numbered next
                     if kind == "release":
-                        opened[ev[3], ev[4]] = i
+                        opened[ev[3], ev[4]] = ev
                 else:
-                    job(_PARTS[kind], ev, i)
+                    job(ev)
             if prep is not None and (kind == "release"
                                      or ev[5] == "suspended_arrival"):
                 # the common case, as sight() would find it: the next
@@ -373,7 +354,7 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
                             ev[4] - 1] <= h and (kind != "release"
                                                  or ev[5] == ev[1] + p[5]):
                     p[0] += 1
-                elif not sight(ev, i):
+                elif not sight(ev):
                     continue
                 if ev[1] != t_on:
                     t_on = ev[1]
@@ -388,7 +369,7 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
                                       if ev[2] <= task.L < levels[-1]),
                                      key=id_key))
                 if ev[3] != woken:
-                    fv.append(((2, i), (
+                    fv.append(((2,), (
                         "WrongWokenList", None, None, f"re-enabled "
                         f"{list(ev[3])} at {ev[1]}, expected {list(woken)}")))
             if ev[1] != starts[-1]:
@@ -400,39 +381,57 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
             if prep is not None and ev[1] == t_on:
                 # judge the arrivals sighted on time at this instant anew
                 for e in now:
-                    if (e[3], e[4]) not in again:
-                        p = plan[e[3]]
-                        pv[:] = [v for v in pv if v[0] != (0, p[2], e[4])]
-                        judge_level(e, p)
+                    p = plan[e[3]]
+                    pv[:] = [v for v in pv if v[0] != (0, p[2], e[4])]
+                    judge_level(e, p)
     if frep is not None:
-        for r in opened.values():
-            judge_job(events[r], None, r)
-        for rel, comp, drop, i_rel, i_comp, i_drop in odd.values():
-            if rel is not None:
-                judge_job(rel, comp or drop, i_rel)
+        for rel in opened.values():
+            judge_job(rel, None)
+    # the closing pass: in order, the events of each job or arrival off the
+    # pattern or judged in violation; the first position of each kind of them
+    seqs, first = {key: [] for key in odd | again | bad.keys()}, {}
+    if seqs:
+        for i, ev in enumerate(events):
+            if ev[0] in _JOB_EVENTS and (key := (ev[3], ev[4])) in seqs:
+                seqs[key].append(ev)
+                first.setdefault((ev[0], key), i)
+    if frep is not None:
+        for key in odd:  # judged by its last release, completion and drop
+            seq = seqs[key]
+            if len(seq) > 1 and seq[0][0] == "release" != seq[1][0]:
+                judge_job(seq[0], seq[1], -1)  # the walk's verdict at its closing
+            bad.pop(key, None)
+            last = {ev[0]: ev for ev in seq}
+            if (rel := last.get("release")) is not None:
+                judge_job(rel, last.get("complete") or last.get("job_dropped"))
                 continue
-            if comp is not None:
-                fv.append(((0, i_comp), (
-                    "CompletionWithoutRelease", comp[3], comp[4],
+            if (comp := last.get("complete")) is not None:
+                fv.append(((0, first["complete", key]), (
+                    "CompletionWithoutRelease", *key,
                     f"completed at {comp[1]} but never released")))
-            if drop is not None and drop[5] == "imcr":
-                fv.append(((1, i_drop), ("DropWithoutRelease", drop[3],
-                                         drop[4], "imcr-dropped but never released")))
+            if (drop := last.get("job_dropped")) is not None and drop[5] == "imcr":
+                fv.append(((1, first["job_dropped", key]), (
+                    "DropWithoutRelease", *key, "imcr-dropped but never released")))
+        fv += [((3, first["release", key]), v) for key, v in bad.items()]
         frep.violations = [v for _, v in sorted(fv, key=itemgetter(0))]
     if prep is not None:
+        pv = [item for item in pv if item[1][1:3] not in again]
         for tid, (low, above, n, arrivals, _, _) in plan.items():
             unseen = [k for k in range(low, len(arrivals) + 1)
                       if k not in above and arrivals[k - 1] <= h]
             prep.checked += low - 1 + len(above) + len(unseen)
-            again.update(((tid, k), (0, 0)) for k in unseen)
-        for (tid, k), (n_rel, n_drop) in again.items():
+            again.update((tid, k) for k in unseen)
+        for tid, k in again:  # only a drop has a reason at [5]
+            seq = seqs.get((tid, k), ())
+            n_rel = sum(ev[0] == "release" for ev in seq)
+            n_drop = sum(ev[5] == "suspended_arrival" for ev in seq)
             pv.append(((0, plan[tid][2], k), ("ArrivalMultiplicity", tid, k,
                        f"{n_rel} releases and {n_drop} arrival drops")))
-        for (side, key), first in fabricated.items():
+        for side, key in fabricated:
             name, what = (("FabricatedDrop", "arrival drop") if side else
                           ("FabricatedRelease", "release"))
-            pv.append(((1 + side, first), (name, *key,
-                                           f"{what} without a scenario arrival")))
+            pv.append(((1 + side,), (name, *key,
+                                     f"{what} without a scenario arrival")))
         prep.violations = [v for _, v in sorted(pv, key=itemgetter(0))]
     if rrep is not None:
         for ev in late:

@@ -14,7 +14,9 @@ over interleaved rounds, in ms, of:
 
 The timings take turns within each round, so a change in machine speed
 moves all of them alike. It then prints, in MB, the tracemalloc size of the
-Trace that simulate returns and check_run's peak above it.
+Trace that simulate returns and check_run's peak above it. A last row,
+"naive+rel", times `run` alone on the naive trace with every release
+repeated in place, a job and an arrival each seen twice per release.
 
     PYTHONPATH=src python tests/long_run.py [--rounds N] [--horizons H ...]
 
@@ -89,6 +91,13 @@ def main():
             print(f"{protocol:<14} {len(trace.events):>8} " + " ".join(
                 f"{statistics.median(times[k]):>8.1f}"
                 for k in ("sim", "run", "per")) + f" {size:>7.1f} {peak:>9.2f}")
+        trace = sim.simulate(ts, platform, pa, wt, sc,
+                             sim.ProtocolConfig("naive"))
+        trace.events = [e for ev in trace.events for e in (
+            (ev, ev) if ev[0] == "release" else (ev,))]
+        run = statistics.median(timed(verify.check_run, trace, ts, wt, sc)
+                                for _ in range(args.rounds))
+        print(f"{'naive+rel':<14} {len(trace.events):>8} {'':>8} {run:>8.1f}")
 
 
 if __name__ == "__main__":

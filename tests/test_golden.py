@@ -340,7 +340,11 @@ def test_writer_and_reader_hold_the_text_in_pieces(tmp_path):
     text = trace.to_jsonl()
     size = len(text)
     path = tmp_path / "trace.jsonl"
+    # a full collection before each start empties the free lists, whose
+    # reuse tracemalloc does not see, so that no peak depends on what ran
+    # before
     with open(path, "w", encoding="utf-8") as fh:
+        gc.collect()
         tracemalloc.start()
         try:
             trace.write_jsonl(fh)
@@ -348,6 +352,7 @@ def test_writer_and_reader_hold_the_text_in_pieces(tmp_path):
         finally:
             tracemalloc.stop()
     assert path.read_text(encoding="utf-8") == text
+    gc.collect()
     tracemalloc.start()
     try:
         back = sim.trace_from_jsonl(text)

@@ -1,4 +1,6 @@
 import gc
+import statistics
+import time
 from functools import cache
 from itertools import product
 
@@ -6,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsched.gen import GenParams, gen_scenario
+from mcsched.experiment import prepare_run
+from mcsched.gen import GenParams, gen_scenario, gen_taskset
 from mcsched.model import MCTask, Scenario, TaskSet, id_key
 from mcsched.sim import PROTOCOLS, ProtocolConfig, Trace, simulate
 from mcsched.verify import (FeasibilityReport, PeriodicityReport,
@@ -921,6 +924,82 @@ def test_checkers_match_references_on_late_events_in_time_order(
     got = check_run(trace, ts, res.wcrt_table, sc)
     got.pop("reclaim", None)
     assert got == {"feasibility": feas, "periodicity": per, "response": resp}
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(set_seed=st.integers(1, 12), sc_seed=st.integers(0, 10**6),
+       protocol=st.sampled_from(PROTOCOLS), base=st.integers(0, 10**6),
+       edits=st.lists(st.tuples(
+           st.sampled_from(["release", "complete", "job_dropped"]),
+           st.booleans(), st.integers(0, 20), st.integers(0, 40)),
+           min_size=2, max_size=30))
+def test_checkers_match_references_on_many_anomalies_in_time_order(
+        set_seed, sc_seed, protocol, base, edits):
+    # 2-30 events of neighbouring jobs, each repeated or moved `later` ticks
+    # on, in its place in time: the same job is often hit again after its
+    # verdict was taken back, and several verdicts are taken back at once
+    plan = tuple((t, 1 + (t // 15) % 2) for t in range(15, EQUIV_HORIZON, 15))
+    ts, res, sc, clean = equiv_run(set_seed, sc_seed, protocol, plan)
+    events = list(clean.events)
+    for kind, move, near, later in edits:
+        where = [i for i, ev in enumerate(events) if ev[0] == kind]
+        if not where:
+            continue
+        i = where[(base + near) % len(where)]
+        ev = events[i]
+        if move:
+            del events[i]
+        events = in_time(events, ev[:1] + (min(ev[1] + later, EQUIV_HORIZON),)
+                         + ev[2:])
+    assert [e[1] for e in events] == sorted(e[1] for e in events)
+    trace = retrace(clean, events)
+    feas = check_feasibility(trace, ts)
+    per = check_periodicity(trace, ts, sc)
+    resp = check_response_bounds(trace, res.wcrt_table, ts)
+    assert feas == ref_feasibility(trace, ts)
+    assert per == ref_periodicity(trace, ts, sc)
+    assert resp == ref_response_bounds(trace, res.wcrt_table, ts)
+    got = check_run(trace, ts, res.wcrt_table, sc)
+    got.pop("reclaim", None)
+    assert got == {"feasibility": feas, "periodicity": per, "response": resp}
+
+
+LONG_PARAMS = GenParams(n_tasks=12, levels=3, total_util=1.6, m=4,
+                        period_range=(8, 24), ensure_overrunnable=True)
+
+
+def median_ms(fn, *args, rounds=3):
+    times = []
+    for _ in range(rounds):
+        t0 = time.perf_counter()
+        fn(*args)
+        times.append((time.perf_counter() - t0) * 1e3)
+    return statistics.median(times)
+
+
+def test_check_run_stays_linear_when_every_event_of_a_kind_repeats():
+    # the shape of tests/long_run.py at horizon 10,000, about 12k events:
+    # with every release, every completion or every drop repeated in place,
+    # check_run takes at most 20 times its time on the clean trace (median
+    # of 3 each; a walk that rebuilt a job or arrival from the events before
+    # each repeat took hundreds of times), and gives the references' reports
+    ts, platform = gen_taskset(LONG_PARAMS, 1)
+    pa, wt, _ = prepare_run(ts, platform, True, False)
+    sc = gen_scenario(ts, 10_000, 1, exec_model="overrun",
+                      dmcr_plan=tuple((t, 1) for t in range(995, 10_000, 995)))
+    clean = simulate(ts, platform, pa, wt, sc, ProtocolConfig("naive"))
+    assert len(clean.events) > 10_000
+    base = median_ms(check_run, clean, ts, wt, sc)
+    for kind in ("release", "complete", "job_dropped"):
+        trace = retrace(clean, [e for ev in clean.events for e in (
+            (ev, ev) if ev[0] == kind else (ev,))])
+        assert len(trace.events) > len(clean.events) + 1000
+        took = median_ms(check_run, trace, ts, wt, sc)
+        assert took <= 20 * base, (kind, took, base)
+        assert check_run(trace, ts, wt, sc) == {
+            "feasibility": ref_feasibility(trace, ts),
+            "periodicity": ref_periodicity(trace, ts, sc),
+            "response": ref_response_bounds(trace, wt, ts)}
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
