@@ -1,14 +1,18 @@
-"""Time and measure the checkers on the long run, and on the same run cut short.
+"""Time and measure the simulator, the reader and the checkers on the long run.
 
 The long run: n=12, m=4, 3 levels, the set of
 `mcsched generate taskset --n 12 --m 4 --levels 3 --util 1.6 --seed 1
 --overrunnable`, the scenario of `mcsched generate scenario --horizon H
 --seed 1 --exec-model overrun` with a request to level 1 at every k * 995
-below H, analysed and simulated as `mcsched simulate` does. For H = 20,000
-and H = 200,000 it prints, per protocol, the event count and the median
-over interleaved rounds, in ms, of:
+below H, analysed and simulated as `mcsched simulate` does. `inputs(H)`
+builds it for this script and for the tests.
 
-    sim    sim.simulate
+For H = 20,000 and H = 200,000 it prints one row per distinct event list,
+naming the protocols that give it, with the event count and the median over
+interleaved rounds, in ms, of:
+
+    sim    sim.simulate under the row's first protocol
+    read   sim.trace_from_jsonl(trace.to_jsonl())
     run    verify.check_run(trace, ts, wt, sc)
     per    verify.check_periodicity(trace, ts, sc)
 
@@ -20,7 +24,8 @@ repeated in place, a job and an arrival each seen twice per release.
 
     PYTHONPATH=src python tests/long_run.py [--rounds N] [--horizons H ...]
 
-Standard library and mcsched only; pytest does not collect it.
+Standard library and mcsched only; pytest does not collect it, and
+tests/test_probes.py runs it at a short horizon.
 """
 
 import argparse
@@ -34,12 +39,29 @@ from mcsched import experiment, gen, sim, verify
 PARAMS = gen.GenParams(n_tasks=12, levels=3, total_util=1.6, m=4,
                        period_range=(8, 24), ensure_overrunnable=True)
 SET_SEED, SCENARIO_SEED, REQUEST_GAP = 1, 1, 995
+COLUMNS = ("sim", "read", "run", "per")
+
+
+def inputs(horizon):
+    """(ts, platform, pa, wt, sc) of the long run up to this horizon."""
+    ts, platform = gen.gen_taskset(PARAMS, SET_SEED)
+    pa, wt, _ = experiment.prepare_run(ts, platform, True, False)
+    plan = tuple((t, 1) for t in range(REQUEST_GAP, horizon, REQUEST_GAP))
+    sc = gen.gen_scenario(ts, horizon, SCENARIO_SEED, exec_model="overrun",
+                          dmcr_plan=plan)
+    return ts, platform, pa, wt, sc
 
 
 def timed(fn, *args):
+    """fn(*args)'s wall time, in ms."""
     t0 = time.perf_counter()
     fn(*args)
     return (time.perf_counter() - t0) * 1e3
+
+
+def repeated(events, kind):
+    """events with each event of this kind repeated in place."""
+    return [e for ev in events for e in ((ev, ev) if ev[0] == kind else (ev,))]
 
 
 def sizes(run):
@@ -59,45 +81,47 @@ def sizes(run):
     return held / 1e6, (top - held) / 1e6
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("--rounds", type=int, default=5)
     parser.add_argument("--horizons", type=int, nargs="+",
                         default=[20_000, 200_000])
-    args = parser.parse_args()
-    ts, platform = gen.gen_taskset(PARAMS, SET_SEED)
-    pa, wt, _ = experiment.prepare_run(ts, platform, True, False)
+    args = parser.parse_args(argv)
     for horizon in args.horizons:
-        plan = tuple((t, 1) for t in range(REQUEST_GAP, horizon, REQUEST_GAP))
-        sc = gen.gen_scenario(ts, horizon, SCENARIO_SEED,
-                              exec_model="overrun", dmcr_plan=plan)
-        print(f"H={horizon}, {len(plan)} requests: median ms of {args.rounds}"
-              " rounds; MB")
-        print(f"{'protocol':<14} {'events':>8} {'sim':>8} {'run':>8} "
-              f"{'per':>8} {'trace':>7} {'run peak':>9}")
+        ts, platform, pa, wt, sc = inputs(horizon)
+        groups = {}  # event list: (the protocols giving it, the first's trace)
         for protocol in sim.PROTOCOLS:
-            cfg = sim.ProtocolConfig(protocol)
-            trace = sim.simulate(ts, platform, pa, wt, sc, cfg)
-            times = {"sim": [], "run": [], "per": []}
+            trace = sim.simulate(ts, platform, pa, wt, sc,
+                                 sim.ProtocolConfig(protocol))
+            groups.setdefault(tuple(trace.events), ([], trace))[0].append(
+                protocol)
+        print(f"H={horizon}, {len(sc.dmcr_requests)} requests: median ms of "
+              f"{args.rounds} rounds; MB")
+        print(f"{'events':>8} " + " ".join(f"{k:>8}" for k in COLUMNS)
+              + f" {'trace':>7} {'run peak':>9}  protocols")
+        for protocols, trace in groups.values():
+            cfg = sim.ProtocolConfig(protocols[0])
+            text = trace.to_jsonl()
+            times = {k: [] for k in COLUMNS}
             for _ in range(args.rounds):
                 times["sim"].append(timed(sim.simulate, ts, platform, pa, wt,
                                           sc, cfg))
+                times["read"].append(timed(sim.trace_from_jsonl, text))
                 times["run"].append(timed(verify.check_run, trace, ts, wt, sc))
                 times["per"].append(timed(verify.check_periodicity, trace, ts,
                                           sc))
             size, peak = sizes(lambda: (
                 sim.simulate(ts, platform, pa, wt, sc, cfg),
                 lambda tr: verify.check_run(tr, ts, wt, sc)))
-            print(f"{protocol:<14} {len(trace.events):>8} " + " ".join(
-                f"{statistics.median(times[k]):>8.1f}"
-                for k in ("sim", "run", "per")) + f" {size:>7.1f} {peak:>9.2f}")
-        trace = sim.simulate(ts, platform, pa, wt, sc,
-                             sim.ProtocolConfig("naive"))
-        trace.events = [e for ev in trace.events for e in (
-            (ev, ev) if ev[0] == "release" else (ev,))]
+            print(f"{len(trace.events):>8} " + " ".join(
+                f"{statistics.median(times[k]):>8.1f}" for k in COLUMNS)
+                + f" {size:>7.1f} {peak:>9.2f}  " + " ".join(protocols))
+        trace = next(tr for ps, tr in groups.values() if "naive" in ps)
+        trace.events = repeated(trace.events, "release")
         run = statistics.median(timed(verify.check_run, trace, ts, wt, sc)
                                 for _ in range(args.rounds))
-        print(f"{'naive+rel':<14} {len(trace.events):>8} {'':>8} {run:>8.1f}")
+        print(f"{len(trace.events):>8} {'':>17} {run:>8.1f} {'':>26}"
+              "  naive+rel")
 
 
 if __name__ == "__main__":

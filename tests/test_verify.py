@@ -1,6 +1,5 @@
 import gc
 import statistics
-import time
 from functools import cache
 from itertools import product
 
@@ -8,8 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsched.experiment import prepare_run
-from mcsched.gen import GenParams, gen_scenario, gen_taskset
+from mcsched.gen import GenParams, gen_scenario
 from mcsched.model import MCTask, Scenario, TaskSet, id_key
 from mcsched.sim import PROTOCOLS, ProtocolConfig, Trace, simulate
 from mcsched.verify import (FeasibilityReport, PeriodicityReport,
@@ -17,9 +15,11 @@ from mcsched.verify import (FeasibilityReport, PeriodicityReport,
                             check_feasibility, check_periodicity,
                             check_response_bounds, check_run,
                             compute_l_intervals, metrics)
+import long_run
 from oracles import (ParameterTooLarge, brute_force_workload,
                      count_basic_scenarios, enumerate_basic_scenarios)
 from slices import schedulable_sets
+from walk_diff import in_time
 
 
 def lo(tid, T, D, C, L=1, levels=1):
@@ -882,12 +882,6 @@ def test_checkers_judge_a_job_by_its_last_repeated_event(
         assert got["reclaim"] == check_run(clean, ts)["reclaim"]
 
 
-def in_time(events, ev):
-    """events with ev inserted after every event at or before its instant."""
-    at = next((j for j, e in enumerate(events) if e[1] > ev[1]), len(events))
-    return events[:at] + [ev] + events[at:]
-
-
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(set_seed=st.integers(1, 12), sc_seed=st.integers(0, 10**6),
        protocol=st.sampled_from(PROTOCOLS),
@@ -964,37 +958,22 @@ def test_checkers_match_references_on_many_anomalies_in_time_order(
     assert got == {"feasibility": feas, "periodicity": per, "response": resp}
 
 
-LONG_PARAMS = GenParams(n_tasks=12, levels=3, total_util=1.6, m=4,
-                        period_range=(8, 24), ensure_overrunnable=True)
-
-
-def median_ms(fn, *args, rounds=3):
-    times = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn(*args)
-        times.append((time.perf_counter() - t0) * 1e3)
-    return statistics.median(times)
-
-
 def test_check_run_stays_linear_when_every_event_of_a_kind_repeats():
-    # the shape of tests/long_run.py at horizon 10,000, about 12k events:
+    # the long run of tests/long_run.py at horizon 10,000, about 12k events:
     # with every release, every completion or every drop repeated in place,
     # check_run takes at most 20 times its time on the clean trace (median
     # of 3 each; a walk that rebuilt a job or arrival from the events before
     # each repeat took hundreds of times), and gives the references' reports
-    ts, platform = gen_taskset(LONG_PARAMS, 1)
-    pa, wt, _ = prepare_run(ts, platform, True, False)
-    sc = gen_scenario(ts, 10_000, 1, exec_model="overrun",
-                      dmcr_plan=tuple((t, 1) for t in range(995, 10_000, 995)))
+    ts, platform, pa, wt, sc = long_run.inputs(10_000)
     clean = simulate(ts, platform, pa, wt, sc, ProtocolConfig("naive"))
     assert len(clean.events) > 10_000
-    base = median_ms(check_run, clean, ts, wt, sc)
+    base = statistics.median(long_run.timed(check_run, clean, ts, wt, sc)
+                             for _ in range(3))
     for kind in ("release", "complete", "job_dropped"):
-        trace = retrace(clean, [e for ev in clean.events for e in (
-            (ev, ev) if ev[0] == kind else (ev,))])
+        trace = retrace(clean, long_run.repeated(clean.events, kind))
         assert len(trace.events) > len(clean.events) + 1000
-        took = median_ms(check_run, trace, ts, wt, sc)
+        took = statistics.median(long_run.timed(check_run, trace, ts, wt, sc)
+                                 for _ in range(3))
         assert took <= 20 * base, (kind, took, base)
         assert check_run(trace, ts, wt, sc) == {
             "feasibility": ref_feasibility(trace, ts),

@@ -23,7 +23,8 @@ and `vars()`, since the classes of two trees are never equal.
 
     PYTHONPATH=src python tests/walk_diff.py OTHER [--runs N] [--seed S]
 
-Standard library and mcsched only; pytest does not collect it.
+Standard library and mcsched only; pytest does not collect it, and
+tests/test_probes.py runs it against this tree.
 """
 
 import argparse
@@ -135,12 +136,12 @@ def reports(module, trace, ts, wt, sc):
     return {name: (type(rep).__name__, vars(rep)) for name, rep in got.items()}
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.partition("\n")[0])
     parser.add_argument("other", help="root of the tree to compare with")
     parser.add_argument("--runs", type=int, default=1000)
     parser.add_argument("--seed", type=int, default=1)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     other = load_other(args.other)
     compared = differ = 0
     for ts, wt, sc, trace in runs(args.runs, args.seed):
