@@ -17,8 +17,10 @@ interleaved rounds, in ms, of:
     per    verify.check_periodicity(trace, ts, sc)
 
 The timings take turns within each round, so a change in machine speed
-moves all of them alike. It then prints, in MB, the tracemalloc size of the
-Trace that simulate returns and check_run's peak above it. A last row,
+moves all of them alike. It then prints, in MB, the size of the row's event
+list, the sys.getsizeof total over the list and each distinct object it
+holds, nested ones included, and the tracemalloc peak of check_run on that
+trace. A last row,
 "naive+rel", times `run` alone on the naive trace with every release
 repeated in place, a job and an arrival each seen twice per release.
 
@@ -31,6 +33,7 @@ tests/test_probes.py runs it at a short horizon.
 import argparse
 import gc
 import statistics
+import sys
 import time
 import tracemalloc
 
@@ -64,21 +67,28 @@ def repeated(events, kind):
     return [e for ev in events for e in ((ev, ev) if ev[0] == kind else (ev,))]
 
 
-def sizes(run):
-    """The tracemalloc size of run()'s Trace, and check_run's peak above it,
-    in MB. A full collection first empties the free lists, whose reuse
-    tracemalloc does not see."""
+def size(events):
+    """The sys.getsizeof total of events and each distinct object it holds,
+    nested ones included, in MB."""
+    sizes, todo = {}, [events]
+    while todo:
+        if id(obj := todo.pop()) not in sizes:
+            sizes[id(obj)] = sys.getsizeof(obj)
+            if isinstance(obj, (list, tuple)):
+                todo.extend(obj)
+    return sum(sizes.values()) / 1e6
+
+
+def peak(fn, *args):
+    """The tracemalloc peak of fn(*args), in MB. A full collection first
+    empties the free lists, whose reuse tracemalloc does not see."""
     gc.collect()
     tracemalloc.start()
     try:
-        trace, check = run()
-        held = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        check(trace)
-        top = tracemalloc.get_traced_memory()[1]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] / 1e6
     finally:
         tracemalloc.stop()
-    return held / 1e6, (top - held) / 1e6
 
 
 def main(argv=None):
@@ -110,12 +120,11 @@ def main(argv=None):
                 times["run"].append(timed(verify.check_run, trace, ts, wt, sc))
                 times["per"].append(timed(verify.check_periodicity, trace, ts,
                                           sc))
-            size, peak = sizes(lambda: (
-                sim.simulate(ts, platform, pa, wt, sc, cfg),
-                lambda tr: verify.check_run(tr, ts, wt, sc)))
             print(f"{len(trace.events):>8} " + " ".join(
                 f"{statistics.median(times[k]):>8.1f}" for k in COLUMNS)
-                + f" {size:>7.1f} {peak:>9.2f}  " + " ".join(protocols))
+                + f" {size(trace.events):>7.1f}"
+                f" {peak(verify.check_run, trace, ts, wt, sc):>9.2f}  "
+                + " ".join(protocols))
         trace = next(tr for ps, tr in groups.values() if "naive" in ps)
         trace.events = repeated(trace.events, "release")
         run = statistics.median(timed(verify.check_run, trace, ts, wt, sc)

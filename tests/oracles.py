@@ -24,6 +24,12 @@ search in `mcsched.gen`.
 Exhaustive oracles. The exact worst-case workload of one task over a
 window, by a search over every legal release pattern; every basic scenario
 of a small task set; and the classical uniprocessor recurrence.
+
+Checker references. `ref_feasibility`, `ref_periodicity` and
+`ref_response_bounds` give `mcsched.verify`'s reports by plain scans that
+look each job up against every level interval, and `ref_reclaim` totals
+each ghost's hosted ticks before it judges any. The checkers' one walk must
+give the same reports, violation order and counters included.
 """
 
 from __future__ import annotations
@@ -34,7 +40,10 @@ from math import prod
 
 from mcsched.analysis import Divergent, SameTask
 from mcsched.gen import Infeasible
-from mcsched.model import MCTask, Scenario, TaskSet
+from mcsched.model import MCTask, Scenario, TaskSet, id_key
+from mcsched.verify import (FeasibilityReport, PeriodicityReport,
+                            ReclaimReport, ResponseReport,
+                            compute_l_intervals)
 
 MAX_ORACLE_DELTA = 64
 MAX_ENUM_JOBS = 12
@@ -234,3 +243,221 @@ def enumerate_basic_scenarios(ts: TaskSet, horizon: int, arrivals=None):
                        exec_times={task.id: times for task, times
                                    in zip(ts.tasks, combo)},
                        dmcr_requests=())
+
+
+# ---------------------------------------------------------------------------
+# checker references
+
+
+def ref_level_at(intervals, t):
+    for s, e, lv in reversed(intervals):
+        if t >= s:
+            return lv
+    return intervals[0][2]
+
+
+def _suspension_starts(intervals, crit):
+    """Instants, in increasing order, at which a task with criticality crit
+    becomes suspended."""
+    starts = []
+    prev = 1
+    for s, e, lv in intervals:
+        if lv > crit >= prev:
+            starts.append(s)
+        prev = lv
+    return starts
+
+
+def ref_feasibility(trace, ts):
+    rep = FeasibilityReport()
+    intervals = compute_l_intervals(trace)
+    by_id = {t.id: t for t in ts.tasks}
+    releases, completes, dropped = {}, {}, {}
+    for ev in trace.events:
+        if ev[0] == "release":
+            releases[(ev[3], ev[4])] = ev
+        elif ev[0] == "complete":
+            completes[(ev[3], ev[4])] = ev
+        elif ev[0] == "job_dropped":
+            dropped[(ev[3], ev[4])] = ev[5]
+    for key, ev in completes.items():
+        if key not in releases:
+            rep.violations.append(("CompletionWithoutRelease", key[0], key[1],
+                                   f"completed at {ev[1]} but never released"))
+    for key, why in dropped.items():
+        if why == "imcr" and key not in releases:
+            rep.violations.append(("DropWithoutRelease", key[0], key[1],
+                                   "imcr-dropped but never released"))
+    level = 1
+    for ev in trace.events:
+        if ev[0] == "re_enabled":
+            woken = tuple(sorted((t.id for t in ts.tasks
+                                  if ev[2] <= t.L < level), key=id_key))
+            if ev[3] != woken:
+                rep.violations.append((
+                    "WrongWokenList", None, None, f"re-enabled {list(ev[3])} "
+                    f"at {ev[1]}, expected {list(woken)}"))
+        if ev[0] in ("budget_exceeded", "re_enabled"):
+            level = ev[2]
+    for (tid, k), rel in releases.items():
+        task = by_id.get(tid)
+        if task is None:
+            rep.violations.append(("UnknownTask", tid, k, "release of unknown task"))
+            continue
+        r, d = rel[1], rel[5]
+        comp = completes.get((tid, k))
+        starts = _suspension_starts(intervals, task.L)
+        if comp is not None:
+            f, rem = comp[1], comp[8]
+            suspended_within = any(r < u < f for u in starts)
+            rep.checked += 1
+            if rem:
+                if not suspended_within:
+                    rep.violations.append((
+                        "RemFlagInconsistent", tid, k,
+                        f"flagged rem but task never suspended in ({r}, {f})"))
+                else:
+                    rep.exempt_rem += 1
+            elif suspended_within:
+                rep.violations.append((
+                    "RemFlagInconsistent", tid, k,
+                    f"task suspended inside [{r}, {f}) but job not flagged rem"))
+            elif f > d:
+                rep.violations.append((
+                    "DeadlineMiss", tid, k, f"completed at {f}, deadline {d}"))
+            continue
+        if (tid, k) in dropped:
+            rep.exempt_dropped += 1
+        elif d > trace.horizon:
+            rep.spanning += 1
+        else:
+            rep.checked += 1
+            if any(r < u <= d for u in starts):
+                rep.exempt_rem += 1
+            else:
+                rep.violations.append((
+                    "DeadlineMiss", tid, k,
+                    f"released at {r}, deadline {d}, never completed"))
+    return rep
+
+
+def ref_periodicity(trace, ts, sc):
+    rep = PeriodicityReport()
+    intervals = compute_l_intervals(trace)
+    by_id = {t.id: t for t in ts.tasks}
+    releases, arrival_drops = {}, {}
+    for ev in trace.events:
+        if ev[0] == "release":
+            releases.setdefault((ev[3], ev[4]), []).append(ev)
+        elif ev[0] == "job_dropped" and ev[5] == "suspended_arrival":
+            arrival_drops.setdefault((ev[3], ev[4]), []).append(ev)
+    expected = set()
+    for tid, arrivals in sc.arrivals.items():
+        task = by_id.get(tid)
+        if task is None:
+            continue
+        for k, a in enumerate(arrivals, 1):
+            if a > sc.horizon:
+                continue
+            expected.add((tid, k))
+            rep.checked += 1
+            rels = releases.get((tid, k), [])
+            drops = arrival_drops.get((tid, k), [])
+            if len(rels) + len(drops) != 1:
+                rep.violations.append((
+                    "ArrivalMultiplicity", tid, k,
+                    f"{len(rels)} releases and {len(drops)} arrival drops"))
+                continue
+            lv = ref_level_at(intervals, a)
+            if rels:
+                ev = rels[0]
+                if ev[1] != a:
+                    rep.violations.append((
+                        "ShiftedRelease", tid, k,
+                        f"released at {ev[1]}, arrival at {a}"))
+                elif ev[5] != a + task.D:
+                    rep.violations.append((
+                        "WrongDeadline", tid, k,
+                        f"deadline {ev[5]}, expected {a + task.D}"))
+                elif task.L < lv:
+                    rep.violations.append((
+                        "ReleaseWhileSuspended", tid, k,
+                        f"released at {a} at level {lv} > L={task.L}"))
+            else:
+                ev = drops[0]
+                if ev[1] != a:
+                    rep.violations.append((
+                        "ShiftedDrop", tid, k,
+                        f"arrival drop at {ev[1]}, arrival at {a}"))
+                elif task.L >= lv:
+                    rep.violations.append((
+                        "DropWhileEnabled", tid, k,
+                        f"arrival dropped at {a} at level {lv} <= L={task.L}"))
+    for key in releases:
+        if key not in expected:
+            rep.violations.append((
+                "FabricatedRelease", key[0], key[1],
+                "release without a scenario arrival"))
+    for key in arrival_drops:
+        if key not in expected:
+            rep.violations.append((
+                "FabricatedDrop", key[0], key[1],
+                "arrival drop without a scenario arrival"))
+    return rep
+
+
+def ref_response_bounds(trace, wt, ts):
+    rep = ResponseReport()
+    intervals = compute_l_intervals(trace)
+    by_id = {t.id: t for t in ts.tasks}
+    for ev in trace.events:
+        if ev[0] != "complete" or ev[8]:
+            continue
+        tid, k, f, r = ev[3], ev[4], ev[1], ev[6]
+        task = by_id.get(tid)
+        if task is None:
+            continue
+        span = None
+        for s, e, lv in intervals:
+            if s <= r < e:
+                span = (s, e, lv)
+                break
+        if span is None or f > span[1]:
+            rep.spanning += 1
+            continue
+        bound = wt.get((tid, span[2]))
+        if bound is None or span[2] > task.L:
+            rep.unscoped += 1
+            continue
+        rep.checked += 1
+        if f - r > bound:
+            rep.violations.append((
+                "ResponseBoundExceeded", tid, k,
+                f"response {f - r} > bound {bound} at level {span[2]}"))
+    return rep
+
+
+def ref_reclaim(trace, ts):
+    rep = ReclaimReport()
+    by_id = {t.id: t for t in ts.tasks}
+    hosted, completes = {}, {}
+    for ev in trace.events:
+        if ev[0] == "sched":
+            for slot in ev[4]:
+                if slot[0] == "G":
+                    key = (slot[1], slot[2])
+                    hosted[key] = hosted.get(key, 0) + ev[3] - ev[1]
+        elif ev[0] == "complete":
+            completes[(ev[3], ev[4])] = ev
+    for (tid, k), ticks in hosted.items():
+        rep.checked += 1
+        comp, task = completes.get((tid, k)), by_id.get(tid)
+        if comp is None or task is None or not 1 <= comp[2] <= len(task.C):
+            rep.violations.append((
+                "UnfundedGhost", tid, k,
+                f"ghost hosted {ticks} ticks but its job never completed"))
+        elif comp[5] + ticks > task.wcet(comp[2]):
+            rep.violations.append((
+                "ReclaimOverBudget", tid, k, f"ran {comp[5]} + hosted {ticks} "
+                f"> budget {task.wcet(comp[2])} at level {comp[2]}"))
+    return rep

@@ -1,14 +1,7 @@
-"""The probe scripts, which pytest does not collect, still run."""
-
-from pathlib import Path
-
-import pytest
+"""The long-run probe script, which pytest does not collect, still runs."""
 
 import long_run
-import walk_diff
 from mcsched import sim
-
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_long_run_prints_a_row_per_distinct_event_list(capsys):
@@ -25,9 +18,3 @@ def test_long_run_prints_a_row_per_distinct_event_list(capsys):
     assert [name for row in rows[:-1] for name in row[7:]] == \
         list(sim.PROTOCOLS)
 
-
-def test_walk_diff_finds_no_difference_against_this_tree(capsys):
-    with pytest.raises(SystemExit) as done:
-        walk_diff.main([str(ROOT), "--runs", "20"])
-    assert done.value.code == 0
-    assert capsys.readouterr().out.endswith(" 0 differ\n")

@@ -1,4 +1,5 @@
 import gc
+import random
 import statistics
 from functools import cache
 from itertools import product
@@ -7,19 +8,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcsched.gen import GenParams, gen_scenario
-from mcsched.model import MCTask, Scenario, TaskSet, id_key
+from mcsched.experiment import prepare_run
+from mcsched.gen import GenParams, Infeasible, gen_scenario, gen_taskset
+from mcsched.model import MCTask, Scenario, TaskSet
 from mcsched.sim import PROTOCOLS, ProtocolConfig, Trace, simulate
-from mcsched.verify import (FeasibilityReport, PeriodicityReport,
-                            ReclaimReport, ResponseReport,
-                            check_feasibility, check_periodicity,
-                            check_response_bounds, check_run,
-                            compute_l_intervals, metrics)
+from mcsched.verify import (ReclaimReport, check_feasibility,
+                            check_periodicity, check_response_bounds,
+                            check_run, compute_l_intervals, metrics)
 import long_run
 from oracles import (ParameterTooLarge, brute_force_workload,
-                     count_basic_scenarios, enumerate_basic_scenarios)
+                     count_basic_scenarios, enumerate_basic_scenarios,
+                     ref_feasibility, ref_periodicity, ref_reclaim,
+                     ref_response_bounds)
 from slices import schedulable_sets
-from walk_diff import in_time
 
 
 def lo(tid, T, D, C, L=1, levels=1):
@@ -548,199 +549,119 @@ def test_metrics_counts():
 
 
 # ---------------------------------------------------------------------------
-# the bisecting checkers against linear-scan references
+# corrupted traces, judged by the linear-scan references
 #
-# The references below keep the original per-job scans over every level
-# interval; the checkers must produce the same reports, violation order and
-# counters included, on clean and on corrupted traces.
+# Each row of CORRUPTIONS holds an edit of an event list that keeps it in
+# time order within its horizon, as the walk requires; the report that flags
+# the edit alone on a clean run with that report; and why the edit can go
+# unseen, if it can. A row with no report leaves the run's meaning as it was.
 
 
-def ref_level_at(intervals, t):
-    for s, e, lv in reversed(intervals):
-        if t >= s:
-            return lv
-    return intervals[0][2]
+def retrace(trace, events):
+    """trace with these events in place of its own."""
+    return Trace(events, trace.horizon, trace.m, trace.levels, trace.protocol,
+                 trace.rem_order)
 
 
-def _suspension_starts(intervals, crit):
-    """Instants, in increasing order, at which a task with criticality crit
-    becomes suspended."""
-    starts = []
-    prev = 1
-    for s, e, lv in intervals:
-        if lv > crit >= prev:
-            starts.append(s)
-        prev = lv
-    return starts
+def in_time(events, ev):
+    """events with ev inserted after every event at or before its instant."""
+    at = next((j for j, e in enumerate(events) if e[1] > ev[1]), len(events))
+    return events[:at] + [ev] + events[at:]
 
 
-def ref_feasibility(trace, ts):
-    rep = FeasibilityReport()
-    intervals = compute_l_intervals(trace)
-    by_id = {t.id: t for t in ts.tasks}
-    releases, completes, dropped = {}, {}, {}
-    for ev in trace.events:
-        if ev[0] == "release":
-            releases[(ev[3], ev[4])] = ev
-        elif ev[0] == "complete":
-            completes[(ev[3], ev[4])] = ev
-        elif ev[0] == "job_dropped":
-            dropped[(ev[3], ev[4])] = ev[5]
-    for key, ev in completes.items():
-        if key not in releases:
-            rep.violations.append(("CompletionWithoutRelease", key[0], key[1],
-                                   f"completed at {ev[1]} but never released"))
-    for key, why in dropped.items():
-        if why == "imcr" and key not in releases:
-            rep.violations.append(("DropWithoutRelease", key[0], key[1],
-                                   "imcr-dropped but never released"))
-    level = 1
-    for ev in trace.events:
-        if ev[0] == "re_enabled":
-            woken = tuple(sorted((t.id for t in ts.tasks
-                                  if ev[2] <= t.L < level), key=id_key))
-            if ev[3] != woken:
-                rep.violations.append((
-                    "WrongWokenList", None, None, f"re-enabled {list(ev[3])} "
-                    f"at {ev[1]}, expected {list(woken)}"))
-        if ev[0] in ("budget_exceeded", "re_enabled"):
-            level = ev[2]
-    for (tid, k), rel in releases.items():
-        task = by_id.get(tid)
-        if task is None:
-            rep.violations.append(("UnknownTask", tid, k, "release of unknown task"))
-            continue
-        r, d = rel[1], rel[5]
-        comp = completes.get((tid, k))
-        starts = _suspension_starts(intervals, task.L)
-        if comp is not None:
-            f, rem = comp[1], comp[8]
-            suspended_within = any(r < u < f for u in starts)
-            rep.checked += 1
-            if rem:
-                if not suspended_within:
-                    rep.violations.append((
-                        "RemFlagInconsistent", tid, k,
-                        f"flagged rem but task never suspended in ({r}, {f})"))
-                else:
-                    rep.exempt_rem += 1
-            elif suspended_within:
-                rep.violations.append((
-                    "RemFlagInconsistent", tid, k,
-                    f"task suspended inside [{r}, {f}) but job not flagged rem"))
-            elif f > d:
-                rep.violations.append((
-                    "DeadlineMiss", tid, k, f"completed at {f}, deadline {d}"))
-            continue
-        if (tid, k) in dropped:
-            rep.exempt_dropped += 1
-        elif d > trace.horizon:
-            rep.spanning += 1
-        else:
-            rep.checked += 1
-            if any(r < u <= d for u in starts):
-                rep.exempt_rem += 1
-            else:
-                rep.violations.append((
-                    "DeadlineMiss", tid, k,
-                    f"released at {r}, deadline {d}, never completed"))
-    return rep
+def one(test, new=None, keep=False):
+    """The edit of a random event ev that passes test, if one does: ev taken
+    out (or kept), and new(ev, rng, horizon), unless None, put in time."""
+    def edit(events, rng, horizon):
+        if not (where := [i for i, ev in enumerate(events) if test(ev)]):
+            return events
+        i = rng.choice(where)
+        ev, events = events[i], events[:i + keep] + events[i + 1:]
+        return in_time(events, new(ev, rng, horizon)) if new else events
+    return edit
 
 
-def ref_periodicity(trace, ts, sc):
-    rep = PeriodicityReport()
-    intervals = compute_l_intervals(trace)
-    by_id = {t.id: t for t in ts.tasks}
-    releases, arrival_drops = {}, {}
-    for ev in trace.events:
-        if ev[0] == "release":
-            releases.setdefault((ev[3], ev[4]), []).append(ev)
-        elif ev[0] == "job_dropped" and ev[5] == "suspended_arrival":
-            arrival_drops.setdefault((ev[3], ev[4]), []).append(ev)
-    expected = set()
-    for tid, arrivals in sc.arrivals.items():
-        task = by_id.get(tid)
-        if task is None:
-            continue
-        for k, a in enumerate(arrivals, 1):
-            if a > sc.horizon:
-                continue
-            expected.add((tid, k))
-            rep.checked += 1
-            rels = releases.get((tid, k), [])
-            drops = arrival_drops.get((tid, k), [])
-            if len(rels) + len(drops) != 1:
-                rep.violations.append((
-                    "ArrivalMultiplicity", tid, k,
-                    f"{len(rels)} releases and {len(drops)} arrival drops"))
-                continue
-            lv = ref_level_at(intervals, a)
-            if rels:
-                ev = rels[0]
-                if ev[1] != a:
-                    rep.violations.append((
-                        "ShiftedRelease", tid, k,
-                        f"released at {ev[1]}, arrival at {a}"))
-                elif ev[5] != a + task.D:
-                    rep.violations.append((
-                        "WrongDeadline", tid, k,
-                        f"deadline {ev[5]}, expected {a + task.D}"))
-                elif task.L < lv:
-                    rep.violations.append((
-                        "ReleaseWhileSuspended", tid, k,
-                        f"released at {a} at level {lv} > L={task.L}"))
-            else:
-                ev = drops[0]
-                if ev[1] != a:
-                    rep.violations.append((
-                        "ShiftedDrop", tid, k,
-                        f"arrival drop at {ev[1]}, arrival at {a}"))
-                elif task.L >= lv:
-                    rep.violations.append((
-                        "DropWhileEnabled", tid, k,
-                        f"arrival dropped at {a} at level {lv} <= L={task.L}"))
-    for key in releases:
-        if key not in expected:
-            rep.violations.append((
-                "FabricatedRelease", key[0], key[1],
-                "release without a scenario arrival"))
-    for key in arrival_drops:
-        if key not in expected:
-            rep.violations.append((
-                "FabricatedDrop", key[0], key[1],
-                "arrival drop without a scenario arrival"))
-    return rep
+def of(kind):
+    return lambda ev: ev[0] == kind
 
 
-def ref_response_bounds(trace, wt, ts):
-    rep = ResponseReport()
-    intervals = compute_l_intervals(trace)
-    by_id = {t.id: t for t in ts.tasks}
-    for ev in trace.events:
-        if ev[0] != "complete" or ev[8]:
-            continue
-        tid, k, f, r = ev[3], ev[4], ev[1], ev[6]
-        task = by_id.get(tid)
-        if task is None:
-            continue
-        span = None
-        for s, e, lv in intervals:
-            if s <= r < e:
-                span = (s, e, lv)
-                break
-        if span is None or f > span[1]:
-            rep.spanning += 1
-            continue
-        bound = wt.get((tid, span[2]))
-        if bound is None or span[2] > task.L:
-            rep.unscoped += 1
-            continue
-        rep.checked += 1
-        if f - r > bound:
-            rep.violations.append((
-                "ResponseBoundExceeded", tid, k,
-                f"response {f - r} > bound {bound} at level {span[2]}"))
-    return rep
+def arrival_drop(ev):
+    return ev[0] == "job_dropped" and ev[5] == "suspended_arrival"
+
+
+def later(ev, rng, horizon):
+    """ev 1 to 40 ticks later, at most at the horizon."""
+    return ev[:1] + (min(horizon, ev[1] + rng.randint(1, 40)),) + ev[2:]
+
+
+def again(ev, rng, horizon):
+    """ev at its own instant or later."""
+    return ev if rng.random() < 0.5 else later(ev, rng, horizon)
+
+
+def shifted(ev, rng, horizon):
+    """ev one tick earlier or later (later only at 0)."""
+    return ev[:1] + (ev[1] + (rng.choice((-1, 1)) if ev[1] else 1),) + ev[2:]
+
+
+def renumbered(ev, rng, horizon):
+    return ev[:4] + (max(1, ev[4] + rng.choice((-2, -1, 1, 2, 50))),) + ev[5:]
+
+
+def many(events, rng, horizon):
+    """About 30% of the events of one job kind each repeated in place."""
+    kind = rng.choice(("release", "complete", "job_dropped"))
+    return [e for ev in events for e in (
+        (ev, ev) if ev[0] == kind and rng.random() < 0.3 else (ev,))]
+
+
+def lone_level_change_last(events, rng, horizon):
+    """A level change, the only one at its instant, moved after the other
+    events of that instant."""
+    times = [ev[1] for ev in events if ev[0] in LEVEL_CHANGES]
+    return one(lambda ev: ev[0] in LEVEL_CHANGES and times.count(ev[1]) == 1,
+               lambda ev, *_: ev)(events, rng, horizon)
+
+
+LEVEL_CHANGES = ("budget_exceeded", "re_enabled")
+GHOST_STRETCH = 16  # ticks: no budget exceeds it when periods are at most 16
+ON_TIME = "a job is judged by its last completion, and one by its deadline " \
+    "that crosses no suspension of its task leaves the verdict as it was"
+RELEGATED = "a job need not complete if its deadline is past the horizon " \
+    "or its task is suspended before it"
+CORRUPTIONS = {
+    "repeat-release": (one(of("release"), again, True), "periodicity", None),
+    "repeat-complete": (one(of("complete"), again, True), "feasibility",
+                        ON_TIME),
+    "dup-arrival-drop": (one(arrival_drop, again, True), "periodicity", None),
+    "move-release": (one(of("release"), later), "periodicity", None),
+    "move-complete": (one(of("complete"), later), "feasibility", ON_TIME),
+    "move-arrival-drop": (one(arrival_drop, later), "periodicity", None),
+    "shift-release": (one(of("release"), shifted), "periodicity", None),
+    "delete-release": (one(of("release")), "periodicity", None),
+    "delete-complete": (one(of("complete")), "feasibility", RELEGATED),
+    "delete-other": (one(lambda ev: ev[0] not in ("sched", "release",
+                                                  "complete")),
+                     "periodicity", "no checker reads requests or chain "
+                     "records, a job stays relegated without its imcr drop, "
+                     "and a level change can change no verdict"),
+    "k-release": (one(of("release"), renumbered), "periodicity", None),
+    "k-complete": (one(of("complete"), renumbered), "feasibility",
+                   RELEGATED + ", and a job is judged by its last completion"),
+    "many": (many, "periodicity", "completions and imcr drops repeated in "
+             "place leave their jobs' verdicts as they were"),
+    "flip-rem": (one(of("complete"), lambda ev, *_: ev[:8] + (1 - ev[8],)),
+                 "feasibility", None),
+    "stretch-ghost": (one(lambda ev: ev[0] == "sched" and any(
+        slot[0] == "G" for slot in ev[4]),
+        lambda ev, *_: ev[:3] + (ev[3] + GHOST_STRETCH,) + ev[4:]),
+                      "reclaim", None),
+    "woken-short": (one(lambda ev: ev[0] == "re_enabled" and ev[3],
+                        lambda ev, *_: ev[:3] + (ev[3][1:],)),
+                    "feasibility", None),
+    "level-change-last": (lone_level_change_last, None, "a level change "
+                          "counts at its instant, wherever it sits in it"),
+}
 
 
 EQUIV_PARAMS = GenParams(n_tasks=5, levels=3, total_util=1.0, m=2,
@@ -767,195 +688,89 @@ def equiv_run(set_seed, sc_seed, protocol, plan):
                                  sc, ProtocolConfig(protocol))
 
 
-def retrace(trace, events):
-    """trace with these events in place of its own."""
-    return Trace(events, trace.horizon, trace.m, trace.levels, trace.protocol,
-                 trace.rem_order)
-
-
-GHOST_STRETCH = 16  # ticks: no budget exceeds it when periods are at most 16
-
-
-def corrupt(events, how, pick):
-    """A copy of events with one corruption of the job `pick` selects: its
-    release moved one tick (later for pick >= 0, earlier otherwise), its
-    completion's rem flag flipped, its completion dropped, its release
-    (pick >= 0) or arrival drop (otherwise, if there is one) duplicated, or
-    a sched record holding its ghost slot stretched by GHOST_STRETCH."""
-    events = list(events)
-    if how == "none":
-        return events
-    if how == "stretch":
-        where = [i for i, ev in enumerate(events) if ev[0] == "sched"
-                 and any(slot[0] == "G" for slot in ev[4])]
-        i = where[abs(pick) % len(where)]
-        ev = events[i]
-        events[i] = ev[:3] + (ev[3] + GHOST_STRETCH,) + ev[4:]
-        return events
-    if how == "dup":
-        where = [i for i, ev in enumerate(events)
-                 if ev[0] == "job_dropped" and ev[5] == "suspended_arrival"]
-        if pick >= 0 or not where:
-            where = [i for i, ev in enumerate(events) if ev[0] == "release"]
-        i = where[abs(pick) % len(where)]
-        events.insert(i + 1, events[i])
-        return events
-    kind = "release" if how == "shift" else "complete"
-    where = [i for i, ev in enumerate(events) if ev[0] == kind]
-    i = where[abs(pick) % len(where)]
-    ev = events[i]
-    if how == "shift":
-        events[i] = ev[:1] + (ev[1] + (1 if pick >= 0 else -1),) + ev[2:]
-    elif how == "flip":
-        events[i] = ev[:8] + (1 - ev[8],)
-    else:
-        del events[i]
-    return events
-
-
-@settings(derandomize=True, max_examples=160, deadline=None)
-@given(set_seed=st.integers(1, 12), sc_seed=st.integers(0, 10**6),
-       protocol=st.sampled_from(PROTOCOLS), gap=st.integers(8, 30),
-       how=st.sampled_from(["none", "shift", "flip", "drop", "dup"]),
-       pick=st.integers(-10**6, 10**6))
-def test_checkers_match_linear_scan_references(set_seed, sc_seed, protocol,
-                                               gap, how, pick):
-    plan = tuple((t, 1 + (t // gap) % (EQUIV_PARAMS.levels - 1))
-                 for t in range(gap, EQUIV_HORIZON, gap))
-    ts, res, sc, clean = equiv_run(set_seed, sc_seed, protocol, plan)
-    trace = retrace(clean, corrupt(clean.events, how, pick))
-    # dozens of level intervals, so that bisection has work to do
-    assert len(compute_l_intervals(trace)) >= 12
-    feas = check_feasibility(trace, ts)
-    per = check_periodicity(trace, ts, sc)
-    resp = check_response_bounds(trace, res.wcrt_table, ts)
-    assert feas == ref_feasibility(trace, ts)
-    assert per == ref_periodicity(trace, ts, sc)
-    assert resp == ref_response_bounds(trace, res.wcrt_table, ts)
-    # every shift and dup fails periodicity, every flip feasibility; a drop
-    # can go unseen (a spanning or relegated job), a clean run passes
-    if how in ("shift", "dup"):
-        assert not per.ok
-    elif how == "flip":
-        assert not feas.ok
-    elif how == "none":
-        assert feas.ok and per.ok and resp.ok
-    # one shared index gives the same reports
-    reports = {"feasibility": feas, "periodicity": per, "response": resp}
-    got = check_run(trace, ts, res.wcrt_table, sc)
-    assert (got.pop("reclaim", None) is None) == (protocol != "wcet-reclaim")
-    assert got == reports and list(got) == list(reports)
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(set_seed=st.integers(1, 12), sc_seed=st.integers(0, 10**6),
-       protocol=st.sampled_from(PROTOCOLS),
-       kind=st.sampled_from(["release", "complete"]),
-       pick=st.integers(0, 10**6), later=st.integers(17, 40))
-def test_checkers_judge_a_job_by_its_last_repeated_event(
-        set_seed, sc_seed, protocol, kind, pick, later):
-    # a job released or completed twice, the second time `later` ticks on
-    # (a re-release with its deadline at the first release, a completion
-    # past any deadline): each checker, alone or in check_run, judges the
-    # job by that second event, as the references do
-    ts, res, sc, clean = equiv_run(set_seed, sc_seed, protocol,
-                                   ((EQUIV_HORIZON // 2, 1),))
-    events = list(clean.events)
-    where = [i for i, ev in enumerate(events) if ev[0] == kind]
-    i = where[pick % len(where)]
-    ev = events[i]
-    again = ev[:1] + (ev[1] + later,) + ev[2:]
-    if kind == "release":
-        again = again[:5] + (ev[1],)
-    events.insert(i + 1, again)
-    trace = retrace(clean, events)
-    feas = check_feasibility(trace, ts)
-    per = check_periodicity(trace, ts, sc)
-    assert feas == ref_feasibility(trace, ts)
-    assert per == ref_periodicity(trace, ts, sc)
-    got = check_run(trace, ts, res.wcrt_table, sc)
-    assert got["feasibility"] == feas and got["periodicity"] == per
-    assert got["response"] == check_response_bounds(trace, res.wcrt_table, ts)
-    if protocol == "wcet-reclaim":
-        # the repeat changes only the completion's time, which the reclaim
-        # rule does not read
-        assert got["reclaim"] == check_run(clean, ts)["reclaim"]
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(set_seed=st.integers(1, 12), sc_seed=st.integers(0, 10**6),
-       protocol=st.sampled_from(PROTOCOLS),
-       kind=st.sampled_from(["release", "complete", "job_dropped"]),
-       move=st.booleans(), pick=st.integers(0, 10**6),
-       later=st.integers(2, 40))
-def test_checkers_match_references_on_late_events_in_time_order(
-        set_seed, sc_seed, protocol, kind, move, pick, later):
-    # an event `later` ticks on, moved there or repeated there, in its place
-    # in time, after the events of its new instant: a release after its
-    # arrival, a completion or drop of a job closed long before. The walk
-    # has judged many jobs and arrivals by then, as a trace read from a file
-    # would have it
-    plan = tuple((t, 1 + (t // 15) % 2) for t in range(15, EQUIV_HORIZON, 15))
-    ts, res, sc, clean = equiv_run(set_seed, sc_seed, protocol, plan)
-    events = list(clean.events)
-    where = [i for i, ev in enumerate(events) if ev[0] == kind]
-    i = where[pick % len(where)]
-    ev = events[i]
-    if move:
-        del events[i]
-    events = in_time(events, ev[:1] + (ev[1] + later,) + ev[2:])
-    assert [e[1] for e in events] == sorted(e[1] for e in events)
-    assert len(events) > 500
-    trace = retrace(clean, events)
-    feas = check_feasibility(trace, ts)
-    per = check_periodicity(trace, ts, sc)
-    resp = check_response_bounds(trace, res.wcrt_table, ts)
-    assert feas == ref_feasibility(trace, ts)
-    assert per == ref_periodicity(trace, ts, sc)
-    assert resp == ref_response_bounds(trace, res.wcrt_table, ts)
-    if kind == "release":
-        assert not per.ok
-    got = check_run(trace, ts, res.wcrt_table, sc)
-    got.pop("reclaim", None)
-    assert got == {"feasibility": feas, "periodicity": per, "response": resp}
-
-
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(set_seed=st.integers(1, 12), sc_seed=st.integers(0, 10**6),
-       protocol=st.sampled_from(PROTOCOLS), base=st.integers(0, 10**6),
-       edits=st.lists(st.tuples(
-           st.sampled_from(["release", "complete", "job_dropped"]),
-           st.booleans(), st.integers(0, 20), st.integers(0, 40)),
-           min_size=2, max_size=30))
-def test_checkers_match_references_on_many_anomalies_in_time_order(
-        set_seed, sc_seed, protocol, base, edits):
-    # 2-30 events of neighbouring jobs, each repeated or moved `later` ticks
-    # on, in its place in time: the same job is often hit again after its
-    # verdict was taken back, and several verdicts are taken back at once
-    plan = tuple((t, 1 + (t // 15) % 2) for t in range(15, EQUIV_HORIZON, 15))
-    ts, res, sc, clean = equiv_run(set_seed, sc_seed, protocol, plan)
-    events = list(clean.events)
-    for kind, move, near, later in edits:
-        where = [i for i, ev in enumerate(events) if ev[0] == kind]
-        if not where:
+@cache
+def walk_set(seed):
+    """A generated set of 3-8 tasks on 2-3 processors with 2-3 levels, its
+    platform, and the analysis's priorities and bounds, or the
+    deadline-monotonic fallback's where the analysis refuses the set."""
+    rng = random.Random(seed)
+    while True:
+        m, levels = rng.randint(2, 3), rng.randint(2, 3)
+        params = GenParams(n_tasks=rng.randint(3, 8), levels=levels,
+                           total_util=0.5 * m, m=m, period_range=(8, 16),
+                           ensure_overrunnable=True)
+        try:
+            ts, platform = gen_taskset(params, rng.randrange(10**6))
+        except Infeasible:
             continue
-        i = where[(base + near) % len(where)]
-        ev = events[i]
-        if move:
-            del events[i]
-        events = in_time(events, ev[:1] + (min(ev[1] + later, EQUIV_HORIZON),)
-                         + ev[2:])
-    assert [e[1] for e in events] == sorted(e[1] for e in events)
+        return ts, platform, *prepare_run(ts, platform, True, True)[:2]
+
+
+def references(trace, ts, wt=None, sc=None):
+    """The reports check_run(trace, ts, wt, sc) must give, in its order."""
+    refs = {"feasibility": ref_feasibility(trace, ts)}
+    if sc is not None:
+        refs["periodicity"] = ref_periodicity(trace, ts, sc)
+    if wt is not None:
+        refs["response"] = ref_response_bounds(trace, wt, ts)
+    if trace.protocol == "wcet-reclaim":
+        refs["reclaim"] = ref_reclaim(trace, ts)
+    return refs
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(set_seed=st.integers(0, 19), sc_seed=st.integers(0, 10**6),
+       protocol=st.sampled_from(PROTOCOLS), horizon=st.integers(150, 400),
+       gap=st.integers(8, 30), seed=st.integers(0, 10**6),
+       rows=st.lists(st.sampled_from(list(CORRUPTIONS)), max_size=8))
+def test_checkers_match_the_references_on_corrupted_traces(
+        set_seed, sc_seed, protocol, horizon, gap, seed, rows):
+    # one walk, alone or in check_run, gives the references' reports on a
+    # run with any of the table's edits, in any number and order
+    ts, platform, pa, wt = walk_set(set_seed)
+    plan = tuple((t, 1 + (t // gap) % (ts.levels - 1))
+                 for t in range(gap, horizon, gap))
+    sc = gen_scenario(ts, horizon, sc_seed, exec_model="overrun",
+                      overrun_prob=0.5, dmcr_plan=plan)
+    clean = simulate(ts, platform, pa, wt, sc, ProtocolConfig(protocol))
+    rng, events = random.Random(seed), clean.events
+    for name in rows:
+        events = CORRUPTIONS[name][0](list(events), rng, horizon)
     trace = retrace(clean, events)
-    feas = check_feasibility(trace, ts)
-    per = check_periodicity(trace, ts, sc)
-    resp = check_response_bounds(trace, res.wcrt_table, ts)
-    assert feas == ref_feasibility(trace, ts)
-    assert per == ref_periodicity(trace, ts, sc)
-    assert resp == ref_response_bounds(trace, res.wcrt_table, ts)
-    got = check_run(trace, ts, res.wcrt_table, sc)
-    got.pop("reclaim", None)
-    assert got == {"feasibility": feas, "periodicity": per, "response": resp}
+    refs = references(trace, ts, wt, sc)
+    assert list(check_run(trace, ts, wt, sc).items()) == list(refs.items())
+    assert list(check_run(trace, ts).items()) == list(
+        references(trace, ts).items())
+    assert check_feasibility(trace, ts) == refs["feasibility"]
+    assert check_periodicity(trace, ts, sc) == refs["periodicity"]
+    assert check_response_bounds(trace, wt, ts) == refs["response"]
+
+
+def test_each_corruption_alone_is_flagged_by_its_report():
+    # each row edits clean runs of every protocol and a run whose ghosts
+    # host: its report, where the run has it, flags every edit, or at least
+    # one if the row says why an edit can go unseen; a row with no report
+    # changes no report
+    plan = tuple((t, 1 + (t // 15) % 2) for t in range(15, EQUIV_HORIZON, 15))
+    runs = [(ts, res.wcrt_table, sc, clean) for protocol in PROTOCOLS
+            for ts, res, sc, clean in (equiv_run(1, 7, protocol, plan),
+                                       equiv_run(2, 11, protocol, plan))]
+    ts, _, clean, _ = next(run for run in ghost_runs("wcet-reclaim") if run[3])
+    runs.append((ts, None, None, clean))
+    for name, (edit, report, unseen) in CORRUPTIONS.items():
+        seen = []  # per edit, whether it was flagged
+        for ts, wt, sc, clean in runs:
+            before = check_run(clean, ts, wt, sc)
+            assert all(rep.ok for rep in before.values())
+            for seed in range(3):
+                events = edit(list(clean.events), random.Random(seed),
+                              clean.horizon)
+                after = check_run(retrace(clean, events), ts, wt, sc)
+                if events != clean.events and report in (None, *after):
+                    seen.append(after != before if report is None
+                                else not after[report].ok)
+        assert seen and (not any(seen) if report is None else
+                         any(seen) if unseen else all(seen)), (name, seen)
 
 
 def test_check_run_stays_linear_when_every_event_of_a_kind_repeats():
@@ -975,10 +790,7 @@ def test_check_run_stays_linear_when_every_event_of_a_kind_repeats():
         took = statistics.median(long_run.timed(check_run, trace, ts, wt, sc)
                                  for _ in range(3))
         assert took <= 20 * base, (kind, took, base)
-        assert check_run(trace, ts, wt, sc) == {
-            "feasibility": ref_feasibility(trace, ts),
-            "periodicity": ref_periodicity(trace, ts, sc),
-            "response": ref_response_bounds(trace, wt, ts)}
+        assert check_run(trace, ts, wt, sc) == references(trace, ts, wt, sc)
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -1002,6 +814,7 @@ def test_checkers_leave_no_reference_cycles(protocol):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
 
 
 @pytest.mark.parametrize("protocol", PROTOCOLS)
@@ -1057,8 +870,9 @@ def test_stretched_ghost_fails_reclaim():
         assert bool(rep.checked) == hosts
         if not hosts:
             continue
-        for pick in (0, 5, -2):
-            trace = retrace(clean, corrupt(clean.events, "stretch", pick))
+        for pick in range(3):
+            trace = retrace(clean, CORRUPTIONS["stretch-ghost"][0](
+                list(clean.events), random.Random(pick), clean.horizon))
             rep = reclaim(trace, ts)
             assert rep.violations, pick
             assert {v[0] for v in rep.violations} == {"ReclaimOverBudget"}
@@ -1125,6 +939,28 @@ def test_periodicity_counts_release_then_arrival_drop():
     assert rep == ref_periodicity(trace, ts, sc)
     assert rep.violations == [("ArrivalMultiplicity", 2, 1,
                                "1 releases and 1 arrival drops")]
+
+
+
+@pytest.mark.parametrize("events, violations", [
+    # job (2, 2) is released twice before (2, 1) is sighted at all
+    ([("release", 0, 1, 1, 1, 10), ("release", 10, 1, 1, 2, 20),
+      ("release", 10, 1, 2, 2, 20), ("release", 10, 1, 2, 2, 20)],
+     [("ArrivalMultiplicity", 2, 1, "0 releases and 0 arrival drops"),
+      ("ArrivalMultiplicity", 2, 2, "2 releases and 0 arrival drops")]),
+    # job (2, 2) is released at 10, then an overrun at 10 suspends task 2
+    ([("release", 0, 1, 1, 1, 10), ("release", 0, 1, 2, 1, 10),
+      ("release", 10, 1, 1, 2, 20), ("release", 10, 1, 2, 2, 20),
+      ("budget_exceeded", 10, 2, 1, 2)],
+     [("ReleaseWhileSuspended", 2, 2, "released at 10 at level 2 > L=1")]),
+], ids=["number-sighted-twice-out-of-order", "suspended-after-release"])
+def test_periodicity_hand_traces_match_the_reference(events, violations):
+    ts = two_crit_set()
+    sc = periodic_scenario(ts)
+    trace = mk_trace(events, horizon=20)
+    assert list(check_run(trace, ts, sc=sc).items()) == list(
+        references(trace, ts, sc=sc).items())
+    assert check_periodicity(trace, ts, sc).violations == violations
 
 
 @pytest.mark.parametrize("horizon", [0, 10, 20, 25])
