@@ -718,15 +718,10 @@ def references(trace, ts, wt=None, sc=None):
     return refs
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(set_seed=st.integers(0, 19), sc_seed=st.integers(0, 10**6),
-       protocol=st.sampled_from(PROTOCOLS), horizon=st.integers(150, 400),
-       gap=st.integers(8, 30), seed=st.integers(0, 10**6),
-       rows=st.lists(st.sampled_from(list(CORRUPTIONS)), max_size=8))
-def test_checkers_match_the_references_on_corrupted_traces(
-        set_seed, sc_seed, protocol, horizon, gap, seed, rows):
-    # one walk, alone or in check_run, gives the references' reports on a
-    # run with any of the table's edits, in any number and order
+def assert_matches_references(set_seed, sc_seed, protocol, horizon, gap,
+                              seed, rows):
+    """One walk, alone or in check_run, gives the references' reports on
+    walk_set(set_seed)'s run with the table's `rows` applied in order."""
     ts, platform, pa, wt = walk_set(set_seed)
     plan = tuple((t, 1 + (t // gap) % (ts.levels - 1))
                  for t in range(gap, horizon, gap))
@@ -744,6 +739,66 @@ def test_checkers_match_the_references_on_corrupted_traces(
     assert check_feasibility(trace, ts) == refs["feasibility"]
     assert check_periodicity(trace, ts, sc) == refs["periodicity"]
     assert check_response_bounds(trace, wt, ts) == refs["response"]
+
+
+def rows_of(*names, min_size=0, max_size=8):
+    """Lists of the table's rows, drawn from `names` or from all of it."""
+    return st.lists(st.sampled_from(list(names or CORRUPTIONS)),
+                    min_size=min_size, max_size=max_size)
+
+
+# a cached set in walk_set's shapes, an overrun scenario with decrease
+# requests every `gap` ticks, a protocol and a seed for the rows' picks
+RUNS = dict(set_seed=st.integers(0, 19), sc_seed=st.integers(0, 10**6),
+            protocol=st.sampled_from(PROTOCOLS),
+            horizon=st.integers(150, 400), gap=st.integers(8, 30),
+            seed=st.integers(0, 10**6))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(**RUNS, rows=rows_of("shift-release", "flip-rem", "delete-complete",
+                            "dup-arrival-drop", "repeat-release",
+                            "stretch-ghost", "woken-short", max_size=1))
+def test_checkers_match_linear_scan_references(set_seed, sc_seed, protocol,
+                                               horizon, gap, seed, rows):
+    # a clean run, or one release shifted or repeated, one completion's rem
+    # flipped or dropped, one arrival drop repeated, one ghost stretched or
+    # one woken list a task short
+    assert_matches_references(set_seed, sc_seed, protocol, horizon, gap,
+                              seed, rows)
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(**RUNS, rows=rows_of("repeat-release", "repeat-complete",
+                            min_size=1, max_size=3))
+def test_checkers_judge_a_job_by_its_last_repeated_event(
+        set_seed, sc_seed, protocol, horizon, gap, seed, rows):
+    # jobs released or completed again later, in their place in time: each
+    # checker judges a job by its last such event, as the references do
+    assert_matches_references(set_seed, sc_seed, protocol, horizon, gap,
+                              seed, rows)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(**RUNS, rows=rows_of("move-release", "move-complete",
+                            "move-arrival-drop", min_size=1, max_size=3))
+def test_checkers_match_references_on_late_events_in_time_order(
+        set_seed, sc_seed, protocol, horizon, gap, seed, rows):
+    # releases, completions and arrival drops moved later, after the events
+    # of their new instant: the walk has judged many jobs and arrivals by
+    # then, as a trace read from a file would have it
+    assert_matches_references(set_seed, sc_seed, protocol, horizon, gap,
+                              seed, rows)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(**RUNS, rows=rows_of())
+def test_checkers_match_references_on_many_anomalies_in_time_order(
+        set_seed, sc_seed, protocol, horizon, gap, seed, rows):
+    # any of the table's rows, in any number up to 8 and any order: the same
+    # job is often hit again after its verdict was taken back
+    assert_matches_references(set_seed, sc_seed, protocol, horizon, gap,
+                              seed, rows)
 
 
 def test_each_corruption_alone_is_flagged_by_its_report():
