@@ -15,6 +15,7 @@ without force). `main` alone maps exceptions to codes 2 and 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -118,7 +119,10 @@ def cmd_experiment(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process; parsing
+    keeps no state in it between calls."""
     p = argparse.ArgumentParser(
         prog="mcsched",
         description="Mixed-criticality scheduling: analysis, simulation, "

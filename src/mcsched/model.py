@@ -337,7 +337,12 @@ def scenario_from_dict(doc: dict, ts: TaskSet) -> Scenario:
         arr = _require(entry, "arrivals", where)
         exe = _require(entry, "exec_times", where)
         for name, seq in (("arrivals", arr), ("exec_times", exe)):
-            if not isinstance(seq, list) or any(isinstance(x, bool) or not isinstance(x, int) for x in seq):
+            # the set of element types settles a list of plain integers at
+            # once; any other list gets the test element by element
+            if not isinstance(seq, list) or (
+                    not set(map(type, seq)) <= {int}
+                    and any(isinstance(x, bool) or not isinstance(x, int)
+                            for x in seq)):
                 raise FormatError(f"{where}.{name}: expected a list of integers")
         arrivals[tid] = tuple(arr)
         exec_times[tid] = tuple(exe)

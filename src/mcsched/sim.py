@@ -89,6 +89,7 @@ the cascade for the decrease instant has already run.
 from __future__ import annotations
 
 import json
+import re
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -247,10 +248,13 @@ _GHOST_LINE = _READERS.pop("ghost")
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 _decoder = json.JSONDecoder()
 _scan, _decode = _decoder.scan_once, _decoder.raw_decode
+# a line holding two records: "}", blanks, ",", blanks, "{"
+_TWO_RECORDS = re.compile(r"}[ \t]*,[ \t]*{").search
+_BLANK = object()  # the record of a blank line
 # The writer yields the lines of this many events at a time; the reader
-# splits pieces of about this many characters into lines.
+# decodes pieces of about this many characters, one block at a time.
 _PIECE_EVENTS = 256
-_READ_CHARS = 1 << 16
+_READ_CHARS = 1 << 14
 
 
 class _Encoded(dict):
@@ -322,20 +326,77 @@ def _jsonl_pieces(trace: Trace):
         out.clear()
 
 
-def _text_lines(text: str):
-    """The lines of text, as text.splitlines() splits them, taken from
-    pieces of about _READ_CHARS cut just after a "\n". A cut splits no line
-    boundary: "\n" is one of its own, and the only two-character boundary,
-    "\r\n", ends in "\n"."""
-    return chain.from_iterable(map(str.splitlines, _text_pieces(text)))
-
-
 def _text_pieces(text: str):
+    """text in pieces of about _READ_CHARS cut just after a "\n". A cut
+    splits no line boundary of str.splitlines(): "\n" is one of its own,
+    and the only two-character boundary, "\r\n", ends in "\n"."""
     start = 0
     while start < len(text):
         cut = text.find("\n", start + _READ_CHARS) + 1 or len(text)
         yield text[start:cut]
         start = cut
+
+
+def _records(text: str):
+    """The records of text's lines, blank ones as _BLANK, one iterable per
+    piece: the piece's block, or else its lines decoded one at a time."""
+    lineno = 1
+    for piece in _text_pieces(text):
+        lines = piece.splitlines()
+        yield _block_records(lines) or _line_records(lines, lineno)
+        lineno += len(lines)
+
+
+def _block_records(lines: list):
+    """The records of lines from one decode of "[" + ",\n".join(lines) +
+    "]", or None unless that decode gives one object per line and no line
+    holds two records.
+
+    Then each record is its own line's: the inserted "\n" cannot sit inside
+    a JSON string, so each inserted "," either separates two elements or,
+    inside a container, merges two lines into one element and costs an
+    element. With as many elements as lines, a merge needs a line holding
+    two top-level elements, and with objects only that takes "}", blanks,
+    ",", blanks, "{", blanks within a line being " " and "\t"."""
+    block = "[" + ",\n".join(lines) + "]"
+    try:
+        recs, end = _scan(block, 0)
+    except (StopIteration, ValueError, RecursionError):
+        return None
+    if (end == len(block) and len(recs) == len(lines)
+            and set(map(type, recs)) <= {dict} and not _TWO_RECORDS(block)):
+        return recs
+    return None
+
+
+def _line_records(lines: list, lineno: int):
+    """The record of each line, the first numbered lineno, decoded on its
+    own; a line that does not decode raises ValueError naming it."""
+    for lineno, line in enumerate(lines, lineno):
+        # a line the scanner takes whole is its own stripped text; any
+        # other is stripped and decoded again, which names its fault
+        try:
+            rec, end = _scan(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end != len(line):
+            line = line.strip()
+            if not line:
+                yield _BLANK
+                continue
+            try:
+                rec, end = _decode(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"trace line {lineno}: {exc.msg}") from exc
+            except ValueError as exc:  # such as an over-long integer
+                raise ValueError(f"trace line {lineno}: {exc}") from None
+            except RecursionError:
+                raise ValueError(
+                    f"trace line {lineno}: nested too deep") from None
+            if end < len(line):
+                raise ValueError(
+                    f"trace line {lineno}: extra data after the record")
+        yield rec
 
 
 def _no_layout(rec, exc) -> str:
@@ -358,41 +419,29 @@ def trace_from_jsonl(text: str) -> Trace:
     the procs left over, if any; each span starts after the one before it. A
     span becomes one sched record in the place of its lines; an idle line's
     "procs" is checked, then dropped. Malformed input, a field of the wrong
-    JSON type included, raises ValueError naming the line."""
+    JSON type included, raises ValueError naming the line.
+
+    The text is read in pieces of about _READ_CHARS, each decoded in one
+    call as a JSON array of its lines where that gives each line's own
+    record (_block_records), and a line at a time otherwise, which names
+    the line of a fault; every piece of the writer's text takes the one
+    call."""
     events = []
     meta = slots = None  # slots: those of the open span, if one is open
     # levels is 0 until the meta line, so every line before it fails the
     # mode test below, where the meta-first rule refuses it
     levels = 0
-    for lineno, line in enumerate(_text_lines(text), 1):
-        # a line the scanner takes whole is its own stripped text; any
-        # other is stripped and decoded again, which names its fault
-        try:
-            rec, end = _scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec, end = _decode(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"trace line {lineno}: {exc.msg}") from exc
-            except ValueError as exc:  # such as an over-long integer
-                raise ValueError(f"trace line {lineno}: {exc}") from None
-            except RecursionError:
-                raise ValueError(
-                    f"trace line {lineno}: nested too deep") from None
-            if end < len(line):
-                raise ValueError(
-                    f"trace line {lineno}: extra data after the record")
+    for lineno, rec in enumerate(chain.from_iterable(_records(text)), 1):
         try:
             get, check, part, names = _READERS[rec["kind"]]
             if part == _DISPATCH and "ghost_task" in rec:
                 get, check, part, names = _GHOST_LINE
             vals = get(rec)
         except (KeyError, TypeError) as exc:
+            # a blank line fails the lookup too; skipped here, it costs the
+            # other lines nothing
+            if rec is _BLANK:
+                continue
             raise ValueError(
                 f"trace line {lineno}: {_no_layout(rec, exc)}") from None
         if not check(vals):

@@ -3,6 +3,7 @@ import functools
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -404,6 +405,31 @@ def test_simulate_trace_to_stdout_and_determinism(sched_ts, tmp_path, capsys):
     assert first == second
 
 
+def test_parser_keeps_no_state_between_calls(sched_ts, tmp_path, capsys):
+    """main builds its parser once per process. A call that fails argument
+    parsing after taking other options leaves nothing behind: the valid
+    call after it prints its own trace and exits as that trace says."""
+    ts, path = sched_ts
+    sc = Scenario(horizon=40,
+                  arrivals={1: (0, 8, 16), 2: (0, 12), 3: (2,)},
+                  exec_times={1: (2, 1, 2), 2: (2, 2), 3: (4,)},
+                  dmcr_requests=((30, 1),))
+    sc_path = scenario_file(tmp_path, ts, sc)
+    out = tmp_path / "trace.jsonl"
+    with pytest.raises(SystemExit) as failed:
+        main(["simulate", "--taskset", path, "--scenario", sc_path,
+              "--protocol", "wcet-reclaim", "--rem-order", "srpt", "--force",
+              "--out", str(out), "--no-such-option"])
+    assert failed.value.code == 2
+    assert capsys.readouterr().out == ""
+    rc = main(["simulate", "--taskset", path, "--scenario", sc_path])
+    pa, wt, _ = prepare_run(ts, Platform(m=1), True, False)
+    trace = simulate(ts, Platform(m=1), pa, wt, sc, ProtocolConfig())
+    assert capsys.readouterr().out == trace.to_jsonl()
+    assert rc == (1 if trace.kind("deadline_miss") else 0)
+    assert not out.exists()
+
+
 def test_simulate_out_file_prints_metrics(sched_ts, tmp_path, capsys):
     ts, path = sched_ts
     sc = Scenario(horizon=40,
@@ -681,6 +707,7 @@ GHOST_0 = ('{"t":0,"kind":"dispatch","task":2,"k":1,"proc":0,"mode":1,'
            '"until":4,"rem":1,"ghost_task":1,"ghost_k":1}')
 IDLE_0 = '{"t":0,"kind":"idle","mode":1,"until":4,"procs":1}'
 RELEASE_0 = '{"t":0,"kind":"release","task":1,"k":1,"mode":1,"d":8}'
+DMCR_0 = '{"t":0,"kind":"dmcr_requested","mode":2,"target":1}'
 PREEMPT_0 = '{"t":0,"kind":"preempt","task":1,"k":1,"proc":0,"mode":1}'
 NOT_NEXT_SPAN = ("is empty, leaves [0, 40] or does not start after the span "
                  "before it")
@@ -810,6 +837,18 @@ MALFORMED_TRACES = [
      "trace line 2: mode 7 is outside [1, levels=2]"),
     ("dispatch-mode-0", lines(META_LINE, edit(DISPATCH_0, mode=0)),
      "trace line 2: mode 0 is outside [1, levels=2]"),
+    # rows that a piece decoded as one JSON array could misread: the cut
+    # tasks array merges two lines into one record, and the line of two
+    # records makes up the count
+    ("tasks-cut-then-two-records",
+     lines(META_LINE, '{"t":0,"kind":"re_enabled","mode":1,"tasks":[2', "3]}",
+           DMCR_0 + "," + DMCR_0),
+     "trace line 2: Expecting ',' delimiter"),
+    ("two-records-spaced",
+     lines(META_LINE, RELEASE_0 + " , " + edit(RELEASE_0, task=2, d=12)),
+     "trace line 2: extra data after the record"),
+    ("record-then-comma-1", lines(META_LINE, RELEASE_0 + ",1"),
+     "trace line 2: extra data after the record"),
 ]
 
 
@@ -964,6 +1003,58 @@ def test_trace_reader_fuzz_raises_only_value_error(text):
     for name, rep in reports.items():
         assert rep == alone[name], name
     verify.metrics(trace, ts)
+
+
+@st.composite
+def edited_lines(draw):
+    """The text of a fuzz_inputs() trace with one to four edits: a line
+    split at an offset, a re_enabled line cut at a comma of its tasks array
+    (the comma dropped), two lines joined by "," or " , ", one of { } [ ] ,
+    or a raw U+2028 (a line boundary of str.splitlines) inserted, or a line
+    blanked. A cut of a record anywhere but between two array elements
+    never decodes, even with the comma a block puts in, so the tasks cut is
+    what lets a merge and a two-record line meet in one piece; the trace is
+    one with such an array."""
+    lines = next(text for text in fuzz_inputs()[3]
+                 if re.search(r'"tasks":\[\d+,', text)).splitlines()
+    for _ in range(draw(st.integers(1, 4))):
+        edit = draw(st.sampled_from(["split", "cut-tasks", "join", "insert",
+                                     "blank"]))
+        i = draw(st.integers(0, len(lines) - 1))
+        line = lines[i]
+        if edit == "split":
+            at = draw(st.integers(0, len(line)))
+            lines[i:i + 1] = [line[:at], line[at:]]
+        elif edit == "cut-tasks":
+            cuts = [(j, at) for j, other in enumerate(lines)
+                    if '"tasks":[' in other
+                    for at in range(other.index('"tasks":['), len(other))
+                    if other[at] == ","]
+            if cuts:
+                j, at = draw(st.sampled_from(cuts))
+                lines[j:j + 1] = [lines[j][:at], lines[j][at + 1:]]
+        elif edit == "join":
+            if i + 1 < len(lines):
+                lines[i:i + 2] = [line + draw(st.sampled_from([",", " , "]))
+                                  + lines[i + 1]]
+        elif edit == "insert":
+            at = draw(st.integers(0, len(line)))
+            lines[i] = (line[:at] + draw(st.sampled_from(
+                ["{", "}", "[", "]", ",", "\u2028"])) + line[at:])
+        else:
+            lines[i] = ""
+    return "\n".join(lines) + "\n"
+
+
+@given(text=edited_lines())
+@settings(max_examples=500, deadline=None, derandomize=True)
+def test_block_decode_gives_each_line_its_own_record(text):
+    """Whenever the reader decodes a piece as one JSON array, the records
+    are those of its lines decoded one at a time."""
+    lines = text.splitlines()
+    records = sim._block_records(lines)
+    if records is not None:
+        assert records == [json.loads(line) for line in lines]
 
 
 def test_generate_taskset_roundtrip(tmp_path, capsys):

@@ -330,6 +330,15 @@ def test_reader_tolerance_on_a_roundtrip_trace(monkeypatch):
             getattr(trace, f) for f in sim.META_FIELDS]
 
 
+def test_writer_text_is_read_a_block_at_a_time():
+    """Every piece of the writer's text decodes as one JSON array: the
+    reader's per-line decode is only for text another writer wrote."""
+    pieces = list(sim._text_pieces(_roundtrip_trace().to_jsonl()))
+    assert len(pieces) > 1
+    assert all(sim._block_records(piece.splitlines()) is not None
+               for piece in pieces)
+
+
 def test_writer_and_reader_hold_the_text_in_pieces(tmp_path):
     """On the roundtrip case, writing the trace to a file allocates under a
     quarter of its text's length at its peak, and reading the text back

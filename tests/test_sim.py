@@ -562,10 +562,10 @@ def test_reader_pieces_split_lines_as_splitlines(text, size):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_READ_CHARS", size)
         pieces = list(sim._text_pieces(text))
-        lines = list(sim._text_lines(text))
     assert "".join(pieces) == text
     assert all(piece.endswith("\n") for piece in pieces[:-1])
-    assert lines == text.splitlines()
+    assert [line for piece in pieces
+            for line in piece.splitlines()] == text.splitlines()
 
 
 def test_simulation_is_deterministic():

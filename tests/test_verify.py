@@ -688,17 +688,29 @@ def equiv_run(set_seed, sc_seed, protocol, plan):
                                  sc, ProtocolConfig(protocol))
 
 
+# single-processor sets, where ghost slots host rem-jobs most often
+GHOST_PARAMS = GenParams(n_tasks=4, levels=2, total_util=0.6, m=1,
+                         period_range=(8, 16), ensure_overrunnable=True)
+
+
+# walk_set's seeds: the first WALK_SETS give multiprocessor sets, the next
+# GHOST_WALK_SETS single-processor ones, so that the reclaim rule is also
+# judged on corrupted traces whose ghost slots host
+WALK_SETS, GHOST_WALK_SETS = 20, 8
+
+
 @cache
 def walk_set(seed):
-    """A generated set of 3-8 tasks on 2-3 processors with 2-3 levels, its
-    platform, and the analysis's priorities and bounds, or the
-    deadline-monotonic fallback's where the analysis refuses the set."""
+    """A generated set, its platform, and the analysis's priorities and
+    bounds, or the deadline-monotonic fallback's where the analysis refuses
+    the set: 3-8 tasks on 2-3 processors with 2-3 levels for a seed below
+    WALK_SETS, and a set in GHOST_PARAMS's shape for any other."""
     rng = random.Random(seed)
     while True:
         m, levels = rng.randint(2, 3), rng.randint(2, 3)
-        params = GenParams(n_tasks=rng.randint(3, 8), levels=levels,
-                           total_util=0.5 * m, m=m, period_range=(8, 16),
-                           ensure_overrunnable=True)
+        params = GHOST_PARAMS if seed >= WALK_SETS else GenParams(
+            n_tasks=rng.randint(3, 8), levels=levels, total_util=0.5 * m,
+            m=m, period_range=(8, 16), ensure_overrunnable=True)
         try:
             ts, platform = gen_taskset(params, rng.randrange(10**6))
         except Infeasible:
@@ -749,7 +761,8 @@ def rows_of(*names, min_size=0, max_size=8):
 
 # a cached set in walk_set's shapes, an overrun scenario with decrease
 # requests every `gap` ticks, a protocol and a seed for the rows' picks
-RUNS = dict(set_seed=st.integers(0, 19), sc_seed=st.integers(0, 10**6),
+RUNS = dict(set_seed=st.integers(0, WALK_SETS + GHOST_WALK_SETS - 1),
+            sc_seed=st.integers(0, 10**6),
             protocol=st.sampled_from(PROTOCOLS),
             horizon=st.integers(150, 400), gap=st.integers(8, 30),
             seed=st.integers(0, 10**6))
@@ -891,11 +904,6 @@ def test_woken_list_missing_a_task_fails_feasibility(protocol):
             f"{ev[1]}, expected {list(ev[3])}")]
         assert rep == ref_feasibility(trace, ts)
         assert check_run(trace, ts)["feasibility"] == rep
-
-
-# single-processor sets, where ghost slots host rem-jobs most often
-GHOST_PARAMS = GenParams(n_tasks=4, levels=2, total_util=0.6, m=1,
-                         period_range=(8, 16), ensure_overrunnable=True)
 
 
 def ghost_runs(protocol, hosting_runs=8):
