@@ -337,12 +337,7 @@ def scenario_from_dict(doc: dict, ts: TaskSet) -> Scenario:
         arr = _require(entry, "arrivals", where)
         exe = _require(entry, "exec_times", where)
         for name, seq in (("arrivals", arr), ("exec_times", exe)):
-            # the set of element types settles a list of plain integers at
-            # once; any other list gets the test element by element
-            if not isinstance(seq, list) or (
-                    not set(map(type, seq)) <= {int}
-                    and any(isinstance(x, bool) or not isinstance(x, int)
-                            for x in seq)):
+            if not isinstance(seq, list) or not set(map(type, seq)) <= {int}:
                 raise FormatError(f"{where}.{name}: expected a list of integers")
         arrivals[tid] = tuple(arr)
         exec_times[tid] = tuple(exe)
