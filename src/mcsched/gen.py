@@ -21,6 +21,8 @@ from dataclasses import dataclass, fields
 from .model import MCTask, Platform, Scenario, TaskSet, validate_scenario
 
 MASK64 = (1 << 64) - 1
+UUNIFAST_TRIES = 1000  # uunifast_discard's draws before it gives up
+REPAIR_STEPS = 200  # _repair_utilization's steps before it gives up
 
 
 class Infeasible(ValueError):
@@ -78,14 +80,15 @@ def uunifast(rng: SplitMix64, n: int, total: float) -> list[float]:
 
 
 def uunifast_discard(rng: SplitMix64, n: int, total: float,
-                     cap: float = 1.0, max_tries: int = 1000) -> list[float]:
+                     cap: float = 1.0) -> list[float]:
     """UUniFast, redrawn until every share is below cap (multiprocessor
     totals would otherwise produce tasks no single processor can hold)."""
-    for _ in range(max_tries):
+    for _ in range(UUNIFAST_TRIES):
         utils = uunifast(rng, n, total)
         if all(u < cap for u in utils):
             return utils
-    raise Infeasible(f"no per-task utilization below {cap} in {max_tries} draws")
+    raise Infeasible(
+        f"no per-task utilization below {cap} in {UUNIFAST_TRIES} draws")
 
 
 @dataclass(frozen=True)
@@ -182,8 +185,7 @@ def _attempt_taskset(params: GenParams, rng: SplitMix64) -> tuple[TaskSet, Platf
             Platform(m=params.m))
 
 
-def _repair_utilization(budgets, periods, deadlines, target, tol,
-                        max_steps=200):
+def _repair_utilization(budgets, periods, deadlines, target, tol):
     """Nudge level-1 budgets by +-1 until the realized utilization is within
     tol of target. Pair moves matter: with a narrow period range no single
     1/T step is fine enough.
@@ -201,7 +203,7 @@ def _repair_utilization(budgets, periods, deadlines, target, tol,
     def dev():
         return sum(b / t for b, t in zip(budgets, periods)) - target
 
-    for _ in range(max_steps):
+    for _ in range(REPAIR_STEPS):
         d = dev()
         if abs(d) <= tol:
             return

@@ -105,12 +105,6 @@ class TaskSet:
     def __len__(self):
         return len(self.tasks)
 
-    def by_id(self, tid: TaskId) -> MCTask:
-        for t in self.tasks:
-            if t.id == tid:
-                return t
-        raise KeyError(tid)
-
 
 def _file_key(tid: TaskId) -> TaskId:
     """Files key tasks by str(id). A string id that is the str() of an int

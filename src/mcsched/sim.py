@@ -247,7 +247,7 @@ _WRITERS, _READERS = _layouts()
 _GHOST_LINE = _READERS.pop("ghost")
 _encode = json.JSONEncoder(separators=(",", ":")).encode
 _decoder = json.JSONDecoder()
-_scan, _decode = _decoder.scan_once, _decoder.raw_decode
+_scan = _decoder.scan_once
 # a line holding two records: "}", blanks, ",", blanks, "{"
 _TWO_RECORDS = re.compile(r"}[ \t]*,[ \t]*{").search
 _BLANK = object()  # the record of a blank line
@@ -373,29 +373,23 @@ def _line_records(lines: list, lineno: int):
     """The record of each line, the first numbered lineno, decoded on its
     own; a line that does not decode raises ValueError naming it."""
     for lineno, line in enumerate(lines, lineno):
-        # a line the scanner takes whole is its own stripped text; any
-        # other is stripped and decoded again, which names its fault
+        line = line.strip()
+        if not line:
+            yield _BLANK
+            continue
         try:
             rec, end = _scan(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end != len(line):
-            line = line.strip()
-            if not line:
-                yield _BLANK
-                continue
-            try:
-                rec, end = _decode(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"trace line {lineno}: {exc.msg}") from exc
-            except ValueError as exc:  # such as an over-long integer
-                raise ValueError(f"trace line {lineno}: {exc}") from None
-            except RecursionError:
-                raise ValueError(
-                    f"trace line {lineno}: nested too deep") from None
-            if end < len(line):
-                raise ValueError(
-                    f"trace line {lineno}: extra data after the record")
+        except StopIteration:  # no value at 0, in raw_decode's words
+            raise ValueError(f"trace line {lineno}: Expecting value") from None
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"trace line {lineno}: {exc.msg}") from exc
+        except ValueError as exc:  # such as an over-long integer
+            raise ValueError(f"trace line {lineno}: {exc}") from None
+        except RecursionError:
+            raise ValueError(f"trace line {lineno}: nested too deep") from None
+        if end < len(line):
+            raise ValueError(
+                f"trace line {lineno}: extra data after the record")
         yield rec
 
 
@@ -656,7 +650,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
 
     while True:
         # ---- completions (execution was credited before the jump here) ----
-        completions = None  # task id -> jobs completed at t, if any
+        completions = None  # task id -> its job completed at t, if any
         for job, _ in running:
             if job.executed < job.c:
                 continue
@@ -672,7 +666,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 ready.remove(job.st)
             if completions is None:
                 completions = {}
-            completions.setdefault(job.tid, []).append(job)
+            completions[job.tid] = job  # only a task's head runs in a J slot
             if reclaiming and rem_pool:
                 # the limit a protocol does not set lies past the horizon
                 budget = expiry = horizon + 1
@@ -746,12 +740,8 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         if chain is not None:
             tasks_, cursor, target = chain
             while completions is not None and cursor < len(tasks_):
-                adv = None
-                for job in completions.get(tasks_[cursor], ()):
-                    if t <= job.r + wt[(tasks_[cursor], target)]:
-                        adv = job
-                        break
-                if adv is None:
+                adv = completions.get(tasks_[cursor])
+                if adv is None or t > adv.r + wt[(adv.tid, target)]:
                     break
                 emit(("chain_advance", t, level, adv.tid, adv.k))
                 cursor += 1

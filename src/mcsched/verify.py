@@ -22,14 +22,16 @@ the pattern of one release or arrival drop, then one completion or drop,
 per job. One closing pass over the events settles those: it takes back the
 verdict a job got at its first closing, judges the job by its last release
 and its last completion, else drop, and counts an arrival's releases and
-drops. It also finds the positions that put the violations in order, so it
-runs only when something is off the pattern or a job's verdict is a
-violation. On wcet-reclaim traces the walk also keeps each completion and
-ghost for the reclaim rule. So its state grows with the open jobs and the
-anomalies, not with the trace, and its time is linear in the trace. It
-needs each level change read before the completions and arrivals of later
-instants, as in a trace in time order within its horizon, which `simulate`
-emits and `sim.trace_from_jsonl` requires.
+drops. It also finds the positions that put the violations in order. On
+wcet-reclaim traces the walk also keeps the ticks each job's ghost hosted,
+and the closing pass finds those jobs' last completions for the reclaim
+rule. So the pass runs only when something is off the pattern, a job's
+verdict is a violation or a ghost hosted. The walk's state grows with the
+open jobs, the anomalies and the hosting ghosts, not with the trace, and
+its time is linear in the trace. It needs each level change read before
+the completions and arrivals of later instants, as in a trace in time
+order within its horizon, which `simulate` emits and
+`sim.trace_from_jsonl` requires.
 
 Violations come in this order. Feasibility: completions, then imcr drops,
 without a release, then wrong woken lists, then released jobs', each as first
@@ -168,8 +170,9 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
     live = 1  # the starts in force: not a last one at or past the horizon
     reports, frep, prep, rrep = {}, None, None, None
     # the (task, k) of each job and arrival off the pattern, which the
-    # closing pass settles; (task, k) -> the violation of a job judged
-    odd, again, bad = set(), set(), {}
+    # closing pass settles; (task, k) -> the violation of a job judged;
+    # (task, k) -> the ticks its ghost hosted, on a wcet-reclaim trace
+    odd, again, bad, spans = set(), set(), {}, {}
     if feasibility:
         reports["feasibility"] = frep = FeasibilityReport()
         # (task, k) -> release, per open job; per task, the job numbers
@@ -191,8 +194,6 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
     if wt is not None:
         reports["response"] = rrep = ResponseReport()
         late = []  # completions not after their release, judged at the end
-    if reclaim:
-        comps, spans = {}, {}  # task -> k -> completion; job -> ticks hosted
 
     def suspends(L, g, end):
         """Whether a task of criticality L becomes suspended at a level
@@ -330,8 +331,6 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
                     respond(ev)
                 else:  # its level may yet change; it cannot exceed a bound
                     late.append(ev)
-            if reclaim:
-                comps.setdefault(ev[3], {})[ev[4]] = ev
         elif kind == "release" or kind == "job_dropped":
             if frep is not None:
                 if kind != "release" and (
@@ -388,8 +387,10 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
         for rel in opened.values():
             judge_job(rel, None)
     # the closing pass: in order, the events of each job or arrival off the
-    # pattern or judged in violation; the first position of each kind of them
-    seqs, first = {key: [] for key in odd | again | bad.keys()}, {}
+    # pattern, judged in violation or whose ghost hosted; the first position
+    # of each kind of them
+    seqs = {key: [] for key in odd | again | bad.keys() | spans.keys()}
+    first = {}
     if seqs:
         for i, ev in enumerate(events):
             if ev[0] in _JOB_EVENTS and (key := (ev[3], ev[4])) in seqs:
@@ -440,7 +441,9 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
         reports["reclaim"] = crep = ReclaimReport()
         for (tid, k), hosted in spans.items():
             crep.checked += 1
-            comp, task = comps.get(tid, {}).get(k), by_id.get(tid)
+            comp = next((ev for ev in reversed(seqs[tid, k])
+                         if ev[0] == "complete"), None)
+            task = by_id.get(tid)
             if comp is None or task is None or not 1 <= comp[2] <= len(task.C):
                 crep.violations.append((
                     "UnfundedGhost", tid, k,

@@ -22,7 +22,8 @@ list, the sys.getsizeof total over the list and each distinct object it
 holds, nested ones included, and the tracemalloc peak of check_run on that
 trace. A last row,
 "naive+rel", times `run` alone on the naive trace with every release
-repeated in place, a job and an arrival each seen twice per release.
+repeated in place, a job and an arrival each seen twice per release, in
+the rounds of the row that holds naive.
 
     PYTHONPATH=src python tests/long_run.py [--rounds N] [--horizons H ...]
 
@@ -105,6 +106,10 @@ def main(argv=None):
                                  sim.ProtocolConfig(protocol))
             groups.setdefault(tuple(trace.events), ([], trace))[0].append(
                 protocol)
+        naive = next(tr for ps, tr in groups.values() if "naive" in ps)
+        rel = sim.Trace(repeated(naive.events, "release"), *(
+            getattr(naive, f) for f in sim.META_FIELDS))
+        rel_times = []
         print(f"H={horizon}, {len(sc.dmcr_requests)} requests: median ms of "
               f"{args.rounds} rounds; MB")
         print(f"{'events':>8} " + " ".join(f"{k:>8}" for k in COLUMNS)
@@ -120,17 +125,15 @@ def main(argv=None):
                 times["run"].append(timed(verify.check_run, trace, ts, wt, sc))
                 times["per"].append(timed(verify.check_periodicity, trace, ts,
                                           sc))
+                if trace is naive:
+                    rel_times.append(timed(verify.check_run, rel, ts, wt, sc))
             print(f"{len(trace.events):>8} " + " ".join(
                 f"{statistics.median(times[k]):>8.1f}" for k in COLUMNS)
                 + f" {size(trace.events):>7.1f}"
                 f" {peak(verify.check_run, trace, ts, wt, sc):>9.2f}  "
                 + " ".join(protocols))
-        trace = next(tr for ps, tr in groups.values() if "naive" in ps)
-        trace.events = repeated(trace.events, "release")
-        run = statistics.median(timed(verify.check_run, trace, ts, wt, sc)
-                                for _ in range(args.rounds))
-        print(f"{len(trace.events):>8} {'':>17} {run:>8.1f} {'':>26}"
-              "  naive+rel")
+        print(f"{len(rel.events):>8} {'':>17} "
+              f"{statistics.median(rel_times):>8.1f} {'':>26}  naive+rel")
 
 
 if __name__ == "__main__":

@@ -61,8 +61,9 @@ def test_analyze_schedulable_reports_full_table(sched_ts, capsys):
     assert set(out["ranks"]) == {"1", "2", "3"}
     levels = {(row["task"], row["level"]) for row in out["wcrt"]}
     assert (1, 1) in levels and (1, 2) in levels and (2, 1) in levels
+    by_id = {t.id: t for t in ts.tasks}
     for row in out["wcrt"]:
-        assert row["bound"] <= ts.by_id(row["task"]).D
+        assert row["bound"] <= by_id[row["task"]].D
 
 
 def test_analyze_unschedulable_prints_witness(heavy_ts, capsys):

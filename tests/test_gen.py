@@ -315,7 +315,7 @@ def test_scenario_overrun_then_calm_has_single_first_job_overrun():
                 over.append((task.id, k, c))
     assert len(over) == 1
     tid, k, c = over[0]
-    victim = ts.by_id(tid)
+    victim = {t.id: t for t in ts.tasks}[tid]
     assert k == 0
     assert c == victim.C[1]
 

@@ -148,8 +148,9 @@ TS_DOC = {
 def test_taskset_from_dict_pads_short_wcet_vectors():
     ts, platform = taskset_from_dict(TS_DOC)
     assert platform.m == 2
-    assert ts.by_id(2).C == (1, 1)
-    assert ts.by_id(1).C == (2, 4)
+    by_id = {t.id: t for t in ts.tasks}
+    assert by_id[2].C == (1, 1)
+    assert by_id[1].C == (2, 4)
 
 
 def test_taskset_roundtrip():

@@ -421,6 +421,25 @@ def test_reclaim_budget_is_that_of_the_completion_level():
         ("ReclaimOverBudget", 1, 1, "ran 4 + hosted 2 > budget 5 at level 2")]
 
 
+@pytest.mark.parametrize("first_c, last_c, violations", [
+    (4, 5, [("ReclaimOverBudget", 1, 1,
+             "ran 5 + hosted 2 > budget 6 at level 2")]),
+    (5, 4, []),
+])
+def test_reclaim_follows_the_last_completion_of_a_hosting_job(
+        first_c, last_c, violations):
+    # job (1, 1) completes with c=first_c, its ghost hosts for two ticks,
+    # and it completes again at 6 with c=last_c: the budget left is judged
+    # by the last completion, as the reference does
+    trace = reclaim_trace()
+    trace.events[4] = ("complete", 4, 2, 1, 1, first_c, 0, 30, 0)
+    trace.events.insert(6, ("complete", 6, 2, 1, 1, last_c, 0, 30, 0))
+    ts = reclaim_set()
+    rep = reclaim(trace, ts)
+    assert rep == ReclaimReport(violations=violations, checked=1)
+    assert rep == ref_reclaim(trace, ts)
+
+
 def test_check_run_picks_the_reports_that_apply():
     ts = reclaim_set()
     sc = Scenario(horizon=30, arrivals={1: (0,), 2: (0,)},
@@ -730,16 +749,24 @@ def references(trace, ts, wt=None, sc=None):
     return refs
 
 
-def assert_matches_references(set_seed, sc_seed, protocol, horizon, gap,
-                              seed, rows):
-    """One walk, alone or in check_run, gives the references' reports on
-    walk_set(set_seed)'s run with the table's `rows` applied in order."""
+def walk_run(set_seed, sc_seed, protocol, horizon, gap):
+    """walk_set(set_seed)'s set and bounds, an overrun scenario with a
+    decrease request every `gap` ticks, and its clean trace under
+    protocol."""
     ts, platform, pa, wt = walk_set(set_seed)
     plan = tuple((t, 1 + (t // gap) % (ts.levels - 1))
                  for t in range(gap, horizon, gap))
     sc = gen_scenario(ts, horizon, sc_seed, exec_model="overrun",
                       overrun_prob=0.5, dmcr_plan=plan)
-    clean = simulate(ts, platform, pa, wt, sc, ProtocolConfig(protocol))
+    return ts, wt, sc, simulate(ts, platform, pa, wt, sc,
+                                ProtocolConfig(protocol))
+
+
+def assert_matches_references(set_seed, sc_seed, protocol, horizon, gap,
+                              seed, rows):
+    """One walk, alone or in check_run, gives the references' reports on
+    walk_set(set_seed)'s run with the table's `rows` applied in order."""
+    ts, wt, sc, clean = walk_run(set_seed, sc_seed, protocol, horizon, gap)
     rng, events = random.Random(seed), clean.events
     for name in rows:
         events = CORRUPTIONS[name][0](list(events), rng, horizon)
@@ -781,15 +808,42 @@ def test_checkers_match_linear_scan_references(set_seed, sc_seed, protocol,
                               seed, rows)
 
 
-@settings(derandomize=True, max_examples=40, deadline=None)
-@given(**RUNS, rows=rows_of("repeat-release", "repeat-complete",
-                            min_size=1, max_size=3))
-def test_checkers_judge_a_job_by_its_last_repeated_event(
-        set_seed, sc_seed, protocol, horizon, gap, seed, rows):
+HOSTING_RUNS = 8
+
+
+@cache
+def hosting_runs():
+    """walk_run's arguments for the first HOSTING_RUNS wcet-reclaim runs, on
+    walk_set's single-processor sets and scenario seeds 0, 1, ..., in
+    which a ghost slot hosts a rem-job."""
+    runs = []
+    for sc_seed, set_seed in product(range(100), range(
+            WALK_SETS, WALK_SETS + GHOST_WALK_SETS)):
+        run = dict(set_seed=set_seed, sc_seed=sc_seed,
+                   protocol="wcet-reclaim", horizon=300, gap=20)
+        if any(slot[0] == "G" for ev in walk_run(**run)[3].kind("sched")
+               for slot in ev[4]):
+            runs.append(run)
+            if len(runs) == HOSTING_RUNS:
+                return runs
+    raise AssertionError(f"{len(runs)} hosting runs, {HOSTING_RUNS} wanted")
+
+
+def hosting_run(i, seed):
+    """The i-th of hosting_runs(), with this seed for the rows' picks."""
+    return dict(hosting_runs()[i], seed=seed)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(run=st.one_of(st.fixed_dictionaries(RUNS), st.builds(
+    hosting_run, st.integers(0, HOSTING_RUNS - 1), st.integers(0, 10**6))),
+       rows=rows_of("repeat-release", "repeat-complete", min_size=1,
+                    max_size=3))
+def test_checkers_judge_a_job_by_its_last_repeated_event(run, rows):
     # jobs released or completed again later, in their place in time: each
-    # checker judges a job by its last such event, as the references do
-    assert_matches_references(set_seed, sc_seed, protocol, horizon, gap,
-                              seed, rows)
+    # checker judges a job by its last such event, as the references do,
+    # on walk_set's runs and on wcet-reclaim runs whose ghosts host
+    assert_matches_references(**run, rows=rows)
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)
