@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 
 from . import analysis, gen, verify
-from .experiment import Unschedulable, load_spec, prepare_run, run_experiment
-from .model import (dump_scenario, dump_taskset, id_key, load_scenario,
-                    load_taskset, open_output)
+from .experiment import Unschedulable, prepare_run, run_experiment
+from .model import (dump_json, dump_scenario, dump_taskset, id_key, load_json,
+                    load_scenario, load_taskset, open_output)
 from .sim import PROTOCOLS, REM_ORDERS, ProtocolConfig, simulate, trace_from_jsonl
 
 
@@ -43,8 +42,7 @@ def _analysis_doc(res: analysis.AnalysisResult, m: int) -> dict:
 def cmd_analyze(args) -> int:
     ts, platform = load_taskset(args.taskset)
     res = analysis.opa_assign(ts, platform.m, cap=not args.no_cap)
-    json.dump(_analysis_doc(res, platform.m), sys.stdout, indent=2)
-    print()
+    dump_json(_analysis_doc(res, platform.m), sys.stdout)
     return 0 if res.schedulable else 1
 
 
@@ -54,13 +52,10 @@ def cmd_simulate(args) -> int:
     cfg = ProtocolConfig(protocol=args.protocol, rem_order=args.rem_order)
     pa, wt, _ = prepare_run(ts, platform, not args.no_cap, args.force)
     trace = simulate(ts, platform, pa, wt, sc, cfg)
+    with open_output(args.out or sys.stdout) as fh:
+        trace.write_jsonl(fh)
     if args.out:
-        with open_output(args.out) as fh:
-            trace.write_jsonl(fh)
-        json.dump(verify.metrics(trace, ts), sys.stdout, indent=2)
-        print()
-    else:
-        trace.write_jsonl(sys.stdout)
+        dump_json(verify.metrics(trace, ts), sys.stdout)
     return 1 if trace.kind("deadline_miss") else 0
 
 
@@ -78,9 +73,8 @@ def cmd_check(args) -> int:
                          f"scenario has horizon={sc.horizon}")
     reports = verify.check_run(trace, ts, sc=sc)
     # each report's fields after "ok" and "checked", in declaration order
-    json.dump({name: {"ok": rep.ok, "checked": rep.checked, **vars(rep)}
-               for name, rep in reports.items()}, sys.stdout, indent=2)
-    print()
+    dump_json({name: {"ok": rep.ok, "checked": rep.checked, **vars(rep)}
+               for name, rep in reports.items()}, sys.stdout)
     return 0 if all(rep.ok for rep in reports.values()) else 1
 
 
@@ -110,10 +104,9 @@ def cmd_generate_scenario(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    summary = run_experiment(load_spec(args.spec), args.out or sys.stdout)
+    summary = run_experiment(load_json(args.spec), args.out or sys.stdout)
     if args.out:
-        json.dump(summary, sys.stdout, indent=2)
-        print()
+        dump_json(summary, sys.stdout)
     else:
         sys.stdout.flush()
     return 0

@@ -1,20 +1,19 @@
 """Protocol sweeps over generated scenarios, and the run preparation that
 every simulation shares.
 
-An experiment spec is the JSON object behind `mcsched experiment --spec`.
+An experiment spec is the JSON object behind `mcsched experiment --spec`,
+read by `model.load_json` like a task set or a scenario.
 `run_experiment` checks all of it before it writes anything, then runs
 every protocol on every scenario and writes one CSV row per run.
 """
 
 from __future__ import annotations
 
-import json
-from contextlib import nullcontext
 from dataclasses import MISSING, fields as dataclass_fields
 from typing import IO
 
 from . import analysis, gen, verify
-from .model import FormatError, load_taskset, open_output, unique_keys
+from .model import FormatError, load_taskset, open_output
 from .sim import PROTOCOLS, REM_ORDERS, ProtocolConfig, simulate
 
 CSV_HEADER = ("protocol,seed,scenario_id,misses_hi,misses_enabled,"
@@ -38,19 +37,6 @@ def prepare_run(ts, platform, cap, force):
         raise Unschedulable("task set is not schedulable by the analysis; "
                             "refusing to simulate it without force")
     return (*analysis.dm_fallback(ts, platform.m, cap), res)
-
-
-def load_spec(path: str):
-    """The JSON value in an experiment spec file; text that is not JSON,
-    JSON nested too deep to decode, or an object that repeats a key is a
-    FormatError."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return json.load(fh, object_pairs_hook=unique_keys)
-        except FormatError:
-            raise
-        except (ValueError, RecursionError) as exc:
-            raise FormatError(f"experiment spec is not JSON: {exc}") from None
 
 
 def _csv_row(protocol, seed, scenario_id, m) -> str:
@@ -181,11 +167,9 @@ def run_experiment(spec: dict, out: str | IO[str]) -> dict:
                 f"in [1, {ts.levels - 1}] for a {ts.levels}-level set")
 
     pa, wt, res = prepare_run(ts, platform, cap=True, force=force)
-    opened = (nullcontext(out) if hasattr(out, "write")
-              else open_output(out, newline=""))
     totals = {p: {"misses_enabled": 0, "rem_completed": 0, "rem_dropped": 0,
                   "tardiness": 0.0, "chain_aborts": 0} for p in protocols}
-    with opened as fh:
+    with open_output(out, newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         for protocol in protocols:
             cfg = ProtocolConfig(protocol=protocol, rem_order=rem_order)

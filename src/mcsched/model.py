@@ -221,9 +221,12 @@ def validate_scenario(sc: Scenario, ts: TaskSet) -> Scenario:
 # through open_output.
 
 @contextmanager
-def open_output(path: str, newline: str | None = None) -> Iterator[IO[str]]:
-    """Open a UTF-8 text file for writing, created if missing, and on exit
-    (normal or by exception) cut it at the end of what was written.
+def open_output(target: str | IO[str],
+                newline: str | None = None) -> Iterator[IO[str]]:
+    """Open a UTF-8 text file at path `target` for writing, created if
+    missing, and on exit (normal or by exception) cut it at the end of what
+    was written. An open text file `target` is yielded as it is, neither
+    cut nor closed.
 
     The file is overwritten in place rather than opened with O_TRUNC: on
     ext4, truncating a file to zero and writing it again makes the next
@@ -232,7 +235,10 @@ def open_output(path: str, newline: str | None = None) -> Iterator[IO[str]]:
     would leave. A symlink is followed; a device or FIFO is written without
     being cut. `newline` is as for open().
     """
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    if hasattr(target, "write"):
+        yield target  # type: ignore[misc]
+        return
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT, 0o666)
     with open(fd, "w", encoding="utf-8", newline=newline) as fh:
         try:
             yield fh
@@ -367,7 +373,7 @@ def scenario_to_dict(sc: Scenario) -> dict:
     }
 
 
-def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     """A JSON object as a dict, for json.load's object_pairs_hook; an
     object that repeats a key is a FormatError naming it, where json.load
     alone would keep the last value without a word."""
@@ -381,41 +387,46 @@ def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return doc
 
 
-def _load_json(source: str | IO[str]) -> dict:
-    try:
-        if hasattr(source, "read"):
-            return json.load(source, object_pairs_hook=unique_keys)  # type: ignore[arg-type]
+def load_json(source: str | IO[str]) -> Any:
+    """The JSON value in a path or an open text file: a task set, a
+    scenario or an experiment spec. Text that will not decode, JSON nested
+    too deep, or an object that repeats a key is a FormatError whose
+    message starts with "bad JSON"."""
+    if not hasattr(source, "read"):
         with open(source, "r", encoding="utf-8") as fh:
-            return json.load(fh, object_pairs_hook=unique_keys)
+            return load_json(fh)
+    try:
+        return json.load(source, object_pairs_hook=_unique_keys)  # type: ignore[arg-type]
     except json.JSONDecodeError as exc:
         raise FormatError(f"bad JSON at line {exc.lineno} col {exc.colno}: {exc.msg}") from exc
+    except FormatError:
+        raise
+    except ValueError as exc:  # not UTF-8, or an integer too long to read
+        raise FormatError(f"bad JSON: {exc}") from None
     except RecursionError:
         raise FormatError("bad JSON: nested too deep") from None
 
 
 def load_taskset(source: str | IO[str]) -> tuple[TaskSet, Platform]:
     """Read and validate a task-set file. Raises FormatError / ValidationError."""
-    return taskset_from_dict(_load_json(source))
+    return taskset_from_dict(load_json(source))
 
 
-def _dump_json(doc: dict, target: str | IO[str]) -> None:
-    """Write doc as indented JSON to a path or an open text file."""
-    text = json.dumps(doc, indent=2) + "\n"
-    if hasattr(target, "write"):
-        target.write(text)  # type: ignore[union-attr]
-    else:
-        with open_output(target) as fh:
-            fh.write(text)
+def dump_json(doc: Any, target: str | IO[str]) -> None:
+    """Write doc as indented JSON and a newline to a path or an open text
+    file."""
+    with open_output(target) as fh:
+        fh.write(json.dumps(doc, indent=2) + "\n")
 
 
 def dump_taskset(ts: TaskSet, platform: Platform, target: str | IO[str]) -> None:
-    _dump_json(taskset_to_dict(ts, platform), target)
+    dump_json(taskset_to_dict(ts, platform), target)
 
 
 def load_scenario(source: str | IO[str], ts: TaskSet) -> Scenario:
     """Read and validate a scenario file against its task set."""
-    return scenario_from_dict(_load_json(source), ts)
+    return scenario_from_dict(load_json(source), ts)
 
 
 def dump_scenario(sc: Scenario, target: str | IO[str]) -> None:
-    _dump_json(scenario_to_dict(sc), target)
+    dump_json(scenario_to_dict(sc), target)

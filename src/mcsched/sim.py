@@ -747,13 +747,12 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 cursor += 1
             chain[1] = cursor
             if cursor == len(tasks_):
-                woken = tuple(sorted(
-                    (st.tid for st in states
-                     if not st.enabled and st.task.L >= target), key=id_key))
-                for st in states:
-                    if not st.enabled and st.task.L >= target:
-                        st.enabled = True
-                emit(("re_enabled", t, target, woken))
+                woken = [st for st in states
+                         if not st.enabled and st.task.L >= target]
+                for st in woken:
+                    st.enabled = True
+                emit(("re_enabled", t, target,
+                      tuple(sorted((st.tid for st in woken), key=id_key))))
                 level = target
                 chain = None
 

@@ -44,9 +44,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import TYPE_CHECKING
 
 from .model import Scenario, TaskSet, id_key
-from .sim import Trace
+
+if TYPE_CHECKING:  # the checkers share no code with the simulator they judge
+    from .sim import Trace
 
 
 # ---------------------------------------------------------------------------
@@ -477,9 +480,8 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
     chain_aborts = 0
     releases = 0
     enabled_completed = 0
-    tardiness: list[int] = []
-    rem_responses: list[int] = []
-    interference_star: list[int] = []
+    # sums over the rem-job completions, and their largest tardiness
+    tardiness = rem_response = interference_star = max_tardiness = 0
     susp_start: dict = {}
     susp_delays: list[int] = []
     sched_time = 0  # summed span of the sched records
@@ -497,9 +499,11 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
             if ev[8]:
                 rem_completed += 1
                 f, c, r, d = ev[1], ev[5], ev[6], ev[7]
-                tardiness.append(max(0, f - d))
-                rem_responses.append(f - r)
-                interference_star.append(f - r - c)
+                if f > d:
+                    tardiness += f - d
+                    max_tardiness = max(max_tardiness, f - d)
+                rem_response += f - r
+                interference_star += f - r - c
             else:
                 enabled_completed += 1
         elif kind == "deadline_miss":
@@ -532,13 +536,13 @@ def metrics(trace: Trace, ts: TaskSet) -> dict:
         "chain_aborts": chain_aborts,
         "releases": releases,
         "enabled_completed": enabled_completed,
-        "mean_tardiness": (sum(tardiness) / len(tardiness)
-                           if tardiness else 0.0),
-        "max_tardiness": max(tardiness) if tardiness else 0,
-        "mean_rem_response": (sum(rem_responses) / len(rem_responses)
-                              if rem_responses else 0.0),
-        "mean_interference_star": (sum(interference_star) / len(interference_star)
-                                   if interference_star else 0.0),
+        "mean_tardiness": (tardiness / rem_completed
+                           if rem_completed else 0.0),
+        "max_tardiness": max_tardiness,
+        "mean_rem_response": (rem_response / rem_completed
+                              if rem_completed else 0.0),
+        "mean_interference_star": (interference_star / rem_completed
+                                   if rem_completed else 0.0),
         "mean_susp_delay": (sum(susp_delays) / len(susp_delays)
                             if susp_delays else 0.0),
         "susp_episodes": len(susp_delays),

@@ -762,6 +762,8 @@ MALFORMED_TRACES = [
      "trace line 3: mode 2 differs from its span's mode 1"),
     ("proc-past-m", lines(META_LINE, DISPATCH_1),
      f"trace line 2: proc 1 {NOT_NEXT_PROC}"),
+    ("empty", "", "trace has no meta line"),
+    ("blank-lines", "\n \n\t\n  ", "trace has no meta line"),
     ("span-before-meta", lines(IDLE_0, META_LINE),
      "trace line 1: the meta line must come first, and only once"),
     ("second-meta", lines(META_LINE, META_LINE),
@@ -1243,7 +1245,7 @@ MALFORMED_SPECS = [
      "experiment spec has unknown keys ['no_cap']"),
     ("unknown-key", {"gen": GEN, "senarios": 3},
      "experiment spec has unknown keys ['senarios']"),
-    ("deep-nesting", DEEP, "experiment spec is not JSON: ..."),
+    ("deep-nesting", DEEP, "bad JSON: nested too deep"),
     ("float-n-tasks", {"gen": {**GEN, "n_tasks": 3.5}},
      "experiment spec 'gen': n_tasks must be of type int, got 3.5"),
     ("float-levels", {"gen": {**GEN, "levels": 2.0}},
@@ -1294,7 +1296,7 @@ MALFORMED_SPECS = [
      "2-level set"),
     ("negative-request-time", {**FORCED, "dmcr": [[-1, 1]]},
      f"experiment spec 'dmcr' must be {REQUEST_LIST}, got [[-1, 1]]"),
-    ("not-json", "{not json", "experiment spec is not JSON: ..."),
+    ("not-json", "{not json", "bad JSON at line 1 col 2: ..."),
     ("repeated-key", json.dumps({**FORCED, "seed": 1})[:-1] + ', "seed": 2}',
      "bad JSON: repeated key 'seed'"),
     ("taskset-and-gen", {"gen": GEN, "taskset": "ts.json"},

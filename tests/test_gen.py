@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcsched.analysis import opa_assign
-from mcsched.gen import (GenParams, Infeasible, SplitMix64, _repair_utilization,
-                         child_seed, gen_scenario, gen_taskset, uunifast,
-                         uunifast_discard)
+from mcsched.gen import (UUNIFAST_TRIES, GenParams, Infeasible, SplitMix64,
+                         _repair_utilization, child_seed, gen_scenario,
+                         gen_taskset, uunifast, uunifast_discard)
 from mcsched.model import validate_scenario, validate_taskset
 from mcsched.sim import ProtocolConfig, simulate
 from oracles import repair_utilization_reference
@@ -90,6 +90,13 @@ def test_uunifast_discard_respects_cap():
         utils = uunifast_discard(rng, 4, 1.9, cap=0.75)
         assert all(u <= 0.75 for u in utils)
         assert abs(sum(utils) - 1.9) < 1e-9
+
+
+def test_uunifast_discard_gives_up_when_no_split_fits_the_cap():
+    # two shares of 1.9 cannot both stay below 0.75
+    with pytest.raises(Infeasible, match=re.escape(
+            f"no per-task utilization below 0.75 in {UUNIFAST_TRIES} draws")):
+        uunifast_discard(SplitMix64(1), 2, 1.9, cap=0.75)
 
 
 def test_taskset_generation_hits_utilization_window():

@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 from mcsched.model import (FormatError, LevelOutOfRange, MCTask, Platform,
-                           Scenario, TaskSet, ValidationError, id_key,
-                           load_scenario, load_taskset, open_output,
+                           Scenario, TaskSet, ValidationError, dump_json,
+                           id_key, load_scenario, load_taskset, open_output,
                            scenario_from_dict,
                            scenario_to_dict, taskset_from_dict,
                            taskset_to_dict, validate_scenario,
@@ -179,6 +179,45 @@ def test_load_taskset_reports_json_position():
     with pytest.raises(FormatError) as ei:
         load_taskset(bad)
     assert "line 2" in str(ei.value)
+
+
+def test_load_taskset_refuses_text_that_is_not_utf8(tmp_path):
+    path = tmp_path / "ts.json"
+    path.write_bytes(b'{"criticality_levels": 1, "processors": 1, "tasks": '
+                     b'[{"id": "\xff", "T": 10, "D": 10, "L": 1, "C": [1]}]}')
+    with pytest.raises(FormatError, match="^bad JSON: 'utf-8' codec can't "
+                                          "decode byte 0xff"):
+        load_taskset(str(path))
+
+
+def test_load_taskset_refuses_an_integer_past_the_digit_limit():
+    # Python refuses to read an integer string this long; json.load raises
+    # a ValueError that is no JSONDecodeError
+    bad = io.StringIO('{"criticality_levels": 1, "processors": '
+                      + "1" * 5000 + ', "tasks": []}')
+    with pytest.raises(FormatError, match="^bad JSON: .*digits"):
+        load_taskset(bad)
+
+
+def test_dump_json_writes_what_json_dump_and_print_write(tmp_path):
+    doc = {"b": [1, {"c": None}], "a": 0.5, "ü": True}
+    want = io.StringIO()
+    json.dump(doc, want, indent=2)
+    print(file=want)
+    got = io.StringIO()
+    dump_json(doc, got)
+    assert got.getvalue() == want.getvalue()
+    dump_json(doc, str(tmp_path / "doc.json"))
+    assert (tmp_path / "doc.json").read_text() == want.getvalue()
+
+
+def test_open_output_yields_an_open_file_uncut_and_open():
+    fh = io.StringIO("old contents that stay")
+    with open_output(fh) as got:
+        assert got is fh
+        got.write("new")
+    assert not fh.closed
+    assert fh.getvalue() == "new contents that stay"
 
 
 def mk_two_task_set():

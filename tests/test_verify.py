@@ -1,13 +1,18 @@
 import gc
+import os
 import random
 import statistics
+import subprocess
+import sys
 from functools import cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mcsched
 from mcsched.experiment import prepare_run
 from mcsched.gen import GenParams, Infeasible, gen_scenario, gen_taskset
 from mcsched.model import MCTask, Scenario, TaskSet
@@ -42,6 +47,19 @@ def two_crit_set():
 
 # ---------------------------------------------------------------------------
 # level timeline
+
+
+def test_checkers_import_none_of_the_simulator():
+    # verify names sim.Trace only in annotations, so the checkers cannot
+    # come to share code with the simulator they judge
+    src = Path(mcsched.__file__).parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, mcsched.verify; print("
+         "[name in sys.modules for name in ('mcsched.verify', 'mcsched.sim')])"],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "[True, False]\n"
 
 
 def test_l_intervals_example_three_spans():
@@ -634,6 +652,19 @@ def many(events, rng, horizon):
         (ev, ev) if ev[0] == kind and rng.random() < 0.3 else (ev,))]
 
 
+def hosting_complete_again(events, rng, horizon):
+    """A completion of a job whose ghost hosted, repeated 1 to 40 ticks
+    later with GHOST_STRETCH more ticks run: a rule that reads the first
+    completion finds the job within its budget, one that reads the last
+    finds it over."""
+    hosts = {slot[1:3] for ev in events if ev[0] == "sched"
+             for slot in ev[4] if slot[0] == "G"}
+    return one(lambda ev: ev[0] == "complete" and ev[3:5] in hosts,
+               lambda ev, rng, horizon: later(
+                   ev[:5] + (ev[5] + GHOST_STRETCH,) + ev[6:], rng, horizon),
+               True)(events, rng, horizon)
+
+
 def lone_level_change_last(events, rng, horizon):
     """A level change, the only one at its instant, moved after the other
     events of that instant."""
@@ -671,6 +702,7 @@ CORRUPTIONS = {
              "place leave their jobs' verdicts as they were"),
     "flip-rem": (one(of("complete"), lambda ev, *_: ev[:8] + (1 - ev[8],)),
                  "feasibility", None),
+    "hosting-complete-again": (hosting_complete_again, "reclaim", None),
     "stretch-ghost": (one(lambda ev: ev[0] == "sched" and any(
         slot[0] == "G" for slot in ev[4]),
         lambda ev, *_: ev[:3] + (ev[3] + GHOST_STRETCH,) + ev[4:]),
@@ -837,12 +869,13 @@ def hosting_run(i, seed):
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(run=st.one_of(st.fixed_dictionaries(RUNS), st.builds(
     hosting_run, st.integers(0, HOSTING_RUNS - 1), st.integers(0, 10**6))),
-       rows=rows_of("repeat-release", "repeat-complete", min_size=1,
-                    max_size=3))
+       rows=rows_of("repeat-release", "repeat-complete",
+                    "hosting-complete-again", min_size=1, max_size=3))
 def test_checkers_judge_a_job_by_its_last_repeated_event(run, rows):
     # jobs released or completed again later, in their place in time: each
     # checker judges a job by its last such event, as the references do,
-    # on walk_set's runs and on wcet-reclaim runs whose ghosts host
+    # on walk_set's runs and on wcet-reclaim runs whose ghosts host, where
+    # a hosting job's last completion can carry another c than its first
     assert_matches_references(**run, rows=rows)
 
 
