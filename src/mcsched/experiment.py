@@ -115,8 +115,10 @@ def run_experiment(spec: dict, out: str | IO[str]) -> dict:
     "horizon", "seed", "protocols", "rem_order", "exec_model", "dmcr",
     "force"; any other key is refused. Every value, and each request's
     target against the set's levels, is checked before a path is opened or
-    a row written. Rows are ordered by (protocol, scenario_id) under the
-    single top-level seed, so reruns are byte-identical.
+    a row written. Each scenario is drawn once for all protocols. Rows are
+    ordered by (protocol, scenario_id) under the single top-level seed, so
+    reruns are byte-identical; they are held until every run is done, so a
+    run that fails leaves the header alone.
     """
     if not isinstance(spec, dict):
         raise FormatError("experiment spec must be a JSON object")
@@ -169,20 +171,25 @@ def run_experiment(spec: dict, out: str | IO[str]) -> dict:
     pa, wt, res = prepare_run(ts, platform, cap=True, force=force)
     totals = {p: {"misses_enabled": 0, "rem_completed": 0, "rem_dropped": 0,
                   "tardiness": 0.0, "chain_aborts": 0} for p in protocols}
+    rows = {p: [] for p in protocols}
+    cfgs = [ProtocolConfig(protocol=p, rem_order=rem_order) for p in protocols]
     with open_output(out, newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for protocol in protocols:
-            cfg = ProtocolConfig(protocol=protocol, rem_order=rem_order)
-            for i in range(n_scen):
-                sc = gen.gen_scenario(ts, horizon, gen.child_seed(seed, i),
-                                      exec_model=exec_model, dmcr_plan=dmcr)
+        # each scenario is drawn once and run under every protocol; a
+        # protocol's totals still add up in scenario order
+        for i in range(n_scen):
+            sc = gen.gen_scenario(ts, horizon, gen.child_seed(seed, i),
+                                  exec_model=exec_model, dmcr_plan=dmcr)
+            for cfg in cfgs:
                 trace = simulate(ts, platform, pa, wt, sc, cfg)
                 m = verify.metrics(trace, ts)
-                fh.write(_csv_row(protocol, seed, i, m) + "\n")
-                agg = totals[protocol]
+                rows[cfg.protocol].append(_csv_row(cfg.protocol, seed, i, m))
+                agg = totals[cfg.protocol]
                 for key in ("misses_enabled", "rem_completed", "rem_dropped",
                             "chain_aborts"):
                     agg[key] += m[key]
                 agg["tardiness"] += m["mean_tardiness"]
+        for protocol in protocols:
+            fh.writelines(row + "\n" for row in rows[protocol])
     return {"schedulable": res.schedulable, "scenarios": n_scen,
             "protocols": list(protocols), "totals": totals}

@@ -9,14 +9,17 @@ local moves until the realized utilization sits within 0.01 of the target.
 Each repair step takes the best single +-1 budget move, or the best pair of
 moves on two different tasks; ties go to the first move in scan order, and
 a step fails when nothing lowers the deviation |d| from the target. Moves are
-scored by (sign, period), so a step costs O(n + K^2) for K distinct such
-pairs rather than O(n^2).
+kept in (sign, period) groups sorted by the change each makes to d, and one
+two-pointer sweep over the non-empty groups finds the best pair: a step
+costs O(n), where a scan of every pair of the K groups cost O(n + K^2).
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from dataclasses import dataclass, fields
+from operator import truediv
 
 from .model import MCTask, Platform, Scenario, TaskSet, validate_scenario
 
@@ -194,58 +197,107 @@ def _repair_utilization(budgets, periods, deadlines, target, tol):
     different tasks when it lowers |d| strictly more, where d is the
     utilization minus target. Moves are scanned by task, +1 before -1, and
     ties go to the first single move or the first pair in that order. A step
-    fails when nothing lowers |d|. A move changes d by s/T, so moves are
-    grouped by (sign s, period T) and each ordered pair of groups is scored
-    once: a step costs O(n + K^2) for K distinct (sign, period) groups.
-    """
-    n = len(budgets)
+    fails when nothing lowers |d|.
 
-    def dev():
-        return sum(b / t for b, t in zip(budgets, periods)) - target
+    A move changes d by x = s/T, so moves are kept in (sign s, period T)
+    groups, and a step updates only the one or two tasks it moved. The K
+    non-empty groups are sorted by x. For a first group a, the float sum
+    (d + x_a) + x_b only grows with x_b, and distinct groups give distinct
+    sums: their x differ by at least 1/T_max^2, far more than a rounding step
+    of these sums. So only the nearest valid partner on each side of zero
+    can be a's best. As x_a grows, the first partner whose sum is >= 0 moves
+    left, so one two-pointer sweep finds every group's best. A step costs
+    O(n): one sum for d and one pass over at most 2n groups, where a scan of
+    the K^2 pairs of groups cost O(n + K^2).
+    """
+    d = sum(map(truediv, budgets, periods)) - target
+    if abs(d) <= tol:
+        return
+    # a move is its scan position: 2i for +1 on task i, 2i + 1 for -1.
+    # up[T] and down[T] hold the moves of tasks of period T that can take
+    # them now, in scan order.
+    up = {t: [] for t in periods}
+    down = {t: [] for t in periods}
+    for i, (b, t, dl) in enumerate(zip(budgets, periods, deadlines)):
+        if b < dl:
+            up[t].append(2 * i)
+        if b > 1:
+            down[t].append(2 * i + 1)
+    order = sorted([(1 / t, g) for t, g in up.items()]
+                   + [(-1 / t, g) for t, g in down.items()])
 
     for _ in range(REPAIR_STEPS):
-        d = dev()
-        if abs(d) <= tol:
-            return
-        moves = []  # (scan position, task, sign)
-        for i in range(n):
-            if budgets[i] < deadlines[i]:
-                moves.append((len(moves), i, 1))
-            if budgets[i] > 1:
-                moves.append((len(moves), i, -1))
-        if not moves:
+        # solo: the task of a one-move group, -1 for others. Two one-move
+        # groups of one task (a group with itself included) give no pair;
+        # any other two do.
+        xs, gs, solo = [], [], []
+        for x, group in order:
+            if group:
+                xs.append(x)
+                gs.append(group)
+                solo.append(group[0] >> 1 if len(group) == 1 else -1)
+        if not xs:
             raise Infeasible
-        groups = {}
-        for move in moves:
-            groups.setdefault((move[2], periods[move[1]]), []).append(move)
-        # the float sums of a scan over the moves, (d + s_a/T_a) + s_b/T_b;
+        k = len(xs)
         # a tuple (|d'|, move, move) is least for the first minimum in scan
-        # order, as a move's tuple starts with its scan position
-        steps = [(s / t, group) for (s, t), group in groups.items()]
-        single = min((abs(d + x), group[0]) for x, group in steps)
+        # order, as a move is its scan position. d + x >= 0 just when
+        # x >= -d: a float sum keeps the sign of the exact one.
+        q = bisect_left(xs, -d)
+        single = (d + xs[q], gs[q][0]) if q < k else (math.inf,)
+        if q and -(d + xs[q - 1]) <= single[0]:
+            single = min(single, (-(d + xs[q - 1]), gs[q - 1][0]))
         pair = (math.inf,)
-        for xa, ga in steps:
+        j = k  # the first partner whose sum with a is >= 0
+        for xa, sa, ga in zip(xs, solo, gs):
             da = d + xa
-            for xb, gb in steps:
-                nd = abs(da + xb)
-                if nd > pair[0]:
-                    continue
-                a, b = ga[0], gb[0]
-                if a[1] == b[1]:  # one task twice: next pair in scan order
-                    if len(gb) > 1:
-                        b = gb[1]
-                    elif len(ga) > 1:
-                        a = ga[1]
-                    else:
-                        continue
-                pair = min(pair, (nd, a, b))
+            while j and da + xs[j - 1] >= 0:
+                j -= 1
+            q = j
+            while q < k and solo[q] == sa >= 0:
+                q += 1
+            if q < k:
+                nd = da + xs[q]
+                if nd <= pair[0]:
+                    pair = min(pair, (nd, *_pair_moves(ga, gs[q])))
+            q = j - 1
+            while q >= 0 and solo[q] == sa >= 0:
+                q -= 1
+            if q >= 0:
+                nd = -(da + xs[q])
+                if nd <= pair[0]:
+                    pair = min(pair, (nd, *_pair_moves(ga, gs[q])))
         best = pair if pair[0] < single[0] else single
         if best[0] >= abs(d):
             raise Infeasible
-        for _, i, s in best[1:]:
-            budgets[i] += s
-    if abs(dev()) > tol:
-        raise Infeasible
+        for move in best[1:]:
+            i = move >> 1
+            budgets[i] += -1 if move & 1 else 1
+            _place(up[periods[i]], 2 * i, budgets[i] < deadlines[i])
+            _place(down[periods[i]], 2 * i + 1, budgets[i] > 1)
+        d = sum(map(truediv, budgets, periods)) - target
+        if abs(d) <= tol:
+            return
+    raise Infeasible
+
+
+def _pair_moves(ga, gb):
+    """The first pair of moves in scan order, one from ga and one from gb,
+    on two different tasks."""
+    a, b = ga[0], gb[0]
+    if a >> 1 == b >> 1:
+        if len(gb) > 1:
+            return a, gb[1]
+        return ga[1], b
+    return a, b
+
+
+def _place(group, move, member):
+    """Put move into the sorted group, or take it out, as member says."""
+    if member != (move in group):
+        if member:
+            insort(group, move)
+        else:
+            group.remove(move)
 
 
 EXEC_MODELS = ("uniform", "basic", "overrun", "overrun-then-calm")

@@ -357,7 +357,13 @@ def _block_records(lines: list):
     inside a container, merges two lines into one element and costs an
     element. With as many elements as lines, a merge needs a line holding
     two top-level elements, and with objects only that takes "}", blanks,
-    ",", blanks, "{", blanks within a line being " " and "\t"."""
+    ",", blanks, "{", blanks within a line being " " and "\t".
+
+    A piece with an empty line is refused before the join, since its
+    decode would fail. A piece with a whitespace-only line is still decoded
+    and fails, so the per-line path decodes it a second time."""
+    if "" in lines:
+        return None
     block = "[" + ",\n".join(lines) + "]"
     try:
         recs, end = _scan(block, 0)

@@ -1140,10 +1140,11 @@ def test_experiment_produces_deterministic_csv(tmp_path, capsys):
         assert len(cells[7].split(".")[1]) == 6
 
 
-def test_experiment_failing_midway_leaves_only_its_rows(tmp_path,
-                                                      monkeypatch):
-    """A run that raises after some rows leaves the header and those rows,
-    and none of the longer old file's bytes after them."""
+def test_experiment_failing_midway_leaves_only_the_header(tmp_path,
+                                                        monkeypatch):
+    """A run that raises after some runs have finished leaves the header
+    alone: rows are held until every run is done, and none of the longer
+    old file's bytes stay after the header."""
     spec = {"gen": {"n_tasks": 4, "levels": 2, "total_util": 0.7,
                     "period_range": [8, 16]},
             "scenarios": 3, "horizon": 200, "seed": 1,
@@ -1164,7 +1165,36 @@ def test_experiment_failing_midway_leaves_only_its_rows(tmp_path,
     monkeypatch.setattr(experiment, "simulate", fail_on_third)
     with pytest.raises(RuntimeError, match="simulate failed"):
         run_experiment(spec, str(out))
-    assert out.read_bytes() == "".join(rows[:3]).encode()
+    assert out.read_bytes() == rows[0].encode()
+
+
+def test_experiment_draws_each_scenario_once(monkeypatch):
+    """Every protocol runs on one draw of each scenario, and the CSV is the
+    same as with a draw per run."""
+    spec = {"gen": {"n_tasks": 4, "levels": 2, "total_util": 0.7,
+                    "period_range": [8, 16]},
+            "scenarios": 3, "horizon": 200, "seed": 1,
+            "protocols": ["drop", "naive", "wcet-reclaim"]}
+    real, seeds = gen.gen_scenario, []
+
+    def counted(ts, horizon, seed, **kw):
+        seeds.append(seed)
+        return real(ts, horizon, seed, **kw)
+
+    monkeypatch.setattr(gen, "gen_scenario", counted)
+    buf = io.StringIO()
+    run_experiment(spec, buf)
+    assert seeds == [gen.child_seed(1, i) for i in range(3)]
+    ts, platform = gen.gen_taskset(gen.GenParams(**spec["gen"]), 1)
+    pa, wt, _ = prepare_run(ts, platform, cap=True, force=False)
+    expected = [CSV_HEADER]
+    for protocol in spec["protocols"]:
+        cfg = ProtocolConfig(protocol=protocol)
+        for i in range(3):
+            sc = real(ts, 200, gen.child_seed(1, i))
+            m = verify.metrics(simulate(ts, platform, pa, wt, sc, cfg), ts)
+            expected.append(experiment._csv_row(protocol, 1, i, m))
+    assert buf.getvalue() == "".join(row + "\n" for row in expected)
 
 
 def test_experiment_refuses_unschedulable_taskset(heavy_ts, tmp_path, capsys):

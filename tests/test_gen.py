@@ -183,6 +183,42 @@ def test_repair_matches_reference_scan(case):
 
 
 @st.composite
+def large_repair_inputs(draw):
+    """(budgets, periods, deadlines, target, tol) in the shape of a bench
+    opa-large draw: 32 to 64 tasks over a pool of 8 to 17 periods, so most
+    (sign, period) groups hold several tasks, and the first moves of two
+    groups often share a task. Deadlines lie in [ceil(0.8 T), T] as in
+    gen_taskset. The budgets start a few moves from ones whose utilization
+    lies near the target, some at 1 or at D."""
+    n = draw(st.integers(32, 64))
+    pool = draw(st.lists(st.integers(4, 40), min_size=8, max_size=17,
+                         unique=True))
+    periods = draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n))
+    # one list of raw draws, reduced into each task's range
+    raw = draw(st.lists(st.integers(0, 1 << 16), min_size=2 * n,
+                        max_size=2 * n))
+    deadlines = [t - r % (t // 5 + 1) for t, r in zip(periods, raw)]
+    goal = [1 + r % d for d, r in zip(deadlines, raw[n:])]
+    budgets = list(goal)
+    # a few moves off, or clamped to 1 or to D
+    shifts = st.sampled_from((-40, 40)) | st.integers(-3, 3)
+    for i, shift in draw(st.lists(st.tuples(st.integers(0, n - 1), shifts),
+                                  max_size=12)):
+        budgets[i] = min(max(1, budgets[i] + shift), deadlines[i])
+    target = (sum(g / t for g, t in zip(goal, periods))
+              + draw(st.floats(-0.05, 0.05)))
+    tol = draw(st.sampled_from((0.0, 0.001, 0.01)))
+    return budgets, periods, deadlines, target, tol
+
+
+@given(large_repair_inputs())
+@settings(max_examples=40, derandomize=True, deadline=None)
+def test_repair_matches_reference_scan_on_large_sets(case):
+    assert (_repaired(_repair_utilization, *case)
+            == _repaired(repair_utilization_reference, *case))
+
+
+@st.composite
 def gen_params(draw):
     """GenParams over every field's range, with total utilizations up to
     0.6 per task and eight attempts."""
