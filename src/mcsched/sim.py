@@ -24,11 +24,17 @@ the job's response-time window, r + R_i(level), and the budget lies past the
 horizon.
 
 Level decreases are requested externally (scenario dmcr_requests). A request
-is taken up at the next steady instant; the system then watches the enabled
-tasks in priority order, waiting for each to complete a job within its
-response bound at the target level, and re-enables every suspended task with
-L >= target synchronously when the last one qualifies. Any budget overrun
-while the chain is active aborts it.
+is taken up at the next steady instant, one with no chain open and no rem-job
+queued; the system then watches the enabled tasks in priority order, waiting
+for each to complete a job within its response bound at the target level,
+and re-enables every suspended task with L >= target synchronously when the
+last one qualifies. Any budget overrun while the chain is active aborts it.
+Invariants: a task is enabled exactly while L >= level, and a job is a
+rem-job exactly while its task's L < level, as the level never falls while a
+rem-job is queued (only an overrun adds to the pool, and it aborts any
+chain). simulate reads both off the level. Jobs keep a pending flag, as
+under "drop" a task can be re-enabled before the deadline of a job it lost
+at suspension, and the level cannot tell that job from a pending one.
 
 All times are integers. One run is strictly deterministic in its inputs.
 simulate expects a validated scenario (model.validate_scenario). Of its
@@ -52,16 +58,15 @@ enabled task, the earliest pending deadline, the next request, ghost
 expiries, forced ticks, the horizon and the running entities' budget,
 ghost-budget and completion boundaries. A suspended task's arrivals before
 it are dropped on the way, each at its own instant and at the level in
-force. That is exact: a task's enabled state and the level change only at a
-completion or an overrun, and those, like every other phase before
-releases, act only at the boundaries above, so a step at such an arrival
-would do nothing but drop it. An arrival at the next event itself is left
-to that step's releases phase, after its completions, overruns and
-re-enables. A request that waits on a chain or on rem-jobs adds no steps,
-since those end only at such boundaries; one still waiting after a
-re-enable at t is taken up at t + 1. Events are emitted in time order: a
-dispatch span takes its place in the trace when it opens, after the point
-events at its start, and is filled in when it ends.
+force. That is exact: the level changes only at a completion or an overrun,
+and those, like every other phase before releases, act only at the
+boundaries above, so a step at such an arrival would do nothing but drop it.
+An arrival at the next event itself is left to that step's releases phase,
+after its completions, overruns and re-enables. A request that waits on a
+chain or on rem-jobs adds no steps, since those end only at such boundaries;
+one still waiting after a re-enable at t is taken up at t + 1. Events are
+emitted in time order: a dispatch span takes its place in the trace when it
+opens, after the point events at its start, and is filled in when it ends.
 
 Internal trace events are tuples. A point event is (kind, t, mode, *fields)
 with the fields of EVENT_FIELDS[kind] other than "mode", in table order; the
@@ -522,8 +527,8 @@ def trace_from_jsonl(text: str) -> Trace:
 
 
 class _Job:
-    __slots__ = ("st", "tid", "k", "r", "d", "c", "executed", "rem",
-                 "pending", "L", "C", "rank", "idk")
+    __slots__ = ("st", "tid", "k", "r", "d", "c", "executed", "pending",
+                 "L", "C", "idk")
 
     def __init__(self, st, k, r, c):
         task = st.task
@@ -534,11 +539,9 @@ class _Job:
         self.d = r + task.D
         self.c = c
         self.executed = 0  # never passes c: executed == c once complete
-        self.rem = False
         self.pending = True  # in its task's pending list
         self.L = task.L
         self.C = task.C
-        self.rank = st.rank
         self.idk = st.idk
 
 
@@ -554,7 +557,7 @@ class _Ghost:
 
 
 class _TaskState:
-    __slots__ = ("task", "tid", "rank", "idk", "execs", "pending", "enabled")
+    __slots__ = ("task", "tid", "rank", "idk", "execs", "pending", "L")
 
     def __init__(self, task, rank, execs):
         self.task = task
@@ -563,7 +566,7 @@ class _TaskState:
         self.idk = id_key(task.id)
         self.execs = execs
         self.pending = []  # released, unfinished, not suspended; by k
-        self.enabled = True
+        self.L = task.L  # enabled exactly while L >= the level
 
 
 _rank_of = attrgetter("rank")
@@ -660,9 +663,10 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         for job, _ in running:
             if job.executed < job.c:
                 continue
+            rem = job.L < level  # its task is suspended: a rem-job
             emit(("complete", t, level, job.tid, job.k, job.c, job.r, job.d,
-                  1 if job.rem else 0))
-            if job.rem:
+                  1 if rem else 0))
+            if rem:
                 rem_pool.remove(job)
                 continue
             job.pending = False
@@ -681,7 +685,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 else:
                     expiry = job.r + wt[(job.tid, level)]
                 if budget > 0 and expiry > t:
-                    ghosts.append(_Ghost(job.tid, job.k, job.rank, budget,
+                    ghosts.append(_Ghost(job.tid, job.k, job.st.rank, budget,
                                          expiry))
 
         # ---- budget-overrun cascade ----
@@ -690,8 +694,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             for job, _ in running:
                 if job.executed >= job.c:
                     continue  # completed
-                if (not job.rem and job.L > level
-                        and job.executed >= job.C[level - 1]):
+                if job.L > level and job.executed >= job.C[level - 1]:
                     tripped = job
                     break
                 if broken is None and job.executed >= job.C[job.L - 1]:
@@ -707,8 +710,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             level += 1
             emit(("budget_exceeded", t, level, tripped.tid, tripped.k))
             for st in states:
-                if st.enabled and st.task.L < level:
-                    st.enabled = False
+                if st.L == level - 1:  # enabled until this raise
                     jobs, st.pending = st.pending, []
                     if jobs:
                         ready.remove(st)
@@ -717,7 +719,6 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                         if drop:
                             emit(("job_dropped", t, level, j.tid, j.k, "imcr"))
                         else:
-                            j.rem = True
                             rem_pool.append(j)
             ghosts.clear()  # budget guarantees do not carry across levels
             if chain is not None:
@@ -740,7 +741,8 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         if pending_req is not None and chain is None and not rem_pool:
             target, pending_req = pending_req, None
             if target < level:
-                chain = [[st.tid for st in by_rank if st.enabled], 0, target]
+                chain = [[st.tid for st in by_rank if st.L >= level], 0,
+                         target]
 
         # ---- chain qualification ----
         if chain is not None:
@@ -753,10 +755,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 cursor += 1
             chain[1] = cursor
             if cursor == len(tasks_):
-                woken = [st for st in states
-                         if not st.enabled and st.task.L >= target]
-                for st in woken:
-                    st.enabled = True
+                woken = [st for st in states if target <= st.L < level]
                 emit(("re_enabled", t, target,
                       tuple(sorted((st.tid for st in woken), key=id_key))))
                 level = target
@@ -767,7 +766,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             _, ti, k = arrivals[arr_i]
             arr_i += 1
             st = states[ti]
-            if st.enabled:
+            if st.L >= level:
                 job = _Job(st, k, t, st.execs[k - 1])
                 if not st.pending:
                     insort(ready, st, key=_rank_of)
@@ -811,10 +810,10 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         rem_eligible = ()
         if rem_pool and (free or ghosts):
             front: dict = {}
+            # a task's rem-jobs join the pool together, in k order, and only
+            # its front runs: its first job in the pool is its front
             for job in rem_pool:
-                cur = front.get(job.tid)
-                if cur is None or job.k < cur.k:
-                    front[job.tid] = job
+                front.setdefault(job.tid, job)
             rem_eligible = sorted(front.values(), key=rem_key)
         hi = free
         for job, g in selected:
@@ -859,7 +858,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             top_left = job.C[job.L - 1] - job.executed
             if top_left < delta:
                 delta = top_left  # stop at the contract boundary
-            if not job.rem and job.L > level:
+            if job.L > level:
                 budget_left = job.C[level - 1] - job.executed
                 if budget_left < delta:
                     delta = budget_left
@@ -887,7 +886,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         while arrivals[arr_i][0] < nxt:
             a, ti, k = arrivals[arr_i]
             st = states[ti]
-            if st.enabled:
+            if st.L >= level:
                 nxt = a
                 break
             arr_i += 1

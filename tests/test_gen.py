@@ -218,6 +218,39 @@ def test_repair_matches_reference_scan_on_large_sets(case):
             == _repaired(repair_utilization_reference, *case))
 
 
+# (budgets, periods, deadlines, target, tol) by the rule of equal moves each
+# pins; the generated inputs above reach none of them
+REPAIR_ORDER_CASES = {
+    # a task that rejoins a move group takes its place in scan order, and
+    # the group's first move is later taken
+    "rejoin_in_scan_order": ([10, 1, 1, 15, 1], [10, 11, 10, 15, 15],
+                             [10, 1, 1, 15, 2], 1.72, 0.005),
+    # the first moves of two groups are one task's: the pair takes the
+    # second group's second move before the first group's
+    "same_task_second_move_of_gb_first": ([1, 1, 1, 7], [21, 19, 7, 21],
+                                          [4, 1, 4, 8], 1.05, 0.005),
+    # +1 and -1 on one period, whose rounded sum lowers |d|: the pair moves
+    # two tasks, never one task up and back
+    "no_pair_of_one_task": ([2, 2], [35, 35], [7, 2], 0.111, 0.0),
+    # a group's nearest partner on one side of zero is a one-move group of
+    # its own task: the next partner on that side is tried
+    "next_partner_right_of_zero": ([1, 2, 12, 8, 1], [3, 3, 12, 8, 8],
+                                   [1, 2, 12, 8, 2], 2.8749999999999987, 0.0),
+    "next_partner_left_of_zero": ([2, 3, 1, 1], [8, 8, 3, 12], [2, 4, 2, 2],
+                                  31 / 24, 0.0),
+    # two pairs of groups give the same float |d'|: the least moves win
+    "tied_pairs_keep_the_least": ([1, 13, 8, 8], [20, 15, 15, 12],
+                                  [2, 14, 8, 8], 2.1, 0.005),
+}
+
+
+@pytest.mark.parametrize("case", REPAIR_ORDER_CASES.values(),
+                         ids=REPAIR_ORDER_CASES)
+def test_repair_order_of_equal_moves_matches_reference(case):
+    assert (_repaired(_repair_utilization, *case)
+            == _repaired(repair_utilization_reference, *case))
+
+
 @st.composite
 def gen_params(draw):
     """GenParams over every field's range, with total utilizations up to

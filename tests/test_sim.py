@@ -346,18 +346,22 @@ def test_chain_aborts_on_overrun_and_request_is_not_retried():
 
 
 def test_request_intake_deferred_while_rem_pool_nonempty():
-    a = MCTask(id=1, T=12, D=12, L=2, C=(2, 4))
+    # the request at 4 finds the rem-job of task 2 queued. Task 1's job 2
+    # completes at 7 within R_1(1), while that rem-job still waits: a chain
+    # taken up at 4 would advance and re-enable at 7. Taken up once the pool
+    # drains at 8, it advances at task 1's next completion, at 13.
+    a = MCTask(id=1, T=6, D=6, L=2, C=(2, 4))
     v = MCTask(id=2, T=12, D=12, L=1, C=(4, 4))
     wt = {(1, 1): 2, (1, 2): 4, (2, 1): 6}
     trace = run([a, v], 2, 1, {1: 1, 2: 2}, wt,
-                24, {1: (0, 12), 2: (0, 12)}, {1: (3, 2), 2: (4, 4)},
+                24, {1: (0, 6, 12), 2: (0,)}, {1: (3, 1, 1), 2: (4,)},
                 reqs=((4, 1),), protocol="naive")
     assert [(e[1], e[3]) for e in trace.kind("dmcr_requested")] == [(4, 1)]
-    comp_v = [e for e in trace.kind("complete") if e[3] == 2][0]
-    assert (comp_v[1], comp_v[8]) == (7, 1)
-    # chain could only start once the pool drained at t=7
-    assert [(e[1], e[3]) for e in trace.kind("chain_advance")] == [(14, 1)]
-    assert [(e[1], e[2]) for e in trace.kind("re_enabled")] == [(14, 1)]
+    assert [(e[1], e[3], e[4], e[8]) for e in trace.kind("complete")] == [
+        (3, 1, 1, 0), (7, 1, 2, 0), (8, 2, 1, 1), (13, 1, 3, 0)]
+    assert [(e[1], e[3], e[4]) for e in trace.kind("chain_advance")] == [
+        (13, 1, 3)]
+    assert [(e[1], e[2]) for e in trace.kind("re_enabled")] == [(13, 1)]
 
 
 def test_request_targeting_current_or_higher_level_is_discarded():

@@ -13,9 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcsched
+from mcsched.analysis import PriorityAssignment
 from mcsched.experiment import prepare_run
 from mcsched.gen import GenParams, Infeasible, gen_scenario, gen_taskset
-from mcsched.model import MCTask, Scenario, TaskSet
+from mcsched.model import MCTask, Platform, Scenario, TaskSet
 from mcsched.sim import PROTOCOLS, ProtocolConfig, Trace, simulate
 from mcsched.verify import (ReclaimReport, check_feasibility,
                             check_periodicity, check_response_bounds,
@@ -583,6 +584,25 @@ def test_metrics_counts():
     assert m["susp_episodes"] == 1
     assert m["idle_time"] == 11
     assert m["busy_time"] == 9
+
+    # a rem-job completes late: task 2's job, suspended at 2, runs below
+    # task 1's second job and completes at 11, 5 past its deadline; task
+    # 3's rem-job completes on time at 13
+    tasks = (MCTask(id=1, T=6, D=6, L=2, C=(2, 4)),
+             MCTask(id=2, T=6, D=6, L=1, C=(3, 3)),
+             MCTask(id=3, T=20, D=20, L=1, C=(2, 2)))
+    ts = TaskSet(tasks=tasks, levels=2)
+    sc = Scenario(horizon=20, arrivals={1: (0, 6), 2: (0, 6), 3: (0,)},
+                  exec_times={1: (4, 4), 2: (3, 3), 3: (2,)})
+    pa = PriorityAssignment({1: 1, 2: 2, 3: 3})
+    wt = {(1, 1): 2, (1, 2): 4, (2, 1): 5, (3, 1): 7}
+    trace = simulate(ts, Platform(m=1), pa, wt, sc, ProtocolConfig("naive"))
+    rem = [(e[1], e[3], e[7]) for e in trace.kind("complete") if e[8]]
+    assert rem == [(11, 2, 6), (13, 3, 20)]
+    m = metrics(trace, ts)
+    assert m["rem_completed"] == 2
+    assert m["max_tardiness"] == 5
+    assert m["mean_tardiness"] == 2.5
 
 
 # ---------------------------------------------------------------------------
