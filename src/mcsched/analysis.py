@@ -49,13 +49,17 @@ subtracting its own nc and its place among the m - 1 largest surcharges
 candidate. A placed task leaves every row, but the windows outlive the
 rank: the kernel bounds each term on its own, so a window from an earlier
 rank, with the entries placed since then deleted, is exactly the window
-over the shorter row. Each window goes through the kernel at most once per
-analysis. dm_fallback is this loop with the candidate fixed, placing the
-deadline-monotonic order from last to first.
+over the shorter row. A window keeps its surcharges in ascending order and
+running values of its sums and cut, so catching it up deletes each placed
+entry by bisection and moves the sums by that entry alone, with no sort
+and no sum over the row. Each window goes through the kernel, and is
+sorted, at most once per analysis. dm_fallback is this loop with the
+candidate fixed, placing the deadline-monotonic order from last to first.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
@@ -147,23 +151,34 @@ class _RankTotals:
 
     A candidate's test sees its row without its own entry. Every window
     (level, limit, delta) is evaluated by one kernel pass over the whole
-    row, and each candidate derives its own total from it
-    exactly. With the row's surcharges sorted descending as D,
-    k = m - 1, S = sum(D[:k+1]) and X = D[min(k, n-1)], leaving out an
-    entry with surcharge own removes one of the k + 1 largest if own >= X,
-    and otherwise leaves the k largest, summing to S - X, in place; when
+    row, and each candidate derives its own total from it exactly. With
+    the row's n surcharges in ascending order A, k = m - 1 and the top
+    block A[max(n - m, 0):] holding the k + 1 largest, let S be the block's
+    sum and X = A[max(n - m, 0)] its least, the cut. Leaving out an entry
+    with surcharge own removes one of the k + 1 largest if own >= X, and
+    otherwise leaves the k largest, summing to S - X, in place; when
     n <= k + 1 every surcharge counts and own >= X. So the candidate's
     total is
 
         sum of nc - own nc + S - max(own, X).
 
-    Placing a task logs its position and keeps the windows. A window
-    records how much of the log it has absorbed. One that is behind deletes
-    the newer logged positions from its nc and surcharge lists in placement
-    order, since each is a position in the row as it stood at that
-    placement, then takes its sums, top and cut anew. As each term's bounds
-    depend on that term alone, the result is exactly the kernel over the
-    shorter row.
+    A new window sorts its surcharges once and keeps, beside its nc and
+    surcharge lists in row order, the order A and running values of the nc
+    sum, S and X. Placing a task logs its position and keeps the windows.
+    A window records how much of the log it has absorbed. One that is
+    behind deletes the newer logged positions in placement order, since
+    each is a position in the row as it stood at that placement. For each
+    it subtracts the entry's nc from the nc sum and deletes its surcharge s
+    from A at p = bisect_left(A, s), the leftmost copy of s. With
+    b = n - m - 1 the position just below the top block: if p <= b, the
+    copy deleted lies below the block, and the block keeps the same values,
+    even when it holds other copies of s; if p > b, the block loses one
+    copy of s and A[b], the largest value below it, moves in, so S gains
+    A[b] - s. A row of at most m entries (b < 0) counts every surcharge, so
+    S only loses s. X is then read off A again, as the block's least, or
+    A[0] in a row of at most m entries. No sum is taken anew, and as each
+    term's bounds depend on that term alone, the result is exactly the
+    kernel over the shorter row.
     """
 
     def __init__(self, rows: list[list[tuple[int, int]]], m: int):
@@ -174,23 +189,35 @@ class _RankTotals:
         # per level, the entries with C_j >= 1
         self.busy = [sum(1 for _, c in row if c > 0) for row in rows]
         self.placed = []  # row positions taken out, in placement order
-        # (level, limit, delta) -> (len(placed) absorbed, shared part)
+        # (level, limit, delta) -> (len(placed) absorbed, ncs, diffs,
+        # diffs ascending, nc sum, top sum, cut)
         self.windows = {}
 
     def total(self, lv: int, i: int, limit: int, delta: int) -> int:
         """_response's total(limit, delta) for entry i of row lv."""
         window = self.windows.get((lv, limit, delta))
         if window is None or window[0] != len(self.placed):
+            m = self.m
             if window is None:
                 ncs, diffs = _bounds(self.rows[lv], limit, delta)
+                order = sorted(diffs)
+                nc_sum, top = sum(ncs), sum(order[-m:])  # the k + 1 largest
             else:
-                seen, ncs, diffs = window[:3]
+                seen, ncs, diffs, order, nc_sum, top, _ = window
                 for j in self.placed[seen:]:
-                    del ncs[j], diffs[j]
-            top = sorted(diffs, reverse=True)[:self.m]  # the k + 1 largest
+                    nc_sum -= ncs.pop(j)
+                    diff = diffs.pop(j)
+                    p = bisect_left(order, diff)
+                    below = len(order) - m - 1  # just below the top block
+                    if p > below:
+                        top -= diff
+                        if below >= 0:
+                            top += order[below]
+                    del order[p]
             window = self.windows[lv, limit, delta] = (
-                len(self.placed), ncs, diffs, sum(ncs), sum(top), top[-1])
-        _, ncs, diffs, nc_sum, top, cut = window
+                len(self.placed), ncs, diffs, order, nc_sum, top,
+                order[-m] if m <= len(order) else order[0])
+        _, ncs, diffs, _, nc_sum, top, cut = window
         diff = diffs[i]
         return nc_sum - ncs[i] + top - (diff if diff > cut else cut)
 

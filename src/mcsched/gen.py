@@ -197,7 +197,10 @@ def _repair_utilization(budgets, periods, deadlines, target, tol):
     different tasks when it lowers |d| strictly more, where d is the
     utilization minus target. Moves are scanned by task, +1 before -1, and
     ties go to the first single move or the first pair in that order. A step
-    fails when nothing lowers |d|.
+    fails when nothing lowers |d|. A step is a function of the budgets
+    alone, so one that brings back a budget vector the repair already held
+    starts a cycle that would run until REPAIR_STEPS: the repair fails
+    there.
 
     A move changes d by x = s/T, so moves are kept in (sign s, period T)
     groups, and a step updates only the one or two tasks it moved. The K
@@ -225,6 +228,7 @@ def _repair_utilization(budgets, periods, deadlines, target, tol):
             down[t].append(2 * i + 1)
     order = sorted([(1 / t, g) for t, g in up.items()]
                    + [(-1 / t, g) for t, g in down.items()])
+    held = {tuple(budgets)}
 
     for _ in range(REPAIR_STEPS):
         # solo: the task of a one-move group, -1 for others. Two one-move
@@ -277,6 +281,9 @@ def _repair_utilization(budgets, periods, deadlines, target, tol):
         d = sum(map(truediv, budgets, periods)) - target
         if abs(d) <= tol:
             return
+        if (vector := tuple(budgets)) in held:
+            raise Infeasible
+        held.add(vector)
     raise Infeasible
 
 

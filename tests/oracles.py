@@ -128,8 +128,11 @@ def repair_utilization_reference(budgets, periods, deadlines, target, tol,
                                  max_steps=200):
     """Nudge level-1 budgets by +-1 (singly or in pairs) until the realized
     utilization is within tol of target. Pair moves matter: with a narrow
-    period range no single 1/T step is fine enough."""
+    period range no single 1/T step is fine enough. A budget vector held a
+    second time fails the repair, since each step depends on the budgets
+    alone and would repeat the cycle until max_steps."""
     n = len(budgets)
+    held = []
 
     def dev():
         return sum(b / t for b, t in zip(budgets, periods)) - target
@@ -138,6 +141,9 @@ def repair_utilization_reference(budgets, periods, deadlines, target, tol,
         d = dev()
         if abs(d) <= tol:
             return
+        if budgets in held:
+            raise Infeasible
+        held.append(list(budgets))
         best = None  # (|new_dev|, moves)
         moves = []
         for i in range(n):

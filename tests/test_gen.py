@@ -251,6 +251,17 @@ def test_repair_order_of_equal_moves_matches_reference(case):
             == _repaired(repair_utilization_reference, *case))
 
 
+def test_cycling_repair_fails_at_its_first_repeat():
+    """Each step's estimate (d + s_a/T_a) + s_b/T_b and the fresh sum that
+    follows it round differently, so this repair swings between [4, 4, 2]
+    and [5, 3, 2] at |d| = 0.0101: it fails on the first vector it brings
+    back, three steps in, not after REPAIR_STEPS."""
+    case = ([3, 5, 2], [9, 11, 11], [8, 11, 10], 1.0, 0.01)
+    assert (_repaired(_repair_utilization, *case)
+            == _repaired(repair_utilization_reference, *case)
+            == (Infeasible, [4, 4, 2]))
+
+
 @st.composite
 def gen_params(draw):
     """GenParams over every field's range, with total utilizations up to
