@@ -277,6 +277,21 @@ class AnalysisResult:
     witness: tuple = field(default_factory=tuple)
 
 
+def result_doc(res: AnalysisResult, m: int) -> dict:
+    """The document `mcsched analyze` prints for res on m processors."""
+    doc = {"schedulable": res.schedulable, "m": m}
+    if res.assignment is not None:
+        doc["ranks"] = {str(tid): res.assignment.rank(tid)
+                        for tid in res.assignment.ordered_ids()}
+        doc["wcrt"] = [{"task": tid, "level": lv, "bound": r}
+                       for (tid, lv), r in sorted(
+                           res.wcrt_table.items(),
+                           key=lambda kv: (id_key(kv[0][0]), kv[0][1]))]
+    if not res.schedulable:
+        doc["witness"] = list(res.witness)
+    return doc
+
+
 def opa_assign(ts: TaskSet, m: int, cap: bool = True,
                order: list | None = None) -> AnalysisResult:
     """Audsley's optimal priority assignment.

@@ -20,29 +20,15 @@ import sys
 
 from . import analysis, gen, verify
 from .experiment import Unschedulable, prepare_run, run_experiment
-from .model import (dump_json, dump_scenario, dump_taskset, id_key, load_json,
+from .model import (dump_json, dump_scenario, dump_taskset, load_json,
                     load_scenario, load_taskset, open_output)
 from .sim import PROTOCOLS, REM_ORDERS, ProtocolConfig, simulate, trace_from_jsonl
-
-
-def _analysis_doc(res: analysis.AnalysisResult, m: int) -> dict:
-    doc = {"schedulable": res.schedulable, "m": m}
-    if res.assignment is not None:
-        doc["ranks"] = {str(tid): res.assignment.rank(tid)
-                        for tid in res.assignment.ordered_ids()}
-        doc["wcrt"] = [{"task": tid, "level": lv, "bound": r}
-                       for (tid, lv), r in sorted(
-                           res.wcrt_table.items(),
-                           key=lambda kv: (id_key(kv[0][0]), kv[0][1]))]
-    if not res.schedulable:
-        doc["witness"] = list(res.witness)
-    return doc
 
 
 def cmd_analyze(args) -> int:
     ts, platform = load_taskset(args.taskset)
     res = analysis.opa_assign(ts, platform.m, cap=not args.no_cap)
-    dump_json(_analysis_doc(res, platform.m), sys.stdout)
+    dump_json(analysis.result_doc(res, platform.m), sys.stdout)
     return 0 if res.schedulable else 1
 
 
@@ -64,13 +50,7 @@ def cmd_check(args) -> int:
     with open(args.trace, encoding="utf-8") as fh:
         trace = trace_from_jsonl(fh.read())
     sc = load_scenario(args.scenario, ts) if args.scenario else None
-    if (trace.m, trace.levels) != (platform.m, ts.levels):
-        raise ValueError(f"trace meta line has m={trace.m}, levels="
-                         f"{trace.levels}; the task set has m={platform.m}, "
-                         f"levels={ts.levels}")
-    if sc is not None and trace.horizon != sc.horizon:
-        raise ValueError(f"trace meta line has horizon={trace.horizon}; the "
-                         f"scenario has horizon={sc.horizon}")
+    verify.check_frame(trace, ts, platform, sc)
     reports = verify.check_run(trace, ts, sc=sc)
     # each report's fields after "ok" and "checked", in declaration order
     dump_json({name: {"ok": rep.ok, "checked": rep.checked, **vars(rep)}

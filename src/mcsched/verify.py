@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import TYPE_CHECKING
 
-from .model import Scenario, TaskSet, id_key
+from .model import Platform, Scenario, TaskSet, id_key
 
 if TYPE_CHECKING:  # the checkers share no code with the simulator they judge
     from .sim import Trace
@@ -118,6 +118,19 @@ def check_run(trace: Trace, ts: TaskSet, wt: dict | None = None,
     this order: "feasibility", "periodicity" given sc, "response" given the
     analysis table wt, and "reclaim" for a wcet-reclaim trace."""
     return _walk(trace, ts, True, sc, wt, trace.protocol == "wcet-reclaim")
+
+
+def check_frame(trace: Trace, ts: TaskSet, platform: Platform,
+                sc: Scenario | None = None) -> None:
+    """Raise ValueError unless the trace's meta line has the m and level
+    count of ts and platform and, given sc, the scenario's horizon."""
+    if (trace.m, trace.levels) != (platform.m, ts.levels):
+        raise ValueError(f"trace meta line has m={trace.m}, levels="
+                         f"{trace.levels}; the task set has m={platform.m}, "
+                         f"levels={ts.levels}")
+    if sc is not None and trace.horizon != sc.horizon:
+        raise ValueError(f"trace meta line has horizon={trace.horizon}; the "
+                         f"scenario has horizon={sc.horizon}")
 
 
 def check_feasibility(trace: Trace, ts: TaskSet) -> FeasibilityReport:
