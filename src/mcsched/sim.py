@@ -17,11 +17,22 @@ join the rem-job pool to be finished at background priority. Protocols
 "wcet-reclaim" and "wcrt-simulate" additionally lend rem-jobs the processor
 slots that completed jobs of enabled tasks no longer need. Such a ghost slot
 has a budget and an expiry, and it hosts a rem-job only while t < expiry and
-budget > 0; the time it hosts is spent from its budget. Under wcet-reclaim
-the budget is the completing job's unused budget C_i(level) - c and the
-expiry lies past the horizon; under wcrt-simulate the expiry is the end of
-the job's response-time window, r + R_i(level), and the budget lies past the
-horizon.
+budget > 0; the time it hosts is spent from its budget. Under both
+protocols the budget is the completing job's unused budget C_i(level) - c
+and the expiry is its deadline r + D_i; wcrt-simulate also ends the ghost
+at the end of the job's response-time window, r + R_i(level), which is
+never later for a table the analysis accepts.
+
+Why a ghost keeps every response bound. The analysis charges each
+higher-ranked task, per job, at most C_j(l) of work within [r, r + D_j),
+on one processor at a time (the carry-in workload of Guan et al., RTSS
+2009). A job and its ghost hold a processor at the owner's rank, one after
+the other, for at most c + (C_i(level) - c) = C_i(level) ticks, all before
+r + D_i. That includes the dry-ghost tick above: a ghost exists only with
+budget left, so the tick its slot idles fits within that budget. The
+task's next job is released at r + T_i >= r + D_i or later, so one task
+never holds two processors, and a job plus its ghost is a job the analysis
+already charges.
 
 Level decreases are requested externally (scenario dmcr_requests). A request
 is taken up at the next steady instant, one with no chain open and no rem-job
@@ -678,12 +689,11 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 completions = {}
             completions[job.tid] = job  # only a task's head runs in a J slot
             if reclaiming and rem_pool:
-                # the limit a protocol does not set lies past the horizon
-                budget = expiry = horizon + 1
-                if cfg.protocol == "wcet-reclaim":
-                    budget = job.C[level - 1] - job.c
-                else:
-                    expiry = job.r + wt[(job.tid, level)]
+                # a job and its ghost run at most C_i(level), by r + D_i
+                budget = job.C[level - 1] - job.c
+                expiry = job.d
+                if cfg.protocol == "wcrt-simulate":
+                    expiry = min(expiry, job.r + wt[(job.tid, level)])
                 if budget > 0 and expiry > t:
                     ghosts.append(_Ghost(job.tid, job.k, job.st.rank, budget,
                                          expiry))

@@ -23,14 +23,14 @@ per job. One closing pass over the events settles those: it takes back the
 verdict a job got at its first closing, judges the job by its last release
 and its last completion, else drop, and counts an arrival's releases and
 drops. It also finds the positions that put the violations in order. On
-wcet-reclaim traces the walk also keeps the ticks each job's ghost hosted,
-and the closing pass finds those jobs' last completions for the reclaim
-rule. So the pass runs only when something is off the pattern, a job's
-verdict is a violation or a ghost hosted. The walk's state grows with the
-open jobs, the anomalies and the hosting ghosts, not with the trace, and
-its time is linear in the trace. It needs each level change read before
-the completions and arrivals of later instants, as in a trace in time
-order within its horizon, which `simulate` emits and
+wcet-reclaim and wcrt-simulate traces the walk also keeps the ticks each
+job's ghost hosted, and the closing pass finds those jobs' last completions
+for the reclaim rule. So the pass runs only when something is off the
+pattern, a job's verdict is a violation or a ghost hosted. The walk's state
+grows with the open jobs, the anomalies and the hosting ghosts, not with
+the trace, and its time is linear in the trace. It needs each level change
+read before the completions and arrivals of later instants, as in a trace
+in time order within its horizon, which `simulate` emits and
 `sim.trace_from_jsonl` requires.
 
 Violations come in this order. Feasibility: completions, then imcr drops,
@@ -105,19 +105,21 @@ class ResponseReport(Report):
 
 
 class ReclaimReport(Report):
-    """Judges each job whose ghost slot hosted rem-jobs. A wcet-reclaim ghost
-    spends only the budget its job left unused: the job's execution time plus
-    the time its ghost hosted stays within its task's budget at the job's
-    completion level, and a ghost of a job that never completed at a level
-    of its task is a violation. wcrt-simulate ghosts follow another rule."""
+    """Judges each job whose ghost slot hosted rem-jobs. A ghost spends only
+    the budget its job left unused: the job's execution time plus the time
+    its ghost hosted stays within its task's budget at the job's completion
+    level, and a ghost of a job that never completed at a level of its task
+    is a violation."""
 
 
 def check_run(trace: Trace, ts: TaskSet, wt: dict | None = None,
               sc: Scenario | None = None) -> dict[str, Report]:
     """The reports that apply to one run, from one walk over its trace, in
     this order: "feasibility", "periodicity" given sc, "response" given the
-    analysis table wt, and "reclaim" for a wcet-reclaim trace."""
-    return _walk(trace, ts, True, sc, wt, trace.protocol == "wcet-reclaim")
+    analysis table wt, and "reclaim" for a wcet-reclaim or wcrt-simulate
+    trace."""
+    return _walk(trace, ts, True, sc, wt,
+                 trace.protocol in ("wcet-reclaim", "wcrt-simulate"))
 
 
 def check_frame(trace: Trace, ts: TaskSet, platform: Platform,
@@ -187,7 +189,7 @@ def _walk(trace: Trace, ts: TaskSet, feasibility: bool = False,
     reports, frep, prep, rrep = {}, None, None, None
     # the (task, k) of each job and arrival off the pattern, which the
     # closing pass settles; (task, k) -> the violation of a job judged;
-    # (task, k) -> the ticks its ghost hosted, on a wcet-reclaim trace
+    # (task, k) -> the ticks its ghost hosted, if reclaim
     odd, again, bad, spans = set(), set(), {}, {}
     if feasibility:
         reports["feasibility"] = frep = FeasibilityReport()

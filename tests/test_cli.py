@@ -538,7 +538,7 @@ def test_check_clean_trace_passes(sched_ts, tmp_path, capsys):
                "--scenario", sc_path])
     report = json.loads(capsys.readouterr().out)
     assert rc == 0
-    assert list(report) == ["feasibility", "periodicity"]  # not wcet-reclaim
+    assert list(report) == ["feasibility", "periodicity"]  # a drop trace
     assert list(report["feasibility"]) == [
         "ok", "checked", "violations", "exempt_rem", "exempt_dropped",
         "spanning"]
@@ -1001,7 +1001,8 @@ def test_trace_reader_fuzz_raises_only_value_error(text):
              "response": verify.check_response_bounds(trace, wt, ts)}
     reports = verify.check_run(trace, ts, wt, sc)
     reclaim = reports.pop("reclaim", None)
-    assert (reclaim is None) == (trace.protocol != "wcet-reclaim")
+    assert (reclaim is None) == (
+        trace.protocol not in ("wcet-reclaim", "wcrt-simulate"))
     assert list(reports) == list(alone)
     for name, rep in reports.items():
         assert rep == alone[name], name

@@ -118,7 +118,7 @@ CASES = [
     (6, 3, "wcet-reclaim", "crit-edf", "every20", "overrun", False,
      "33d8ff826f24e610c8dcc74003b5680cc252f0bc5504b8001b9b57183a0e78f0"),
     (6, 4, "wcrt-simulate", "edf", "every20", "overrun", False,
-     "cdc8f8f1109c790147767ce6891d518084a5c1fdfabfd646c5dc01aee976d10f"),
+     "abd7af64824a4bc6949f670910d275e0b024049e68f377d3b14d94e519d3e59f"),
     (3, 21, "drop", "srpt", "every20", "overrun", False,
      "d4014287bac7f21ea4fae73e0a24b291b3502b216450b77dc2adc76f35830db6"),
     (3, 21, "naive", "crit-edf", "every20", "overrun", False,
@@ -176,7 +176,7 @@ QUEUE_CASES = [
      "0bb7d7baebf07048414de811d31112351fbe0a2cb448fb2943a06077d2f46199"),
     ("periodic", 4, 5, "uniform", "every20", "at-horizon", 480, False,
      "wcrt-simulate", "edf",
-     "c239e688384a4d2d25f276f5f5dc4098127b5db7566a556eab710c66ea0c5955"),
+     "63f371c690a77812f73580a9ed821b668cf5e12fc34c103a40ec7852ff4f76f8"),
     ("periodic", 1, 6, "basic", "none", "sync", 400, False,
      "drop", "crit-edf",
      "1ebde0aac9c5753c4ded5836639a843bd31e5d4433a4ae39c6189e05524f7664"),
@@ -466,7 +466,7 @@ def test_cases_cover_every_event_kind_and_slot_code():
 # BATCH_SCENARIOS sweep scenarios x every protocol x every rem order
 BATCH_SETS = 48
 BATCH_SCENARIOS = 3
-BATCH_DIGEST = "0a720cc386e79f9e07d139f9c5d3aa3c934a909a5a4f88099ea23fa77bfc023e"
+BATCH_DIGEST = "f00fbbc380c8017544a3ac500a1ba370af35121e9d8342d46544db0f153e81b7"
 
 
 def test_sweep_batch_events():

@@ -233,17 +233,34 @@ def test_wcrt_simulate_ghost_occupies_response_window():
     a = MCTask(id=1, T=30, D=30, L=2, C=(2, 6))
     v = MCTask(id=2, T=30, D=30, L=1, C=(5, 5))
     wt = {(1, 1): 2, (1, 2): 8, (2, 1): 7}
-    trace = run([a, v], 2, 1, {1: 1, 2: 2}, wt,
-                30, {1: (0,), 2: (0,)}, {1: (5,), 2: (5,)},
-                protocol="wcrt-simulate")
-    # finished at 5, bound ends at r + R(2) = 0 + 8: ghost spans [5, 8)
-    assert slots_of(trace) == [
-        (0, 2, (("J", 1, 1),)),
-        (2, 5, (("J", 1, 1),)),
-        (5, 8, (("G", 1, 1, 2, 1),)),
-        (8, 10, (("R", 2, 1),)),
-        (10, 30, ()),
-    ]
+    # finished at 5 with c = 5: the unused budget 6 - 5 ends the ghost at 6,
+    # before the window's end r + R(2) = 0 + 8, as under wcet-reclaim
+    for protocol in ("wcrt-simulate", "wcet-reclaim"):
+        trace = run([a, v], 2, 1, {1: 1, 2: 2}, wt,
+                    30, {1: (0,), 2: (0,)}, {1: (5,), 2: (5,)},
+                    protocol=protocol)
+        assert slots_of(trace) == [
+            (0, 2, (("J", 1, 1),)),
+            (2, 5, (("J", 1, 1),)),
+            (5, 6, (("G", 1, 1, 2, 1),)),
+            (6, 10, (("R", 2, 1),)),
+            (10, 30, ()),
+        ], protocol
+    # finished at 3 with c = 3 under a table with R(2) = 5: the window ends
+    # the wcrt-simulate ghost at 5, before its unused budget 6 - 3 runs out
+    wt[1, 2] = 5
+    ghost_end = {"wcrt-simulate": 5, "wcet-reclaim": 6}
+    for protocol, end in ghost_end.items():
+        trace = run([a, v], 2, 1, {1: 1, 2: 2}, wt,
+                    30, {1: (0,), 2: (0,)}, {1: (3,), 2: (5,)},
+                    protocol=protocol)
+        assert slots_of(trace) == [
+            (0, 2, (("J", 1, 1),)),
+            (2, 3, (("J", 1, 1),)),
+            (3, end, (("G", 1, 1, 2, 1),)),
+            (end, 8, (("R", 2, 1),)),
+            (8, 30, ()),
+        ], protocol
 
 
 def test_nested_overrun_kills_ghosts_and_merges_pools():
@@ -625,7 +642,7 @@ def test_checkers_hold_on_generated_runs(protocol):
     stats = run_slice(islice(sets, 3), overrun_scenarios, (protocol,))
     assert stats.runs == 15
     reports = ["feasibility", "periodicity", "response"]
-    if protocol == "wcet-reclaim":
+    if protocol in ("wcet-reclaim", "wcrt-simulate"):
         reports.append("reclaim")
     assert stats.violations == {name: [] for name in reports}
     assert stats.checked["feasibility"] > 0

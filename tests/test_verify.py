@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mcsched
-from mcsched.analysis import PriorityAssignment
+from mcsched.analysis import PriorityAssignment, opa_assign
 from mcsched.experiment import prepare_run
 from mcsched.gen import GenParams, Infeasible, gen_scenario, gen_taskset
 from mcsched.model import MCTask, Platform, Scenario, TaskSet
@@ -459,6 +459,31 @@ def test_reclaim_follows_the_last_completion_of_a_hosting_job(
     assert rep == ref_reclaim(trace, ts)
 
 
+@pytest.mark.parametrize("protocol", PROTOCOLS)
+def test_ghost_keeps_the_response_bounds_of_lower_ranked_tasks(protocol):
+    # one processor, two levels, T = D = 40. Task 5 overruns at 1, so task
+    # 1's job becomes a rem-job; task 3 completes at 4 after one tick, and
+    # its ghost hosts that rem-job at rank 3. A ghost that lived to
+    # r + R_3(2) = 9 without a budget hosted [4, 8) and delayed task 2
+    # (rank 4, released at 3) to a response of 10 > R_2(2) = 9
+    budgets = {1: (5, 5), 2: (3, 3), 3: (2, 2), 4: (2, 2), 5: (1, 2)}
+    ts = TaskSet(tasks=tuple(MCTask(id=tid, T=40, D=40, L=1 + (tid > 1), C=c)
+                             for tid, c in budgets.items()), levels=2)
+    res = opa_assign(ts, 1)
+    assert res.schedulable
+    assert res.assignment.ranks == {1: 5, 2: 4, 3: 3, 4: 2, 5: 1}
+    assert res.wcrt_table[2, 2] == 9
+    sc = Scenario(horizon=40,
+                  arrivals={1: (0,), 2: (3,), 3: (3,), 4: (9,), 5: (0,)},
+                  exec_times={1: (5,), 2: (3,), 3: (1,), 4: (2,), 5: (2,)})
+    trace = simulate(ts, Platform(m=1), res.assignment, res.wcrt_table, sc,
+                     ProtocolConfig(protocol))
+    reports = check_run(trace, ts, res.wcrt_table, sc)
+    assert {name: rep.violations for name, rep in reports.items()
+            if not rep.ok} == {}
+    assert reports["response"].checked == 3
+
+
 def test_check_run_picks_the_reports_that_apply():
     ts = reclaim_set()
     sc = Scenario(horizon=30, arrivals={1: (0,), 2: (0,)},
@@ -471,6 +496,8 @@ def test_check_run_picks_the_reports_that_apply():
     naive = reclaim_trace(protocol="naive")
     assert list(check_run(naive, ts, wt, sc)) == [
         "feasibility", "periodicity", "response"]
+    assert list(check_run(reclaim_trace(protocol="wcrt-simulate"), ts)) == [
+        "feasibility", "reclaim"]
     assert check_run(trace, ts, wt, sc) == {
         "feasibility": check_feasibility(trace, ts),
         "periodicity": check_periodicity(trace, ts, sc),
@@ -796,7 +823,7 @@ def references(trace, ts, wt=None, sc=None):
         refs["periodicity"] = ref_periodicity(trace, ts, sc)
     if wt is not None:
         refs["response"] = ref_response_bounds(trace, wt, ts)
-    if trace.protocol == "wcet-reclaim":
+    if trace.protocol in ("wcet-reclaim", "wcrt-simulate"):
         refs["reclaim"] = ref_reclaim(trace, ts)
     return refs
 
@@ -1050,9 +1077,10 @@ def test_stretched_ghost_fails_reclaim():
 
 def test_wcrt_simulate_ghosts_host_within_their_windows():
     # a wcrt-simulate ghost of job (task, k), completed at f in mode lv,
-    # hosts only within [f, r + R_task(lv)); no checker judges this window.
-    # A ghost seldom still hosts when its window ends (first in the 17th
-    # run with a hosting ghost), so the search goes on past 8 such runs
+    # hosts only within [f, r + R_task(lv)); the reclaim report judges its
+    # budget, and no checker judges this window. Few ghosts host up to
+    # their window's end, so the search goes on past 8 runs with a
+    # hosting ghost
     for ts, res, trace, _ in ghost_runs("wcrt-simulate", 32):
         done = {(ev[3], ev[4]): ev for ev in trace.kind("complete")}
         for ev in trace.kind("sched"):
