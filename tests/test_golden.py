@@ -15,7 +15,9 @@ do. `test_taskset_bytes` pins `gen_taskset` itself, failed draws included,
 and `test_analysis_bytes` pins `opa_assign`. `test_sweep_batch_events`
 pins the event lists of a batch shaped like the acceptance sweep, every
 protocol and rem order, where suspended tasks' arrivals are dropped at
-many instants that hold nothing else. A refactor must leave every
+many instants that hold nothing else, and `test_ghost_batch_events` pins
+a batch where ghost slots host rem-jobs, retire dry and compete with
+enabled heads for the processors. A refactor must leave every
 digest unchanged; a change meant to alter the bytes regenerates them and
 says why.
 """
@@ -33,6 +35,7 @@ from mcsched import analysis, experiment, gen, model, sim, verify
 from mcsched.model import Scenario, validate_scenario
 from slices import schedulable_sets
 from test_acceptance import _sweep_params, _sweep_scenarios
+from test_verify import GHOST_PARAMS
 
 HORIZON = 400
 REQUESTS = {
@@ -488,6 +491,46 @@ def test_sweep_batch_events():
                 drop_only += sum(only.values())
     assert drop_only > 0
     assert digest.hexdigest() == BATCH_DIGEST
+
+
+# The sweep batch hardly hosts a ghost, so a batch of its own pins the
+# ghost slots' dispatch: test_verify's ghost shape (m=1) and one where ghosts
+# compete with heads for two processors, each with a request to level 1
+# every GHOST_GAP ticks so that relegation recurs. Its first GHOST_SETS
+# accepted sets x GHOST_SCENARIOS seeds x the basic and overrun exec models
+# x both reclaiming protocols x every rem order.
+GHOST_SHAPES = (GHOST_PARAMS,
+                gen.GenParams(n_tasks=6, levels=2, total_util=1.2, m=2,
+                              period_range=(8, 16), ensure_overrunnable=True))
+GHOST_SETS = 8
+GHOST_SCENARIOS = 4
+GHOST_GAP = 10
+GHOST_DIGEST = "84a4879fe9e0448df297d74c5fbdeba23f93e50ee6bad8446c637b48ee63ccf2"
+
+
+def test_ghost_batch_events():
+    digest = hashlib.sha256()
+    cfgs = [sim.ProtocolConfig(p, o) for p in ("wcet-reclaim", "wcrt-simulate")
+            for o in sim.REM_ORDERS]
+    hosting = []  # runs with a hosting ghost slot, per shape
+    for params in GHOST_SHAPES:
+        hosting.append(0)
+        sets = schedulable_sets(lambda _: params, range(1, 20 * GHOST_SETS))
+        for _, ts, platform, res in islice(sets, GHOST_SETS):
+            horizon = 20 * max(t.T for t in ts.tasks)
+            plan = tuple((t, 1) for t in range(GHOST_GAP, horizon, GHOST_GAP))
+            for sc_seed, exec_model in product(range(GHOST_SCENARIOS),
+                                               ("basic", "overrun")):
+                sc = gen.gen_scenario(ts, horizon, sc_seed,
+                                      exec_model=exec_model, dmcr_plan=plan)
+                for cfg in cfgs:
+                    events = sim.simulate(ts, platform, res.assignment,
+                                          res.wcrt_table, sc, cfg).events
+                    digest.update(repr(events).encode())
+                    hosting[-1] += any(e[0] == "sched" and any(
+                        slot[0] == "G" for slot in e[4]) for e in events)
+    assert min(hosting) >= 25, hosting
+    assert digest.hexdigest() == GHOST_DIGEST
 
 
 def test_experiment_csv_bytes():
