@@ -5,6 +5,13 @@ Scheduler rules. At every instant the m highest-priority dispatchable
 entities run, one per processor. Dispatchable entities are, from high to
 low band: available jobs of enabled tasks and ghost slots (both at the
 owning task's rank), then rem-jobs (always below every enabled task).
+A task offers one entry to the first band: its oldest pending job (its
+head) or its live ghost. It never has both in contract, since a ghost ends
+by its owner's deadline r + D_i and the task's next job arrives at
+r + T_i >= r + D_i or later (see below), so the band is one rank order
+with no tie-break. Where arrival gaps below D_i break the contract, which
+simulate does not check, a task's entries go oldest job first: a ghost
+before its own task's newer head.
 The scheduler is work-conserving over dispatchable entities, with one
 deliberate exception: a ghost slot whose rem-job pool ran dry idles for a
 single tick while the ghost is retired.
@@ -62,16 +69,16 @@ index, job) onto a heap. The deadline-miss phase pops the entries due by
 t and reports those still pending at their deadline t, in task order,
 then job index; a job that completed or was suspended is no longer
 pending, and its entry is discarded when it reaches the top. The tasks
-with pending jobs are kept in rank order, so dispatch reads the m highest
-enabled heads off the front, and it sorts only when ghost slots compete
-with them. The next event is the earliest of the next arrival of an
-enabled task, the earliest pending deadline, the next request, ghost
-expiries, forced ticks, the horizon and the running entities' budget,
-ghost-budget and completion boundaries. A suspended task's arrivals before
-it are dropped on the way, each at its own instant and at the level in
-force. That is exact: the level changes only at a completion or an overrun,
-and those, like every other phase before releases, act only at the
-boundaries above, so a step at such an arrival would do nothing but drop it.
+with pending jobs and the live ghosts are each kept in rank order, so
+dispatch reads the m highest heads and ghosts off one merged rank order.
+The next event is the earliest of the next arrival of an enabled task,
+the earliest pending deadline, the next request, ghost expiries, forced
+ticks, the horizon and the running entities' budget, ghost-budget and
+completion boundaries. A suspended task's arrivals before it are dropped
+on the way, each at its own instant and at the level in force. That is
+exact: the level changes only at a completion or an overrun, and those,
+like every other phase before releases, act only at the boundaries
+above, so a step at such an arrival would do nothing but drop it.
 An arrival at the next event itself is left to that step's releases phase,
 after its completions, overruns and re-enables. A request that waits on a
 chain or on rem-jobs adds no steps, since those end only at such boundaries;
@@ -108,8 +115,8 @@ import json
 import re
 from bisect import insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from itertools import chain, count, repeat
+from heapq import heappop, heappush, merge
+from itertools import chain, count, islice, repeat
 from operator import attrgetter, gt, itemgetter
 
 from .model import Platform, Scenario, TaskSet, id_key
@@ -658,7 +665,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
 
     level = 1
     rem_pool: list[_Job] = []
-    ghosts: list[_Ghost] = []
+    ghosts: list[_Ghost] = []  # by rank
     chain = None  # [task ids by rank, cursor, target]
     pending_req = None
     reqs = sorted(sc.dmcr_requests, key=itemgetter(0)) + [(horizon + 1, 0)]
@@ -695,8 +702,8 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 if cfg.protocol == "wcrt-simulate":
                     expiry = min(expiry, job.r + wt[(job.tid, level)])
                 if budget > 0 and expiry > t:
-                    ghosts.append(_Ghost(job.tid, job.k, job.st.rank, budget,
-                                         expiry))
+                    insort(ghosts, _Ghost(job.tid, job.k, job.st.rank, budget,
+                                          expiry), key=_rank_of)
 
         # ---- budget-overrun cascade ----
         while True:
@@ -799,24 +806,12 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             break
 
         # ---- dispatch ----
-        # the m highest enabled heads and ghosts, then rem-jobs by rem
-        # order; the rem-jobs not dispatched directly are the ghosts' hosts
-        slots = []
-        running = []
-        if ghosts:
-            band = [((st.rank, st.pending[0].k, 0), st.pending[0], None)
-                    for st in ready[:m]]
-            band += [((g.rank, g.k, 1), None, g) for g in ghosts]
-            band.sort(key=itemgetter(0))
-            selected = [entry[1:] for entry in band[:m]]
-        else:
-            # a plain loop: no per-step comprehension call or list to copy
-            selected = ()
-            for st in ready[:m]:
-                job = st.pending[0]
-                slots.append(("J", job.tid, job.k))
-                running.append((job, None))
-        free = m - len(selected) - len(running)
+        # the m highest enabled heads and ghosts in one rank order, then
+        # rem-jobs by rem order; the rem-jobs not dispatched directly are
+        # the ghosts' hosts
+        top = (list(islice(merge(ghosts, ready, key=_rank_of), m)) if ghosts
+               else ready[:m])
+        free = m - len(top)
         rem_eligible = ()
         if rem_pool and (free or ghosts):
             front: dict = {}
@@ -825,19 +820,22 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             for job in rem_pool:
                 front.setdefault(job.tid, job)
             rem_eligible = sorted(front.values(), key=rem_key)
+        slots = []
+        running = []
         hi = free
-        for job, g in selected:
-            if g is None:
+        for entity in top:
+            if type(entity) is _TaskState:
+                job = entity.pending[0]
                 slots.append(("J", job.tid, job.k))
                 running.append((job, None))
             elif hi < len(rem_eligible):
                 host = rem_eligible[hi]
                 hi += 1
-                slots.append(("G", g.tid, g.k, host.tid, host.k))
-                running.append((host, g))
+                slots.append(("G", entity.tid, entity.k, host.tid, host.k))
+                running.append((host, entity))
             else:
                 # pool ran dry: retire the ghost, its slot idles this tick
-                ghosts.remove(g)
+                ghosts.remove(entity)
                 force_tick = True
         for job in rem_eligible[:free]:
             slots.append(("R", job.tid, job.k))

@@ -263,6 +263,25 @@ def test_wcrt_simulate_ghost_occupies_response_window():
         ], protocol
 
 
+def test_ghost_goes_before_its_own_tasks_newer_head():
+    # out of contract: task 1's arrivals are 5 apart with D = 20, so the
+    # ghost of job 1 (budget 6 - 4) is live when job 2 arrives at 5; the two
+    # share task 1's rank, and the older one, the ghost, runs first
+    a = MCTask(id=1, T=20, D=20, L=2, C=(2, 6))
+    v = MCTask(id=2, T=20, D=20, L=1, C=(5, 5))
+    trace = run([a, v], 2, 1, {1: 1, 2: 2}, {(1, 1): 2, (1, 2): 10, (2, 1): 7},
+                30, {1: (0, 5), 2: (0,)}, {1: (4, 1), 2: (5,)},
+                protocol="wcet-reclaim")
+    assert slots_of(trace) == [
+        (0, 2, (("J", 1, 1),)),
+        (2, 4, (("J", 1, 1),)),
+        (4, 6, (("G", 1, 1, 2, 1),)),
+        (6, 7, (("J", 1, 2),)),
+        (7, 10, (("G", 1, 2, 2, 1),)),
+        (10, 30, ()),
+    ]
+
+
 def test_nested_overrun_kills_ghosts_and_merges_pools():
     a = MCTask(id=1, T=30, D=30, L=3, C=(2, 4, 6))
     e = MCTask(id=2, T=30, D=30, L=2, C=(3, 5, 5))
