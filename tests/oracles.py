@@ -220,16 +220,24 @@ def brute_force_workload(task: MCTask, delta: int, level: int,
 # exhaustive scenario enumeration
 
 
-def count_basic_scenarios(ts: TaskSet, n_jobs: dict) -> int:
-    return prod(task.L ** n_jobs.get(task.id, 0) for task in ts.tasks)
+def budgets(task: MCTask) -> tuple:
+    """A task's per-level budgets C(1), ..., C(L)."""
+    return tuple(map(task.wcet, range(1, task.L + 1)))
 
 
-def enumerate_basic_scenarios(ts: TaskSet, horizon: int, arrivals=None):
-    """Yield every scenario in which each job runs for exactly one of its
-    per-level budgets. Arrivals default to strictly periodic from zero.
+def count_basic_scenarios(ts: TaskSet, n_jobs: dict, choices=budgets) -> int:
+    return prod(len(choices(task)) ** n_jobs.get(task.id, 0)
+                for task in ts.tasks)
 
-    The count is the product over tasks of L**jobs; callers hitting the
-    guard should shrink the horizon or the task set.
+
+def enumerate_basic_scenarios(ts: TaskSet, horizon: int, arrivals=None,
+                              choices=budgets):
+    """Yield every scenario in which each job runs for exactly one of
+    choices(task), its task's execution times, by default the per-level
+    budgets. Arrivals default to strictly periodic from zero.
+
+    The count is the product over tasks of len(choices(task))**jobs;
+    callers hitting the guard should shrink the horizon or the task set.
     """
     if arrivals is None:
         arrivals = {t.id: tuple(range(0, horizon, t.T)) for t in ts.tasks}
@@ -237,13 +245,13 @@ def enumerate_basic_scenarios(ts: TaskSet, horizon: int, arrivals=None):
     total_jobs = sum(n_jobs.values())
     if total_jobs > MAX_ENUM_JOBS:
         raise ParameterTooLarge(f"{total_jobs} jobs exceeds {MAX_ENUM_JOBS}")
-    total = count_basic_scenarios(ts, n_jobs)
+    total = count_basic_scenarios(ts, n_jobs, choices)
     if total > MAX_ENUM_SCENARIOS:
         raise ParameterTooLarge(
             f"{total} scenarios exceeds {MAX_ENUM_SCENARIOS}")
-    # per task, every tuple of its jobs' budgets
-    per_task = [product(map(task.wcet, range(1, task.L + 1)),
-                        repeat=n_jobs.get(task.id, 0)) for task in ts.tasks]
+    # per task, every tuple of its jobs' execution times
+    per_task = [product(choices(task), repeat=n_jobs.get(task.id, 0))
+                for task in ts.tasks]
     for combo in product(*per_task):
         yield Scenario(horizon=horizon, arrivals=dict(arrivals),
                        exec_times={task.id: times for task, times
