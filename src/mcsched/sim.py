@@ -23,12 +23,13 @@ dropped, and their already-released jobs either vanish (protocol "drop") or
 join the rem-job pool to be finished at background priority. Protocols
 "wcet-reclaim" and "wcrt-simulate" additionally lend rem-jobs the processor
 slots that completed jobs of enabled tasks no longer need. Such a ghost slot
-has a budget and an expiry, and it hosts a rem-job only while t < expiry and
-budget > 0; the time it hosts is spent from its budget. Under both
-protocols the budget is the completing job's unused budget C_i(level) - c
-and the expiry is its deadline r + D_i; wcrt-simulate also ends the ghost
-at the end of the job's response-time window, r + R_i(level), which is
-never later for a table the analysis accepts.
+is the completed job itself, holding its task's rank, with a budget and an
+expiry; it hosts a rem-job only while t < expiry and budget > 0, and the
+time it hosts is spent from its budget. Under both protocols the budget
+is the job's unused budget C_i(level) - c and the expiry is its deadline
+r + D_i; wcrt-simulate also ends the ghost at the end of the job's
+response-time window, r + R_i(level), which is never later for a table the
+analysis accepts.
 
 Why a ghost keeps every response bound. The analysis charges each
 higher-ranked task, per job, at most C_j(l) of work within [r, r + D_j),
@@ -69,8 +70,9 @@ index, job) onto a heap. The deadline-miss phase pops the entries due by
 t and reports those still pending at their deadline t, in task order,
 then job index; a job that completed or was suspended is no longer
 pending, and its entry is discarded when it reaches the top. The tasks
-with pending jobs and the live ghosts are each kept in rank order, so
-dispatch reads the m highest heads and ghosts off one merged rank order.
+with pending jobs and the live ghosts, completed jobs that hold their
+task's rank, are each kept in rank order, so dispatch reads the m highest
+heads and ghosts off one merged rank order.
 The next event is the earliest of the next arrival of an enabled task,
 the earliest pending deadline, the next request, ghost expiries, forced
 ticks, the horizon and the running entities' budget, ghost-budget and
@@ -545,8 +547,10 @@ def trace_from_jsonl(text: str) -> Trace:
 
 
 class _Job:
+    # a completed job with budget left is its own ghost: "budget" is its
+    # hosting time left, and it hosts only before "expiry"
     __slots__ = ("st", "tid", "k", "r", "d", "c", "executed", "pending",
-                 "L", "C", "idk")
+                 "L", "C", "idk", "budget", "expiry")
 
     def __init__(self, st, k, r, c):
         task = st.task
@@ -562,16 +566,9 @@ class _Job:
         self.C = task.C
         self.idk = st.idk
 
-
-class _Ghost:
-    __slots__ = ("tid", "k", "rank", "budget", "expiry")
-
-    def __init__(self, tid, k, rank, budget, expiry):
-        self.tid = tid
-        self.k = k
-        self.rank = rank
-        self.budget = budget  # hosting time left
-        self.expiry = expiry  # hosts only before this instant
+    @property
+    def rank(self):
+        return self.st.rank
 
 
 class _TaskState:
@@ -665,7 +662,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
 
     level = 1
     rem_pool: list[_Job] = []
-    ghosts: list[_Ghost] = []  # by rank
+    ghosts: list[_Job] = []  # completed jobs with budget left, by rank
     chain = None  # [task ids by rank, cursor, target]
     pending_req = None
     reqs = sorted(sc.dmcr_requests, key=itemgetter(0)) + [(horizon + 1, 0)]
@@ -702,8 +699,8 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 if cfg.protocol == "wcrt-simulate":
                     expiry = min(expiry, job.r + wt[(job.tid, level)])
                 if budget > 0 and expiry > t:
-                    insort(ghosts, _Ghost(job.tid, job.k, job.st.rank, budget,
-                                          expiry), key=_rank_of)
+                    job.budget, job.expiry = budget, expiry
+                    insort(ghosts, job, key=_rank_of)
 
         # ---- budget-overrun cascade ----
         while True:
