@@ -508,8 +508,8 @@ def test_ghost_scope_keeps_every_bound_on_tiny_uniprocessor_sets():
                 and count_basic_scenarios(ts, counts, early) <= 6561)
 
     def inverted(ts, ranks):
-        return any(lo.L == 1 < hi.L and ranks[lo.id] > ranks[hi.id]
-                   for lo in ts.tasks for hi in ts.tasks)
+        return any(a.L == 1 < b.L and ranks[a.id] > ranks[b.id]
+                   for a in ts.tasks for b in ts.tasks)
 
     sets = list(islice((s for s in schedulable_sets(tiny, range(1, 2000))
                         if enumerable(s[1])), 150))
