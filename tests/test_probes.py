@@ -2,6 +2,7 @@
 
 import analysis_probe
 import long_run
+import sim_diff
 from mcsched import analysis, sim
 
 
@@ -45,3 +46,11 @@ def test_analysis_probe_prints_a_row_per_shape(capsys, monkeypatch):
     assert row[:5] == ["8", "2", "0.30", "2", str(schedulable)]
     assert row[7:] == [str(tally["kernel"]), str(tally["fixed"])]
     assert (analysis._bounds, analysis._response) == (kernel, fixed)
+
+
+def test_sim_diff_finds_its_own_tree_equal(capsys):
+    assert sim_diff.main(["--against", str(sim_diff.SRC), "--seeds", "30"]) == 0
+    words = capsys.readouterr().out.splitlines()[0].split()
+    counts = dict(zip(words[::2], map(int, words[1::2])))
+    assert counts["runs"] > 0 and counts["hosting"] >= 1
+    assert counts["raising"] == counts["differing"] == 0

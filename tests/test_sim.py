@@ -282,6 +282,35 @@ def test_ghost_goes_before_its_own_tasks_newer_head():
     ]
 
 
+@pytest.mark.parametrize("protocol, deadline, spans", [
+    ("wcet-reclaim", 6, [(8, 13, (("R", 3, 1),))]),
+    ("wcet-reclaim", 10, [(8, 10, (("G", 2, 1, 3, 1),)),
+                          (10, 13, (("R", 3, 1),))]),
+    ("wcrt-simulate", 6, [(8, 13, (("R", 3, 1),))]),
+    ("wcrt-simulate", 10, [(8, 13, (("R", 3, 1),))]),
+])
+def test_ghost_below_the_top_expires_unhosted(protocol, deadline, spans):
+    # task 2 trips at 2 and completes at 3, leaving a ghost with budget
+    # 6 - 3; task 1's head holds the processor over [3, 8), so the ghost
+    # waits below it and hosts task 3's rem-job only if it is still live
+    # at 8: until D_2 under wcet-reclaim, until R_2(2) = 6 under
+    # wcrt-simulate
+    hi = MCTask(id=1, T=20, D=20, L=2, C=(5, 5))
+    owner = MCTask(id=2, T=30, D=deadline, L=2, C=(2, 6))
+    lo = MCTask(id=3, T=30, D=30, L=1, C=(5, 5))
+    wt = {(1, 1): 5, (1, 2): 5, (2, 1): 7, (2, 2): 6, (3, 1): 15}
+    trace = run([hi, owner, lo], 2, 1, {1: 1, 2: 2, 3: 3}, wt,
+                30, {1: (3,), 2: (0,), 3: (0,)}, {1: (5,), 2: (3,), 3: (5,)},
+                protocol=protocol)
+    assert slots_of(trace) == [
+        (0, 2, (("J", 2, 1),)),
+        (2, 3, (("J", 2, 1),)),
+        (3, 8, (("J", 1, 1),)),
+        *spans,
+        (13, 30, ()),
+    ]
+
+
 def test_nested_overrun_kills_ghosts_and_merges_pools():
     a = MCTask(id=1, T=30, D=30, L=3, C=(2, 4, 6))
     e = MCTask(id=2, T=30, D=30, L=2, C=(3, 5, 5))
