@@ -69,18 +69,25 @@ read through a cursor. Each release pushes (deadline, task index, job
 index, job) onto a heap. The deadline-miss phase pops the entries due by
 t and reports those still pending at their deadline t, in task order,
 then job index; a job that completed or was suspended is no longer
-pending, and its entry is discarded when it reaches the top. The tasks
-with pending jobs and the live ghosts, completed jobs that hold their
-task's rank, are each kept in rank order, so dispatch reads the m highest
-heads and ghosts off one merged rank order.
+pending, and its entry is discarded when it reaches the top. Each task's
+head and the live ghosts, completed jobs that hold their task's rank, are
+one list of jobs, the band, kept in rank order by insertion on the right,
+so a task's older job (a ghost) stays before its newer head with no
+tie-break: a release inserts its job if its task had nothing pending, and a
+completion leaves the job in place as its ghost, or removes it, then
+inserts its task's next pending job. Dispatch reads the m highest entries
+off the front of the band.
 The next event is the earliest of the next arrival of an enabled task,
-the earliest pending deadline, the next request, ghost expiries, forced
-ticks, the horizon and the running entities' budget, ghost-budget and
-completion boundaries. A suspended task's arrivals before it are dropped
-on the way, each at its own instant and at the level in force. That is
-exact: the level changes only at a completion or an overrun, and those,
-like every other phase before releases, act only at the boundaries
-above, so a step at such an arrival would do nothing but drop it.
+the earliest pending deadline, the next request, the hosting ghosts'
+expiries, forced ticks, the horizon and the running entities' budget,
+ghost-budget and completion boundaries. A live ghost outside the top m
+runs nothing and enters the top only at a step, where the cleanup drops it
+if it has expired, so its expiry needs no step of its own. A suspended
+task's arrivals before the next event are dropped on the way, each at its
+own instant and at the level in force. That is exact: the level changes
+only at a completion or an overrun, and those, like every other phase
+before releases, act only at the boundaries above, so a step at such an
+arrival would do nothing but drop it.
 An arrival at the next event itself is left to that step's releases phase,
 after its completions, overruns and re-enables. A request that waits on a
 chain or on rem-jobs adds no steps, since those end only at such boundaries;
@@ -117,8 +124,8 @@ import json
 import re
 from bisect import insort
 from dataclasses import dataclass
-from heapq import heappop, heappush, merge
-from itertools import chain, count, islice, repeat
+from heapq import heappop, heappush
+from itertools import chain, count, repeat
 from operator import attrgetter, gt, itemgetter
 
 from .model import Platform, Scenario, TaskSet, id_key
@@ -547,10 +554,11 @@ def trace_from_jsonl(text: str) -> Trace:
 
 
 class _Job:
-    # a completed job with budget left is its own ghost: "budget" is its
-    # hosting time left, and it hosts only before "expiry"
+    # in the band while its task's head, or after it completes as its own
+    # ghost: "budget" is then its hosting time left, and it hosts only
+    # before "expiry"
     __slots__ = ("st", "tid", "k", "r", "d", "c", "executed", "pending",
-                 "L", "C", "idk", "budget", "expiry")
+                 "L", "C", "idk", "rank", "budget", "expiry")
 
     def __init__(self, st, k, r, c):
         task = st.task
@@ -565,10 +573,7 @@ class _Job:
         self.L = task.L
         self.C = task.C
         self.idk = st.idk
-
-    @property
-    def rank(self):
-        return self.st.rank
+        self.rank = st.rank
 
 
 class _TaskState:
@@ -653,7 +658,6 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
     arr_i = 0
     # heap of (d, task index, k, job), pending or not
     deadlines = [(horizon + 1, -1, 0, _NeverDue)]
-    ready: list[_TaskState] = []  # tasks with pending jobs, by rank
     rem_key = _rem_key(cfg.rem_order)
     reclaiming = cfg.protocol in ("wcet-reclaim", "wcrt-simulate")
     drop = cfg.protocol == "drop"
@@ -662,7 +666,9 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
 
     level = 1
     rem_pool: list[_Job] = []
-    ghosts: list[_Job] = []  # completed jobs with budget left, by rank
+    # each task's head and the live ghosts, by rank; a task's older job first
+    band: list[_Job] = []
+    n_ghosts = 0  # the live ghosts in the band
     chain = None  # [task ids by rank, cursor, target]
     pending_req = None
     reqs = sorted(sc.dmcr_requests, key=itemgetter(0)) + [(horizon + 1, 0)]
@@ -687,20 +693,22 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             job.pending = False
             pending = job.st.pending
             pending.remove(job)
-            if not pending:
-                ready.remove(job.st)
             if completions is None:
                 completions = {}
             completions[job.tid] = job  # only a task's head runs in a J slot
+            if pending:  # the task's next head goes after the job
+                insort(band, pending[0], key=_rank_of)
             if reclaiming and rem_pool:
                 # a job and its ghost run at most C_i(level), by r + D_i
                 budget = job.C[level - 1] - job.c
                 expiry = job.d
                 if cfg.protocol == "wcrt-simulate":
                     expiry = min(expiry, job.r + wt[(job.tid, level)])
-                if budget > 0 and expiry > t:
+                if budget > 0 and expiry > t:  # it stays as its own ghost
                     job.budget, job.expiry = budget, expiry
-                    insort(ghosts, job, key=_rank_of)
+                    n_ghosts += 1
+                    continue
+            band.remove(job)
 
         # ---- budget-overrun cascade ----
         while True:
@@ -726,25 +734,26 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             for st in states:
                 if st.L == level - 1:  # enabled until this raise
                     jobs, st.pending = st.pending, []
-                    if jobs:
-                        ready.remove(st)
                     for j in jobs:
                         j.pending = False
                         if drop:
                             emit(("job_dropped", t, level, j.tid, j.k, "imcr"))
                         else:
                             rem_pool.append(j)
-            ghosts.clear()  # budget guarantees do not carry across levels
+            # the suspended heads leave, and so does every ghost: budget
+            # guarantees do not carry across levels
+            band = [j for j in band if j.pending]
+            n_ghosts = 0
             if chain is not None:
                 emit(("chain_aborted", t, level, chain[1]))
                 chain = None
 
         # ---- ghost and phase cleanup ----
-        if ghosts:
-            if not rem_pool:
-                ghosts.clear()
-            else:
-                ghosts = [g for g in ghosts if g.budget > 0 and g.expiry > t]
+        if n_ghosts:
+            live = [j for j in band if j.pending or rem_pool and j.budget > 0
+                    and j.expiry > t]
+            n_ghosts -= len(band) - len(live)
+            band = live
 
         # ---- level-decrease intake ----
         while reqs[req_i][0] <= t:
@@ -783,7 +792,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             if st.L >= level:
                 job = _Job(st, k, t, st.execs[k - 1])
                 if not st.pending:
-                    insort(ready, st, key=_rank_of)
+                    insort(band, job, key=_rank_of)
                 st.pending.append(job)
                 heappush(deadlines, (job.d, ti, k, job))
                 emit(("release", t, level, st.tid, k, job.d))
@@ -803,14 +812,13 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
             break
 
         # ---- dispatch ----
-        # the m highest enabled heads and ghosts in one rank order, then
-        # rem-jobs by rem order; the rem-jobs not dispatched directly are
-        # the ghosts' hosts
-        top = (list(islice(merge(ghosts, ready, key=_rank_of), m)) if ghosts
-               else ready[:m])
+        # the band's m highest entries, heads and ghosts, then rem-jobs by
+        # rem order; the rem-jobs not dispatched directly are the ghosts'
+        # hosts
+        top = band[:m]
         free = m - len(top)
         rem_eligible = ()
-        if rem_pool and (free or ghosts):
+        if rem_pool and (free or n_ghosts):
             front: dict = {}
             # a task's rem-jobs join the pool together, in k order, and only
             # its front runs: its first job in the pool is its front
@@ -820,19 +828,19 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
         slots = []
         running = []
         hi = free
-        for entity in top:
-            if type(entity) is _TaskState:
-                job = entity.pending[0]
+        for job in top:
+            if job.pending:
                 slots.append(("J", job.tid, job.k))
                 running.append((job, None))
             elif hi < len(rem_eligible):
                 host = rem_eligible[hi]
                 hi += 1
-                slots.append(("G", entity.tid, entity.k, host.tid, host.k))
-                running.append((host, entity))
+                slots.append(("G", job.tid, job.k, host.tid, host.k))
+                running.append((host, job))
             else:
                 # pool ran dry: retire the ghost, its slot idles this tick
-                ghosts.remove(entity)
+                band.remove(job)
+                n_ghosts -= 1
                 force_tick = True
         for job in rem_eligible[:free]:
             slots.append(("R", job.tid, job.k))
@@ -867,8 +875,8 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 budget_left = job.C[level - 1] - job.executed
                 if budget_left < delta:
                     delta = budget_left
-            if g is not None and g.budget < delta:
-                delta = g.budget
+            if g is not None:  # a hosting ghost: its budget and expiry
+                delta = min(delta, g.budget, g.expiry - t)
             if delta < 1:
                 # a level decrease can leave a running job already at or past
                 # the lower level's budget; that overrun is seen at the next
@@ -876,9 +884,6 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 delta = 1
             if t + delta < nxt:
                 nxt = t + delta
-        for g in ghosts:
-            if g.expiry < nxt:
-                nxt = g.expiry
         while not deadlines[0][3].pending:
             heappop(deadlines)  # completed or suspended since its release
         if deadlines[0][0] < nxt:

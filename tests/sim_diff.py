@@ -151,7 +151,11 @@ def main(argv=None):
         parser.error("--against SRC is required")
     sides = [(*run_side(src, args.start, args.seeds), src)
              for src in (SRC, args.against)]
-    (names, ours), (other_names, theirs) = (lines_of(*s) for s in sides)
+    try:
+        (names, ours), (other_names, theirs) = (lines_of(*s) for s in sides)
+    finally:  # stops the other side when one fails
+        for proc, _, _ in sides:
+            proc.kill()
     if names != other_names or [a[:2] for a in ours] != [b[:2] for b in theirs]:
         raise SystemExit("the two sides run different protocols or scenarios")
     counts = dict.fromkeys(("runs", "hosting", "raising", "differing"), 0)
