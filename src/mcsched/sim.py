@@ -69,12 +69,12 @@ read through a cursor. Each release pushes (deadline, task index, job
 index, job) onto a heap. The deadline-miss phase pops the entries due by
 t and reports those still pending at their deadline t, in task order,
 then job index; a job that completed or was suspended is no longer
-pending, and its entry is discarded when it reaches the top. Each task's
-head and the live ghosts, completed jobs that hold their task's rank, are
-one list of jobs, the band, kept in rank order by insertion on the right,
-so a task's older job (a ghost) stays before its newer head with no
-tie-break: a release inserts its job if its task had nothing pending, and a
-completion leaves the job in place as its ghost, or removes it, then
+pending, and its entry is discarded when it reaches the top. The first
+band above, each task's head and the live ghosts (completed jobs that hold
+their task's rank), is one list of jobs kept in rank order by insertion on
+the right, so a task's older job (a ghost) stays before its newer head with
+no tie-break: a release inserts its job if its task had nothing pending,
+and a completion leaves the job in place as its ghost, or removes it, then
 inserts its task's next pending job. Dispatch reads the m highest entries
 off the front of the band.
 The next event is the earliest of the next arrival of an enabled task,
@@ -875,7 +875,7 @@ def simulate(ts: TaskSet, platform: Platform, pa: PriorityAssignment,
                 budget_left = job.C[level - 1] - job.executed
                 if budget_left < delta:
                     delta = budget_left
-            if g is not None:  # a hosting ghost: its budget and expiry
+            if g is not None:  # a hosting ghost stops at its budget or expiry
                 delta = min(delta, g.budget, g.expiry - t)
             if delta < 1:
                 # a level decrease can leave a running job already at or past
