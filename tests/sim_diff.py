@@ -156,7 +156,8 @@ def main(argv=None):
     finally:  # stops the other side when one fails
         for proc, _, _ in sides:
             proc.kill()
-    if names != other_names or [a[:2] for a in ours] != [b[:2] for b in theirs]:
+    if names != other_names or ([a[:2] for a in ours]
+                                != [b[:2] for b in theirs]):
         raise SystemExit("the two sides run different protocols or scenarios")
     counts = dict.fromkeys(("runs", "hosting", "raising", "differing"), 0)
     first = None

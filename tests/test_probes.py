@@ -49,7 +49,8 @@ def test_analysis_probe_prints_a_row_per_shape(capsys, monkeypatch):
 
 
 def test_sim_diff_finds_its_own_tree_equal(capsys):
-    assert sim_diff.main(["--against", str(sim_diff.SRC), "--seeds", "30"]) == 0
+    assert sim_diff.main(["--against", str(sim_diff.SRC),
+                          "--seeds", "30"]) == 0
     words = capsys.readouterr().out.splitlines()[0].split()
     counts = dict(zip(words[::2], map(int, words[1::2])))
     assert counts["runs"] > 0 and counts["hosting"] >= 1
